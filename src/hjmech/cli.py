@@ -24,12 +24,15 @@ prefix naming the side they were computed on.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Tuple
 
 from . import model as model_io
 from .hamiltonian import (
     HamiltonianError,
+    HamiltonianSystem,
+    LegendreMap,
     hamiltonian,
     hamiltonian_field,
     legendre,
@@ -112,6 +115,24 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Context:
+    """A loaded model and its system, with the Legendre map and h built on
+    first use, so a command pays only for what it reads."""
+
+    def __init__(self, path: str):
+        self.model = model_io.load(path)
+        self.system = self.model.system()
+
+    @functools.cached_property
+    def legendre(self) -> LegendreMap:
+        return legendre(self.system)
+
+    @functools.cached_property
+    def hamiltonian(self) -> HamiltonianSystem:
+        """Raises HamiltonianError when the Legendre map has no inverse."""
+        return hamiltonian(self.system, self.legendre)
+
+
 def _header(rep: Report, m: model_io.ModelFile, subtitle: str, settings: str):
     rep.text("model '%s' (k = %d, n = %d)" % (m.name, m.k, m.n))
     rep.text(subtitle)
@@ -133,8 +154,8 @@ def _matrix_text(matrix) -> str:
 
 
 def cmd_derive(args) -> Tuple[Report, bool]:
-    m = model_io.load(args.model)
-    sys_ = m.system()
+    ctx = _Context(args.model)
+    m, sys_ = ctx.model, ctx.system
     rep = Report()
     _header(rep, m, "derive %s" % args.what,
             _standard_settings(DEFAULT_TOL, DEFAULT_SAMPLES, DEFAULT_SEED))
@@ -152,7 +173,7 @@ def cmd_derive(args) -> Tuple[Report, bool]:
     elif args.what == "field":
         rep.object_line("X_L", str(sys_.euler_lagrange_field()))
     elif args.what == "legendre":
-        fl = legendre(sys_)
+        fl = ctx.legendre
         for i in range(m.k):
             for A in range(1, m.n + 1):
                 rep.object_line("FL:p%d_%d" % (i, A),
@@ -166,25 +187,13 @@ def cmd_derive(args) -> Tuple[Report, bool]:
                     rep.object_line("FLinv:q%d_%d" % (j, A),
                                     str(fl.inverse_rule(j, A)))
     elif args.what == "hamiltonian":
-        hs = hamiltonian(sys_, legendre(sys_))
-        rep.object_line("h", str(hs.h))
+        rep.object_line("h", str(ctx.hamiltonian.h))
     else:  # hamfield
-        hs = hamiltonian(sys_, legendre(sys_))
-        rep.object_line("X_h", str(hamiltonian_field(hs)))
+        rep.object_line("X_h", str(hamiltonian_field(ctx.hamiltonian)))
     return rep, False
 
 
 # -- check ------------------------------------------------------------------
-
-
-def _classification_line(rep: Report, verdicts: List[str],
-                         combined, symbolic: bool):
-    if symbolic:
-        rep.text("  classification: skipped (placeholder components)")
-    else:
-        verdict = classify(combined)
-        verdicts.append(verdict)
-        rep.text("  classification: %s" % verdict)
 
 
 def cmd_check(args) -> Tuple[Report, bool]:
@@ -194,16 +203,14 @@ def cmd_check(args) -> Tuple[Report, bool]:
         raise ValueError("--samples must be at least 1")
     knobs = dict(tol=args.tol, samples=args.samples, seed=args.seed)
 
-    m = model_io.load(args.model)
+    ctx = _Context(args.model)
+    m, sys_ = ctx.model, ctx.system
     kind, obj = m.candidate(args.candidate)
     if kind == "family":
         raise ValueError(
             "'%s' is a complete-solution family; use the involution command"
             % args.candidate)
-
-    sys_ = m.system()
-    fl = legendre(sys_)
-    hs = hamiltonian(sys_, fl) if fl.inverse is not None else None
+    fl = ctx.legendre
 
     rep = Report()
     _header(rep, m, "check candidate '%s' (%s)" % (args.candidate, kind),
@@ -211,6 +218,18 @@ def cmd_check(args) -> Tuple[Report, bool]:
 
     verdicts: List[str] = []
     contexts = []
+
+    def side(name: str, parts, symbolic: bool):
+        combined = combine(parts)
+        rep.text("%s side:" % name)
+        rep.add_residuals(combined, id_prefix=name[:3] + ":")
+        if symbolic:
+            rep.text("  classification: skipped (placeholder components)")
+        else:
+            verdicts.append(classify(combined))
+            rep.text("  classification: %s" % verdicts[-1])
+        rep.text()
+        contexts.append(combined)
 
     def lag_side(section: Section, gf: Optional[GeneratingFunction]):
         parts = [
@@ -220,15 +239,10 @@ def cmd_check(args) -> Tuple[Report, bool]:
         ]
         if gf is not None:
             parts.append(lag_genfunc_residuals(sys_, section, gf, **knobs))
-        combined = combine(parts)
-        rep.text("lagrangian side:")
-        rep.add_residuals(combined, id_prefix="lag:")
-        _classification_line(rep, verdicts, combined,
-                             section.has_placeholders)
-        rep.text()
-        contexts.append(combined)
+        side("lagrangian", parts, section.has_placeholders)
 
     def ham_side(alpha: OneForm, gf: Optional[GeneratingFunction]):
+        hs = ctx.hamiltonian
         parts = [
             gen_ham_residuals(hs, alpha, **knobs),
             ham_closedness(alpha, constant_values=hs.constant_values(), **knobs),
@@ -243,33 +257,21 @@ def cmd_check(args) -> Tuple[Report, bool]:
                 parts.append(hj_equation(hs, gf, **knobs))
             elif closed:
                 parts.append(hj_equation(hs, alpha, **knobs))
-        combined = combine(parts)
-        rep.text("hamiltonian side:")
-        rep.add_residuals(combined, id_prefix="ham:")
-        _classification_line(rep, verdicts, combined,
-                             alpha.has_placeholders)
-        rep.text()
-        contexts.append(combined)
+        side("hamiltonian", parts, alpha.has_placeholders)
 
     if kind == "section":
         gf = (GeneratingFunction.generic(m.k, m.n)
               if obj.has_placeholders else None)
         lag_side(obj, gf)
-        if hs is None:
+        if fl.inverse is None:
             rep.text("hamiltonian side: skipped (%s)" % fl.diagnostic)
             rep.text()
         else:
             ham_side(transport(fl, obj), None)
     elif kind == "oneform":
-        if hs is None:
-            raise HamiltonianError(
-                "the Legendre map has no symbolic inverse: %s" % fl.diagnostic)
         ham_side(obj, None)
         lag_side(transport(fl, obj), None)
     else:  # genfunc
-        if hs is None:
-            raise HamiltonianError(
-                "the Legendre map has no symbolic inverse: %s" % fl.diagnostic)
         grad = obj.gradient()
         ham_side(grad, obj)
         lag_side(transport(fl, grad), obj)
@@ -295,14 +297,12 @@ def _parse_initial(m: model_io.ModelFile, text: str):
     return values, "state (%s)" % ", ".join(format_setting(v) for v in values)
 
 
-def _resolve_candidate_pair(m, sys_, hs, fl, name):
+def _resolve_candidate_pair(ctx: _Context, name):
     """(system-like, solution) pairing for associated fields and lifting."""
-    kind, obj = m.candidate(name)
+    kind, obj = ctx.model.candidate(name)
     if kind == "section":
-        return sys_, obj
-    if hs is None:
-        raise HamiltonianError(
-            "the Legendre map has no symbolic inverse: %s" % fl.diagnostic)
+        return ctx.system, obj
+    hs = ctx.hamiltonian
     if kind == "oneform":
         return hs, obj
     if kind == "genfunc":
@@ -313,10 +313,8 @@ def _resolve_candidate_pair(m, sys_, hs, fl, name):
 def cmd_simulate(args) -> Tuple[Report, bool]:
     if args.tol <= 0:
         raise ValueError("--tol must be positive")
-    m = model_io.load(args.model)
-    sys_ = m.system()
-    fl = legendre(sys_)
-    hs = hamiltonian(sys_, fl) if fl.inverse is not None else None
+    ctx = _Context(args.model)
+    m, sys_ = ctx.model, ctx.system
     constants = sys_.constant_values()
 
     z0, initial_label = _parse_initial(m, args.initial)
@@ -324,13 +322,10 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
     if args.field == "lagrangian":
         X = sys_.euler_lagrange_field()
     elif args.field == "hamiltonian":
-        if hs is None:
-            raise HamiltonianError(
-                "the Legendre map has no symbolic inverse: %s" % fl.diagnostic)
-        X = hamiltonian_field(hs)
+        X = hamiltonian_field(ctx.hamiltonian)
     elif args.field.startswith("associated:"):
         system_like, sol = _resolve_candidate_pair(
-            m, sys_, hs, fl, args.field[len("associated:"):])
+            ctx, args.field[len("associated:"):])
         X = associated_field(system_like, sol)
     else:
         raise ValueError(
@@ -361,7 +356,7 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
 
     failed = False
     if args.lift is not None:
-        system_like, sol = _resolve_candidate_pair(m, sys_, hs, fl, args.lift)
+        system_like, sol = _resolve_candidate_pair(ctx, args.lift)
         result = verify_lifting(system_like, sol, z0, args.t0, args.t1,
                                 args.dt, tol=args.tol, constants=constants)
         verdict = "pass" if result.passed else "fail"
@@ -381,17 +376,12 @@ def cmd_involution(args) -> Tuple[Report, bool]:
         raise ValueError("--tol must be positive")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    m = model_io.load(args.model)
+    ctx = _Context(args.model)
+    m = ctx.model
     kind, fam = m.candidate(args.family)
     if kind != "family":
         raise ValueError("'%s' is a %s, not a family" % (args.family, kind))
-
-    sys_ = m.system()
-    fl = legendre(sys_)
-    if fl.inverse is None:
-        raise HamiltonianError(
-            "the Legendre map has no symbolic inverse: %s" % fl.diagnostic)
-    hs = hamiltonian(sys_, fl)
+    hs = ctx.hamiltonian
 
     rep = Report()
     _header(rep, m,
@@ -416,10 +406,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rep, failed = args.func(args)
-    except DegenerateFamilyError as err:
-        print("hjmech: error: %s" % err, file=sys.stderr)
-        return 3
-    except (LagrangianError, HamiltonianError) as err:
+    except (DegenerateFamilyError, LagrangianError, HamiltonianError) as err:
         print("hjmech: error: %s" % err, file=sys.stderr)
         return 3
     except NumericError as err:

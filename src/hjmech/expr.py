@@ -182,12 +182,6 @@ class SymbolTable:
         for c in self.constants:
             Constant(c)  # validates name and non-collision
 
-    def with_constants(self, *names: str) -> "SymbolTable":
-        return SymbolTable(self.coordinates, self.constants | set(names))
-
-    def with_coordinates(self, extra: Iterable[Coordinate]) -> "SymbolTable":
-        return SymbolTable(self.coordinates | set(extra), self.constants)
-
     @property
     def has_momenta(self) -> bool:
         return any(c.kind == "momentum" for c in self.coordinates)
@@ -301,10 +295,6 @@ class Expression:
     @property
     def is_zero(self) -> bool:
         return self._sym == 0
-
-    @property
-    def is_number(self) -> bool:
-        return self._sym.is_Number
 
     @property
     def has_placeholders(self) -> bool:
@@ -641,7 +631,10 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.next()
+                rhs_pos = self.peek()[2]
                 rhs = self.factor()
+                if value == "/" and _canon(rhs) == 0:
+                    raise ExprSyntaxError("division by zero", rhs_pos)
                 e = e * rhs if value == "*" else e / rhs
             else:
                 return e
@@ -655,11 +648,14 @@ class _Parser:
         return self.power()
 
     def power(self):
+        base_pos = self.peek()[2]
         base = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.next()
             exp = self.exponent()
+            if exp < 0 and _canon(base) == 0:
+                raise ExprSyntaxError("division by zero", base_pos)
             return sp.Pow(base, exp)
         return base
 
@@ -731,11 +727,17 @@ def parse(text: str, table: SymbolTable) -> Expression:
 
     Grammar: rational/decimal literals, named constants, coordinates
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
-    functions sqrt sin cos exp ln, parentheses, unary minus.
+    functions sqrt sin cos exp ln, parentheses, unary minus.  Division by
+    a divisor whose canonical form is 0, and nesting deeper than the
+    interpreter's recursion limit, raise ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
-    return Expression(parser.parse())
+    try:
+        return Expression(parser.parse())
+    except RecursionError:
+        pos = tokens[min(parser.i, len(tokens) - 1)][2]
+        raise ExprSyntaxError("expression nested too deeply", pos) from None
 
 
 # ---------------------------------------------------------------------------

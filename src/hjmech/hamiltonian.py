@@ -16,14 +16,13 @@ reported absent rather than guessed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .expr import Constant, Coordinate, Expression, ZERO, jet, momentum
+from .expr import Coordinate, Expression, ZERO, jet, momentum
 from .forms import CoordMap, OneFormField, TwoFormField, exterior_derivative
 from .jets import JetSpace, VectorField
-from .lagrangian import LagrangianError, LagrangianSystem, solve_linear_exact
+from .lagrangian import LagrangianError, LagrangianSystem, System, solve_linear_exact
 
 
 class HamiltonianError(ValueError):
@@ -114,12 +113,16 @@ class LegendreMap:
     def momentum_rule(self, i: int, axis: int) -> Expression:
         return self.forward.images[momentum(i, axis)]
 
-    def inverse_rule(self, j: int, axis: int) -> Expression:
+    def require_inverse(self) -> CoordMap:
+        """The inverse map; raises HamiltonianError when there is none."""
         if self.inverse is None:
             raise HamiltonianError(
                 "the Legendre map has no symbolic inverse: %s" % self.diagnostic
             )
-        return self.inverse.images[jet(j, axis)]
+        return self.inverse
+
+    def inverse_rule(self, j: int, axis: int) -> Expression:
+        return self.require_inverse().images[jet(j, axis)]
 
 
 def legendre(sys: LagrangianSystem) -> LegendreMap:
@@ -203,10 +206,12 @@ def legendre(sys: LagrangianSystem) -> LegendreMap:
 # Hamiltonian systems
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(System):
     """A Hamiltonian function on T*(T^(k-1)Q) with a cached field X_h."""
 
-    __slots__ = ("phase", "h", "constants", "_lock", "_cache")
+    __slots__ = ("phase", "h")
+    _error = HamiltonianError
+    _function = "h"
 
     def __init__(self, phase: PhaseSpace, h: Expression, constants=()):
         if not isinstance(h, Expression):
@@ -218,59 +223,29 @@ class HamiltonianSystem:
                 "h references coordinates outside phase space: %s"
                 % ", ".join(sorted(c.name for c in stray))
             )
-        table = {}
-        for c in constants:
-            if not isinstance(c, Constant):
-                c = Constant(str(c))
-            table[c.name] = c
-        for name in sorted(h.free_constants()):
-            if name not in table:
-                raise HamiltonianError(
-                    "constant '%s' appears in h but is not declared" % name
-                )
+        self._declare(h, constants)
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "constants", dict(table))
-        object.__setattr__(self, "_lock", threading.RLock())
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HamiltonianSystem is immutable")
-
-    def constant_values(self) -> Dict[str, object]:
-        return {
-            name: c.value
-            for name, c in self.constants.items()
-            if c.value is not None
-        }
 
     def field(self) -> VectorField:
-        with self._lock:
-            if "field" not in self._cache:
-                self._cache["field"] = _build_hamiltonian_field(self)
-            return self._cache["field"]
+        return self._cached("field", self._build_field)
+
+    def _build_field(self) -> VectorField:
+        phase, h = self.phase, self.h
+        components = []
+        for i in range(phase.k):
+            for A in range(1, phase.n + 1):
+                components.append(h.diff(momentum(i, A)))
+        for i in range(phase.k):
+            for A in range(1, phase.n + 1):
+                components.append(-h.diff(jet(i, A)))
+        return VectorField(phase, components)
 
 
 def hamiltonian(sys: LagrangianSystem, fl: LegendreMap) -> HamiltonianSystem:
     """h = E_L pulled back along the inverse Legendre map."""
-    if fl.inverse is None:
-        raise HamiltonianError(
-            "the Legendre map has no symbolic inverse: %s" % fl.diagnostic
-        )
-    h = fl.inverse.pull_function(sys.cartan().energy)
+    h = fl.require_inverse().pull_function(sys.cartan().energy)
     return HamiltonianSystem(fl.phase_space, h, sys.constants.values())
-
-
-def _build_hamiltonian_field(hs: HamiltonianSystem) -> VectorField:
-    phase, h = hs.phase, hs.h
-    components = []
-    for i in range(phase.k):
-        for A in range(1, phase.n + 1):
-            components.append(h.diff(momentum(i, A)))
-    for i in range(phase.k):
-        for A in range(1, phase.n + 1):
-            components.append(-h.diff(jet(i, A)))
-    return VectorField(phase, components)
 
 
 def hamiltonian_field(hs: HamiltonianSystem) -> VectorField:

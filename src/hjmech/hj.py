@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import sympy as sp
 
@@ -41,14 +41,12 @@ from .expr import (
     Coordinate,
     DomainEvalError,
     Expression,
-    ZERO,
     jet,
     momentum,
     placeholder,
 )
 from .forms import CoordMap, OneFormField, exterior_derivative, differential
 from .hamiltonian import (
-    HamiltonianError,
     HamiltonianSystem,
     LegendreMap,
     PhaseSpace,
@@ -83,41 +81,54 @@ def _check_base_scope(e: Expression, k: int, n: int, what: str):
             )
 
 
-class Section:
-    """Fiber components s_j^A(q_0..q_{k-1}) for k <= j <= 2k-1."""
+class _FiberCandidate:
+    """Components c_j^A(q_0..q_{k-1}) of a map from T^(k-1)Q into a
+    bundle over it, keyed (order, axis).
+
+    Subclasses fix what differs between the two sides: the component
+    orders, the key prefix, the noun used in messages, the coordinate
+    kind the components replace, and the target space.
+    """
 
     __slots__ = ("k", "n", "components")
+    _prefix: str
+    _noun: str
 
     def __init__(self, k: int, n: int, components: Mapping[Tuple[int, int], Expression]):
         if k < 1 or n < 1:
-            raise HJError("a section needs k >= 1 and n >= 1")
+            raise HJError("a %s needs k >= 1 and n >= 1" % self._noun)
         comps = {}
-        for j in range(k, 2 * k):
+        for j in self._orders(k):
             for A in range(1, n + 1):
+                key = self._key(j, A)
                 if (j, A) not in components:
-                    raise HJError("section is missing the component s%d_%d" % (j, A))
+                    raise HJError("%s is missing the component %s" % (self._noun, key))
                 e = components[(j, A)]
                 if not isinstance(e, Expression):
                     e = Expression(e)
-                _check_base_scope(e, k, n, "section component s%d_%d" % (j, A))
+                _check_base_scope(e, k, n, "%s component %s" % (self._noun, key))
                 comps[(j, A)] = e
         extra = set(components) - set(comps)
         if extra:
-            raise HJError("unexpected section components: %s" % sorted(extra))
+            raise HJError("unexpected %s components: %s" % (self._noun, sorted(extra)))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", comps)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Section is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @classmethod
-    def generic(cls, k: int, n: int) -> "Section":
-        """All components opaque placeholders s<j>_<A>(q_0..q_{k-1})."""
+    def _key(cls, j: int, axis: int) -> str:
+        return "%s%d_%d" % (cls._prefix, j, axis)
+
+    @classmethod
+    def generic(cls, k: int, n: int):
+        """All components opaque placeholders <prefix><j>_<A>(q_0..q_{k-1})."""
         base = JetSpace(n, k - 1).coordinates
         comps = {
-            (j, A): placeholder("s%d_%d" % (j, A), base)
-            for j in range(k, 2 * k)
+            (j, A): placeholder(cls._key(j, A), base)
+            for j in cls._orders(k)
             for A in range(1, n + 1)
         }
         return cls(k, n, comps)
@@ -126,100 +137,78 @@ class Section:
         try:
             return self.components[(j, axis)]
         except KeyError:
-            raise HJError("no component s%d_%d in this section" % (j, axis))
+            raise HJError("no component %s in this %s" % (self._key(j, axis), self._noun))
 
     @property
     def has_placeholders(self) -> bool:
         return any(e.has_placeholders for e in self.components.values())
 
     def substitution(self) -> Dict[Coordinate, Expression]:
-        """{q_j^A: s_j^A} for the fiber coordinates."""
-        return {jet(j, A): e for (j, A), e in self.components.items()}
+        """{fiber coordinate: component}, e.g. {q_j^A: s_j^A} or {p_A^i: α_A^i}."""
+        return {self._coordinate(j, A): e for (j, A), e in self.components.items()}
 
     def as_map(self) -> CoordMap:
-        """The map T^(k-1)Q → T^(2k-1)Q, q_i ↦ q_i, q_j ↦ s_j."""
+        """The map T^(k-1)Q → target, identity on the base coordinates."""
         base = JetSpace(self.n, self.k - 1)
-        target = JetSpace(self.n, 2 * self.k - 1)
         images: Dict[Coordinate, Expression] = {}
         for c in base.coordinates:
             images[c] = Expression.coordinate(c)
         images.update(self.substitution())
-        return CoordMap(base, target, images)
+        return CoordMap(base, self._target(self.n, self.k), images)
+
+    def _check_shape(self, k: int, n: int):
+        if (self.k, self.n) != (k, n):
+            raise HJError(
+                "%s shape (k=%d, n=%d) does not match the system (k=%d, n=%d)"
+                % (self._noun, self.k, self.n, k, n)
+            )
 
     def __eq__(self, other):
-        if not isinstance(other, Section):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.k, self.n) == (other.k, other.n) and self.components == other.components
 
     def __str__(self):
         items = ", ".join(
-            "s%d_%d = %s" % (j, A, e)
+            "%s = %s" % (self._key(j, A), e)
             for (j, A), e in sorted(self.components.items())
         )
-        return "section(%s)" % items
+        return "%s(%s)" % (type(self).__name__.lower(), items)
 
 
-class OneForm:
+class Section(_FiberCandidate):
+    """Fiber components s_j^A(q_0..q_{k-1}) for k <= j <= 2k-1, a section
+    of T^(2k-1)Q → T^(k-1)Q."""
+
+    __slots__ = ()
+    _prefix = "s"
+    _noun = "section"
+    _coordinate = staticmethod(jet)
+
+    @staticmethod
+    def _orders(k: int) -> range:
+        return range(k, 2 * k)
+
+    @staticmethod
+    def _target(n: int, k: int) -> JetSpace:
+        return JetSpace(n, 2 * k - 1)
+
+
+class OneForm(_FiberCandidate):
     """Components α_A^i(q_0..q_{k-1}) of a 1-form on T^(k-1)Q."""
 
-    __slots__ = ("k", "n", "components")
+    __slots__ = ()
+    _prefix = "a"
+    _noun = "1-form"
+    _coordinate = staticmethod(momentum)
 
-    def __init__(self, k: int, n: int, components: Mapping[Tuple[int, int], Expression]):
-        if k < 1 or n < 1:
-            raise HJError("a 1-form needs k >= 1 and n >= 1")
-        comps = {}
-        for i in range(k):
-            for A in range(1, n + 1):
-                if (i, A) not in components:
-                    raise HJError("1-form is missing the component a%d_%d" % (i, A))
-                e = components[(i, A)]
-                if not isinstance(e, Expression):
-                    e = Expression(e)
-                _check_base_scope(e, k, n, "1-form component a%d_%d" % (i, A))
-                comps[(i, A)] = e
-        extra = set(components) - set(comps)
-        if extra:
-            raise HJError("unexpected 1-form components: %s" % sorted(extra))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", comps)
+    @staticmethod
+    def _orders(k: int) -> range:
+        return range(k)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
-
-    @classmethod
-    def generic(cls, k: int, n: int) -> "OneForm":
-        base = JetSpace(n, k - 1).coordinates
-        comps = {
-            (i, A): placeholder("a%d_%d" % (i, A), base)
-            for i in range(k)
-            for A in range(1, n + 1)
-        }
-        return cls(k, n, comps)
-
-    def component(self, i: int, axis: int) -> Expression:
-        try:
-            return self.components[(i, axis)]
-        except KeyError:
-            raise HJError("no component a%d_%d in this 1-form" % (i, axis))
-
-    @property
-    def has_placeholders(self) -> bool:
-        return any(e.has_placeholders for e in self.components.values())
-
-    def substitution(self) -> Dict[Coordinate, Expression]:
-        """{p_A^i: α_A^i} for the momentum coordinates."""
-        return {momentum(i, A): e for (i, A), e in self.components.items()}
-
-    def as_map(self) -> CoordMap:
-        """The map T^(k-1)Q → T*(T^(k-1)Q), q_i ↦ q_i, p^i ↦ α^i."""
-        base = JetSpace(self.n, self.k - 1)
-        phase = PhaseSpace(self.n, self.k)
-        images: Dict[Coordinate, Expression] = {}
-        for c in base.coordinates:
-            images[c] = Expression.coordinate(c)
-        images.update(self.substitution())
-        return CoordMap(base, phase, images)
+    @staticmethod
+    def _target(n: int, k: int) -> PhaseSpace:
+        return PhaseSpace(n, k)
 
     def as_oneform_field(self) -> OneFormField:
         """The same data as a 1-form field on the base space."""
@@ -227,18 +216,6 @@ class OneForm:
         return OneFormField.from_coefficients(
             base, {jet(i, A): e for (i, A), e in self.components.items()}
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and self.components == other.components
-
-    def __str__(self):
-        items = ", ".join(
-            "a%d_%d = %s" % (i, A, e)
-            for (i, A), e in sorted(self.components.items())
-        )
-        return "oneform(%s)" % items
 
 
 class GeneratingFunction:
@@ -310,7 +287,7 @@ class CompleteSolutionFamily:
     def __init__(self, parameters: Sequence[str], solution,
                  inverse_rules: Optional[Mapping[str, Expression]] = None):
         params = tuple(parameters)
-        if not isinstance(solution, (Section, OneForm)):
+        if not isinstance(solution, _FiberCandidate):
             raise HJError("a family wraps a Section or a OneForm")
         kn = solution.k * solution.n
         if len(params) != kn:
@@ -432,9 +409,11 @@ def _is_rational_form(sym) -> bool:
     return True
 
 
-def _sample_max(e: Expression, constant_values: Mapping[str, object],
-                samples: int, seed: int) -> Optional[float]:
-    """Seeded max-abs of e over random bindings; None if sampling fails."""
+def _sample(e: Expression, constant_values: Mapping[str, object],
+            samples: int, seed: int, reduce=max) -> Optional[float]:
+    """Seeded ``reduce`` (max or min) of |e| over random bindings of its
+    unbound names, uniform in [-2, 2]; None if fewer than ``samples``
+    points avoid domain errors within 200 attempts per sample."""
     rng = random.Random(seed)
     names = sorted(e.free_names())
     fixed = {}
@@ -456,7 +435,7 @@ def _sample_max(e: Expression, constant_values: Mapping[str, object],
             value = abs(e.evaluate(env))
         except DomainEvalError:
             continue
-        best = value if best is None else max(best, value)
+        best = value if best is None else reduce(best, value)
         got += 1
     if got < samples:
         return None
@@ -479,7 +458,7 @@ def _build_report(raw_entries, constant_values: Mapping[str, object],
         if residual.has_placeholders:
             entries.append(ResidualEntry(tag, eq_id, residual, None, "symbolic"))
             continue
-        numeric = _sample_max(residual, constant_values, samples, seed + idx)
+        numeric = _sample(residual, constant_values, samples, seed + idx)
         if _is_rational_form(residual.sym):
             entries.append(ResidualEntry(tag, eq_id, residual, numeric, "nonzero"))
             continue
@@ -513,11 +492,35 @@ def _regularity_assumptions(sys: LagrangianSystem) -> Tuple[str, ...]:
     )
 
 
-def _base_pairs(space: JetSpace):
-    coords = space.coordinates
-    for i, u in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            yield u, coords[j]
+def _tangency(X: VectorField, sol) -> list:
+    """Raw tangency residuals X(c − sol_c) on Im(sol), one per fiber
+    coordinate c of the candidate."""
+    rules = sol.substitution()
+    return [
+        ("tangency", c.name, X.apply(Expression.coordinate(c) - e).subs(rules))
+        for c, e in rules.items()
+    ]
+
+
+def _closedness(form, k: int, n: int) -> list:
+    """Raw coefficients of a 2-form on T^(k-1)Q over base-coordinate pairs
+    u∧v with u before v."""
+    coords = JetSpace(n, k - 1).coordinates
+    return [
+        ("closedness", "%s^%s" % (u.name, v.name), form.entry(u, v))
+        for i, u in enumerate(coords)
+        for v in coords[i + 1:]
+    ]
+
+
+def _energy(sol, f: Expression) -> list:
+    """Raw coefficients of d(sol*f) over the base coordinates."""
+    base = JetSpace(sol.n, sol.k - 1)
+    form = differential(sol.as_map().pull_function(f), base)
+    return [
+        ("energy", c.name, coeff)
+        for c, coeff in zip(base.coordinates, form.coefficients)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +536,7 @@ def associated_field(system, sol) -> VectorField:
     if isinstance(system, LagrangianSystem):
         if not isinstance(sol, Section):
             raise HJError("a Lagrangian system pairs with a Section")
-        if (sol.k, sol.n) != (system.k, system.n):
-            raise HJError(
-                "section shape (k=%d, n=%d) does not match the system "
-                "(k=%d, n=%d)" % (sol.k, sol.n, system.k, system.n)
-            )
+        sol._check_shape(system.k, system.n)
         X = system.euler_lagrange_field()
         restricted = X.subs(sol.substitution())
         return project_field(restricted, system.k - 1)
@@ -545,11 +544,7 @@ def associated_field(system, sol) -> VectorField:
         if not isinstance(sol, OneForm):
             raise HJError("a Hamiltonian system pairs with a OneForm")
         phase = system.phase
-        if (sol.k, sol.n) != (phase.k, phase.n):
-            raise HJError(
-                "1-form shape (k=%d, n=%d) does not match the system "
-                "(k=%d, n=%d)" % (sol.k, sol.n, phase.k, phase.n)
-            )
+        sol._check_shape(phase.k, phase.n)
         X = system.field()
         base = phase.base_space
         rules = sol.substitution()
@@ -576,17 +571,9 @@ def gen_lag_residuals(sys: LagrangianSystem, s: Section,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_L(q_j^A − s_j^A) on Im(s), k <= j <= 2k−1."""
-    _match_section(sys, s)
-    X = sys.euler_lagrange_field()
-    rules = s.substitution()
-    raw = []
-    for j in range(sys.k, 2 * sys.k):
-        for A in range(1, sys.n + 1):
-            target = Expression.coordinate(jet(j, A)) - s.component(j, A)
-            residual = X.apply(target).subs(rules)
-            raw.append(("tangency", jet(j, A).name, residual))
+    s._check_shape(sys.k, sys.n)
     return _build_report(
-        raw, sys.constant_values(),
+        _tangency(sys.euler_lagrange_field(), s), sys.constant_values(),
         assumptions=_regularity_assumptions(sys),
         tol=tol, samples=samples, seed=seed,
     )
@@ -596,15 +583,11 @@ def lag_closedness(sys: LagrangianSystem, s: Section,
                    tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                    seed: int = DEFAULT_SEED) -> ResidualReport:
     """Independent coefficients of s*ω_L over base-coordinate pairs."""
-    _match_section(sys, s)
+    s._check_shape(sys.k, sys.n)
     pulled = s.as_map().pull_twoform(sys.cartan().omega)
-    raw = []
-    for u, v in _base_pairs(JetSpace(sys.n, sys.k - 1)):
-        raw.append(
-            ("closedness", "%s^%s" % (u.name, v.name), pulled.entry(u, v))
-        )
     return _build_report(
-        raw, sys.constant_values(), tol=tol, samples=samples, seed=seed
+        _closedness(pulled, sys.k, sys.n), sys.constant_values(),
+        tol=tol, samples=samples, seed=seed,
     )
 
 
@@ -612,16 +595,10 @@ def lag_energy_residuals(sys: LagrangianSystem, s: Section,
                          tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Coefficients of d(s*E_L) over the base coordinates."""
-    _match_section(sys, s)
-    base = JetSpace(sys.n, sys.k - 1)
-    pulled = s.as_map().pull_function(sys.cartan().energy)
-    form = differential(pulled, base)
-    raw = [
-        ("energy", c.name, coeff)
-        for c, coeff in zip(base.coordinates, form.coefficients)
-    ]
+    s._check_shape(sys.k, sys.n)
     return _build_report(
-        raw, sys.constant_values(), tol=tol, samples=samples, seed=seed
+        _energy(s, sys.cartan().energy), sys.constant_values(),
+        tol=tol, samples=samples, seed=seed,
     )
 
 
@@ -630,7 +607,7 @@ def lag_genfunc_residuals(sys: LagrangianSystem, s: Section,
                           tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                           seed: int = DEFAULT_SEED) -> ResidualReport:
     """Residuals ∂W/∂q_i^A − (s*θ_L)_i^A."""
-    _match_section(sys, s)
+    s._check_shape(sys.k, sys.n)
     if (gf.k, gf.n) != (sys.k, sys.n):
         raise HJError("generating function shape does not match the system")
     base = JetSpace(sys.n, sys.k - 1)
@@ -643,14 +620,6 @@ def lag_genfunc_residuals(sys: LagrangianSystem, s: Section,
     )
 
 
-def _match_section(sys: LagrangianSystem, s: Section):
-    if (s.k, s.n) != (sys.k, sys.n):
-        raise HJError(
-            "section shape (k=%d, n=%d) does not match the system (k=%d, n=%d)"
-            % (s.k, s.n, sys.k, sys.n)
-        )
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian-side residual operators
 
@@ -659,17 +628,10 @@ def gen_ham_residuals(hs: HamiltonianSystem, alpha: OneForm,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_h(p_A^i − α_A^i) on Im(α)."""
-    _match_oneform(hs, alpha)
-    X = hs.field()
-    rules = alpha.substitution()
-    raw = []
-    for i in range(hs.phase.k):
-        for A in range(1, hs.phase.n + 1):
-            target = Expression.coordinate(momentum(i, A)) - alpha.component(i, A)
-            residual = X.apply(target).subs(rules)
-            raw.append(("tangency", momentum(i, A).name, residual))
+    alpha._check_shape(hs.phase.k, hs.phase.n)
     return _build_report(
-        raw, hs.constant_values(), tol=tol, samples=samples, seed=seed
+        _tangency(hs.field(), alpha), hs.constant_values(),
+        tol=tol, samples=samples, seed=seed,
     )
 
 
@@ -678,15 +640,10 @@ def ham_closedness(alpha: OneForm,
                    seed: int = DEFAULT_SEED,
                    constant_values: Optional[Mapping[str, object]] = None) -> ResidualReport:
     """Coefficients of α*ω_{k-1} = −dα over base-coordinate pairs."""
-    field = alpha.as_oneform_field()
-    minus_d = -exterior_derivative(field)
-    raw = []
-    for u, v in _base_pairs(JetSpace(alpha.n, alpha.k - 1)):
-        raw.append(
-            ("closedness", "%s^%s" % (u.name, v.name), minus_d.entry(u, v))
-        )
+    minus_d = -exterior_derivative(alpha.as_oneform_field())
     return _build_report(
-        raw, dict(constant_values or {}), tol=tol, samples=samples, seed=seed
+        _closedness(minus_d, alpha.k, alpha.n), dict(constant_values or {}),
+        tol=tol, samples=samples, seed=seed,
     )
 
 
@@ -694,16 +651,10 @@ def ham_energy_residuals(hs: HamiltonianSystem, alpha: OneForm,
                          tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Coefficients of d(α*h) over the base coordinates."""
-    _match_oneform(hs, alpha)
-    base = hs.phase.base_space
-    pulled = alpha.as_map().pull_function(hs.h)
-    form = differential(pulled, base)
-    raw = [
-        ("energy", c.name, coeff)
-        for c, coeff in zip(base.coordinates, form.coefficients)
-    ]
+    alpha._check_shape(hs.phase.k, hs.phase.n)
     return _build_report(
-        raw, hs.constant_values(), tol=tol, samples=samples, seed=seed
+        _energy(alpha, hs.h), hs.constant_values(),
+        tol=tol, samples=samples, seed=seed,
     )
 
 
@@ -731,7 +682,7 @@ def hj_equation(hs: HamiltonianSystem, w, energy=None, strict: bool = False,
             "the energy constant is unbound: a strict verdict on the "
             "Hamilton-Jacobi equation needs an energy level E"
         )
-    _match_oneform(hs, grad)
+    grad._check_shape(hs.phase.k, hs.phase.n)
     value = hs.h.subs(grad.substitution())
     base = hs.phase.base_space
     notes = ["h(q, dW) = %s" % value]
@@ -754,14 +705,6 @@ def hj_equation(hs: HamiltonianSystem, w, energy=None, strict: bool = False,
     )
 
 
-def _match_oneform(hs: HamiltonianSystem, alpha: OneForm):
-    if (alpha.k, alpha.n) != (hs.phase.k, hs.phase.n):
-        raise HJError(
-            "1-form shape (k=%d, n=%d) does not match the system (k=%d, n=%d)"
-            % (alpha.k, alpha.n, hs.phase.k, hs.phase.n)
-        )
-
-
 # ---------------------------------------------------------------------------
 # transport and involution
 
@@ -770,30 +713,20 @@ def transport(fl: LegendreMap, sol):
     """Move a candidate across the Legendre map (α = FL∘s, s = FL⁻¹∘α)."""
     sys = fl.system
     if isinstance(sol, Section):
-        if (sol.k, sol.n) != (sys.k, sys.n):
-            raise HJError("section shape does not match the Legendre map's system")
-        rules = sol.substitution()
-        comps = {
-            (i, A): fl.momentum_rule(i, A).subs(rules)
-            for i in range(sys.k)
-            for A in range(1, sys.n + 1)
-        }
-        return OneForm(sys.k, sys.n, comps)
-    if isinstance(sol, OneForm):
-        if (sol.k, sol.n) != (sys.k, sys.n):
-            raise HJError("1-form shape does not match the Legendre map's system")
-        if fl.inverse is None:
-            raise HamiltonianError(
-                "the Legendre map has no symbolic inverse: %s" % fl.diagnostic
-            )
-        rules = sol.substitution()
-        comps = {
-            (j, A): fl.inverse_rule(j, A).subs(rules)
-            for j in range(sys.k, 2 * sys.k)
-            for A in range(1, sys.n + 1)
-        }
-        return Section(sys.k, sys.n, comps)
-    raise HJError("expected a Section or a OneForm")
+        target, rule = OneForm, fl.momentum_rule
+    elif isinstance(sol, OneForm):
+        target, rule = Section, fl.inverse_rule
+    else:
+        raise HJError("expected a Section or a OneForm")
+    if (sol.k, sol.n) != (sys.k, sys.n):
+        raise HJError("%s shape does not match the Legendre map's system" % sol._noun)
+    rules = sol.substitution()
+    comps = {
+        (j, A): rule(j, A).subs(rules)
+        for j in target._orders(sys.k)
+        for A in range(1, sys.n + 1)
+    }
+    return target(sys.k, sys.n, comps)
 
 
 def involution_check(hs: HamiltonianSystem, fam: CompleteSolutionFamily,
@@ -814,7 +747,7 @@ def involution_check(hs: HamiltonianSystem, fam: CompleteSolutionFamily,
             "involution checks need a 1-form family; transport the section "
             "family across the Legendre map first"
         )
-    _match_oneform(hs, alpha)
+    alpha._check_shape(hs.phase.k, hs.phase.n)
     notes = []
     if fam.inverse_rules is not None:
         functions = dict(fam.inverse_rules)
@@ -856,7 +789,7 @@ def _validate_inverse_rules(fam, functions, constant_values, samples, seed, tol)
         if recovered == target:
             continue
         diff = recovered - target
-        numeric = _sample_max(diff, constant_values, samples, seed)
+        numeric = _sample(diff, constant_values, samples, seed)
         if numeric is None or numeric >= tol:
             raise HJError(
                 "inverse rule for '%s' does not invert the family "
@@ -905,7 +838,7 @@ def _family_jacobian_note(fam, constant_values, samples, seed, tol) -> str:
         raise DegenerateFamilyError(
             "the family's Jacobian in the parameters is identically zero"
         )
-    minimum = _sample_min_abs(det, constant_values, samples, seed)
+    minimum = _sample(det, constant_values, samples, seed, reduce=min)
     if minimum is None:
         return "family Jacobian: could not sample det ∂α/∂λ (domain errors)"
     if minimum < tol:
@@ -917,35 +850,6 @@ def _family_jacobian_note(fam, constant_values, samples, seed, tol) -> str:
         "family Jacobian: min |det ∂α/∂λ| = %.3g over %d samples"
         % (minimum, samples)
     )
-
-
-def _sample_min_abs(e: Expression, constant_values, samples, seed) -> Optional[float]:
-    rng = random.Random(seed)
-    names = sorted(e.free_names())
-    fixed = {}
-    to_sample = []
-    for name in names:
-        if name in constant_values:
-            fixed[name] = float(constant_values[name])
-        else:
-            to_sample.append(name)
-    worst = None
-    got = 0
-    attempts = 0
-    while got < samples and attempts < 200 * samples:
-        attempts += 1
-        env = dict(fixed)
-        for name in to_sample:
-            env[name] = rng.uniform(-2.0, 2.0)
-        try:
-            value = abs(e.evaluate(env))
-        except DomainEvalError:
-            continue
-        worst = value if worst is None else min(worst, value)
-        got += 1
-    if got < samples:
-        return None
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ For a Lagrangian L on T^k Q the derived objects live on T^(2k-1) Q:
 
 The dynamics i(X_L)ω_L = dE_L is solved in semispray form: the stacked
 Euler–Lagrange expressions are linear in the formal top coordinate
-q_{2k}^B, whose coefficient matrix is eliminated exactly (Gaussian
-elimination over the rational-function field, pivoting on the
-lowest-degree nonzero entry) to produce the forcing components F^A.
+q_{2k}^B, whose coefficient system sympy's DomainMatrix solves exactly
+(fraction-free over the smallest domain holding the entries) to produce
+the forcing components F^A.
 
 All derived objects are computed once per system behind a lock and then
-shared; LagrangianSystem instances are immutable after construction.
+shared; systems are immutable after construction.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .expr import Constant, Coordinate, Expression, ZERO, jet
 from .forms import OneFormField, TwoFormField, exterior_derivative
-from .jets import Curve, JetError, JetSpace, VectorField, prolong, total_derivative
+from .jets import Curve, JetSpace, VectorField, prolong, total_derivative
 
 
 class LagrangianError(ValueError):
@@ -39,60 +41,28 @@ class LagrangianError(ValueError):
 # exact linear algebra
 
 
-def _degree(e: Expression) -> int:
-    """Pivot-preference measure; lower is better.
-
-    Total degree of numerator plus denominator in all free symbols;
-    non-polynomial entries sort after every polynomial one.
-    """
-    num, den = e.sym.as_numer_denom()
-    gens = sorted(num.free_symbols | den.free_symbols, key=lambda s: s.name)
-    if not gens:
-        return 0
-    try:
-        return int(sp.total_degree(num, *gens)) + int(sp.total_degree(den, *gens))
-    except sp.PolynomialError:
-        return 10_000 + int(sp.count_ops(e.sym))
-
-
 def solve_linear_exact(matrix: Sequence[Sequence[Expression]], rhs: Sequence[Expression]) -> Tuple[Expression, ...]:
-    """Solve M x = rhs exactly over the rational-function field.
+    """Solve M x = rhs exactly.
 
-    Gaussian elimination with the pivot chosen as the lowest-degree
-    nonzero entry of the column, for determinism across runs.  Raises
-    LagrangianError when the matrix is singular as a canonical form.
+    The augmented matrix [M | rhs] is converted to one DomainMatrix
+    domain (a polynomial ring or fraction field over QQ for rational
+    entries, EX for radicals) and solved fraction-free; each x_i is the
+    canonical form of its numerator over the common denominator.  A nonsingular system has one
+    solution, so the result does not depend on the elimination order.
+    Raises LagrangianError when the matrix is singular.
     """
     n = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in aug) or len(rhs) != n:
+    if len(rhs) != n or any(len(row) != n for row in matrix):
         raise LagrangianError("solve_linear_exact needs a square system")
-    for col in range(n):
-        pivot_row = None
-        best = None
-        for r in range(col, n):
-            entry = aug[r][col]
-            if entry.is_zero:
-                continue
-            d = _degree(entry)
-            if best is None or d < best:
-                best, pivot_row = d, r
-        if pivot_row is None:
-            raise LagrangianError("singular coefficient matrix in exact solve")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / pivot
-            if factor.is_zero:
-                continue
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = [ZERO] * n
-    for i in reversed(range(n)):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc = acc - aug[i][j] * out[j]
-        out[i] = acc / aug[i][i]
-    return tuple(out)
+    aug = DomainMatrix.from_list_sympy(
+        n, n + 1, [[e.sym for e in row] + [r.sym] for row, r in zip(matrix, rhs)]
+    )
+    try:
+        num, den = aug[:, :n].solve_den(aug[:, n:])
+    except DMNonInvertibleMatrixError:
+        raise LagrangianError("singular coefficient matrix in exact solve")
+    den = num.domain.to_sympy(den)
+    return tuple(Expression(x / den) for x in num.to_Matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -154,65 +124,34 @@ class SemisprayField(VectorField):
 # the system
 
 
-class LagrangianSystem:
-    """A Lagrangian L on T^k Q with an n-dimensional base.
-
-    ``constants`` declares every named constant appearing in L (value and
-    nonzero-ness travel with the declaration; they matter for numeric
-    work and for regularity assumptions).
+class System:
+    """What Lagrangian and Hamiltonian systems share: the declared
+    constants of their defining function, and derived objects computed
+    once behind a lock and then shared.  Instances are immutable.
     """
 
-    __slots__ = ("k", "n", "lagrangian", "constants", "_lock", "_cache")
+    __slots__ = ("constants", "_lock", "_cache")
+    _error = LagrangianError
+    _function = "L"  # the defining function's name in error messages
 
-    def __init__(self, k: int, n: int, lagrangian: Expression, constants=()):
-        if k < 1:
-            raise LagrangianError("the jet order k must be at least 1")
-        if n < 1:
-            raise LagrangianError("the base dimension n must be at least 1")
-        if not isinstance(lagrangian, Expression):
-            lagrangian = Expression(lagrangian)
+    def _declare(self, function: Expression, constants):
         table = {}
         for c in constants:
             if not isinstance(c, Constant):
                 c = Constant(str(c))
             table[c.name] = c
-        for coord in lagrangian.free_coordinates():
-            if coord.kind == "momentum":
-                raise LagrangianError("a Lagrangian must not reference momenta")
-            if coord.order > k:
-                raise LagrangianError(
-                    "%s exceeds the declared jet order %d" % (coord.name, k)
-                )
-            if coord.axis > n:
-                raise LagrangianError(
-                    "%s exceeds the declared base dimension %d" % (coord.name, n)
-                )
-        for name in sorted(lagrangian.free_constants()):
+        for name in sorted(function.free_constants()):
             if name not in table:
-                raise LagrangianError(
-                    "constant '%s' appears in L but is not declared" % name
+                raise self._error(
+                    "constant '%s' appears in %s but is not declared"
+                    % (name, self._function)
                 )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lagrangian", lagrangian)
-        object.__setattr__(self, "constants", dict(table))
+        object.__setattr__(self, "constants", table)
         object.__setattr__(self, "_lock", threading.RLock())
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("LagrangianSystem is immutable")
-
-    # -- spaces -------------------------------------------------------------
-
-    @property
-    def space(self) -> JetSpace:
-        """T^k Q, the home of L."""
-        return JetSpace(self.n, self.k)
-
-    @property
-    def velocity_space(self) -> JetSpace:
-        """T^(2k-1) Q, the home of the Cartan data and of X_L."""
-        return JetSpace(self.n, 2 * self.k - 1)
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def constant_values(self) -> Dict[str, object]:
         return {
@@ -226,6 +165,52 @@ class LagrangianSystem:
             if key not in self._cache:
                 self._cache[key] = builder()
             return self._cache[key]
+
+
+class LagrangianSystem(System):
+    """A Lagrangian L on T^k Q with an n-dimensional base.
+
+    ``constants`` declares every named constant appearing in L (value and
+    nonzero-ness travel with the declaration; they matter for numeric
+    work and for regularity assumptions).
+    """
+
+    __slots__ = ("k", "n", "lagrangian")
+
+    def __init__(self, k: int, n: int, lagrangian: Expression, constants=()):
+        if k < 1:
+            raise LagrangianError("the jet order k must be at least 1")
+        if n < 1:
+            raise LagrangianError("the base dimension n must be at least 1")
+        if not isinstance(lagrangian, Expression):
+            lagrangian = Expression(lagrangian)
+        for coord in lagrangian.free_coordinates():
+            if coord.kind == "momentum":
+                raise LagrangianError("a Lagrangian must not reference momenta")
+            if coord.order > k:
+                raise LagrangianError(
+                    "%s exceeds the declared jet order %d" % (coord.name, k)
+                )
+            if coord.axis > n:
+                raise LagrangianError(
+                    "%s exceeds the declared base dimension %d" % (coord.name, n)
+                )
+        self._declare(lagrangian, constants)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lagrangian", lagrangian)
+
+    # -- spaces -------------------------------------------------------------
+
+    @property
+    def space(self) -> JetSpace:
+        """T^k Q, the home of L."""
+        return JetSpace(self.n, self.k)
+
+    @property
+    def velocity_space(self) -> JetSpace:
+        """T^(2k-1) Q, the home of the Cartan data and of X_L."""
+        return JetSpace(self.n, 2 * self.k - 1)
 
     # -- derived objects ------------------------------------------------------
 
@@ -258,11 +243,7 @@ class LagrangianSystem:
         momenta: Dict[Tuple[int, int], Expression] = {}
         for r in range(1, k + 1):
             for A in range(1, n + 1):
-                total = ZERO
-                for i in range(0, k - r + 1):
-                    term = _dt_power(L.diff(jet(r + i, A)), k, i)
-                    total = total + term if i % 2 == 0 else total - term
-                momenta[(r - 1, A)] = total
+                momenta[(r - 1, A)] = _alternating_sum(L, k, r, A)
         space = self.velocity_space
         theta = OneFormField.from_coefficients(
             space,
@@ -287,15 +268,10 @@ class LagrangianSystem:
         return self._cached("el_expressions", self._build_el_expressions)
 
     def _build_el_expressions(self) -> Tuple[Expression, ...]:
-        k, n, L = self.k, self.n, self.lagrangian
-        out = []
-        for A in range(1, n + 1):
-            total = ZERO
-            for l in range(0, k + 1):
-                term = _dt_power(L.diff(jet(l, A)), k, l)
-                total = total + term if l % 2 == 0 else total - term
-            out.append(total)
-        return tuple(out)
+        return tuple(
+            _alternating_sum(self.lagrangian, self.k, 0, A)
+            for A in range(1, self.n + 1)
+        )
 
     def euler_lagrange_field(self) -> SemisprayField:
         return self._cached("el_field", self._build_el_field)
@@ -372,6 +348,17 @@ class LagrangianSystem:
             env.update(zip(names, (float(v) for v in row)))
             rows.append([b.evaluate(env) for b in exprs])
         return np.asarray(rows, dtype=float)
+
+
+def _alternating_sum(L: Expression, k: int, first: int, axis: int) -> Expression:
+    """Σ_{i=0}^{k-first} (−1)^i d_T^i(∂L/∂q_{first+i}^A) on the axis A:
+    the momentum p̂^{first-1}_A for first >= 1, the EL expression b_A for
+    first = 0."""
+    total = ZERO
+    for i in range(k - first + 1):
+        term = _dt_power(L.diff(jet(first + i, axis)), k, i)
+        total = total + term if i % 2 == 0 else total - term
+    return total
 
 
 def _dt_power(e: Expression, base_order: int, times: int) -> Expression:

@@ -73,8 +73,7 @@ class ModelError(ValueError):
 
 _HEADER_RE = re.compile(r"^\[([a-z]+)(?:[ \t]+([A-Za-z_][A-Za-z0-9_-]*))?\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)[ \t]*=[ \t]*(.*)$")
-_SECTION_KEY_RE = re.compile(r"^s([0-9]+)_([0-9]+)$")
-_ONEFORM_KEY_RE = re.compile(r"^a([0-9]+)_([0-9]+)$")
+_COMPONENT_KEY_RE = re.compile(r"^([sa])([0-9]+)_([0-9]+)$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
@@ -275,38 +274,25 @@ def loads(text: str) -> ModelFile:
                 model.lagrangian = _parse_in(lag_table, value, line)
             if model.lagrangian is None:
                 raise ModelError("[lagrangian] needs L", block.line)
-        elif block.kind == "section":
+        elif block.kind in ("section", "oneform"):
             claim(block.name, block.line)
+            cls, table, noun = (
+                (Section, model.sections, "section")
+                if block.kind == "section"
+                else (OneForm, model.oneforms, "one-form"))
             comps = {}
             for key, value, line in block.items:
-                m = _SECTION_KEY_RE.match(key)
-                if not m:
+                m = _COMPONENT_KEY_RE.match(key)
+                if not m or m.group(1) != cls._prefix:
                     raise ModelError(
-                        "section components are keyed s<order>_<axis>", line)
-                j, axis = int(m.group(1)), int(m.group(2))
-                comps[(j, axis)] = (
+                        "%s components are keyed %s<order>_<axis>"
+                        % (noun, cls._prefix), line)
+                comps[(int(m.group(2)), int(m.group(3)))] = (
                     placeholder(key, base.coordinates)
                     if value == "?" else _parse_in(base_table, value, line)
                 )
             try:
-                model.sections[block.name] = Section(k, n, comps)
-            except HJError as err:
-                raise ModelError(str(err), block.line)
-        elif block.kind == "oneform":
-            claim(block.name, block.line)
-            comps = {}
-            for key, value, line in block.items:
-                m = _ONEFORM_KEY_RE.match(key)
-                if not m:
-                    raise ModelError(
-                        "one-form components are keyed a<order>_<axis>", line)
-                i, axis = int(m.group(1)), int(m.group(2))
-                comps[(i, axis)] = (
-                    placeholder(key, base.coordinates)
-                    if value == "?" else _parse_in(base_table, value, line)
-                )
-            try:
-                model.oneforms[block.name] = OneForm(k, n, comps)
+                table[block.name] = cls(k, n, comps)
             except HJError as err:
                 raise ModelError(str(err), block.line)
         elif block.kind == "genfunc":
@@ -337,8 +323,7 @@ def loads(text: str) -> ModelFile:
         elif block.kind == "family":
             claim(block.name, block.line)
             params = None
-            s_comps = {}
-            a_comps = {}
+            comps = {"s": {}, "a": {}}
             inverse = {}
             for key, value, line in block.items:
                 if key == "params":
@@ -353,26 +338,20 @@ def loads(text: str) -> ModelFile:
                     pname = key[len("inverse."):]
                     inverse[pname] = _parse_in(phase_table, value, line)
                     continue
-                m = _SECTION_KEY_RE.match(key)
-                if m:
-                    s_comps[(int(m.group(1)), int(m.group(2)))] = _parse_in(
-                        base_table, value, line)
-                    continue
-                m = _ONEFORM_KEY_RE.match(key)
-                if m:
-                    a_comps[(int(m.group(1)), int(m.group(2)))] = _parse_in(
-                        base_table, value, line)
-                    continue
-                raise ModelError("unknown [family] key '%s'" % key, line)
+                m = _COMPONENT_KEY_RE.match(key)
+                if not m:
+                    raise ModelError("unknown [family] key '%s'" % key, line)
+                comps[m.group(1)][(int(m.group(2)), int(m.group(3)))] = _parse_in(
+                    base_table, value, line)
             if params is None:
                 raise ModelError("[family] needs params", block.line)
-            if s_comps and a_comps:
+            if comps["s"] and comps["a"]:
                 raise ModelError(
                     "a family is either a section (s-keys) or a one-form "
                     "(a-keys), not both", block.line)
             try:
-                sol = (Section(k, n, s_comps) if s_comps
-                       else OneForm(k, n, a_comps))
+                sol = (Section(k, n, comps["s"]) if comps["s"]
+                       else OneForm(k, n, comps["a"]))
                 model.families[block.name] = CompleteSolutionFamily(
                     params, sol, inverse or None)
             except HJError as err:
@@ -425,6 +404,13 @@ def _dump_component(key: str, e: Expression, base) -> str:
     return '%s = "%s"' % (key, e)
 
 
+def _dump_components(sol, base):
+    return [
+        _dump_component(sol._key(j, axis), e, base)
+        for (j, axis), e in sorted(sol.components.items())
+    ]
+
+
 def dumps(model: ModelFile) -> str:
     """Render a model file; loads(dumps(m)) == m."""
     base = JetSpace(model.n, model.k - 1)
@@ -438,14 +424,10 @@ def dumps(model: ModelFile) -> str:
             bits.append("nonzero")
         out.append(" ".join(bits))
     out += ["", "[lagrangian]", 'L = "%s"' % model.lagrangian]
-    for name, sec in model.sections.items():
-        out += ["", "[section %s]" % name]
-        for (j, axis), e in sorted(sec.components.items()):
-            out.append(_dump_component("s%d_%d" % (j, axis), e, base))
-    for name, alpha in model.oneforms.items():
-        out += ["", "[oneform %s]" % name]
-        for (i, axis), e in sorted(alpha.components.items()):
-            out.append(_dump_component("a%d_%d" % (i, axis), e, base))
+    for kind, table in (("section", model.sections), ("oneform", model.oneforms)):
+        for name, sol in table.items():
+            out += ["", "[%s %s]" % (kind, name)]
+            out += _dump_components(sol, base)
     for name, gf in model.genfuncs.items():
         out += ["", "[genfunc %s]" % name]
         out.append(_dump_component("w", gf.w, base))
@@ -454,9 +436,7 @@ def dumps(model: ModelFile) -> str:
     for name, fam in model.families.items():
         out += ["", "[family %s]" % name]
         out.append("params = %s" % ", ".join(fam.parameters))
-        prefix = "s" if isinstance(fam.solution, Section) else "a"
-        for (i, axis), e in sorted(fam.solution.components.items()):
-            out.append(_dump_component("%s%d_%d" % (prefix, i, axis), e, base))
+        out += _dump_components(fam.solution, base)
         if fam.inverse_rules is not None:
             for p in fam.parameters:
                 out.append('inverse.%s = "%s"' % (p, fam.inverse_rules[p]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -176,10 +176,6 @@ class LiftingResult:
     direct: Trajectory
 
 
-def _evaluate_components(items, bindings: Mapping[str, float]) -> List[float]:
-    return [e.evaluate(bindings) for e in items]
-
-
 def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
                    t1: float, h: float, tol: float = 1e-6,
                    constants: Optional[Mapping[str, float]] = None) -> LiftingResult:
@@ -196,18 +192,15 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
         if not isinstance(sol, Section):
             raise NumericError("a Lagrangian system lifts through a Section")
         full_field = system.euler_lagrange_field()
-        full_space = system.velocity_space
-        fiber = [e for _, e in sorted(sol.components.items(), key=_fiber_order)]
-        values = dict(system.constant_values())
     elif isinstance(system, HamiltonianSystem):
         if not isinstance(sol, OneForm):
             raise NumericError("a Hamiltonian system lifts through a OneForm")
         full_field = system.field()
-        full_space = system.phase
-        fiber = [e for _, e in sorted(sol.components.items(), key=_fiber_order)]
-        values = dict(system.constant_values())
     else:
         raise NumericError("expected a LagrangianSystem or a HamiltonianSystem")
+    full_space = full_field.space
+    fiber = [e for _, e in sorted(sol.components.items())]
+    values = dict(system.constant_values())
     values.update(constants or {})
     for e in fiber:
         if e.has_placeholders:
@@ -225,7 +218,7 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
         bindings = dict(values)
         bindings.update({c.name: v for c, v in zip(base_coords, z)})
         try:
-            return list(z) + _evaluate_components(fiber, bindings)
+            return list(z) + [e.evaluate(bindings) for e in fiber]
         except ValueError as err:
             raise NumericError("lifting a base state failed: %s" % err)
 
@@ -245,11 +238,6 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
     )
     deviation = float(np.max(np.abs(lifted.states - direct.states)))
     return LiftingResult(deviation <= tol, deviation, tol, lifted, direct)
-
-
-def _fiber_order(item):
-    (first, axis), _ = item
-    return (first, axis)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,25 @@ def test_section_requires_every_component():
                        (4, 1): Expression.number(0)})
 
 
+def test_missing_component_errors_name_the_candidate_kind():
+    z = Expression.number(0)
+    with pytest.raises(HJError, match="section is missing the component s2_1"):
+        Section(2, 1, {(3, 1): z})
+    with pytest.raises(HJError, match="1-form is missing the component a0_1"):
+        OneForm(2, 1, {(1, 1): z})
+
+
+def test_section_and_oneform_never_compare_equal():
+    z = Expression.number(0)
+    s = Section(1, 1, {(1, 1): z})
+    a = OneForm(1, 1, {(0, 1): z})
+    assert s == Section(1, 1, {(1, 1): z})
+    assert s != a and a != s
+    # equality compares the class, not only the component table
+    object.__setattr__(a, "components", dict(s.components))
+    assert s != a and a != s
+
+
 def test_section_components_live_on_the_base():
     with pytest.raises(HJError):
         Section(2, 1, {(2, 1): parse("q2_1", JetSpace(1, 2).table()),

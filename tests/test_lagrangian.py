@@ -258,5 +258,18 @@ def test_solve_linear_exact():
     three = Expression.number(3)
     x, y = solve_linear_exact([[two, one], [one, one]], [three, two])
     assert x == one and y == one
-    with pytest.raises(LagrangianError):
+    with pytest.raises(LagrangianError, match="^singular coefficient matrix in exact solve$"):
         solve_linear_exact([[one, one], [one, one]], [one, two])
+
+
+@pytest.mark.parametrize("coeff", ["mu", "sqrt(q0_1)"])
+def test_solve_linear_exact_symbolic_coefficients(coeff):
+    # a named constant gives a rational-function domain, a radical the EX domain
+    T = JetSpace(1, 1).table(("mu",))
+    a = parse(coeff, T)
+    one, two, three = (Expression.number(v) for v in (1, 2, 3))
+    rhs = [parse("q1_1", T), three]
+    x, y = solve_linear_exact([[a, one], [one, two]], rhs)
+    assert x == parse("(2*q1_1 - 3)/(2*%s - 1)" % coeff, T)
+    assert y == parse("(3*%s - q1_1)/(2*%s - 1)" % (coeff, coeff), T)
+    assert a * x + y == rhs[0] and x + two * y == rhs[1]

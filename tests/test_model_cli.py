@@ -407,6 +407,69 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert "4" in err  # dimension mismatch names the expected width
 
 
+NON_AFFINE_LEGENDRE = '''
+[model]
+name = quartic
+k = 1
+n = 1
+
+[lagrangian]
+L = "1/4*q1_1^4 + 1/2*q1_1^2"
+'''
+
+
+def test_simulate_lagrangian_does_not_build_the_legendre_map(
+        capsys, tmp_path, monkeypatch):
+    import hjmech.cli
+
+    def forbidden(sys_):
+        raise AssertionError("simulate lagrangian built the Legendre map")
+
+    monkeypatch.setattr(hjmech.cli, "legendre", forbidden)
+    code, out, err = run_cli(
+        capsys, "simulate", model_path("beam.hjm"), "lagrangian",
+        "released", "0", "1", "0.001", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 0, err
+
+
+def test_non_affine_legendre_model_simulates_only_its_lagrangian_field(
+        capsys, tmp_path):
+    path = tmp_path / "quartic.hjm"
+    path.write_text(NON_AFFINE_LEGENDRE)
+    out_file = str(tmp_path / "x.csv")
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "lagrangian", "0,1", "0", "1", "0.25",
+        "--out", out_file,
+    )
+    assert code == 0, err
+    assert "final: t = 1, state = (1, 1)" in out
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "hamiltonian", "0,1", "0", "1", "0.25",
+        "--out", out_file,
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        "hjmech: error: the Legendre map has no symbolic inverse: solving "
+        "for order-1 jets is not affine; symbolic inversion unavailable\n"
+    )
+
+
+@pytest.mark.parametrize("lagrangian, message", [
+    ("(" * 3000 + "q1_1" + ")" * 3000, "expression nested too deeply"),
+    ("1/0", "division by zero (at position 2)"),
+    ("q1_1^2/(q1_1 - q1_1)", "division by zero (at position 7)"),
+    ("(1 - 1)^(-1)", "division by zero (at position 0)"),
+], ids=["deep-nesting", "literal-zero", "cancelling-divisor", "zero-power"])
+def test_parser_boundaries_are_usage_errors(capsys, tmp_path, lagrangian, message):
+    path = tmp_path / "bad.hjm"
+    path.write_text(NON_AFFINE_LEGENDRE.replace(
+        "1/4*q1_1^4 + 1/2*q1_1^2", lagrangian))
+    code, out, err = run_cli(capsys, "derive", str(path), "energy")
+    assert code == 2 and out == ""
+    assert err.startswith("hjmech: error: line 8: ") and message in err
+
+
 def test_simulate_domain_failure_is_exit_3(capsys, tmp_path):
     # drive the radical candidate out of its domain: radicand hits zero
     code, _, err = run_cli(
