@@ -20,8 +20,12 @@ Conventions
 * Printing is deterministic: terms are emitted in a fixed total order
   (coordinate content first — jets before momenta, then by (order, axis),
   exponents descending — named constants as tiebreak, pure-constant terms
-  last) and ``parse(print(e)) == e`` for every expression this module can
-  print.
+  last) and ``parse(print(e)) == e`` for every expression the parser
+  accepts.  The printer renders the canonical tree as it stands, without
+  canonicalizing sub-trees again, and renders each sub-tree once: a
+  sum's text is both its sort key and its output.
+  ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
+  a radical of a sum, product or power prints its base in parentheses.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.
@@ -282,10 +286,6 @@ class Expression:
     def coordinate(cls, c: Coordinate) -> "Expression":
         return cls(c.symbol)
 
-    @classmethod
-    def _wrap(cls, sym) -> "Expression":
-        return cls(sym)
-
     # -- introspection -----------------------------------------------------
 
     @property
@@ -483,7 +483,7 @@ def _eval_num(sym, env, whole):
         base, exp = sym.args
         b = _eval_num(base, env, whole)
         if not exp.is_Rational:
-            raise ExprError("non-rational exponent in %s" % to_text(Expression._wrap(sym)))
+            raise ExprError("non-rational exponent in %s" % _subtext(sym))
         if exp.is_Integer:
             n = int(exp)
             if b == 0.0 and n < 0:
@@ -514,13 +514,15 @@ def _eval_num(sym, env, whole):
         if x <= 0.0:
             raise DomainEvalError("log of a non-positive value", _subtext(sym))
         return math.log(x)
+    if sym is sp.E:
+        return math.e
     raise ExprError("cannot evaluate %s" % _subtext(sym))
 
 
 def _subtext(sym):
     try:
-        return to_text(Expression._wrap(sym))
-    except Exception:
+        return _tree_text(sym)
+    except ExprError:
         return sp.srepr(sym)
 
 
@@ -696,6 +698,10 @@ class _Parser:
                 self.next()
                 arg = self.expr()
                 self.expect_op(")")
+                if value == "ln":
+                    c = _canon(arg)
+                    if c.is_number and not c.is_positive:
+                        raise ExprSyntaxError("ln of a non-positive number", pos)
                 return _FUNCTIONS[value](arg)
             return self.resolve(value, pos)
         raise ExprSyntaxError("unexpected %r" % value, pos)
@@ -728,8 +734,9 @@ def parse(text: str, table: SymbolTable) -> Expression:
     Grammar: rational/decimal literals, named constants, coordinates
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
     functions sqrt sin cos exp ln, parentheses, unary minus.  Division by
-    a divisor whose canonical form is 0, and nesting deeper than the
-    interpreter's recursion limit, raise ExprSyntaxError.
+    a divisor whose canonical form is 0, ln of a number that is not
+    positive, and nesting deeper than the interpreter's recursion limit
+    raise ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
@@ -749,78 +756,30 @@ def _frac(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
 
-def _base_key(base):
-    if base.is_Number:
-        return (0, _frac(base) if base.is_Rational else Fraction(0))
-    if base.is_Symbol:
-        c = coordinate_of(base)
-        if c is None:
-            return (1, base.name)
-        return (2 if c.kind == "jet" else 3, (c.order, c.axis))
-    if isinstance(base, sp.Derivative):
-        return (5, _atom_label(base.expr), tuple(str(v) for v in base.variables))
-    if isinstance(base, AppliedUndef) or base.is_Function:
-        return (4, _atom_label(base), tuple(str(a) for a in base.args))
-    if base.is_Add:
-        return (6, to_text(Expression._wrap(base)))
-    return (7, sp.srepr(base))
-
-
 def _atom_label(f):
     if isinstance(f, AppliedUndef):
         return f.func.__name__
     return _FUNC_LABEL.get(f.func, getattr(f.func, "__name__", "?"))
 
 
-def _term_data(term):
-    coeff, rest = term.as_coeff_Mul(rational=True)
-    if not coeff.is_Rational:
-        raise ExprError("non-rational coefficient %s" % coeff)
-    factors = []
-    for f in sp.Mul.make_args(rest):
-        if f == 1:
-            continue
-        base, exp = f.as_base_exp()
-        if not exp.is_Rational:
-            raise ExprError("non-rational exponent in %s" % f)
-        factors.append((base, exp))
-    return coeff, factors
-
-
-def _term_key(term):
-    coeff, factors = _term_data(term)
-    nonconst = []
-    const = []
-    for base, exp in factors:
-        k = _base_key(base)
-        entry = (k, -_frac(exp))
-        if k[0] >= 2:
-            nonconst.append(entry)
-        else:
-            const.append(entry)
-    nonconst.sort()
-    const.sort()
-    return (1 if not nonconst else 0, tuple(nonconst), tuple(const), _frac(coeff))
-
-
-def _base_text(base):
-    if base.is_Rational:
-        if base.q == 1:
-            return str(base.p) if base.p >= 0 else "(%d)" % base.p
-        return "(%d/%d)" % (base.p, base.q)
+def _atom(base):
+    """(sort key, text) of a base that is not a number, sum, product or power."""
     if base.is_Symbol:
-        return base.name
+        c = coordinate_of(base)
+        if c is None:
+            return (1, base.name), base.name
+        return (2 if c.kind == "jet" else 3, (c.order, c.axis)), base.name
     if isinstance(base, sp.Derivative):
-        return _derivative_text(base)
+        key = (5, _atom_label(base.expr), tuple(str(v) for v in base.variables))
+        return key, _derivative_text(base)
     if isinstance(base, AppliedUndef):
-        return base.func.__name__
-    if base.is_Function:
-        label = _FUNC_LABEL.get(base.func)
-        if label is None:
-            raise ExprError("cannot print %s" % sp.srepr(base))
-        return "%s(%s)" % (label, to_text(Expression._wrap(base.args[0])))
-    if base.is_Add:
-        return "(%s)" % to_text(Expression._wrap(base))
+        return (4, _atom_label(base), tuple(str(a) for a in base.args)), base.func.__name__
+    if base.is_Function and base.func in _FUNC_LABEL:
+        label = _FUNC_LABEL[base.func]
+        key = (4, label, tuple(str(a) for a in base.args))
+        return key, "%s(%s)" % (label, _tree_text(base.args[0]))
+    if base is sp.E:  # what exp(1) evaluates to
+        return (7, sp.srepr(base)), "exp(1)"
     raise ExprError("cannot print %s" % sp.srepr(base))
 
 
@@ -838,41 +797,59 @@ def _derivative_text(d):
     )
 
 
-def _pow_text(base, exp):
-    # exp is a positive Rational here
+def _factor(base, exp):
+    """(sort key of the base, text of base^exp) for a positive rational
+    exponent.  The base is rendered once; a sum's text is also its key."""
+    if base.is_Rational:
+        key = (0, _frac(base))
+        text = str(base.p) if base.q == 1 else "%d/%d" % (base.p, base.q)
+        bare = base.q == 1 and base.p >= 0
+    elif base.is_Add or base.is_Mul or base.is_Pow:
+        text = _tree_text(base)
+        key = (6, text) if base.is_Add else (7, sp.srepr(base))
+        bare = False
+    else:
+        key, text = _atom(base)
+        bare = True
     if exp == sp.S.Half:
-        if base.is_Add or base.is_Rational:
-            inner = to_text(Expression._wrap(base))
-        else:
-            inner = _base_text(base)
-        return "sqrt(%s)" % inner
-    body = _base_text(base)
+        return key, "sqrt(%s)" % text
+    body = text if bare else "(%s)" % text
     if exp == 1:
-        return body
+        return key, body
     if exp.q == 1:
-        return "%s^%d" % (body, exp.p)
-    return "%s^(%d/%d)" % (body, exp.p, exp.q)
+        return key, "%s^%d" % (body, exp.p)
+    return key, "%s^(%d/%d)" % (body, exp.p, exp.q)
 
 
-def _render_term(term):
-    coeff, factors = _term_data(term)
+def _term(term):
+    """(sort key, negative, text) of one term of a canonical sum."""
+    coeff, rest = term.as_coeff_Mul(rational=True)
+    if not coeff.is_Rational:
+        raise ExprError("non-rational coefficient %s" % coeff)
+    factors = []
+    for f in sp.Mul.make_args(rest):
+        if f == 1:
+            continue
+        # exp(x) is a function atom, not the base E to the power x
+        base, exp = (f, sp.S.One) if isinstance(f, sp.exp) else f.as_base_exp()
+        if not exp.is_Rational:
+            raise ExprError("non-rational exponent in %s" % f)
+        key, text = _factor(base, abs(exp))
+        factors.append(((key, -_frac(exp)), exp > 0, text))
+    factors.sort(key=lambda item: item[0])
+    nonconst = tuple(k for k, _, _ in factors if k[0][0] >= 2)
+    const = tuple(k for k, _, _ in factors if k[0][0] < 2)
+    key = (1 if not nonconst else 0, nonconst, const, _frac(coeff))
+    num_parts = [text for _, up, text in factors if up]
+    den_parts = [text for _, up, text in factors if not up]
     negative = coeff < 0
-    coeff = abs(coeff)
-    factors.sort(key=lambda fe: (_base_key(fe[0]), -_frac(fe[1])))
-    num_parts = []
-    den_parts = []
-    for base, exp in factors:
-        if exp > 0:
-            num_parts.append(_pow_text(base, exp))
-        else:
-            den_parts.append(_pow_text(base, -exp))
-    p, q = int(coeff.p), int(coeff.q)
+    p, q = abs(int(coeff.p)), int(coeff.q)
     if not den_parts:
         if q > 1:
             num_parts.insert(0, "%d/%d" % (p, q))
         elif p != 1 or not num_parts:
             num_parts.insert(0, str(p))
-        return negative, "*".join(num_parts)
+        return key, negative, "*".join(num_parts)
     if p != 1 or not num_parts:
         num_parts.insert(0, str(p))
     den_items = ([str(q)] if q > 1 else []) + den_parts
@@ -880,20 +857,24 @@ def _render_term(term):
         den_text = den_items[0]
     else:
         den_text = "(%s)" % "*".join(den_items)
-    return negative, "%s/%s" % ("*".join(num_parts), den_text)
+    return key, negative, "%s/%s" % ("*".join(num_parts), den_text)
 
 
-def to_text(e) -> str:
-    """Deterministic canonical rendering in the module grammar."""
-    sym = e.sym if isinstance(e, Expression) else _canon(e)
+def _tree_text(sym) -> str:
+    """Render a canonical tree: every sub-tree is rendered once, as it
+    stands, without canonicalizing it again."""
     if sym == 0:
         return "0"
-    terms = sorted(sp.Add.make_args(sym), key=_term_key)
+    terms = sorted((_term(t) for t in sp.Add.make_args(sym)), key=lambda t: t[0])
     pieces = []
-    for idx, term in enumerate(terms):
-        negative, body = _render_term(term)
+    for idx, (_, negative, body) in enumerate(terms):
         if idx == 0:
             pieces.append("-" + body if negative else body)
         else:
             pieces.append((" - " if negative else " + ") + body)
     return "".join(pieces)
+
+
+def to_text(e) -> str:
+    """Deterministic canonical rendering in the module grammar."""
+    return _tree_text(e.sym if isinstance(e, Expression) else _canon(e))

@@ -1,8 +1,9 @@
 """Differential forms over a fixed coordinate chart.
 
 Everything here is chart-level bookkeeping: a 1-form is one coefficient
-per coordinate differential, a 2-form is a dense antisymmetric matrix of
-coefficients, and the sign conventions are
+per coordinate differential, a 2-form is its independent coefficients
+ω_{uv} with u before v (ω_{vu} = −ω_{uv} and the diagonal is zero, so
+antisymmetry holds by construction), and the sign conventions are
 
 * (a ∧ b)_{uv} = a_u b_v − a_v b_u,
 * (dθ)_{uv}   = ∂θ_v/∂u − ∂θ_u/∂v,
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from .expr import Coordinate, Expression, ZERO
-from .jets import JetError, VectorField
+from .jets import VectorField
 
 
 class FormError(ValueError):
@@ -148,9 +149,13 @@ class OneFormField:
 
 
 class TwoFormField:
-    """A 2-form as a dense antisymmetric coefficient matrix."""
+    """A 2-form stored by its independent coefficients ω_{ij}, i < j.
 
-    __slots__ = ("space", "matrix")
+    ``_upper[i][j - i - 1]`` holds ω_{ij}; ω_{ji} = −ω_{ij} and the
+    diagonal is zero, so antisymmetry holds by construction.
+    """
+
+    __slots__ = ("space", "_upper")
 
     def __init__(self, space, matrix):
         rows = tuple(tuple(_as_expression(c) for c in row) for row in matrix)
@@ -164,7 +169,15 @@ class TwoFormField:
                 if rows[i][j] != -rows[j][i]:
                     raise FormError("2-form matrix must be antisymmetric")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "_upper", tuple(row[i + 1:] for i, row in enumerate(rows)))
+
+    @classmethod
+    def _of(cls, space, upper) -> "TwoFormField":
+        """Wrap upper-triangle rows, upper[i][j - i - 1] = ω_{ij}."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "space", space)
+        object.__setattr__(form, "_upper", tuple(tuple(row) for row in upper))
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoFormField is immutable")
@@ -172,16 +185,15 @@ class TwoFormField:
     @classmethod
     def zero(cls, space) -> "TwoFormField":
         dim = space.dimension
-        return cls(space, tuple((ZERO,) * dim for _ in range(dim)))
+        return cls._of(space, ((ZERO,) * (dim - i - 1) for i in range(dim)))
 
     @classmethod
     def from_upper_entries(cls, space, entries: Mapping[Tuple[Coordinate, Coordinate], Expression]):
-        """Build from {(u, v): coeff} with u strictly before v; the lower
-        triangle is filled by antisymmetry."""
+        """Build from {(u, v): coeff} with u strictly before v."""
         coords = space.coordinates
         index = {c: i for i, c in enumerate(coords)}
         dim = space.dimension
-        rows = [[ZERO] * dim for _ in range(dim)]
+        upper = [[ZERO] * (dim - i - 1) for i in range(dim)]
         for (u, v), coeff in entries.items():
             if u not in index or v not in index:
                 raise FormError("entry (%s, %s) outside the space" % (u, v))
@@ -191,10 +203,15 @@ class TwoFormField:
                     "from_upper_entries wants u strictly before v; got (%s, %s)"
                     % (u.name, v.name)
                 )
-            coeff = _as_expression(coeff)
-            rows[i][j] = coeff
-            rows[j][i] = -coeff
-        return cls(space, rows)
+            upper[i][j - i - 1] = _as_expression(coeff)
+        return cls._of(space, upper)
+
+    def _coefficient(self, i: int, j: int) -> Expression:
+        if i < j:
+            return self._upper[i][j - i - 1]
+        if i > j:
+            return -self._upper[j][i - j - 1]
+        return ZERO
 
     def entry(self, u: Coordinate, v: Coordinate) -> Expression:
         coords = self.space.coordinates
@@ -202,40 +219,45 @@ class TwoFormField:
             i, j = coords.index(u), coords.index(v)
         except ValueError:
             raise FormError("(%s, %s) is not in this space" % (u.name, v.name))
-        return self.matrix[i][j]
+        return self._coefficient(i, j)
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Expression, ...], ...]:
+        """The dense antisymmetric coefficient matrix."""
+        dim = self.space.dimension
+        return tuple(tuple(self._coefficient(i, j) for j in range(dim)) for i in range(dim))
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for row in self.matrix for c in row)
+        return all(c.is_zero for row in self._upper for c in row)
+
+    def _pairs(self):
+        """((u, v), ω_{uv}) for u before v, in coordinate order."""
+        coords = self.space.coordinates
+        for i, row in enumerate(self._upper):
+            for v, comp in zip(coords[i + 1:], row):
+                yield (coords[i], v), comp
 
     def upper_entries(self) -> Dict[Tuple[Coordinate, Coordinate], Expression]:
         """The independent coefficients {(u, v): coeff} for u before v,
         nonzero entries only, in coordinate order."""
-        coords = self.space.coordinates
-        out = {}
-        for i, u in enumerate(coords):
-            for j in range(i + 1, len(coords)):
-                if not self.matrix[i][j].is_zero:
-                    out[(u, coords[j])] = self.matrix[i][j]
-        return out
+        return {uv: comp for uv, comp in self._pairs() if not comp.is_zero}
 
     def __add__(self, other):
         if not isinstance(other, TwoFormField):
             return NotImplemented
         if self.space.coordinates != other.space.coordinates:
             raise FormError("forms live on different spaces")
-        return TwoFormField(
+        return TwoFormField._of(
             self.space,
-            tuple(
+            (
                 tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.matrix, other.matrix)
+                for ra, rb in zip(self._upper, other._upper)
             ),
         )
 
     def __neg__(self):
-        return TwoFormField(
-            self.space, tuple(tuple(-a for a in row) for row in self.matrix)
-        )
+        return TwoFormField._of(self.space, (tuple(-a for a in row) for row in self._upper))
 
     def __sub__(self, other):
         if not isinstance(other, TwoFormField):
@@ -247,26 +269,23 @@ class TwoFormField:
             return NotImplemented
         return (
             self.space.coordinates == other.space.coordinates
-            and self.matrix == other.matrix
+            and self._upper == other._upper
         )
 
     def __hash__(self):
-        return hash((self.space.coordinates, self.matrix))
+        return hash((self.space.coordinates, self._upper))
 
     def __str__(self):
-        coords = self.space.coordinates
         parts = []
-        for i, u in enumerate(coords):
-            for j in range(i + 1, len(coords)):
-                comp = self.matrix[i][j]
-                if comp.is_zero:
-                    continue
-                sign, body = _coefficient_text(comp)
-                pair = "d%s∧d%s" % (u.name, coords[j].name)
-                if body == "1":
-                    parts.append((sign, pair))
-                else:
-                    parts.append((sign, "%s %s" % (body, pair)))
+        for (u, v), comp in self._pairs():
+            if comp.is_zero:
+                continue
+            sign, body = _coefficient_text(comp)
+            pair = "d%s∧d%s" % (u.name, v.name)
+            if body == "1":
+                parts.append((sign, pair))
+            else:
+                parts.append((sign, "%s %s" % (body, pair)))
         return _join_terms(parts)
 
     def __repr__(self):
@@ -285,17 +304,15 @@ def differential(e: Expression, space) -> OneFormField:
 
 def exterior_derivative(theta: OneFormField) -> TwoFormField:
     """(dθ)_{uv} = ∂θ_v/∂u − ∂θ_u/∂v."""
-    coords = theta.space.coordinates
+    coords, th = theta.space.coordinates, theta.coefficients
     dim = len(coords)
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = theta.coefficients[j].diff(coords[i]) - theta.coefficients[i].diff(
-                coords[j]
-            )
-            rows[i][j] = c
-            rows[j][i] = -c
-    return TwoFormField(theta.space, rows)
+    return TwoFormField._of(
+        theta.space,
+        (
+            [th[j].diff(coords[i]) - th[i].diff(coords[j]) for j in range(i + 1, dim)]
+            for i in range(dim)
+        ),
+    )
 
 
 def three_form_coefficients(omega: TwoFormField) -> Dict[Tuple[Coordinate, Coordinate, Coordinate], Expression]:
@@ -312,9 +329,9 @@ def three_form_coefficients(omega: TwoFormField) -> Dict[Tuple[Coordinate, Coord
             for k in range(j + 1, len(coords)):
                 w = coords[k]
                 out[(u, v, w)] = (
-                    omega.matrix[j][k].diff(u)
-                    - omega.matrix[i][k].diff(v)
-                    + omega.matrix[i][j].diff(w)
+                    omega._coefficient(j, k).diff(u)
+                    - omega._coefficient(i, k).diff(v)
+                    + omega._coefficient(i, j).diff(w)
                 )
     return out
 
@@ -323,15 +340,12 @@ def wedge(a: OneFormField, b: OneFormField) -> TwoFormField:
     """(a ∧ b)_{uv} = a_u b_v − a_v b_u."""
     if a.space.coordinates != b.space.coordinates:
         raise FormError("forms live on different spaces")
-    coords = a.space.coordinates
-    dim = len(coords)
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = a.coefficients[i] * b.coefficients[j] - a.coefficients[j] * b.coefficients[i]
-            rows[i][j] = c
-            rows[j][i] = -c
-    return TwoFormField(a.space, rows)
+    ac, bc = a.coefficients, b.coefficients
+    dim = len(ac)
+    return TwoFormField._of(
+        a.space,
+        ([ac[i] * bc[j] - ac[j] * bc[i] for j in range(i + 1, dim)] for i in range(dim)),
+    )
 
 
 def contract(X: VectorField, omega: TwoFormField) -> OneFormField:
@@ -343,7 +357,7 @@ def contract(X: VectorField, omega: TwoFormField) -> OneFormField:
     for j in range(dim):
         total = ZERO
         for i in range(dim):
-            entry = omega.matrix[i][j]
+            entry = omega._coefficient(i, j)
             if not entry.is_zero:
                 total = total + X.components[i] * entry
         coeffs.append(total)
@@ -448,14 +462,14 @@ class CoordMap:
         jac = self.jacobian()
         src = self.source.coordinates
         tgt = self.target.coordinates
-        nonzero = []
-        for a in range(len(tgt)):
-            for b in range(a + 1, len(tgt)):
-                entry = omega.matrix[a][b]
-                if not entry.is_zero:
-                    nonzero.append((a, b, self.pull_function(entry)))
+        nonzero = [
+            (a, b, self.pull_function(entry))
+            for a, row in enumerate(omega._upper)
+            for b, entry in enumerate(row, start=a + 1)
+            if not entry.is_zero
+        ]
         dim = len(src)
-        rows = [[ZERO] * dim for _ in range(dim)]
+        upper = [[ZERO] * (dim - i - 1) for i in range(dim)]
         for i in range(dim):
             for j in range(i + 1, dim):
                 total = ZERO
@@ -466,6 +480,5 @@ class CoordMap:
                     ] * jac[(tgt[b], src[i])]
                     if not block.is_zero:
                         total = total + entry * block
-                rows[i][j] = total
-                rows[j][i] = -total
-        return TwoFormField(self.source, rows)
+                upper[i][j - i - 1] = total
+        return TwoFormField._of(self.source, upper)

@@ -22,7 +22,13 @@ from typing import Dict, Optional, Tuple
 from .expr import Coordinate, Expression, ZERO, jet, momentum
 from .forms import CoordMap, OneFormField, TwoFormField, exterior_derivative
 from .jets import JetSpace, VectorField
-from .lagrangian import LagrangianError, LagrangianSystem, System, solve_linear_exact
+from .lagrangian import (
+    LagrangianError,
+    LagrangianSystem,
+    NonAffineError,
+    System,
+    solve_affine,
+)
 
 
 class HamiltonianError(ValueError):
@@ -138,68 +144,33 @@ def legendre(sys: LagrangianSystem) -> LegendreMap:
     phase = PhaseSpace(n, k)
     velocity = sys.velocity_space
 
-    images: Dict[Coordinate, Expression] = {}
-    for i in range(k):
-        for A in range(1, n + 1):
-            images[jet(i, A)] = Expression.coordinate(jet(i, A))
-            images[momentum(i, A)] = cartan.momentum(i, A)
-    forward = CoordMap(velocity, phase, images)
+    base = {c: Expression.coordinate(c) for c in phase.base_space.coordinates}
+    momenta = {
+        momentum(i, A): cartan.momentum(i, A) for i in range(k) for A in range(1, n + 1)
+    }
+    forward = CoordMap(velocity, phase, {**base, **momenta})
 
     solved: Dict[Coordinate, Expression] = {}
-    diagnostic = None
     for j in range(k, 2 * k):
         level = 2 * k - 1 - j
         unknowns = [jet(j, B) for B in range(1, n + 1)]
-        residuals = []
-        for A in range(1, n + 1):
-            e = cartan.momentum(level, A).subs(solved)
-            residuals.append(Expression.coordinate(momentum(level, A)) - e)
-        matrix = []
-        ok = True
-        for rA in residuals:
-            row = []
-            for u in unknowns:
-                entry = rA.diff(u)
-                if any(c.order >= j and c.kind == "jet" for c in entry.free_coordinates()):
-                    ok = False
-                row.append(entry)
-            matrix.append(row)
-        if not ok:
+        residuals = [
+            Expression.coordinate(momentum(level, A))
+            - cartan.momentum(level, A).subs(solved)
+            for A in range(1, n + 1)
+        ]
+        try:
+            solved.update(zip(unknowns, solve_affine(residuals, unknowns)))
+        except NonAffineError:
             diagnostic = (
                 "solving for order-%d jets is not affine; "
                 "symbolic inversion unavailable" % j
             )
-            break
-        offset = [rA.subs({u: ZERO for u in unknowns}) for rA in residuals]
-        try:
-            solution = solve_linear_exact(matrix, [-o for o in offset])
+            return LegendreMap(sys, forward, None, False, diagnostic)
         except LagrangianError as err:
             diagnostic = "order-%d solve failed: %s" % (j, err)
-            break
-        stage = dict(zip(unknowns, solution))
-        stray = set()
-        for rule in stage.values():
-            for c in rule.free_coordinates():
-                if c.kind == "jet" and c.order >= k:
-                    stray.add(c.name)
-        if stray:
-            diagnostic = (
-                "order-%d solve left velocity coordinates %s unresolved"
-                % (j, ", ".join(sorted(stray)))
-            )
-            break
-        solved.update(stage)
-
-    if diagnostic is not None:
-        return LegendreMap(sys, forward, None, False, diagnostic)
-
-    inv_images: Dict[Coordinate, Expression] = {}
-    for i in range(k):
-        for A in range(1, n + 1):
-            inv_images[jet(i, A)] = Expression.coordinate(jet(i, A))
-    inv_images.update(solved)
-    inverse = CoordMap(phase, velocity, inv_images)
-    return LegendreMap(sys, forward, inverse, True)
+            return LegendreMap(sys, forward, None, False, diagnostic)
+    return LegendreMap(sys, forward, CoordMap(phase, velocity, {**base, **solved}), True)
 
 
 # ---------------------------------------------------------------------------

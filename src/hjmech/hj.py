@@ -53,7 +53,7 @@ from .hamiltonian import (
     poisson,
 )
 from .jets import JetSpace, VectorField, project_field
-from .lagrangian import LagrangianError, LagrangianSystem, solve_linear_exact
+from .lagrangian import LagrangianError, LagrangianSystem, NonAffineError, solve_affine
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 40
@@ -150,9 +150,7 @@ class _FiberCandidate:
     def as_map(self) -> CoordMap:
         """The map T^(k-1)Q → target, identity on the base coordinates."""
         base = JetSpace(self.n, self.k - 1)
-        images: Dict[Coordinate, Expression] = {}
-        for c in base.coordinates:
-            images[c] = Expression.coordinate(c)
+        images = {c: Expression.coordinate(c) for c in base.coordinates}
         images.update(self.substitution())
         return CoordMap(base, self._target(self.n, self.k), images)
 
@@ -798,32 +796,22 @@ def _validate_inverse_rules(fam, functions, constant_values, samples, seed, tol)
 
 
 def _solve_family_affine(fam: CompleteSolutionFamily) -> Dict[str, Expression]:
-    params = fam.parameters
-    alpha = fam.solution
-    unknowns = [Expression.constant(p) for p in params]
-    equations = []
-    for (i, A), comp in sorted(alpha.components.items()):
-        equations.append(Expression.coordinate(momentum(i, A)) - comp)
-    matrix = []
-    for eq in equations:
-        row = []
-        for p in params:
-            entry = eq.diff(p)
-            if entry.free_constants() & set(params):
-                raise DegenerateFamilyError(
-                    "the family is not affine in its parameters; supply "
-                    "inverse rules to check involution"
-                )
-            row.append(entry)
-        matrix.append(row)
-    offsets = [eq.subs({p: 0 for p in params}) for eq in equations]
+    equations = [
+        Expression.coordinate(momentum(i, A)) - comp
+        for (i, A), comp in sorted(fam.solution.components.items())
+    ]
     try:
-        solution = solve_linear_exact(matrix, [-o for o in offsets])
+        solution = solve_affine(equations, fam.parameters)
+    except NonAffineError:
+        raise DegenerateFamilyError(
+            "the family is not affine in its parameters; supply "
+            "inverse rules to check involution"
+        ) from None
     except LagrangianError as err:
         raise DegenerateFamilyError(
             "the family cannot be solved for its parameters: %s" % err
-        )
-    return dict(zip(params, solution))
+        ) from None
+    return dict(zip(fam.parameters, solution))
 
 
 def _family_jacobian_note(fam, constant_values, samples, seed, tol) -> str:

@@ -8,10 +8,10 @@ For a Lagrangian L on T^k Q the derived objects live on T^(2k-1) Q:
 * energy           E_L = Σ_r q_r^A p̂^{r-1}_A − L.
 
 The dynamics i(X_L)ω_L = dE_L is solved in semispray form: the stacked
-Euler–Lagrange expressions are linear in the formal top coordinate
-q_{2k}^B, whose coefficient system sympy's DomainMatrix solves exactly
-(fraction-free over the smallest domain holding the entries) to produce
-the forcing components F^A.
+Euler–Lagrange expressions are affine in the formal top coordinate
+q_{2k}^B, and ``solve_affine`` solves them exactly (sympy's DomainMatrix,
+fraction-free over the smallest domain holding the entries) for the
+forcing components F^A.
 
 All derived objects are computed once per system behind a lock and then
 shared; systems are immutable after construction.
@@ -63,6 +63,37 @@ def solve_linear_exact(matrix: Sequence[Sequence[Expression]], rhs: Sequence[Exp
         raise LagrangianError("singular coefficient matrix in exact solve")
     den = num.domain.to_sympy(den)
     return tuple(Expression(x / den) for x in num.to_Matrix())
+
+
+class NonAffineError(LagrangianError):
+    """A coefficient of an affine system depends on one of its unknowns."""
+
+    def __init__(self, unknown):
+        super().__init__("the coefficient of %s depends on an unknown" % unknown)
+        self.unknown = unknown
+
+
+def solve_affine(equations: Sequence[Expression], unknowns: Sequence) -> Tuple[Expression, ...]:
+    """Solve the equations e_i = 0, affine in the unknowns, exactly.
+
+    ``unknowns`` are Coordinates or constant names.  The coefficient rows
+    are ∂e_i/∂x_j; the first coefficient (row by row) that depends on an
+    unknown raises NonAffineError naming the unknown it multiplies.  The
+    system is then solved against the negated offsets, the equations with
+    every unknown set to 0, so no unknown survives in the solution.
+    """
+    names = {str(u) for u in unknowns}  # a Coordinate's str is its name
+    rows = []
+    for e in equations:
+        row = []
+        for u in unknowns:
+            coeff = e.diff(u)
+            if coeff.free_names() & names:
+                raise NonAffineError(u)
+            row.append(coeff)
+        rows.append(row)
+    at_zero = {u: ZERO for u in unknowns}
+    return solve_linear_exact(rows, [-e.subs(at_zero) for e in equations])
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +315,14 @@ class LagrangianSystem(System):
                 "the Hessian in the top velocities is singular; "
                 "the dynamics has no semispray solution"
             )
-        exprs = self.euler_lagrange_expressions()
         top = [jet(2 * k, B) for B in range(1, n + 1)]
-        coeff = []
-        rest = []
-        kill_top = {c: ZERO for c in top}
-        for A, b in enumerate(exprs, start=1):
-            row = []
-            for c in top:
-                entry = b.diff(c)
-                for d in entry.free_coordinates():
-                    if d.order >= 2 * k:
-                        raise LagrangianError(
-                            "the dynamics is not linear in the formal top "
-                            "coordinate %s" % c.name
-                        )
-                row.append(entry)
-            coeff.append(row)
-            rest.append(b.subs(kill_top))
-        forcing = solve_linear_exact(coeff, [-r for r in rest])
-        for f in forcing:
-            for c in f.free_coordinates():
-                if c.order >= 2 * k:
-                    raise LagrangianError(
-                        "the solve failed to eliminate the formal coordinate %s"
-                        % c.name
-                    )
+        try:
+            forcing = solve_affine(self.euler_lagrange_expressions(), top)
+        except NonAffineError as err:
+            raise LagrangianError(
+                "the dynamics is not linear in the formal top coordinate %s"
+                % err.unknown.name
+            ) from None
         space = self.velocity_space
         components = []
         for i in range(2 * k - 1):

@@ -6,12 +6,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjmech import (
     Coordinate,
     DomainEvalError,
+    ExprError,
     ExprSyntaxError,
     Expression,
     JetSpace,
@@ -153,6 +154,16 @@ def test_print_parse_round_trip_simple():
     ):
         e = p(text)
         assert p(str(e)) == e
+
+
+def test_exp_and_radicals_of_products_and_powers_print():
+    for text in ("exp(q0_1)", "exp(1)", "sqrt(q0_1^2)", "(q0_1^2)^(1/3)",
+                 "(-a)^(2/3)", "sqrt(1/q0_1)"):
+        e = p(text)
+        assert str(e) == text
+        assert p(str(e)) == e
+    assert str(p("2*exp(q0_1)^2/exp(q1_1)")) == "2*exp(-q1_1)*exp(2*q0_1)"
+    assert evaluate(p("exp(1)*q0_1"), {"q0_1": 2.0}) == 2.0 * math.e
 
 
 def test_zero_prints_as_zero():
@@ -315,3 +326,42 @@ def test_leibniz_rule(f, g):
 def test_partials_commute(f, g):
     e = f * g
     assert diff(diff(e, jet(0, 1)), jet(1, 2)) == diff(diff(e, jet(1, 2)), jet(0, 1))
+
+
+# The whole grammar: literals, constants, coordinates, + - * / ^ with
+# integer and rational exponents, and the five functions.
+EXPONENTS = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.tuples(st.integers(-3, 3), st.integers(2, 3)).map(lambda pq: "(%d/%d)" % pq),
+)
+LEAVES = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(("0.5", "2.25", "a", "b") + COORD_NAMES),
+)
+
+
+@st.composite
+def grammar_texts(draw, max_depth=3):
+    depth = draw(st.integers(0, max_depth))
+    if depth == 0:
+        return draw(LEAVES)
+    inner = grammar_texts(max_depth=depth - 1)
+    kind = draw(st.sampled_from(("binary", "power", "function", "negate")))
+    if kind == "binary":
+        return "(%s %s %s)" % (draw(inner), draw(st.sampled_from("+-*/")), draw(inner))
+    if kind == "power":
+        return "(%s)^%s" % (draw(inner), draw(EXPONENTS))
+    if kind == "function":
+        name = draw(st.sampled_from(("sqrt", "sin", "cos", "exp", "ln")))
+        return "%s(%s)" % (name, draw(inner))
+    return "-" + draw(inner)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_texts())
+def test_every_parsed_expression_prints_and_round_trips(text):
+    try:
+        e = p(text)
+    except ExprError:
+        assume(False)
+    assert p(str(e)) == e

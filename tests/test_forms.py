@@ -91,6 +91,26 @@ def test_twoform_antisymmetry_enforced():
         om.entry(jet(0, 1), jet(2, 1))
 
 
+def test_twoform_dense_and_upper_constructions_agree():
+    zero = Expression.number(0)
+    a, b, c = e("q2_1", T2), e("q0_1*q1_1", T2), e("sqrt(q0_1)", T2)
+    dense = TwoFormField(T2, ((zero, a, b), (-a, zero, c), (-b, -c, zero)))
+    coords = T2.coordinates
+    upper = TwoFormField.from_upper_entries(
+        T2, {(coords[0], coords[1]): a, (coords[0], coords[2]): b,
+             (coords[1], coords[2]): c})
+    assert dense == upper and hash(dense) == hash(upper)
+    for u in coords:
+        assert upper.entry(u, u).is_zero
+        for v in coords:
+            assert upper.entry(u, v) == -upper.entry(v, u)
+    assert upper.matrix == dense.matrix
+    assert -(-upper) == upper
+    assert (upper - upper).is_zero
+    assert upper + upper == TwoFormField.from_upper_entries(
+        T2, {uv: w + w for uv, w in upper.upper_entries().items()})
+
+
 def test_twoform_upper_entries_skips_zeros():
     om = TwoFormField.from_upper_entries(
         T2, {(jet(0, 1), jet(1, 1)): e("q2_1", T2)}

@@ -17,7 +17,7 @@ from hjmech import (
     parse,
 )
 from hjmech.jets import central_differences, semispray_type
-from hjmech.lagrangian import solve_linear_exact
+from hjmech.lagrangian import NonAffineError, solve_affine, solve_linear_exact
 
 from conftest import make_beam_symbolic, make_flight_1d
 
@@ -273,3 +273,18 @@ def test_solve_linear_exact_symbolic_coefficients(coeff):
     assert x == parse("(2*q1_1 - 3)/(2*%s - 1)" % coeff, T)
     assert y == parse("(3*%s - q1_1)/(2*%s - 1)" % (coeff, coeff), T)
     assert a * x + y == rhs[0] and x + two * y == rhs[1]
+
+
+def test_solve_affine_in_coordinates_and_constants():
+    T = JetSpace(1, 1).table(("u", "w"))
+    # q0_1 + 2*u - w = 0 and u + w - 3 = 0, for the constants u and w
+    u, w = solve_affine([parse("q0_1 + 2*u - w", T), parse("u + w - 3", T)], ("u", "w"))
+    assert u == parse("(3 - q0_1)/3", T) and w == parse("(q0_1 + 6)/3", T)
+    # q0_1*q1_1 - 1 = 0 for the coordinate q1_1
+    (x,) = solve_affine([parse("q0_1*q1_1 - 1", T)], [jet(1, 1)])
+    assert x == parse("1/q0_1", T)
+    with pytest.raises(LagrangianError, match="^singular coefficient matrix in exact solve$"):
+        solve_affine([parse("u + w", T), parse("2*u + 2*w - 1", T)], ("u", "w"))
+    with pytest.raises(NonAffineError, match="^the coefficient of w depends on an unknown$") as exc:
+        solve_affine([parse("u + w", T), parse("u + u*w", T)], ("w", "u"))
+    assert exc.value.unknown == "w"

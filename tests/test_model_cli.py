@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from hjmech import Expression, OneForm, Section
+from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
 from hjmech.cli import main
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
@@ -460,7 +460,10 @@ def test_non_affine_legendre_model_simulates_only_its_lagrangian_field(
     ("1/0", "division by zero (at position 2)"),
     ("q1_1^2/(q1_1 - q1_1)", "division by zero (at position 7)"),
     ("(1 - 1)^(-1)", "division by zero (at position 0)"),
-], ids=["deep-nesting", "literal-zero", "cancelling-divisor", "zero-power"])
+    ("ln(0)", "ln of a non-positive number (at position 0)"),
+    ("q1_1^2 - ln(-9)", "ln of a non-positive number (at position 9)"),
+], ids=["deep-nesting", "literal-zero", "cancelling-divisor", "zero-power",
+        "ln-zero", "ln-negative"])
 def test_parser_boundaries_are_usage_errors(capsys, tmp_path, lagrangian, message):
     path = tmp_path / "bad.hjm"
     path.write_text(NON_AFFINE_LEGENDRE.replace(
@@ -468,6 +471,38 @@ def test_parser_boundaries_are_usage_errors(capsys, tmp_path, lagrangian, messag
     code, out, err = run_cli(capsys, "derive", str(path), "energy")
     assert code == 2 and out == ""
     assert err.startswith("hjmech: error: line 8: ") and message in err
+
+
+@pytest.mark.parametrize("what, line", [
+    ("energy", "E_L = 1/2*q1_1^2 + exp(q0_1)"),
+    ("field", "X_L = q1_1 ∂q0_1 + (-exp(q0_1)) ∂q1_1"),
+    ("hamiltonian", "h = 1/2*p0_1^2 + exp(q0_1)"),
+    ("hamfield", "X_h = p0_1 ∂q0_1 + (-exp(q0_1)) ∂p0_1"),
+], ids=["energy", "field", "hamiltonian", "hamfield"])
+def test_derive_prints_exp(capsys, tmp_path, what, line):
+    path = tmp_path / "well.hjm"
+    path.write_text(NON_AFFINE_LEGENDRE.replace(
+        "1/4*q1_1^4 + 1/2*q1_1^2", "1/2*q1_1^2 - exp(q0_1)"))
+    code, out, err = run_cli(capsys, "derive", str(path), what)
+    assert code == 0, err
+    assert line in out.splitlines()
+
+
+def test_derive_on_a_deeply_nested_radical(capsys, tmp_path):
+    # printing once rendered every sub-base three times per level
+    radical = "q0_1"
+    for _ in range(40):
+        radical = "sqrt(1 + %s)" % radical
+    table = JetSpace(1, 1).table()
+    e = parse(radical, table)
+    text = str(e)
+    assert text.count("sqrt(") == 40 and parse(text, table) == e
+    path = tmp_path / "nested.hjm"
+    path.write_text(NON_AFFINE_LEGENDRE.replace(
+        "1/4*q1_1^4 + 1/2*q1_1^2", "1/2*q1_1^2 + " + radical))
+    code, out, err = run_cli(capsys, "derive", str(path), "energy")
+    assert code == 0, err
+    assert "E_L = 1/2*q1_1^2 - %s" % text in out.splitlines()
 
 
 def test_simulate_domain_failure_is_exit_3(capsys, tmp_path):
