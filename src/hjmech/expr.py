@@ -12,11 +12,17 @@ Conventions
   then by ``(i, A)``.
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
-* Canonical form: rational functions are reduced to a normal form p/q
-  (expanded numerator, no common factors); when the denominator is a product
-  of atomic factors the fraction is distributed over the numerator's terms.
-  Function applications and fractional powers are opaque atoms — no radical
-  or trig identities are applied beyond ``x^(1/2) == sqrt(x)``.
+* Canonical form: an expression whose denominator is a rational number is
+  expanded and nothing more.  Any other fraction is reduced to a normal
+  form p/q with ``together``/``cancel`` (expanded numerator, no common
+  factors); when the denominator is a product of atomic factors the
+  fraction is distributed over the numerator's terms.  Function
+  applications and fractional powers are opaque atoms — no radical or trig
+  identities are applied beyond ``x^(1/2) == sqrt(x)``.
+* ``==`` and ``hash`` compare canonical trees and nothing else, so two
+  forms of one radical expression (``1/(sqrt(x) + 1)`` and
+  ``(sqrt(x) - 1)/(x - 1)``) are unequal; ``(a - b).is_zero`` is the
+  semantic test.
 * Printing is deterministic: terms are emitted in a fixed total order
   (coordinate content first — jets before momenta, then by (order, axis),
   exponents descending — named constants as tiebreak, pure-constant terms
@@ -38,7 +44,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
@@ -58,6 +64,7 @@ __all__ = [
     "substitute",
     "evaluate",
     "probably_equal",
+    "sample_values",
     "to_text",
     "placeholder",
     "placeholder_derivative",
@@ -211,11 +218,7 @@ def _denominator_is_atomic(d):
 def _normalize_atoms(sym):
     # Canonicalize inside opaque atoms (function arguments, radical bases) so
     # that equal atoms built along different paths coincide structurally.
-    if sym.is_Atom:
-        return sym
-    if isinstance(sym, sp.Derivative):
-        return sym
-    if isinstance(sym, AppliedUndef):
+    if sym.is_Atom or isinstance(sym, (sp.Derivative, AppliedUndef)):
         return sym
     if sym.is_Function:
         return sym.func(*[_canon(a) for a in sym.args])
@@ -230,20 +233,16 @@ def _normalize_atoms(sym):
 
 
 def _canon(sym):
-    sym = sp.sympify(sym)
-    sym = _normalize_atoms(sym)
-    num, den = sym.as_numer_denom()
-    if den == 1:
-        return sp.expand(num)
-    try:
-        c = sp.cancel(sp.together(sym))
-    except (sp.PolynomialError, AttributeError, NotImplementedError):
-        c = sym
-    num, den = c.as_numer_denom()
-    num = sp.expand(num)
-    if _denominator_is_atomic(den):
-        return sp.expand(num / den)
-    return num / den
+    sym = _normalize_atoms(sp.sympify(sym))
+    if not sym.as_numer_denom()[1].is_Rational:
+        try:
+            sym = sp.cancel(sp.together(sym))
+        except (sp.PolynomialError, AttributeError, NotImplementedError):
+            pass
+        num, den = sym.as_numer_denom()
+        if not _denominator_is_atomic(den):
+            return sp.expand(num) / den
+    return sp.expand(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +374,9 @@ class Expression:
             other = Expression(sp.Rational(other))
         if not isinstance(other, Expression):
             return NotImplemented
-        if self._sym == other._sym:
-            return True
-        try:
-            return sp.cancel(sp.together(self._sym - other._sym)) == 0
-        except (sp.PolynomialError, AttributeError, NotImplementedError):
-            return False
+        return self._sym == other._sym
 
     def __hash__(self):
-        # Equal rational functions share a canonical form, so hashing the
-        # canonical tree is consistent with __eq__.
         return hash(self._sym)
 
     # -- operations --------------------------------------------------------
@@ -539,31 +531,42 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     return _eval_num(e.sym, env, e)
 
 
-def probably_equal(a: Expression, b: Expression, samples: int = 20,
-                   rel_tol: float = 1e-9, seed: int = 42) -> bool:
-    """Randomized numeric equality fallback (never silently replaces ==).
+def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
+                  fixed: Mapping[str, object] = None):
+    """Yield the tuple of values of ``exprs`` at seeded random points.
 
-    Samples every free symbol uniformly in [-2, 2], skipping points where
-    either side hits a domain error, until `samples` valid points compared.
+    Names free in ``exprs`` and not bound by ``fixed`` are drawn in sorted
+    order, uniform in [-2, 2].  A point where some expression raises
+    DomainEvalError is skipped.  Stops after ``samples`` points or
+    ``200 * samples`` attempts, whichever comes first.
     """
-    names = sorted({s.name for s in a.sym.free_symbols} | {s.name for s in b.sym.free_symbols})
+    fixed = fixed or {}
+    names = sorted(set().union(*(e.free_names() for e in exprs)) - set(fixed))
     rng = random.Random(seed)
-    good = 0
-    attempts = 0
-    while good < samples:
+    got = attempts = 0
+    while got < samples and attempts < 200 * samples:
         attempts += 1
-        if attempts > 200 * samples:
-            raise ExprError("could not find enough domain-valid sample points")
-        env = {n: rng.uniform(-2.0, 2.0) for n in names}
+        env = {**fixed, **{name: rng.uniform(-2.0, 2.0) for name in names}}
         try:
-            va = evaluate(a, env)
-            vb = evaluate(b, env)
+            values = tuple(evaluate(e, env) for e in exprs)
         except DomainEvalError:
             continue
+        got += 1
+        yield values
+
+
+def probably_equal(a: Expression, b: Expression, samples: int = 20,
+                   rel_tol: float = 1e-9, seed: int = 42) -> bool:
+    """Randomized numeric equality fallback (never silently replaces ==):
+    the two sides agree at `samples` points drawn by ``sample_values``."""
+    good = 0
+    for va, vb in sample_values((a, b), samples, seed):
         scale = max(1.0, abs(va), abs(vb))
         if abs(va - vb) > rel_tol * scale:
             return False
         good += 1
+    if good < samples:
+        raise ExprError("could not find enough domain-valid sample points")
     return True
 
 
@@ -658,6 +661,8 @@ class _Parser:
             exp = self.exponent()
             if exp < 0 and _canon(base) == 0:
                 raise ExprSyntaxError("division by zero", base_pos)
+            if not exp.is_Integer:
+                _require_real_root(base, base_pos)
             return sp.Pow(base, exp)
         return base
 
@@ -696,8 +701,11 @@ class _Parser:
                 if value not in _FUNCTIONS:
                     raise ExprSyntaxError("unknown function %r" % value, pos)
                 self.next()
+                arg_pos = self.peek()[2]
                 arg = self.expr()
                 self.expect_op(")")
+                if value == "sqrt":
+                    _require_real_root(arg, arg_pos)
                 if value == "ln":
                     c = _canon(arg)
                     if c.is_number and not c.is_positive:
@@ -722,6 +730,12 @@ class _Parser:
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
+def _require_real_root(base, pos):
+    c = _canon(base)
+    if c.is_number and c.is_negative:
+        raise ExprSyntaxError("root of a negative number", pos)
+
+
 def _number(text):
     if "." in text:
         return sp.Rational(Fraction(text))
@@ -735,8 +749,9 @@ def parse(text: str, table: SymbolTable) -> Expression:
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
     functions sqrt sin cos exp ln, parentheses, unary minus.  Division by
     a divisor whose canonical form is 0, ln of a number that is not
-    positive, and nesting deeper than the interpreter's recursion limit
-    raise ExprSyntaxError.
+    positive, sqrt or a fractional power of a negative number, and
+    nesting deeper than the interpreter's recursion limit raise
+    ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)

@@ -166,7 +166,7 @@ class TwoFormField:
             if not rows[i][i].is_zero:
                 raise FormError("2-form matrix must have zero diagonal")
             for j in range(i + 1, dim):
-                if rows[i][j] != -rows[j][i]:
+                if not (rows[i][j] + rows[j][i]).is_zero:
                     raise FormError("2-form matrix must be antisymmetric")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_upper", tuple(row[i + 1:] for i, row in enumerate(rows)))

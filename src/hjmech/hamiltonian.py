@@ -95,22 +95,25 @@ class LegendreMap:
 
     ``forward`` maps the velocity space onto phase space; ``inverse`` maps
     back and is None when some inversion stage was not affine, in which
-    case ``diagnostic`` says why.  ``hyperregular`` is True exactly when
-    the inverse was obtained by globally valid (affine) solves.
+    case ``diagnostic`` says why.
     """
 
-    __slots__ = ("system", "forward", "inverse", "hyperregular", "diagnostic")
+    __slots__ = ("system", "forward", "inverse", "diagnostic")
 
     def __init__(self, system, forward: CoordMap, inverse: Optional[CoordMap],
-                 hyperregular: bool, diagnostic: Optional[str] = None):
+                 diagnostic: Optional[str] = None):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "hyperregular", bool(hyperregular))
         object.__setattr__(self, "diagnostic", diagnostic)
 
     def __setattr__(self, name, value):
         raise AttributeError("LegendreMap is immutable")
+
+    @property
+    def hyperregular(self) -> bool:
+        """True exactly when every inversion stage was an affine solve."""
+        return self.inverse is not None
 
     @property
     def phase_space(self) -> PhaseSpace:
@@ -166,11 +169,11 @@ def legendre(sys: LagrangianSystem) -> LegendreMap:
                 "solving for order-%d jets is not affine; "
                 "symbolic inversion unavailable" % j
             )
-            return LegendreMap(sys, forward, None, False, diagnostic)
+            return LegendreMap(sys, forward, None, diagnostic)
         except LagrangianError as err:
             diagnostic = "order-%d solve failed: %s" % (j, err)
-            return LegendreMap(sys, forward, None, False, diagnostic)
-    return LegendreMap(sys, forward, CoordMap(phase, velocity, {**base, **solved}), True)
+            return LegendreMap(sys, forward, None, diagnostic)
+    return LegendreMap(sys, forward, CoordMap(phase, velocity, {**base, **solved}))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ the fallback is recorded in the report.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -39,11 +38,11 @@ import sympy as sp
 
 from .expr import (
     Coordinate,
-    DomainEvalError,
     Expression,
     jet,
     momentum,
     placeholder,
+    sample_values,
 )
 from .forms import CoordMap, OneFormField, exterior_derivative, differential
 from .hamiltonian import (
@@ -409,35 +408,11 @@ def _is_rational_form(sym) -> bool:
 
 def _sample(e: Expression, constant_values: Mapping[str, object],
             samples: int, seed: int, reduce=max) -> Optional[float]:
-    """Seeded ``reduce`` (max or min) of |e| over random bindings of its
-    unbound names, uniform in [-2, 2]; None if fewer than ``samples``
-    points avoid domain errors within 200 attempts per sample."""
-    rng = random.Random(seed)
-    names = sorted(e.free_names())
-    fixed = {}
-    to_sample = []
-    for name in names:
-        if name in constant_values:
-            fixed[name] = float(constant_values[name])
-        else:
-            to_sample.append(name)
-    best = None
-    got = 0
-    attempts = 0
-    while got < samples and attempts < 200 * samples:
-        attempts += 1
-        env = dict(fixed)
-        for name in to_sample:
-            env[name] = rng.uniform(-2.0, 2.0)
-        try:
-            value = abs(e.evaluate(env))
-        except DomainEvalError:
-            continue
-        best = value if best is None else reduce(best, value)
-        got += 1
-    if got < samples:
-        return None
-    return best
+    """Seeded ``reduce`` (max or min) of |e| over ``sample_values``'s
+    points, with the named constants fixed; None if fewer than
+    ``samples`` points avoid domain errors."""
+    values = [abs(v) for (v,) in sample_values((e,), samples, seed, constant_values)]
+    return reduce(values) if len(values) == samples else None
 
 
 def _build_report(raw_entries, constant_values: Mapping[str, object],
@@ -782,11 +757,9 @@ def _validate_inverse_rules(fam, functions, constant_values, samples, seed, tol)
                     "inverse rule for '%s' references %s outside phase space"
                     % (name, c.name)
                 )
-        recovered = rule.subs(rules)
-        target = Expression.constant(name)
-        if recovered == target:
+        diff = rule.subs(rules) - Expression.constant(name)
+        if diff.is_zero:
             continue
-        diff = recovered - target
         numeric = _sample(diff, constant_values, samples, seed)
         if numeric is None or numeric >= tol:
             raise HJError(

@@ -3,9 +3,11 @@ differentiation, substitution, pointwise evaluation, placeholders.
 """
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,11 @@ from hjmech import (
     probably_equal,
     substitute,
 )
+from hjmech import expr as E
+from hjmech.cli import main
 from hjmech.expr import placeholder_derivative
+
+from conftest import model_path
 
 SPACE = JetSpace(2, 1)  # coordinates q0_1, q0_2, q1_1, q1_2
 TABLE = SPACE.table(("a", "b"))
@@ -186,6 +192,14 @@ def test_equality_is_structural_up_to_cancellation():
     assert p("(q0_1^2 - 1)/(q0_1 - 1)") == p("q0_1 + 1")
     assert not (p("q0_1") == p("q1_1"))
     assert p("q0_1") != None  # noqa: E711 - must not blow up on None
+
+
+def test_radical_forms_compare_structurally_and_differ_by_zero():
+    # == compares canonical trees; (a - b).is_zero is the semantic test
+    a = p("1/(sqrt(q0_1) + 1)")
+    b = p("(sqrt(q0_1) - 1)/(q0_1 - 1)")
+    assert (a == b) == (hash(a) == hash(b))
+    assert (a - b).is_zero
 
 
 def test_free_names_and_coordinates():
@@ -365,3 +379,118 @@ def test_every_parsed_expression_prints_and_round_trips(text):
     except ExprError:
         assume(False)
     assert p(str(e)) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_texts(), grammar_texts())
+def test_equal_expressions_hash_equal_and_canonical_form_is_fixed(t1, t2):
+    try:
+        a, b = p(t1), p(t2)
+    except ExprError:
+        assume(False)
+    for x, y in ((a, b), (a, p(str(a))), (a, a * 1), (a + b, b + a)):
+        assert x != y or hash(x) == hash(y)
+    assert Expression(a.sym).sym == a.sym
+
+
+# Reference canonical form that sends every fraction, numeric
+# denominators included, through together/cancel.
+def _reference_normalize_atoms(sym):
+    if sym.is_Atom or isinstance(sym, (sp.Derivative, E.AppliedUndef)):
+        return sym
+    if sym.is_Function:
+        return sym.func(*[_reference_canon(a) for a in sym.args])
+    if sym.is_Pow:
+        base, exp = sym.args
+        if not exp.is_Integer:
+            return sp.Pow(_reference_canon(base), exp)
+        return sp.Pow(_reference_normalize_atoms(base), exp)
+    if sym.is_Add or sym.is_Mul:
+        return sym.func(*[_reference_normalize_atoms(a) for a in sym.args])
+    return sym
+
+
+def _reference_canon(sym):
+    sym = _reference_normalize_atoms(sp.sympify(sym))
+    num, den = sym.as_numer_denom()
+    if den == 1:
+        return sp.expand(num)
+    try:
+        c = sp.cancel(sp.together(sym))
+    except (sp.PolynomialError, AttributeError, NotImplementedError):
+        c = sym
+    num, den = c.as_numer_denom()
+    num = sp.expand(num)
+    if E._denominator_is_atomic(den):
+        return sp.expand(num / den)
+    return num / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_texts())
+def test_canonical_form_matches_the_together_cancel_reference(text):
+    try:
+        raw = E._Parser(E._tokenize(text), TABLE).parse()
+    except ExprError:
+        assume(False)
+    assert E._canon(raw) == _reference_canon(raw)
+
+
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+
+
+def test_javelin_derives_without_together_or_cancel(monkeypatch, capsys):
+    # javelin's denominators are numbers, so canonical forms only expand
+    class NoCancel:
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        def cancel(self, *args, **kwargs):
+            raise AssertionError("cancel on a numeric denominator")
+
+        together = cancel
+
+    monkeypatch.setattr(E, "sp", NoCancel())
+    for topic in ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield"):
+        code = main(["derive", model_path("javelin.hjm"), topic])
+        out = capsys.readouterr().out
+        with open(os.path.join(GOLDENS, "javelin_derive_%s.txt" % topic)) as fh:
+            assert code == 0 and out == fh.read(), topic
+
+
+def _reference_sample(e, constant_values, samples, seed, reduce=max):
+    # reference: the draws every recorded numeric_max rests on
+    import random
+
+    rng = random.Random(seed)
+    names = sorted(e.free_names())
+    fixed = {n: float(constant_values[n]) for n in names if n in constant_values}
+    to_sample = [n for n in names if n not in constant_values]
+    best, got, attempts = None, 0, 0
+    while got < samples and attempts < 200 * samples:
+        attempts += 1
+        env = dict(fixed)
+        for name in to_sample:
+            env[name] = rng.uniform(-2.0, 2.0)
+        try:
+            value = abs(e.evaluate(env))
+        except DomainEvalError:
+            continue
+        best = value if best is None else reduce(best, value)
+        got += 1
+    return best if got == samples else None
+
+
+@pytest.mark.parametrize("text, samples", [
+    ("a*sqrt(q0_1) + ln(q1_1) - b*q0_2", 40),
+    ("1/(q0_1 - a) + sqrt(q1_2 - 1.5)", 40),
+    ("sqrt(q0_1 - 1.99)*sqrt(q1_1 - 1.99)", 5),
+])
+def test_shared_sampler_keeps_the_old_draws(text, samples):
+    from hjmech.hj import _sample
+
+    e = p(text)
+    for reduce in (max, min):
+        for seed in (0, 42, 1001):
+            old = _reference_sample(e, {"a": 0.75}, samples, seed, reduce)
+            assert _sample(e, {"a": 0.75}, samples, seed, reduce) == old

@@ -462,8 +462,14 @@ def test_non_affine_legendre_model_simulates_only_its_lagrangian_field(
     ("(1 - 1)^(-1)", "division by zero (at position 0)"),
     ("ln(0)", "ln of a non-positive number (at position 0)"),
     ("q1_1^2 - ln(-9)", "ln of a non-positive number (at position 9)"),
+    ("q1_1^2 + sqrt(-1)*q0_1", "root of a negative number (at position 14)"),
+    ("q1_1^2 + (-4)^(1/2)", "root of a negative number (at position 9)"),
+    ("q1_1^2 - (-8)^(1/3)", "root of a negative number (at position 9)"),
+    ("q1_1^2 + sqrt(1-2)", "root of a negative number (at position 14)"),
+    ("q1_1^2 + (q0_1-q0_1-1)^(1/2)", "root of a negative number (at position 9)"),
 ], ids=["deep-nesting", "literal-zero", "cancelling-divisor", "zero-power",
-        "ln-zero", "ln-negative"])
+        "ln-zero", "ln-negative", "sqrt-negative", "half-power-negative",
+        "cube-root-negative", "sqrt-difference", "cancelling-radicand"])
 def test_parser_boundaries_are_usage_errors(capsys, tmp_path, lagrangian, message):
     path = tmp_path / "bad.hjm"
     path.write_text(NON_AFFINE_LEGENDRE.replace(
