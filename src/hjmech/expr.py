@@ -32,9 +32,19 @@ Conventions
   sum's text is both its sort key and its output.
   ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
   a radical of a sum, product or power prints its base in parentheses.
+* ``evaluate`` compiles an expression into straight-line Python the first
+  time it is called on it and caches the function on the instance.  The
+  compiled form keeps the summation and multiplication order of a
+  recursive walk over the tree (operands in ``default_sort_key`` order),
+  so its bits are the walk's bits, and it checks and raises where the
+  walk would.
+* The parser bounds the number of terms an expansion may produce
+  (``TERM_LIMIT``) before it expands anything.
 
 Expressions are immutable values; all operations are pure functions, so
-instances are safe to share between threads.
+instances are safe to share between threads.  The one write after
+construction, ``evaluate``'s cache, is an idempotent store of a pure
+function.
 """
 
 from __future__ import annotations
@@ -260,10 +270,11 @@ class Expression:
     linear algebra.
     """
 
-    __slots__ = ("_sym",)
+    __slots__ = ("_sym", "_fn")
 
     def __init__(self, sym):
         object.__setattr__(self, "_sym", _canon(sym))
+        object.__setattr__(self, "_fn", None)  # compiled by evaluate()
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -451,66 +462,6 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     return Expression(e.sym.xreplace(table))
 
 
-def _eval_num(sym, env, whole):
-    if sym.is_Rational:
-        return sym.p / sym.q
-    if sym.is_Float:
-        return float(sym)
-    if sym.is_Symbol:
-        try:
-            return env[sym.name]
-        except KeyError:
-            raise UnboundSymbolError("unbound symbol %r" % sym.name) from None
-    if sym.is_Add:
-        total = 0.0
-        for a in sorted(sym.args, key=sp.default_sort_key):
-            total += _eval_num(a, env, whole)
-        return total
-    if sym.is_Mul:
-        out = 1.0
-        for a in sorted(sym.args, key=sp.default_sort_key):
-            out *= _eval_num(a, env, whole)
-        return out
-    if sym.is_Pow:
-        base, exp = sym.args
-        b = _eval_num(base, env, whole)
-        if not exp.is_Rational:
-            raise ExprError("non-rational exponent in %s" % _subtext(sym))
-        if exp.is_Integer:
-            n = int(exp)
-            if b == 0.0 and n < 0:
-                raise DomainEvalError("division by zero", _subtext(sym))
-            try:
-                return b ** n
-            except OverflowError:
-                raise DomainEvalError("overflow", _subtext(sym)) from None
-        if b < 0.0:
-            raise DomainEvalError("fractional power of a negative value", _subtext(sym))
-        if b == 0.0 and exp < 0:
-            raise DomainEvalError("division by zero", _subtext(sym))
-        return b ** (exp.p / exp.q)
-    if isinstance(sym, (AppliedUndef, sp.Derivative)):
-        raise ExprError("placeholder %s cannot be evaluated numerically" % _subtext(sym))
-    if sym.func is sp.sin:
-        return math.sin(_eval_num(sym.args[0], env, whole))
-    if sym.func is sp.cos:
-        return math.cos(_eval_num(sym.args[0], env, whole))
-    if sym.func is sp.exp:
-        x = _eval_num(sym.args[0], env, whole)
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise DomainEvalError("overflow", _subtext(sym)) from None
-    if sym.func is sp.log:
-        x = _eval_num(sym.args[0], env, whole)
-        if x <= 0.0:
-            raise DomainEvalError("log of a non-positive value", _subtext(sym))
-        return math.log(x)
-    if sym is sp.E:
-        return math.e
-    raise ExprError("cannot evaluate %s" % _subtext(sym))
-
-
 def _subtext(sym):
     try:
         return _tree_text(sym)
@@ -518,17 +469,191 @@ def _subtext(sym):
         return sp.srepr(sym)
 
 
+# The checked steps of evaluation.  Compiled code calls them in the order
+# a recursive walk over the tree reaches its nodes; ``sym`` is the node,
+# named in the error.
+
+def _load(env, name):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundSymbolError("unbound symbol %r" % name) from None
+
+
+def _int_power(b, n, sym):
+    if b == 0.0 and n < 0:
+        raise DomainEvalError("division by zero", _subtext(sym))
+    try:
+        return b ** n
+    except OverflowError:
+        raise DomainEvalError("overflow", _subtext(sym)) from None
+
+
+def _root(b, p, q, sym):
+    if b < 0.0:
+        raise DomainEvalError("fractional power of a negative value", _subtext(sym))
+    if b == 0.0 and p < 0:
+        raise DomainEvalError("division by zero", _subtext(sym))
+    return b ** (p / q)
+
+
+def _exp(x, sym):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainEvalError("overflow", _subtext(sym)) from None
+
+
+def _log(x, sym):
+    if x <= 0.0:
+        raise DomainEvalError("log of a non-positive value", _subtext(sym))
+    return math.log(x)
+
+
+def _fail(template, sym):
+    raise ExprError(template % _subtext(sym))
+
+
+def _children(sym, sort_key):
+    """The sub-trees evaluating ``sym`` visits, in the order it visits them."""
+    if sym.is_Add or sym.is_Mul:
+        return sorted(sym.args, key=sort_key)
+    if sym.is_Pow or sym.func in (sp.sin, sp.cos, sp.exp, sp.log):
+        return sym.args[:1]
+    return ()
+
+
+_CHAIN = 32  # operands per statement of a long sum or product
+
+
+class _Compiler:
+    """Straight-line Python for one canonical tree.
+
+    Each distinct sub-tree becomes one statement, emitted the first time
+    a depth-first walk over ``_children`` reaches it, so every operation,
+    check and raise happens in the order a recursive walk does it, and a
+    repeated sub-tree is computed once.  The walks keep their own stacks
+    and sort keys are computed leaves first, each from its children's
+    cached keys, so no depth of nesting reaches the recursion limit; no
+    statement nests parentheses.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.values = {}  # sub-tree -> source of its value
+        self.namespace = {
+            "sin": math.sin, "cos": math.cos, "_load": _load, "_int_power": _int_power,
+            "_root": _root, "_exp": _exp, "_log": _log, "_fail": _fail,
+        }
+
+    def compile(self, sym):
+        keys = {}
+        stack = [(sym, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                keys[node] = sp.default_sort_key(node)
+            elif node not in keys:
+                stack.append((node, True))
+                stack.extend((a, False) for a in node.args)
+        stack = [(sym, None)]
+        while stack:
+            node, children = stack.pop()
+            if node in self.values:
+                continue
+            if children is None:
+                children = _children(node, keys.__getitem__)
+                stack.append((node, children))
+                stack.extend((c, None) for c in reversed(children))
+            else:
+                self.values[node] = self.emit(node, [self.values[c] for c in children])
+        body = "".join("    %s\n" % line for line in self.lines)
+        source = "def _evaluate(env):\n%s    return %s\n" % (body, self.values[sym])
+        exec(compile(source, "<hjmech.expr.evaluate>", "exec"), self.namespace)
+        return self.namespace["_evaluate"]
+
+    def ref(self, value):
+        """A global of the compiled function bound to ``value``."""
+        name = "g%d" % len(self.namespace)
+        self.namespace[name] = value
+        return name
+
+    def assign(self, source):
+        var = "t%d" % len(self.values)
+        self.lines.append("%s = %s" % (var, source))
+        return var
+
+    def chain(self, start, op, terms):
+        var = "t%d" % len(self.values)
+        for i in range(0, len(terms), _CHAIN):
+            self.lines.append("%s = %s" % (var, (" %s " % op).join(
+                [var if i else start] + terms[i:i + _CHAIN])))
+        return var
+
+    def fail(self, template, node):
+        self.lines.append("_fail(%r, %s)" % (template, self.ref(node)))
+        return "None"  # never reached
+
+    def emit(self, node, args):
+        if node.is_Rational:
+            try:
+                return "(%r)" % (node.p / node.q)
+            except OverflowError:  # raised where evaluation reaches it
+                return self.assign("%d / %d" % (node.p, node.q))
+        if node.is_Float:
+            return self.ref(float(node))
+        if node.is_Symbol:
+            return self.assign("_load(env, %r)" % node.name)
+        if node.is_Add:
+            return self.chain("0.0", "+", args)
+        if node.is_Mul:
+            return self.chain("1.0", "*", args)
+        if node.is_Pow:
+            exp = node.args[1]
+            if not exp.is_Rational:
+                return self.fail("non-rational exponent in %s", node)
+            if exp.is_Integer:
+                return self.assign("_int_power(%s, %d, %s)" % (args[0], exp.p, self.ref(node)))
+            return self.assign("_root(%s, %d, %d, %s)" % (args[0], exp.p, exp.q, self.ref(node)))
+        if isinstance(node, (AppliedUndef, sp.Derivative)):
+            return self.fail("placeholder %s cannot be evaluated numerically", node)
+        if node.func in (sp.sin, sp.cos):
+            return self.assign("%s(%s)" % (node.func.__name__, args[0]))
+        if node.func is sp.exp:
+            return self.assign("_exp(%s, %s)" % (args[0], self.ref(node)))
+        if node.func is sp.log:
+            return self.assign("_log(%s, %s)" % (args[0], self.ref(node)))
+        if node is sp.E:
+            return "(%r)" % math.e
+        return self.fail("cannot evaluate %s", node)
+
+
 def evaluate(e: Expression, bindings: Mapping) -> float:
     """Pointwise IEEE-double evaluation; same bindings give the same bits.
 
-    Raises UnboundSymbolError for a missing binding and DomainEvalError
-    (carrying the offending subexpression) for sqrt of a negative value,
-    division by zero, or log of a non-positive value.
+    The first call on an expression compiles its canonical tree into one
+    straight-line Python function and caches it on the instance; later
+    calls only run it.  The compiled form keeps the summation and
+    multiplication order of a recursive walk (each sum starts from 0.0
+    and each product from 1.0, operands in ``default_sort_key`` order),
+    so the bits do not depend on compilation.  The cache write is an
+    idempotent store of a pure function, so an expression stays safe to
+    share between threads.
+
+    Raises UnboundSymbolError for a missing binding (the first one the
+    walk reaches) and DomainEvalError (carrying the offending
+    subexpression) for a fractional power of a negative value, division
+    by zero, overflow in a power or ``exp``, or log of a non-positive
+    value.
     """
+    fn = e._fn
+    if fn is None:
+        fn = _Compiler().compile(e.sym)
+        object.__setattr__(e, "_fn", fn)
     env = {}
     for key, value in bindings.items():
-        env[_as_symbol(key).name] = float(value)
-    return _eval_num(e.sym, env, e)
+        env[key if isinstance(key, str) else _as_symbol(key).name] = float(value)
+    return fn(env)
 
 
 def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
@@ -593,11 +718,56 @@ def _tokenize(text):
     return tokens
 
 
+# The most terms canonicalizing one parsed expression may expand to.
+TERM_LIMIT = 1000
+_COUNT_CAP = TERM_LIMIT ** 2  # term counts stop growing past this
+
+
+def _term_count(sym, memo):
+    """Upper bound on the terms expanding ``sym`` gives, at most one past
+    _COUNT_CAP: counts add over a sum and multiply over a product, an
+    integer power n of an m-term base has C(m+n-1, n), anything else is
+    one term."""
+    count = memo.get(sym)
+    if count is not None:
+        return count
+    if sym.is_Add:
+        count = sum(_term_count(a, memo) for a in sym.args)
+    elif sym.is_Mul:
+        count = 1
+        for a in sym.args:
+            count *= _term_count(a, memo)
+            if count > _COUNT_CAP:
+                break
+    elif sym.is_Pow and sym.exp.is_Integer:
+        m, n = _term_count(sym.base, memo), abs(int(sym.exp))
+        a, b = max(n, m - 1), min(n, m - 1)
+        count = 1  # C(a+b, b), one factor at a time
+        for i in range(1, b + 1):
+            count = count * (a + i) // i
+            if count > _COUNT_CAP:
+                break
+    else:
+        count = 1
+    memo[sym] = count = min(count, _COUNT_CAP + 1)
+    return count
+
+
 class _Parser:
     def __init__(self, tokens, table: SymbolTable):
         self.tokens = tokens
         self.table = table
         self.i = 0
+        self.term_counts = {}
+
+    def bounded(self, sym, pos):
+        """``sym``, unless expanding it would pass TERM_LIMIT terms."""
+        count = _term_count(sym, self.term_counts)
+        if count > TERM_LIMIT:
+            shown = "more than %d" % _COUNT_CAP if count > _COUNT_CAP else "%d" % count
+            raise ExprSyntaxError("expanding this gives %s terms, over the limit of %d"
+                                  % (shown, TERM_LIMIT), pos)
+        return sym
 
     def peek(self):
         return self.tokens[self.i]
@@ -640,7 +810,7 @@ class _Parser:
                 rhs = self.factor()
                 if value == "/" and _canon(rhs) == 0:
                     raise ExprSyntaxError("division by zero", rhs_pos)
-                e = e * rhs if value == "*" else e / rhs
+                e = self.bounded(e * rhs if value == "*" else e / rhs, rhs_pos)
             else:
                 return e
 
@@ -663,7 +833,7 @@ class _Parser:
                 raise ExprSyntaxError("division by zero", base_pos)
             if not exp.is_Integer:
                 _require_real_root(base, base_pos)
-            return sp.Pow(base, exp)
+            return self.bounded(sp.Pow(base, exp), base_pos)
         return base
 
     def exponent(self):
@@ -749,9 +919,10 @@ def parse(text: str, table: SymbolTable) -> Expression:
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
     functions sqrt sin cos exp ln, parentheses, unary minus.  Division by
     a divisor whose canonical form is 0, ln of a number that is not
-    positive, sqrt or a fractional power of a negative number, and
-    nesting deeper than the interpreter's recursion limit raise
-    ExprSyntaxError.
+    positive, sqrt or a fractional power of a negative number, a power
+    or product whose expansion would pass TERM_LIMIT terms (counted by
+    ``_term_count`` before anything is expanded), and nesting deeper than
+    the interpreter's recursion limit raise ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)

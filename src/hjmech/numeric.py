@@ -2,6 +2,7 @@
 
 The integrator is classical RK4 with a uniform step; no adaptivity, so
 trajectories are bit-reproducible given the same field, state, and step.
+A field compiles to one lambdified function that returns every component.
 States follow the coordinate order of the field's space.  Trajectory
 comparison uses the unweighted max-abs distance over all coordinates.
 """
@@ -70,7 +71,9 @@ class Trajectory:
 
 
 def _compile_field(X: VectorField, constants: Mapping[str, float]):
-    """Compile a vector field into f(state) -> list of derivatives."""
+    """Compile a vector field into f(state) -> list of derivatives: one
+    lambdified function returns every component, each printed as it
+    would be on its own."""
     coords = X.space.coordinates
     coord_names = [c.name for c in coords]
     const_names = set()
@@ -92,13 +95,10 @@ def _compile_field(X: VectorField, constants: Mapping[str, float]):
         sp.Symbol(n) for n in sorted(const_names)
     ]
     const_values = [float(constants[n]) for n in sorted(const_names)]
-    fns = [
-        sp.lambdify(args, comp.sym, modules=["math"]) for comp in X.components
-    ]
+    fn = sp.lambdify(args, [comp.sym for comp in X.components], modules=["math"])
 
     def f(state: Sequence[float]) -> List[float]:
-        full = list(state) + const_values
-        return [fn(*full) for fn in fns]
+        return fn(*state, *const_values)
 
     return f
 
@@ -146,18 +146,19 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
         return out
 
     z = [float(v) for v in z0]
-    rows = [list(z)]
+    rows = [z]
+    half, sixth = h / 2, h / 6
     for m in range(steps):
         t = t0 + m * h
         k1 = rhs(t, z)
-        k2 = rhs(t + h / 2, [zi + h / 2 * ki for zi, ki in zip(z, k1)])
-        k3 = rhs(t + h / 2, [zi + h / 2 * ki for zi, ki in zip(z, k2)])
+        k2 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k1)])
+        k3 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k2)])
         k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
         z = [
-            zi + h / 6 * (a + 2 * b + 2 * c + d)
+            zi + sixth * (a + 2 * b + 2 * c + d)
             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
         ]
-        rows.append(list(z))
+        rows.append(z)
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(
         times, np.array(rows, dtype=float),

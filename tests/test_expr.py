@@ -4,6 +4,7 @@ differentiation, substitution, pointwise evaluation, placeholders.
 
 import math
 import os
+import struct
 from fractions import Fraction
 
 import pytest
@@ -494,3 +495,197 @@ def test_shared_sampler_keeps_the_old_draws(text, samples):
         for seed in (0, 42, 1001):
             old = _reference_sample(e, {"a": 0.75}, samples, seed, reduce)
             assert _sample(e, {"a": 0.75}, samples, seed, reduce) == old
+
+
+# -- the compiled evaluator against the recursive walker --------------------
+
+
+# Reference: the recursive walker ``evaluate`` compiles away.  It re-sorts
+# every node's arguments on every call.
+def _reference_eval_num(sym, env, whole):
+    if sym.is_Rational:
+        return sym.p / sym.q
+    if sym.is_Float:
+        return float(sym)
+    if sym.is_Symbol:
+        try:
+            return env[sym.name]
+        except KeyError:
+            raise UnboundSymbolError("unbound symbol %r" % sym.name) from None
+    if sym.is_Add:
+        total = 0.0
+        for a in sorted(sym.args, key=sp.default_sort_key):
+            total += _reference_eval_num(a, env, whole)
+        return total
+    if sym.is_Mul:
+        out = 1.0
+        for a in sorted(sym.args, key=sp.default_sort_key):
+            out *= _reference_eval_num(a, env, whole)
+        return out
+    if sym.is_Pow:
+        base, exp = sym.args
+        b = _reference_eval_num(base, env, whole)
+        if not exp.is_Rational:
+            raise ExprError("non-rational exponent in %s" % E._subtext(sym))
+        if exp.is_Integer:
+            n = int(exp)
+            if b == 0.0 and n < 0:
+                raise DomainEvalError("division by zero", E._subtext(sym))
+            try:
+                return b ** n
+            except OverflowError:
+                raise DomainEvalError("overflow", E._subtext(sym)) from None
+        if b < 0.0:
+            raise DomainEvalError("fractional power of a negative value", E._subtext(sym))
+        if b == 0.0 and exp < 0:
+            raise DomainEvalError("division by zero", E._subtext(sym))
+        return b ** (exp.p / exp.q)
+    if isinstance(sym, (E.AppliedUndef, sp.Derivative)):
+        raise ExprError("placeholder %s cannot be evaluated numerically" % E._subtext(sym))
+    if sym.func is sp.sin:
+        return math.sin(_reference_eval_num(sym.args[0], env, whole))
+    if sym.func is sp.cos:
+        return math.cos(_reference_eval_num(sym.args[0], env, whole))
+    if sym.func is sp.exp:
+        x = _reference_eval_num(sym.args[0], env, whole)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise DomainEvalError("overflow", E._subtext(sym)) from None
+    if sym.func is sp.log:
+        x = _reference_eval_num(sym.args[0], env, whole)
+        if x <= 0.0:
+            raise DomainEvalError("log of a non-positive value", E._subtext(sym))
+        return math.log(x)
+    if sym is sp.E:
+        return math.e
+    raise ExprError("cannot evaluate %s" % E._subtext(sym))
+
+
+def _reference_evaluate(e, bindings):
+    env = {E._as_symbol(key).name: float(value) for key, value in bindings.items()}
+    return _reference_eval_num(e.sym, env, e)
+
+
+def _outcome(fn, *args):
+    """The float's bits (so -0.0 and NaN payloads count), or the class
+    and message of what it raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except Exception as err:  # noqa: BLE001 - any difference must show
+        return type(err), str(err)
+
+
+def _same_as_walker(e, bindings):
+    want = _outcome(_reference_evaluate, e, bindings)
+    assert _outcome(evaluate, e, bindings) == want
+    assert _outcome(evaluate, e, bindings) == want  # the cached function
+    return want
+
+
+# Values that reach every checked branch: zeros of both signs (division
+# by zero, ln of 0), negatives (fractional powers, ln), 710 (exp
+# overflows), 1e160 (an integer power overflows; a 3/2 power raises a
+# bare OverflowError; a product reaches inf, where sin raises); 1e16
+# absorbs 1.0, so a sum in another order gives other bits.
+BINDING_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 710.0, -710.0, 1e160, -1e160,
+                     1e16, -1e16)),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def bindings(draw):
+    """Every name bound, except now and then one left unbound."""
+    names = ("a", "b") + COORD_NAMES
+    missing = draw(st.sampled_from((None,) * 12 + names))
+    return {name: draw(BINDING_VALUES) for name in names if name != missing}
+
+
+# grammar texts under the operations that have a checked branch
+CHECKED = st.sampled_from(("ln(%s)", "sqrt(%s)", "exp(%s)", "1/(%s)", "(%s)^(-1/2)",
+                           "(%s)^3", "(%s)^(3/2)", "sin(%s)", "%s"))
+CHECKED_TEXTS = st.tuples(CHECKED, grammar_texts()).map(lambda t: t[0] % t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHECKED_TEXTS, bindings())
+def test_compiled_evaluate_keeps_the_walkers_bits(text, bindings):
+    try:
+        e = p(text)
+    except ExprError:
+        assume(False)
+    _same_as_walker(e, bindings)
+
+
+@pytest.mark.parametrize("text, bindings, error, message", [
+    ("1/q0_1", {"q0_1": -0.0}, DomainEvalError, "division by zero in 1/q0_1"),
+    ("q0_1^(-1/2)", {"q0_1": 0.0}, DomainEvalError, "division by zero in 1/sqrt(q0_1)"),
+    ("sqrt(q0_1)", {"q0_1": -1.0}, DomainEvalError,
+     "fractional power of a negative value in sqrt(q0_1)"),
+    ("q0_1^3", {"q0_1": 1e160}, DomainEvalError, "overflow in q0_1^3"),
+    ("exp(q0_1)", {"q0_1": 710.0}, DomainEvalError, "overflow in exp(q0_1)"),
+    ("ln(q0_1)", {"q0_1": 0.0}, DomainEvalError, "log of a non-positive value in ln(q0_1)"),
+    ("ln(q0_1)", {"q0_1": -1.0}, DomainEvalError, "log of a non-positive value in ln(q0_1)"),
+    ("a*q0_1 + b", {"q0_1": 1.0}, UnboundSymbolError, "unbound symbol 'b'"),
+    # not checked, raised by the float operation itself
+    ("q0_1^(3/2)", {"q0_1": 1e300}, OverflowError, None),
+    ("sin(q0_1*q1_1)", {"q0_1": 1e160, "q1_1": 1e160}, ValueError, None),
+], ids=["zero-power", "zero-root", "negative-root", "power-overflow", "exp-overflow",
+        "ln-zero", "ln-negative", "unbound", "bare-overflow", "sin-of-inf"])
+def test_compiled_evaluate_fails_like_the_walker(text, bindings, error, message):
+    kind, text = _same_as_walker(p(text), bindings)
+    assert kind is error and message in (None, text)
+
+
+def test_compiled_evaluate_reports_the_first_unbound_name_it_reaches():
+    # the walk visits the term b before a*q0_1, and a*q1_1 before
+    # sqrt(b - q0_1): neither text nor alphabetical order
+    assert _same_as_walker(p("a*q0_1 + b"), {}) == (UnboundSymbolError, "unbound symbol 'b'")
+    e = p("a*q1_1 + sqrt(b - q0_1)")
+    assert _same_as_walker(e, {}) == (UnboundSymbolError, "unbound symbol 'a'")
+    for bindings in ({"q1_1": 1.0}, {"a": 1.0, "q1_1": 1.0}, {"b": 1.0}):
+        _same_as_walker(e, bindings)
+    # keys may be names, coordinates or sympy symbols
+    env = {jet(0, 1): 0.25, sp.Symbol("q1_1"): 2.0, "a": 3.0, "b": 1.0}
+    assert evaluate(e, env) == _reference_evaluate(e, env)
+
+
+def test_compiled_evaluate_sums_in_sort_key_order():
+    # sympy stores b + q1_1 + sqrt(q0_1); the walk adds b + sqrt(q0_1)
+    # first, where 1e16 absorbs the 1.0
+    e = p("sqrt(q0_1) + q1_1 + b")
+    assert list(e.sym.args) != sorted(e.sym.args, key=sp.default_sort_key)
+    env = {"q0_1": 1.0, "q1_1": -1e16, "b": 1e16}
+    assert _same_as_walker(e, env) == struct.pack("<d", 0.0)
+
+
+def test_compiled_evaluate_computes_a_repeated_subtree_once():
+    e = p("sin(q0_1 + 1)*q1_1 + sin(q0_1 + 1) + cos(sin(q0_1 + 1))")
+    env = {"q0_1": 0.3, "q1_1": -1.5}
+    _same_as_walker(e, env)
+    calls = []
+    namespace = e._fn.__globals__
+
+    def counting_sin(x, _sin=namespace["sin"]):
+        calls.append(x)
+        return _sin(x)
+
+    namespace["sin"] = counting_sin
+    assert evaluate(e, env) == _reference_evaluate(e, env)
+    assert len(calls) == 1
+
+
+def test_compiled_evaluate_handles_deep_nesting():
+    # 150 nested radicals: a nested-expression translation passes the
+    # parser's 200-parenthesis limit and a recursive one the recursion
+    # limit (the walker's sort keys already did)
+    sym = sp.Symbol("q0_1")
+    for _ in range(150):
+        sym = sp.sqrt(1 + sym)
+    e = Expression(sym)
+    value = evaluate(e, {"q0_1": 1.0})
+    assert abs(value - (1 + math.sqrt(5)) / 2) < 1e-12
+    assert _outcome(evaluate, e, {"q0_1": -3.0}) == (
+        DomainEvalError, "fractional power of a negative value in sqrt(q0_1 + 1)")

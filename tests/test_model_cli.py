@@ -2,9 +2,13 @@
 subcommands, report layout, machine block, and exit codes.
 """
 
+import io
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
@@ -12,6 +16,7 @@ from hjmech.cli import main
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
 
 from conftest import fixture_path, model_path
+from test_expr import grammar_texts
 
 JAVELIN = '''
 # second-order free flight in three axes
@@ -467,16 +472,59 @@ def test_non_affine_legendre_model_simulates_only_its_lagrangian_field(
     ("q1_1^2 - (-8)^(1/3)", "root of a negative number (at position 9)"),
     ("q1_1^2 + sqrt(1-2)", "root of a negative number (at position 14)"),
     ("q1_1^2 + (q0_1-q0_1-1)^(1/2)", "root of a negative number (at position 9)"),
+    ("(q0_1+q1_1+c+1)^40", "expanding this gives 12341 terms, over the limit of "
+     "1000 (at position 0)"),
 ], ids=["deep-nesting", "literal-zero", "cancelling-divisor", "zero-power",
         "ln-zero", "ln-negative", "sqrt-negative", "half-power-negative",
-        "cube-root-negative", "sqrt-difference", "cancelling-radicand"])
+        "cube-root-negative", "sqrt-difference", "cancelling-radicand",
+        "term-budget"])
 def test_parser_boundaries_are_usage_errors(capsys, tmp_path, lagrangian, message):
     path = tmp_path / "bad.hjm"
-    path.write_text(NON_AFFINE_LEGENDRE.replace(
+    # the constant c takes the blank line, so L stays on line 8
+    path.write_text(NON_AFFINE_LEGENDRE.replace("n = 1\n\n", "n = 1\nconstant = c\n").replace(
         "1/4*q1_1^4 + 1/2*q1_1^2", lagrangian))
     code, out, err = run_cli(capsys, "derive", str(path), "energy")
     assert code == 2 and out == ""
     assert err.startswith("hjmech: error: line 8: ") and message in err
+
+
+def test_term_budget_counts_powers_and_products():
+    table = JetSpace(1, 1).table(("c",))
+    for text, position in (("(q0_1+q1_1+c+1)^(-40)", 0), ("((q0_1+q1_1+c+1)^10)^2", 0),
+                           ("q1_1*" + "*".join("(c+%d)" % i for i in range(11)), 65)):
+        with pytest.raises(ValueError) as exc:
+            parse(text, table)
+        assert "over the limit of 1000 (at position %d)" % position in str(exc.value)
+    # C(4+8-1, 8) = 165 terms is within the limit
+    assert len(parse("(q0_1+q1_1+c+1)^8", table).sym.args) == 165
+
+
+TOPICS = ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield")
+FUZZ_MODEL = '''[model]
+name = fuzz
+k = %d
+n = 2
+constant = a
+constant = b
+
+[lagrangian]
+L = "%s"
+'''
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, 2)), st.booleans(), grammar_texts())
+def test_derive_exits_with_a_documented_code(tmp_path_factory, k, kinetic, text):
+    # with a kinetic term most Lagrangians are regular and every topic
+    # derives; without one most are degenerate (exit 3)
+    if kinetic:
+        text = "1/2*q%d_1^2 + 1/2*q%d_2^2 + %s" % (k, k, text)
+    path = tmp_path_factory.getbasetemp() / "fuzz.hjm"
+    path.write_text(FUZZ_MODEL % (k, text))
+    for topic in TOPICS:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["derive", str(path), topic])
+        assert code in (0, 1, 2, 3), (topic, text)
 
 
 @pytest.mark.parametrize("what, line", [

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from hjmech import (
     Expression,
@@ -109,6 +110,82 @@ def test_blowup_is_reported_not_propagated():
     with pytest.raises(NumericError) as exc:
         integrate(X, [2.0, 2.0], 0.0, 10.0, 0.01)
     assert exc.value.time is not None
+
+
+# Reference: the integrator as it was with one lambdified function per
+# component, each called with the state followed by the constants' values.
+def _reference_integrate(X, z0, t0, t1, h, constants=None):
+    coord_names = [c.name for c in X.space.coordinates]
+    const_names = sorted({n for comp in X.components for n in comp.free_names()}
+                         - set(coord_names))
+    args = [sp.Symbol(n) for n in coord_names + const_names]
+    const_values = [float((constants or {})[n]) for n in const_names]
+    fns = [sp.lambdify(args, comp.sym, modules=["math"]) for comp in X.components]
+
+    def rhs(t, z):
+        full = list(z) + const_values
+        try:
+            out = [fn(*full) for fn in fns]
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise NumericError(
+                "field evaluation failed at t = %.6g, state = %s: %s"
+                % (t, tuple(z), err), time=t, state=tuple(z))
+        for v in out:
+            if isinstance(v, complex) or not math.isfinite(v):
+                raise NumericError(
+                    "field evaluation left the real domain at t = %.6g, "
+                    "state = %s" % (t, tuple(z)), time=t, state=tuple(z))
+        return out
+
+    z = [float(v) for v in z0]
+    rows = [list(z)]
+    for m in range(int(round((t1 - t0) / h))):
+        t = t0 + m * h
+        k1 = rhs(t, z)
+        k2 = rhs(t + h / 2, [zi + h / 2 * ki for zi, ki in zip(z, k1)])
+        k3 = rhs(t + h / 2, [zi + h / 2 * ki for zi, ki in zip(z, k2)])
+        k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
+        z = [zi + h / 6 * (a + 2 * b + 2 * c + d)
+             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+        rows.append(list(z))
+    return np.array(rows, dtype=float)
+
+
+def _integrate_both(*args, **kwargs):
+    """The states integrate() gives and the reference's, as bytes, or the
+    message, time and state of the NumericError each raised."""
+    def states(*args, **kwargs):
+        return integrate(*args, **kwargs).states
+
+    outcomes = []
+    for run in (states, _reference_integrate):
+        try:
+            result = run(*args, **kwargs)
+            outcomes.append((result.tobytes(), result.shape))
+        except NumericError as err:
+            outcomes.append((str(err), err.time, err.state))
+    return outcomes
+
+
+def test_one_compiled_field_keeps_the_bits(flight_ham):
+    _, hs = flight_ham  # the javelin Hamiltonian
+    launch = [0.25, -0.5, 1, 0.75, -1, 0.5, 0.3, -0.2, 0.1, 0.05, 0.4, -0.6]
+    new, old = _integrate_both(hs.field(), launch, 0.0, 1.0, 1e-3)
+    assert new == old
+    beam = make_beam()
+    new, old = _integrate_both(
+        beam.euler_lagrange_field(), [0.1, -0.2, 0.3, 0.4], 0.0, 1.0, 1e-3,
+        constants=beam.constant_values())
+    assert new == old
+
+
+@pytest.mark.parametrize("components, z0, t1", [
+    (("q1_1", "sqrt(q0_1)"), [1.0, -3.0], 2.0),
+    (("q1_1", "q0_1^3"), [2.0, 2.0], 10.0),
+], ids=["domain-failure", "blowup"])
+def test_one_compiled_field_fails_where_the_reference_does(components, z0, t1):
+    new, old = _integrate_both(fld(T1, *components), z0, 0.0, t1, 0.01)
+    assert new == old and isinstance(new[1], float)
 
 
 # -- Trajectory ---------------------------------------------------------------
