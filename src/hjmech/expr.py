@@ -12,17 +12,31 @@ Conventions
   then by ``(i, A)``.
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
-* Canonical form: an expression whose denominator is a rational number is
-  expanded and nothing more.  Any other fraction is reduced to a normal
-  form p/q with ``together``/``cancel`` (expanded numerator, no common
-  factors); when the denominator is a product of atomic factors the
-  fraction is distributed over the numerator's terms.  Function
-  applications and fractional powers are opaque atoms — no radical or trig
-  identities are applied beyond ``x^(1/2) == sqrt(x)``.
-* ``==`` and ``hash`` compare canonical trees and nothing else, so two
-  forms of one radical expression (``1/(sqrt(x) + 1)`` and
-  ``(sqrt(x) - 1)/(x - 1)``) are unequal; ``(a - b).is_zero`` is the
-  semantic test.
+* Representation: a polynomial over QQ in the coordinates and named
+  constants is *ring-backed*, an element of a ``sympy.polys.rings`` ring
+  over QQ with its symbols, sorted by name, as generators.  ``+ - *``,
+  integer ``^``, ``diff``, ``substitute`` with polynomial right-hand
+  sides, ``==``, ``hash`` and the free-name queries stay in the ring, and
+  elements over different generators meet in the ring of their union.
+  Every polynomial is ring-backed, whatever built it (a ``cancel`` that
+  reduces to one, or ``Expression(sym)`` on a raw polynomial tree too), so
+  ``==`` and ``hash`` agree.  Everything else (radicals, ``sin cos exp
+  ln``, symbolic denominators, placeholders) is its canonical sympy tree.
+* A ring-backed expression builds its tree (``.sym``) on first use, for
+  printing, ``evaluate``, ``lambdify`` and solves over non-polynomials.
+  It is the tree ``sp.expand`` gives, so printing and evaluation see the
+  tree the expand-based canonical form had.
+* Canonical form of a tree: an expression whose denominator is a
+  rational number is expanded and nothing more.  Any other fraction is
+  reduced to a normal form p/q with ``together``/``cancel`` (expanded
+  numerator, no common factors); when the denominator is a product of
+  atomic factors the fraction is distributed over the numerator's terms.
+  Function applications and fractional powers are opaque atoms — no
+  radical or trig identities are applied beyond ``x^(1/2) == sqrt(x)``.
+* ``==`` and ``hash`` compare canonical forms (ring elements, or trees)
+  and nothing else, so two forms of one radical expression
+  (``1/(sqrt(x) + 1)`` and ``(sqrt(x) - 1)/(x - 1)``) are unequal;
+  ``(a - b).is_zero`` is the semantic test.
 * Printing is deterministic: terms are emitted in a fixed total order
   (coordinate content first — jets before momenta, then by (order, axis),
   exponents descending — named constants as tiebreak, pure-constant terms
@@ -39,25 +53,28 @@ Conventions
   so its bits are the walk's bits, and it checks and raises where the
   walk would.
 * The parser bounds the number of terms an expansion may produce
-  (``TERM_LIMIT``) before it expands anything.
+  (``TERM_LIMIT``) before it expands or multiplies anything.
 
 Expressions are immutable values; all operations are pure functions, so
-instances are safe to share between threads.  The one write after
-construction, ``evaluate``'s cache, is an idempotent store of a pure
-function.
+instances are safe to share between threads.  The writes after
+construction (the tree, the hash and ``evaluate``'s function) are
+idempotent stores of pure functions of the value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
+from sympy import QQ
 from sympy.core.function import AppliedUndef
+from sympy.polys.rings import PolyRing
 
 __all__ = [
     "Coordinate",
@@ -71,6 +88,8 @@ __all__ = [
     "DomainEvalError",
     "parse",
     "diff",
+    "derivation",
+    "ring_elements",
     "substitute",
     "evaluate",
     "probably_equal",
@@ -243,6 +262,8 @@ def _normalize_atoms(sym):
 
 
 def _canon(sym):
+    if isinstance(sym, Expression):
+        return sym.sym
     sym = _normalize_atoms(sp.sympify(sym))
     if not sym.as_numer_denom()[1].is_Rational:
         try:
@@ -256,28 +277,127 @@ def _canon(sym):
 
 
 # ---------------------------------------------------------------------------
-# Expression
+# Polynomial rings
 # ---------------------------------------------------------------------------
 
-NumberLike = Union[int, Fraction, "Expression"]
+_RINGS = {}  # generators sorted by name -> PolyRing over QQ
+_INDEX = {}  # ring -> {generator: its position}
+_UNIONS = {}  # (ring, ring) -> the ring of the union of their generators
+
+
+def _ring(symbols) -> PolyRing:
+    """The one ring over QQ whose generators are ``symbols``, sorted by name."""
+    gens = tuple(sorted(set(symbols), key=lambda s: s.name))
+    if gens not in _RINGS:  # index first: a published ring is always indexed
+        R = PolyRing(gens, QQ)
+        _INDEX[R] = {s: i for i, s in enumerate(gens)}
+        _RINGS[gens] = R
+    return _RINGS[gens]
+
+
+def _into(P, R):
+    """P as an element of R, whose generators include P's."""
+    if P.ring is R:
+        return P
+    pos = [_INDEX[R][s] for s in P.ring.symbols]
+    out = R.zero
+    for monom, coeff in P.items():
+        m = [0] * R.ngens
+        for i, e in zip(pos, monom):
+            m[i] = e
+        out[tuple(m)] = coeff
+    return out
+
+
+def _unify(*polys):
+    """The elements over the ring of the union of their generators."""
+    R = polys[0].ring
+    for P in polys[1:]:
+        if P.ring is not R:
+            key = (R, P.ring)
+            if key not in _UNIONS:
+                _UNIONS[key] = _ring(R.symbols + P.ring.symbols)
+            R = _UNIONS[key]
+    return [_into(P, R) for P in polys]
+
+
+def _poly_of(sym):
+    """The ring element of a sympy tree that is a polynomial over QQ in its
+    symbols (expanded or not), or None."""
+    symbols, stack = set(), [sym]
+    while stack:
+        node = stack.pop()
+        if node.is_Symbol:
+            symbols.add(node)
+        elif node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer and node.exp.is_positive:
+            stack.append(node.base)
+        elif not node.is_Rational:
+            return None
+    return _ring(symbols).from_expr(sym)
+
+
+def ring_elements(exprs):
+    """The ring elements of ``exprs`` over the ring of the union of their
+    generators, or None unless there are some and all are polynomials."""
+    polys = [e._poly for e in exprs]
+    if not polys or any(P is None for P in polys):
+        return None
+    return _unify(*polys)
+
+
+def _pdiff(P, x):
+    i = _INDEX[P.ring].get(x)
+    return P.ring.zero if i is None else P.diff(i)
+
+
+# ---------------------------------------------------------------------------
+# Expression
+# ---------------------------------------------------------------------------
 
 
 class Expression:
     """An immutable expression in canonical form.
 
-    Wraps a canonicalized sympy tree; the wrapper is the public contract,
-    the backing object is reachable as ``.sym`` for the package's internal
-    linear algebra.
+    A polynomial is held as a ring element (``_poly``) and its sympy tree
+    is built on first use; anything else is held as its canonical sympy
+    tree (``_poly`` is None).  The wrapper is the public contract; the
+    tree is reachable as ``.sym`` for the package's internal linear
+    algebra.
     """
 
-    __slots__ = ("_sym", "_fn")
+    __slots__ = ("_poly", "_sym", "_hash", "_fn")
 
     def __init__(self, sym):
-        object.__setattr__(self, "_sym", _canon(sym))
+        sym = sp.sympify(sym)
+        poly = _poly_of(sym)
+        if poly is None:
+            sym = _canon(sym)
+            poly = _poly_of(sym)  # a fraction or radical that reduced to a polynomial
+        self._set(poly, None if poly is not None else sym)
+
+    def _set(self, poly, sym):
+        object.__setattr__(self, "_poly", poly)
+        object.__setattr__(self, "_sym", sym)  # for a polynomial, None until .sym
+        object.__setattr__(self, "_hash", None)  # filled by hash()
         object.__setattr__(self, "_fn", None)  # compiled by evaluate()
+        return self
+
+    @classmethod
+    def from_poly(cls, poly) -> "Expression":
+        """The expression of an element of one of this module's rings (as
+        ``ring_elements`` returns them)."""
+        return object.__new__(cls)._set(poly, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
+
+    def __reduce__(self):
+        return Expression, (self.sym,)
+
+    def _sympy_(self):  # sympy functions take an Expression as its tree
+        return self.sym
 
     # -- constructors ------------------------------------------------------
 
@@ -285,110 +405,146 @@ class Expression:
     def number(cls, value) -> "Expression":
         if isinstance(value, float):
             raise ExprError("floats are not exact; use int/Fraction or evaluate()")
-        return cls(sp.Rational(value))
+        value = sp.Rational(value)
+        return cls.from_poly(_ring(()).ground_new(QQ(int(value.p), int(value.q))))
 
     @classmethod
     def constant(cls, name: str) -> "Expression":
         Constant(name)
-        return cls(sp.Symbol(name))
+        return cls.from_poly(_ring((sp.Symbol(name),)).gens[0])
 
     @classmethod
     def coordinate(cls, c: Coordinate) -> "Expression":
-        return cls(c.symbol)
+        return cls.from_poly(_ring((c.symbol,)).gens[0])
 
     # -- introspection -----------------------------------------------------
 
     @property
     def sym(self):
+        """The canonical sympy tree; for a polynomial, the tree ``sp.expand``
+        gives, built from the ring element once."""
+        if self._sym is None:
+            object.__setattr__(self, "_sym", self._poly.as_expr())
         return self._sym
 
     @property
     def is_zero(self) -> bool:
-        return self._sym == 0
+        return self._poly is not None and not self._poly
+
+    @property
+    def is_sum(self) -> bool:
+        """Whether the canonical form has more than one term."""
+        return len(self._poly) > 1 if self._poly is not None else self._sym.is_Add
+
+    @property
+    def is_rational_function(self) -> bool:
+        """Whether there are no function atoms and no fractional powers."""
+        return self._poly is not None or not self._sym.atoms(sp.Function) and all(
+            p.exp.is_Integer for p in self._sym.atoms(sp.Pow))
 
     @property
     def has_placeholders(self) -> bool:
-        return bool(self._sym.atoms(AppliedUndef)) or bool(self._sym.atoms(sp.Derivative))
+        return self._poly is None and bool(
+            self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
+
+    def _free_symbols(self):
+        P = self._poly
+        if P is None:
+            return self._sym.free_symbols
+        return {s for s, d in zip(P.ring.symbols, P.degrees()) if d > 0}
 
     def free_names(self) -> set:
-        return {s.name for s in self._sym.free_symbols}
+        return {s.name for s in self._free_symbols()}
 
     def free_coordinates(self) -> set:
-        out = set()
-        for s in self._sym.free_symbols:
-            c = coordinate_of(s)
-            if c is not None:
-                out.add(c)
-        return out
+        return {c for c in map(coordinate_of, self._free_symbols()) if c is not None}
 
     def free_constants(self) -> set:
-        return {s.name for s in self._sym.free_symbols if coordinate_of(s) is None}
+        return {s.name for s in self._free_symbols() if coordinate_of(s) is None}
 
     # -- algebra -----------------------------------------------------------
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, Expression):
-            return other._sym
+            return other
         if isinstance(other, bool) or isinstance(other, float):
             raise TypeError("cannot mix %r into an exact expression" % other)
         if isinstance(other, (int, Fraction)):
-            return sp.Rational(other)
+            return Expression.number(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _apply(self, other, op, swap=False):
+        """``op`` in the ring when both sides are polynomials (and a
+        divisor is a nonzero number), else on the trees."""
         o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(self._sym + o)
+        if o is NotImplemented:
+            return NotImplemented
+        a, b = (o, self) if swap else (self, o)
+        P, Q = a._poly, b._poly
+        if P is not None and Q is not None and (op is not operator.truediv or Q.is_ground and Q):
+            return Expression.from_poly(op(*_unify(P, Q)))
+        return Expression(op(a.sym, b.sym))
+
+    def __add__(self, other):
+        return self._apply(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(self._sym - o)
+        return self._apply(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(o - self._sym)
+        return self._apply(other, operator.sub, swap=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(self._sym * o)
+        return self._apply(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(self._sym / o)
+        return self._apply(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else Expression(o / self._sym)
+        return self._apply(other, operator.truediv, swap=True)
 
     def __pow__(self, other):
         if isinstance(other, Expression):
-            other = other._sym
+            other = other.sym
             if not other.is_Rational:
                 raise ExprError("exponent must be rational")
         elif isinstance(other, (int, Fraction)):
             other = sp.Rational(other)
         else:
             return NotImplemented
-        return Expression(sp.Pow(self._sym, other))
+        P = self._poly
+        if P is not None and other.is_Integer and other >= 0:
+            return Expression.from_poly(P ** int(other) if other else P.ring.one)  # 0^0 = 1
+        return Expression(sp.Pow(self.sym, other))
 
     def __neg__(self):
+        if self._poly is not None:
+            return Expression.from_poly(-self._poly)
         return Expression(-self._sym)
 
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Expression(sp.Rational(other))
+            other = Expression.number(other)
         if not isinstance(other, Expression):
             return NotImplemented
-        return self._sym == other._sym
+        P, Q = self._poly, other._poly
+        if P is None or Q is None:
+            return P is Q and self._sym == other._sym
+        return operator.eq(*_unify(P, Q))
 
     def __hash__(self):
-        return hash(self._sym)
+        if self._hash is None:  # a polynomial's hash does not depend on its ring
+            P = self._poly
+            object.__setattr__(self, "_hash", hash(self._sym) if P is None else hash(frozenset(
+                (tuple((s, e) for s, e in zip(P.ring.symbols, m) if e), c) for m, c in P.items())))
+        return self._hash
 
     # -- operations --------------------------------------------------------
 
@@ -444,22 +600,58 @@ def _as_symbol(v) -> sp.Symbol:
 
 def diff(e: Expression, v) -> Expression:
     """Exact partial derivative; distinct coordinates are independent."""
-    return Expression(sp.diff(e.sym, _as_symbol(v)))
+    x = _as_symbol(v)
+    if e._poly is None:
+        return Expression(sp.diff(e.sym, x))
+    return Expression.from_poly(_pdiff(e._poly, x))
+
+
+def derivation(e: Expression, pairs) -> Expression:
+    """Σ c·∂e/∂u over the (u, c) pairs, u a coordinate and c an Expression.
+
+    In the ring when ``e`` and the ``c`` of its symbols are polynomials;
+    otherwise the sympy sum is built from the raw partials and
+    canonicalized once.
+    """
+    pairs = [(_as_symbol(u), c) for u, c in pairs]
+    P = e._poly
+    hits = [] if P is None else [(x, c) for x, c in pairs if x in _INDEX[P.ring]]
+    if P is not None and all(c._poly is not None for _, c in hits):
+        total = ZERO
+        for x, c in hits:
+            d = _pdiff(P, x)
+            if d:
+                total = total + c * Expression.from_poly(d)
+        return total
+    total = sp.S.Zero
+    for x, c in pairs:
+        total += c.sym * sp.diff(e.sym, x)
+    return Expression(total)
 
 
 def substitute(e: Expression, rules: Mapping) -> Expression:
-    """Simultaneous substitution; right-hand sides are not re-substituted."""
+    """Simultaneous substitution; right-hand sides are not re-substituted.
+
+    In the ring when ``e`` and the right-hand sides of its symbols are
+    polynomials."""
     table = {}
     for key, value in rules.items():
         sym = _as_symbol(key)
-        if isinstance(value, Expression):
-            rhs = value.sym
-        elif isinstance(value, float):
+        if isinstance(value, float):
             raise ExprError("floats are not exact; use evaluate() for numerics")
-        else:
-            rhs = sp.Rational(value) if isinstance(value, (int, Fraction)) else sp.sympify(value)
-        table[sym] = rhs
-    return Expression(e.sym.xreplace(table))
+        if isinstance(value, (int, Fraction)):
+            value = Expression.number(value)
+        table[sym] = value
+    P = e._poly
+    hits = [] if P is None else [(x, v) for x, v in table.items() if x in _INDEX[P.ring]]
+    if P is not None and all(isinstance(v, Expression) and v._poly is not None for _, v in hits):
+        if not hits:
+            return e
+        P, *values = _unify(P, *(v._poly for _, v in hits))
+        gens = [P.ring.gens[_INDEX[P.ring][x]] for x, _ in hits]
+        return Expression.from_poly(P.compose(list(zip(gens, values))))
+    return Expression(e.sym.xreplace({
+        x: v.sym if isinstance(v, Expression) else sp.sympify(v) for x, v in table.items()}))
 
 
 def _subtext(sym):
@@ -723,51 +915,56 @@ TERM_LIMIT = 1000
 _COUNT_CAP = TERM_LIMIT ** 2  # term counts stop growing past this
 
 
-def _term_count(sym, memo):
-    """Upper bound on the terms expanding ``sym`` gives, at most one past
-    _COUNT_CAP: counts add over a sum and multiply over a product, an
-    integer power n of an m-term base has C(m+n-1, n), anything else is
-    one term."""
-    count = memo.get(sym)
-    if count is not None:
-        return count
-    if sym.is_Add:
-        count = sum(_term_count(a, memo) for a in sym.args)
-    elif sym.is_Mul:
-        count = 1
-        for a in sym.args:
-            count *= _term_count(a, memo)
-            if count > _COUNT_CAP:
-                break
-    elif sym.is_Pow and sym.exp.is_Integer:
-        m, n = _term_count(sym.base, memo), abs(int(sym.exp))
-        a, b = max(n, m - 1), min(n, m - 1)
-        count = 1  # C(a+b, b), one factor at a time
-        for i in range(1, b + 1):
-            count = count * (a + i) // i
-            if count > _COUNT_CAP:
-                break
-    else:
-        count = 1
-    memo[sym] = count = min(count, _COUNT_CAP + 1)
-    return count
+def _power_count(m, n):
+    """C(m+n-1, n), the terms of an m-term sum to the power n, computed one
+    factor at a time and at most one past _COUNT_CAP."""
+    a, b = max(n, m - 1), min(n, m - 1)
+    count = 1
+    for i in range(1, b + 1):
+        count = count * (a + i) // i
+        if count > _COUNT_CAP:
+            break
+    return min(count, _COUNT_CAP + 1)
+
+
+def _raw(value):
+    """A parser value as a sympy tree."""
+    return value.sym if isinstance(value, Expression) else value
+
+
+def _combine(op, a, b):
+    """``op`` on two parser values: ring arithmetic while both are
+    polynomials (dividing only by a number), else the raw sympy tree."""
+    if isinstance(a, Expression) and isinstance(b, Expression) and (
+            op is not operator.truediv or b._poly.is_ground):
+        return op(a, b)
+    return op(_raw(a), _raw(b))
 
 
 class _Parser:
+    """Recursive descent; each rule returns (value, count).
+
+    A value is a ring-backed Expression while everything under it is a
+    polynomial, and a raw sympy tree once a function, a root, a negative
+    power or a division by a non-number enters it; ``parse`` canonicalizes
+    a tree once, at the end.  ``count`` bounds the terms expanding the
+    value gives: counts add over a sum (a polynomial sum counts its own
+    terms), multiply over a product or quotient, an m-term base to the
+    integer power ±n counts C(m+n-1, n), and anything else counts one.
+    """
+
     def __init__(self, tokens, table: SymbolTable):
         self.tokens = tokens
         self.table = table
         self.i = 0
-        self.term_counts = {}
 
-    def bounded(self, sym, pos):
-        """``sym``, unless expanding it would pass TERM_LIMIT terms."""
-        count = _term_count(sym, self.term_counts)
+    def bounded(self, count, pos):
+        """``count``, unless it passes TERM_LIMIT terms."""
         if count > TERM_LIMIT:
             shown = "more than %d" % _COUNT_CAP if count > _COUNT_CAP else "%d" % count
             raise ExprSyntaxError("expanding this gives %s terms, over the limit of %d"
                                   % (shown, TERM_LIMIT), pos)
-        return sym
+        return count
 
     def peek(self):
         return self.tokens[self.i]
@@ -783,48 +980,51 @@ class _Parser:
             raise ExprSyntaxError("expected %r" % op, pos)
 
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError("unexpected %r" % value, pos)
         return e
 
     def expr(self):
-        e = self.term()
+        e, count = self.term()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
-                rhs = self.term()
-                e = e + rhs if value == "+" else e - rhs
+                rhs, n = self.term()
+                e = _combine(operator.add if value == "+" else operator.sub, e, rhs)
+                count = len(e._poly) if isinstance(e, Expression) else min(
+                    count + n, _COUNT_CAP + 1)
             else:
-                return e
+                return e, count
 
     def term(self):
-        e = self.factor()
+        e, count = self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.next()
                 rhs_pos = self.peek()[2]
-                rhs = self.factor()
+                rhs, n = self.factor()
                 if value == "/" and _canon(rhs) == 0:
                     raise ExprSyntaxError("division by zero", rhs_pos)
-                e = self.bounded(e * rhs if value == "*" else e / rhs, rhs_pos)
+                count = self.bounded(min(count * n, _COUNT_CAP + 1), rhs_pos)
+                e = _combine(operator.mul if value == "*" else operator.truediv, e, rhs)
             else:
-                return e
+                return e, count
 
     def factor(self):
         kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             self.next()
-            inner = self.factor()
-            return inner if value == "+" else -inner
+            inner, count = self.factor()
+            return (inner if value == "+" else -inner), count
         return self.power()
 
     def power(self):
         base_pos = self.peek()[2]
-        base = self.atom()
+        base, count = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.next()
@@ -833,8 +1033,12 @@ class _Parser:
                 raise ExprSyntaxError("division by zero", base_pos)
             if not exp.is_Integer:
                 _require_real_root(base, base_pos)
-            return self.bounded(sp.Pow(base, exp), base_pos)
-        return base
+                return sp.Pow(_raw(base), exp), 1
+            count = self.bounded(_power_count(count, abs(int(exp))), base_pos)
+            if isinstance(base, Expression) and exp >= 0:
+                return base ** int(exp), count
+            return sp.Pow(_raw(base), exp), count
+        return base, count
 
     def exponent(self):
         sign = 1
@@ -849,7 +1053,7 @@ class _Parser:
             return sign * _number(value)
         if kind == "op" and value == "(":
             self.next()
-            inner = self.expr()
+            inner, _ = self.expr()
             self.expect_op(")")
             inner = _canon(inner)
             if not inner.is_Rational:
@@ -860,7 +1064,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return _number(value)
+            return Expression.number(_number(value)), 1
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -872,7 +1076,7 @@ class _Parser:
                     raise ExprSyntaxError("unknown function %r" % value, pos)
                 self.next()
                 arg_pos = self.peek()[2]
-                arg = self.expr()
+                arg, _ = self.expr()
                 self.expect_op(")")
                 if value == "sqrt":
                     _require_real_root(arg, arg_pos)
@@ -880,8 +1084,8 @@ class _Parser:
                     c = _canon(arg)
                     if c.is_number and not c.is_positive:
                         raise ExprSyntaxError("ln of a non-positive number", pos)
-                return _FUNCTIONS[value](arg)
-            return self.resolve(value, pos)
+                return _FUNCTIONS[value](_raw(arg)), 1
+            return self.resolve(value, pos), 1
         raise ExprSyntaxError("unexpected %r" % value, pos)
 
     def resolve(self, name, pos):
@@ -889,14 +1093,14 @@ class _Parser:
         if m:
             coord = Coordinate.from_name(name)
             if coord in self.table.coordinates:
-                return coord.symbol
+                return Expression.coordinate(coord)
             if coord.kind == "momentum" and not self.table.has_momenta:
                 raise UnknownSymbolError(
                     "momentum coordinate %r is not available in this jet-only context" % name
                 )
             raise UnknownSymbolError("coordinate %r is outside the declared universe" % name)
         if name in self.table.constants:
-            return sp.Symbol(name)
+            return Expression.constant(name)
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
@@ -917,17 +1121,19 @@ def parse(text: str, table: SymbolTable) -> Expression:
 
     Grammar: rational/decimal literals, named constants, coordinates
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
-    functions sqrt sin cos exp ln, parentheses, unary minus.  Division by
-    a divisor whose canonical form is 0, ln of a number that is not
+    functions sqrt sin cos exp ln, parentheses, unary minus.  Polynomial
+    parts are built in the ring as they are parsed.  Division by a
+    divisor whose canonical form is 0, ln of a number that is not
     positive, sqrt or a fractional power of a negative number, a power
     or product whose expansion would pass TERM_LIMIT terms (counted by
-    ``_term_count`` before anything is expanded), and nesting deeper than
+    the parser before anything is multiplied), and nesting deeper than
     the interpreter's recursion limit raise ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
     try:
-        return Expression(parser.parse())
+        value = parser.parse()
+        return value if isinstance(value, Expression) else Expression(value)
     except RecursionError:
         pos = tokens[min(parser.i, len(tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", pos) from None

@@ -33,7 +33,7 @@ def _as_expression(value) -> Expression:
 def _coefficient_text(comp: Expression) -> Tuple[str, str]:
     """Render a coefficient as (sign, body) for sign-aware joining."""
     text = str(comp)
-    if comp.sym.is_Add:
+    if comp.is_sum:
         return "+", "(" + text + ")"
     if text.startswith("-"):
         return "-", text[1:]

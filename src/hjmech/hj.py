@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-import sympy as sp
-
 from .expr import (
     Coordinate,
     Expression,
@@ -52,7 +50,9 @@ from .hamiltonian import (
     poisson,
 )
 from .jets import JetSpace, VectorField, project_field
-from .lagrangian import LagrangianError, LagrangianSystem, NonAffineError, solve_affine
+from .lagrangian import (
+    LagrangianError, LagrangianSystem, NonAffineError, determinant, solve_affine,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 40
@@ -397,15 +397,6 @@ def combine(reports: Sequence[ResidualReport]) -> ResidualReport:
     )
 
 
-def _is_rational_form(sym) -> bool:
-    if sym.atoms(sp.Function):
-        return False
-    for p in sym.atoms(sp.Pow):
-        if not p.exp.is_Integer:
-            return False
-    return True
-
-
 def _sample(e: Expression, constant_values: Mapping[str, object],
             samples: int, seed: int, reduce=max) -> Optional[float]:
     """Seeded ``reduce`` (max or min) of |e| over ``sample_values``'s
@@ -432,7 +423,7 @@ def _build_report(raw_entries, constant_values: Mapping[str, object],
             entries.append(ResidualEntry(tag, eq_id, residual, None, "symbolic"))
             continue
         numeric = _sample(residual, constant_values, samples, seed + idx)
-        if _is_rational_form(residual.sym):
+        if residual.is_rational_function:
             entries.append(ResidualEntry(tag, eq_id, residual, numeric, "nonzero"))
             continue
         if numeric is None:
@@ -791,10 +782,7 @@ def _family_jacobian_note(fam, constant_values, samples, seed, tol) -> str:
     """Sample |det ∂α/∂λ|; a vanishing determinant is a degenerate family."""
     params = fam.parameters
     comps = [e for _, e in sorted(fam.solution.components.items())]
-    matrix = sp.Matrix(
-        [[comp.diff(p).sym for p in params] for comp in comps]
-    )
-    det = Expression(matrix.det())
+    det = determinant([[comp.diff(p) for p in params] for comp in comps])
     if det.is_zero:
         raise DegenerateFamilyError(
             "the family's Jacobian in the parameters is identically zero"
@@ -835,7 +823,7 @@ def classify(report: ResidualReport, tol: Optional[float] = None) -> str:
             raise HJError(
                 "cannot classify a symbolic candidate (placeholder components)"
             )
-        if entry.numeric_max is not None and not _is_rational_form(entry.residual.sym):
+        if entry.numeric_max is not None and not entry.residual.is_rational_function:
             return entry.numeric_max < tol
         return False
 

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .expr import (
     Coordinate,
     Expression,
     SymbolTable,
+    derivation,
     jet,
 )
 
@@ -136,10 +136,7 @@ class VectorField:
 
     def apply(self, e: Expression) -> Expression:
         """Directional derivative X(e) = sum X^u de/du."""
-        total = sp.S.Zero
-        for coord, comp in zip(self.space.coordinates, self.components):
-            total += comp.sym * sp.diff(e.sym, coord.symbol)
-        return Expression(total)
+        return derivation(e, zip(self.space.coordinates, self.components))
 
     def subs(self, rules) -> "VectorField":
         return VectorField(self.space, tuple(c.subs(rules) for c in self.components))
@@ -159,7 +156,7 @@ class VectorField:
         parts = []
         for coord, comp in zip(self.space.coordinates, self.components):
             text = str(comp)
-            if comp.sym.is_Add or text.startswith("-"):
+            if comp.is_sum or text.startswith("-"):
                 text = "(" + text + ")"
             parts.append("%s ∂%s" % (text, coord.name))
         return " + ".join(parts)
@@ -287,10 +284,8 @@ def total_derivative(e: Expression, m: int) -> Expression:
             raise JetError(
                 "%s exceeds the stated jet order %d" % (c.name, m)
             )
-    total = sp.S.Zero
-    for c in sorted(e.free_coordinates()):
-        total += jet(c.order + 1, c.axis).symbol * sp.diff(e.sym, c.symbol)
-    return Expression(total)
+    return derivation(e, [(c, Expression.coordinate(jet(c.order + 1, c.axis)))
+                          for c in sorted(e.free_coordinates())])
 
 
 def prolong(c: Curve, k: int, scheme: Optional[Callable] = None) -> Curve:

@@ -28,7 +28,7 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .expr import Constant, Coordinate, Expression, ZERO, jet
+from .expr import Constant, Coordinate, Expression, ZERO, jet, ring_elements
 from .forms import OneFormField, TwoFormField, exterior_derivative
 from .jets import Curve, JetSpace, VectorField, prolong, total_derivative
 
@@ -41,28 +41,55 @@ class LagrangianError(ValueError):
 # exact linear algebra
 
 
+def _ring_matrix(rows):
+    """``rows`` as a DomainMatrix over the polynomial ring of their
+    entries, or None unless every entry is a polynomial."""
+    polys = ring_elements([e for row in rows for e in row])
+    if polys is None:
+        return None
+    m = len(rows[0])
+    return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
+                        (len(rows), m), polys[0].ring.to_domain())
+
+
 def solve_linear_exact(matrix: Sequence[Sequence[Expression]], rhs: Sequence[Expression]) -> Tuple[Expression, ...]:
     """Solve M x = rhs exactly.
 
-    The augmented matrix [M | rhs] is converted to one DomainMatrix
-    domain (a polynomial ring or fraction field over QQ for rational
-    entries, EX for radicals) and solved fraction-free; each x_i is the
-    canonical form of its numerator over the common denominator.  A nonsingular system has one
-    solution, so the result does not depend on the elimination order.
-    Raises LagrangianError when the matrix is singular.
+    The augmented matrix [M | rhs] is built over the polynomial ring of
+    its entries when all are polynomials, and otherwise converted from
+    their trees to the domain sympy picks (a fraction field over QQ for
+    rational functions, EX for radicals); it is solved fraction-free, and
+    each x_i is the canonical form of its numerator over the common
+    denominator.  A nonsingular system has one solution, so the result
+    does not depend on the elimination order.  Raises LagrangianError
+    when the matrix is singular.
     """
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise LagrangianError("solve_linear_exact needs a square system")
-    aug = DomainMatrix.from_list_sympy(
-        n, n + 1, [[e.sym for e in row] + [r.sym] for row, r in zip(matrix, rhs)]
-    )
+    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    aug = _ring_matrix(rows)
+    in_ring = aug is not None
+    if not in_ring:
+        aug = DomainMatrix.from_list_sympy(n, n + 1, [[e.sym for e in row] for row in rows])
     try:
         num, den = aug[:, :n].solve_den(aug[:, n:])
     except DMNonInvertibleMatrixError:
         raise LagrangianError("singular coefficient matrix in exact solve")
+    if in_ring:
+        den = Expression.from_poly(den)
+        return tuple(Expression.from_poly(x) / den for x in num.to_list_flat())
     den = num.domain.to_sympy(den)
     return tuple(Expression(x / den) for x in num.to_Matrix())
+
+
+def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
+    """The exact determinant of a square matrix, in the ring when every
+    entry is a polynomial."""
+    dm = _ring_matrix(rows)
+    if dm is None:
+        return Expression(sp.Matrix([[e.sym for e in row] for row in rows]).det())
+    return Expression.from_poly(dm.det())
 
 
 class NonAffineError(LagrangianError):
@@ -257,7 +284,7 @@ class LagrangianSystem(System):
             for B in range(1, n + 1):
                 row.append(dA.diff(jet(k, B)))
             rows.append(tuple(row))
-        det = Expression(sp.Matrix([[e.sym for e in row] for row in rows]).det())
+        det = determinant(rows)
         assumptions = tuple(sorted(det.free_constants()))
         return HessianResult(
             matrix=tuple(rows),

@@ -64,10 +64,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Rows "t,state…" with 17-significant-digit floats."""
-        lines = []
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join("%.17g" % v for v in [t, *row]))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.17g"] * (1 + self.states.shape[1]))
+        rows = np.column_stack((self.times, self.states)).tolist()
+        return "\n".join([row % tuple(values) for values in rows]) + "\n"
 
 
 def _compile_field(X: VectorField, constants: Mapping[str, float]):

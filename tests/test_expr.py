@@ -4,6 +4,7 @@ differentiation, substitution, pointwise evaluation, placeholders.
 
 import math
 import os
+import pickle
 import struct
 from fractions import Fraction
 
@@ -689,3 +690,155 @@ def test_compiled_evaluate_handles_deep_nesting():
     assert abs(value - (1 + math.sqrt(5)) / 2) < 1e-12
     assert _outcome(evaluate, e, {"q0_1": -3.0}) == (
         DomainEvalError, "fractional power of a negative value in sqrt(q0_1 + 1)")
+
+
+# -- ring-backed polynomials against the expand path -----------------------
+
+POLY_LEAVES = st.one_of(
+    st.integers(0, 12).map(lambda n: (str(n), sp.Integer(n))),
+    st.sampled_from((("0.5", sp.Rational(1, 2)), ("2.25", sp.Rational(9, 4)))),
+    st.sampled_from(("a", "b") + COORD_NAMES).map(lambda n: (n, sp.Symbol(n))),
+)
+
+
+@st.composite
+def polynomial_texts(draw, max_depth=3):
+    """A text of the polynomial part of the grammar, with the raw sympy
+    tree the tree-building parser made of it."""
+    depth = draw(st.integers(0, max_depth))
+    if depth == 0:
+        return draw(POLY_LEAVES)
+    inner = polynomial_texts(max_depth=depth - 1)
+    text, tree = draw(inner)
+    kind = draw(st.sampled_from(("binary", "divide", "power", "negate")))
+    if kind == "binary":
+        op = draw(st.sampled_from("+-*"))
+        text2, tree2 = draw(inner)
+        return ("(%s %s %s)" % (text, op, text2),
+                {"+": tree + tree2, "-": tree - tree2, "*": tree * tree2}[op])
+    if kind == "divide":
+        n = draw(st.integers(1, 7))
+        return "(%s / %d)" % (text, n), tree / n
+    if kind == "power":
+        n = draw(st.integers(0, 3))
+        return "(%s)^%d" % (text, n), sp.Pow(tree, n)
+    return "-" + text, -tree
+
+
+def _reference_expand(tree):
+    # the canonical form every polynomial had before it was ring-backed:
+    # _canon of a tree whose denominator is a number is sp.expand
+    return sp.expand(tree)
+
+
+def _same_tree(e, tree):
+    want = _reference_expand(tree)
+    assert e._poly is not None
+    assert sp.srepr(e.sym) == sp.srepr(want) and e.sym.args == want.args
+    assert hash(e.sym) == hash(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_texts(), polynomial_texts(), st.integers(0, 3),
+       st.sampled_from(COORD_NAMES + ("a",)))
+def test_ring_path_matches_the_expand_path(first, second, n, name):
+    (t1, s1), (t2, s2) = first, second
+    x = sp.Symbol(name)
+    a, b = p(t1), p(t2)
+    _same_tree(a, s1)
+    _same_tree(a + b, s1 + s2)
+    _same_tree(a - b, s1 - s2)
+    _same_tree(a * b, s1 * s2)
+    _same_tree(a ** n, sp.Pow(s1, n))
+    _same_tree(diff(a, name), sp.diff(s1, x))
+    _same_tree(substitute(a, {name: b}), s1.xreplace({x: s2}))
+    _same_tree(substitute(a, {name: 3}), s1.xreplace({x: sp.Integer(3)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_texts(), polynomial_texts())
+def test_equal_polynomials_hash_equal_whatever_ring_holds_them(first, second):
+    (t1, s1), (t2, s2) = first, second
+    a, b = p(t1), p(t2)
+    extra = Expression.coordinate(momentum(3, 4))  # a generator neither has
+    x = sp.Symbol("q0_1")
+    built = (
+        a,
+        (a + extra) - extra,  # ring to ring over a larger generator set
+        (a + b) - b,
+        a * 1,
+        -(-a),
+        Expression(s1),  # a raw polynomial tree
+        Expression(sp.expand(s1)),
+        Expression(sp.expand(s1 * (x + 1)) / (x + 1)),  # cancel reduces to it
+        Expression(sp.sqrt(x) ** 2 * s1 / x),
+        pickle.loads(pickle.dumps(a)),
+    )
+    for c in built:
+        assert c._poly is not None
+        assert c == a and hash(c) == hash(a)
+        assert sp.srepr(c.sym) == sp.srepr(a.sym)
+    assert (a == b) == (sp.expand(s1 - s2) == 0)
+    assert a != b or hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_texts())
+def test_pickle_round_trip_keeps_value_and_hash(text):
+    try:
+        e = p(text)
+    except ExprError:
+        assume(False)
+    for x in (e, e + Expression.constant("a")):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x)
+        assert (y._poly is None) == (x._poly is None)
+        assert sp.srepr(y.sym) == sp.srepr(x.sym)
+
+
+def test_pickle_round_trip_of_both_representations():
+    # the default restore of __slots__ state used to hit "Expression is immutable"
+    for text in ("q0_1+1", "sqrt(q0_1) + a/b", "0"):
+        e = p(text)
+        assert pickle.loads(pickle.dumps(e)) == e
+    f = placeholder("s2_1", [jet(0, 1)])
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert p("q0_1+1")._poly is not None and p("sqrt(q0_1)")._poly is None
+
+
+def test_polynomials_are_ring_backed_whatever_builds_them():
+    x = p("q0_1")
+    cases = [
+        p("(q0_1^2 - 1)/(q0_1 - 1)"),  # cancel reduces to a polynomial
+        p("sqrt(q0_1)^2"),
+        p("sqrt(4)*q0_1"),
+        Expression(sp.Symbol("q0_1") * 2) / 2,
+        (p("sqrt(q0_1)") + x) - p("sqrt(q0_1)"),
+        diff(p("sqrt(q0_2) + q0_1^2"), "q0_1") / 2,
+        substitute(p("q0_1/a"), {"a": 1}),
+    ]
+    for e in cases:
+        assert e._poly is not None, e
+    assert cases[0] == x + 1 and cases[1] == cases[2] / 2 == x and cases[3] == x
+    assert p("1/q0_1")._poly is None and p("q0_1/a")._poly is None
+
+
+def test_shape_queries_answer_without_a_tree():
+    e = p("q0_1*a + 1")
+    assert e.is_sum and not p("2*q0_1^2").is_sum and not p("-q0_1").is_sum
+    assert e.is_rational_function and p("1/(q0_1 + 1)").is_rational_function
+    assert not p("sqrt(q0_1)").is_rational_function and not p("sin(q0_1)").is_rational_function
+    assert e.free_names() == {"q0_1", "a"} and (e - 1 - p("a*q0_1")).free_names() == set()
+    assert e._sym is None  # nothing above built the tree
+    assert p("sqrt(q0_1) + q1_1").is_sum
+
+
+def test_term_budget_counts_polynomial_sums_by_their_terms():
+    table = JetSpace(1, 1).table(("c",))
+    # (c+0) is one term, so eleven factors reach 2^10 only at the last one
+    text = "q1_1*" + "*".join("(c+%d)" % i for i in range(11))
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text, table)
+    assert "expanding this gives 1024 terms" in str(exc.value)
+    # a polynomial sum counts the terms it has, not those written
+    assert len(parse("(q0_1 + (c+1)^2 - c^2 - 2*c)^30", table).sym.args) == 31

@@ -4,6 +4,10 @@ Euler-Lagrange expressions, the dynamics field, and curve residuals.
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from hjmech import (
     Constant,
@@ -17,7 +21,9 @@ from hjmech import (
     parse,
 )
 from hjmech.jets import central_differences, semispray_type
-from hjmech.lagrangian import NonAffineError, solve_affine, solve_linear_exact
+from hjmech.lagrangian import (
+    NonAffineError, determinant, solve_affine, solve_linear_exact,
+)
 
 from conftest import make_beam_symbolic, make_flight_1d
 
@@ -273,6 +279,39 @@ def test_solve_linear_exact_symbolic_coefficients(coeff):
     assert x == parse("(2*q1_1 - 3)/(2*%s - 1)" % coeff, T)
     assert y == parse("(3*%s - q1_1)/(2*%s - 1)" % (coeff, coeff), T)
     assert a * x + y == rhs[0] and x + two * y == rhs[1]
+
+
+def _reference_solve(matrix, rhs):
+    # the solve before polynomial entries skipped the sympy conversion
+    n = len(matrix)
+    aug = DomainMatrix.from_list_sympy(
+        n, n + 1, [[e.sym for e in row] + [r.sym] for row, r in zip(matrix, rhs)])
+    num, den = aug[:, :n].solve_den(aug[:, n:])
+    den = num.domain.to_sympy(den)
+    return tuple(Expression(x / den) for x in num.to_Matrix())
+
+
+POLY_ENTRIES = st.sampled_from(
+    ("0", "1", "-2", "1/3", "mu", "q0_1", "q1_1 - mu", "mu*q0_1^2 + 1", "q0_1*q1_1"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(POLY_ENTRIES, min_size=n + 1, max_size=n + 1),
+                       min_size=n, max_size=n)))
+def test_ring_solve_and_determinant_match_the_sympy_conversion(rows):
+    T = JetSpace(1, 1).table(("mu",))
+    aug = [[parse(text, T) for text in row] for row in rows]
+    matrix, rhs = [row[:-1] for row in aug], [row[-1] for row in aug]
+    det = determinant(matrix)
+    assert det == Expression(sp.Matrix([[e.sym for e in row] for row in matrix]).det())
+    if det.is_zero:
+        with pytest.raises(LagrangianError, match="^singular coefficient matrix"):
+            solve_linear_exact(matrix, rhs)
+        return
+    solution = solve_linear_exact(matrix, rhs)
+    assert solution == _reference_solve(matrix, rhs)
+    assert all(str(x) == str(y) for x, y in zip(solution, _reference_solve(matrix, rhs)))
 
 
 def test_solve_affine_in_coordinates_and_constants():

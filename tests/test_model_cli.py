@@ -620,3 +620,81 @@ def test_singular_lagrangian_field_is_exit_3(capsys, tmp_path):
     )
     assert code == 3
     assert "singular" in err
+
+
+# -- model-reader fuzz ---------------------------------------------------------
+
+FUZZ_VALUES = st.one_of(
+    grammar_texts(max_depth=2).map(lambda t: '"%s"' % t),
+    st.sampled_from(("?", '"?"', "", '"', '""', '"q0_1" "q0_2"', '"q0_1 # x"', "q0_1",
+                     "a", "b", "1/2", "-3", "0, 1", "0.5, x", "a, b", "a, zz", "x y",
+                     "a 1 nonzero", "b 1 2", "zz 1e3")),
+)
+FUZZ_LINES = st.one_of(
+    st.sampled_from(("[model]", "[lagrangian]", "[section]", "[bogus x]", "[section 9x]",
+                     "[Section c]", "", "# a comment", "=", "[", "key", "= value",
+                     "[model", '"quote"', "[state s] trailing")),
+    st.tuples(st.sampled_from(("name", "k", "n", "constant", "L", "s1_1", "a0_1", "w",
+                               "energy", "params", "inverse.a", "values", "zz", "s1_x")),
+              st.sampled_from((" = ", "=", " =\t")), FUZZ_VALUES).map("".join),
+)
+
+
+@st.composite
+def model_blocks(draw, k):
+    """A candidate or state block, complete more often than not."""
+    kind = draw(st.sampled_from(("section", "oneform", "genfunc", "family", "state")))
+    name = draw(st.sampled_from(("c", "d", "e", "f", "g", "")))
+    lines = ["[%s %s]" % (kind, name) if name else "[%s]" % kind]
+    value = FUZZ_VALUES if draw(st.booleans()) else st.sampled_from(
+        ('"0"', '"q0_1"', '"a*q0_2 + 1"', "?"))
+    if kind == "family":
+        lines.append("params = " + draw(st.sampled_from(("a", "a, b", "b", "zz", ""))))
+        if draw(st.booleans()):
+            lines.append('inverse.a = "p0_1"')
+    if kind in ("section", "oneform", "family"):
+        prefix = "s" if kind == "section" or (kind == "family" and draw(st.booleans())) else "a"
+        orders = range(k, 2 * k) if prefix == "s" else range(k)
+        lines += ["%s%d_%d = %s" % (prefix, j, axis, draw(value))
+                  for j in orders for axis in (1, 2)]
+    elif kind == "genfunc":
+        lines.append("w = " + draw(value))
+        if draw(st.booleans()):
+            lines.append("energy = " + draw(st.sampled_from(("a", "1/2", "-3", "q0_1"))))
+    else:
+        lines.append("values = " + ", ".join(
+            draw(st.lists(st.sampled_from(("0", "1.5", "-2", "1e3", "x")), min_size=1, max_size=4))))
+    if len(lines) > 1 and not draw(st.integers(0, 3)):
+        del lines[draw(st.integers(1, len(lines) - 1))]
+    return lines
+
+
+@st.composite
+def model_texts(draw):
+    """A mostly well-formed head and Lagrangian, candidate and state
+    blocks, and now and then a stray or malformed line anywhere."""
+    k = draw(st.sampled_from((1, 2)))
+    lines = ["[model]", "name = fuzz", "k = %d" % k, "n = 2"]
+    lines += draw(st.lists(st.sampled_from(("constant = a", "constant = b 1.5")),
+                           unique=True, max_size=2))
+    if draw(st.integers(0, 4)):
+        lines += ["[lagrangian]",
+                  'L = "1/2*q%d_1^2 + 1/2*q%d_2^2 + %s"' % (k, k, draw(grammar_texts(max_depth=1)))]
+    for block in draw(st.lists(model_blocks(k), max_size=4)):
+        lines += [""] + block
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FUZZ_LINES))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_texts())
+def test_model_reader_loads_or_raises_model_error(text):
+    try:
+        m = M.loads(text)
+    except M.ModelError:
+        return
+    assert isinstance(m, M.ModelFile)
+    again = M.loads(M.dumps(m))
+    assert again == m
+    assert M.dumps(again) == M.dumps(m)

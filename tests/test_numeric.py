@@ -214,6 +214,34 @@ def test_trajectory_csv_is_full_precision():
     assert t.to_csv().endswith("\n")
 
 
+def _reference_to_csv(traj):
+    # the per-value formatter to_csv had before it formatted whole rows
+    lines = []
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join("%.17g" % v for v in [t, *row]))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_the_per_value_formatter():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    rows = [
+        [-0.0, 0.0, 1.0, -1.0],
+        [tiny, -tiny, 2.2250738585072014e-308 / 3, 1e-320],
+        [1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308],
+        [3.0, 1e16, 2.0 ** 53, -12345678901234567.0],
+        [1.0 / 3.0, math.pi, -math.e, 0.1],
+    ]
+    times = np.arange(len(rows), dtype=float) * 0.1
+    for width in (1, 4):
+        traj = Trajectory(times, np.array(rows)[:, :width],
+                          ("q0_1", "q1_1", "q2_1", "q3_1")[:width], "test")
+        assert traj.to_csv() == _reference_to_csv(traj)
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((1001, 5)) * 10.0 ** rng.integers(-300, 300, (1001, 5))
+    traj = Trajectory(np.linspace(0.0, 1.0, 1001), states, tuple("abcde"), "test")
+    assert traj.to_csv() == _reference_to_csv(traj)
+
+
 # -- energy conservation along the exact fields ----------------------------------
 
 
