@@ -10,6 +10,10 @@ solutions of the associated Hamilton-Jacobi problems on both the
 Lagrangian and Hamiltonian sides; and integrates the resulting fields
 numerically.  The ``hjmech`` command line drives everything from
 line-oriented model files.
+
+``hjmech.hamiltonian`` is the submodule; calling it calls the function
+``hamiltonian.hamiltonian``, so ``hjmech.hamiltonian(sys, fl)`` gives h
+and ``import hjmech.hamiltonian`` gives the module.
 """
 
 from .expr import (
@@ -56,7 +60,6 @@ from .hamiltonian import (
     HamiltonianSystem,
     LegendreMap,
     PhaseSpace,
-    hamiltonian,
     hamiltonian_field,
     legendre,
     poisson,

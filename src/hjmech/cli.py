@@ -358,7 +358,8 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
     if args.lift is not None:
         system_like, sol = _resolve_candidate_pair(ctx, args.lift)
         result = verify_lifting(system_like, sol, z0, args.t0, args.t1,
-                                args.dt, tol=args.tol, constants=constants)
+                                args.dt, tol=args.tol, constants=constants,
+                                base=traj)
         verdict = "pass" if result.passed else "fail"
         rep.text("lifting check '%s': max deviation = %s (tol = %s) -> %s"
                  % (args.lift, format_setting(result.max_deviation),

@@ -16,6 +16,8 @@ reported absent rather than guessed.
 
 from __future__ import annotations
 
+import sys as _sys
+import types
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -239,3 +241,15 @@ def poisson(f: Expression, g: Expression, ps: PhaseSpace) -> Expression:
             q, p = jet(i, A), momentum(i, A)
             total = total + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
     return total
+
+
+class _CallableModule(types.ModuleType):
+    """The class of this module: calling it calls `hamiltonian`, so that
+    ``import hjmech.hamiltonian`` binds the module while the package's
+    ``hjmech.hamiltonian(sys, fl)`` still computes h."""
+
+    def __call__(self, *args, **kwargs):
+        return self.hamiltonian(*args, **kwargs)
+
+
+_sys.modules[__name__].__class__ = _CallableModule

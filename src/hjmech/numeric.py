@@ -2,19 +2,41 @@
 
 The integrator is classical RK4 with a uniform step; no adaptivity, so
 trajectories are bit-reproducible given the same field, state, and step.
-A field compiles to one lambdified function that returns every component.
+A field compiles to one generated function that runs the whole step
+loop: the state and the four stage vectors are float locals, and each
+component is spliced in as straight-line code.
+
+Bit identity: a component's text is what sympy prints for a math-module
+function (`PythonCodePrinter` with ``fully_qualified_modules=False``,
+``inline=True``, ``allow_unknown_functions=True``; a constant whose name
+is a keyword becomes a Dummy), except that math functions print as
+``_math.<name>`` so that no constant shadows one.  The stage arithmetic
+is ``z + (h/2)*k``, ``z + h*k`` and ``z + (h/6)*(k1 + 2*k2 + 2*k3 +
+k4)``, so every float operation is the one a per-stage RK4 loop over
+sympy's generated function makes.
+
+Failures: the loop stops at a step that raises or whose new state is not
+finite, which every non-finite or complex stage value makes it.  That
+step is replayed stage by stage through the same text, checking each
+stage for a raised error, a complex value or a non-finite one, and the
+replay raises `NumericError` with the time and state of the failing
+stage.  A replay that finds no failure (a finite field overflowed the
+state) appends its step, and the loop goes on from there.
+
 States follow the coordinate order of the field's space.  Trajectory
 comparison uses the unweighted max-abs distance over all coordinates.
 """
 
 from __future__ import annotations
 
+import keyword
 import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from sympy.printing.pycode import PythonCodePrinter
 
 from .expr import Expression
 from .hamiltonian import HamiltonianSystem
@@ -69,12 +91,59 @@ class Trajectory:
         return "\n".join([row % tuple(values) for values in rows]) + "\n"
 
 
+class _StepPrinter(PythonCodePrinter):
+    """Sympy's printer for math-module functions, except that a math
+    function prints as ``_math.<name>``: the same function, under a name
+    no constant can take."""
+
+    def __init__(self):
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True})
+
+    def _module_format(self, fqn, register=True):
+        name = super()._module_format(fqn, register)
+        return "_math." + name if fqn.startswith("math.") else name
+
+
+def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
+    """Source of ``_run``, which takes RK4 steps from a state, appending
+    each new state to ``_rows``, until it has taken ``_n`` or a step raises
+    or leaves the finite floats (a complex state fails the comparison with
+    TypeError); and of ``_field``, the component texts evaluated once.
+    Every name the source adds starts with ``_``, which no constant's does."""
+    n = range(len(texts))
+    zs = ", ".join("_z%d" % i for i in n)
+    params = "".join(", " + c for c in consts)
+    body = []
+    for s, point in enumerate(("_z{i}", "_z{i} + _half*_k1_{i}",
+                               "_z{i} + _half*_k2_{i}", "_z{i} + _h*_k3_{i}"), 1):
+        body += ["%s = %s" % (coords[i], point.format(i=i)) for i in n]
+        body += ["_k%d_%d = %s" % (s, i, texts[i]) for i in n]
+    body += ["_z{i} = _z{i} + _sixth*(_k1_{i} + 2*_k2_{i} + 2*_k3_{i} + _k4_{i})"
+             .format(i=i) for i in n]
+    body += ["if not (%s):" % " and ".join("-_inf < _z%d < _inf" % i for i in n),
+             "    return",
+             "_append((%s,))" % zs]
+    return "\n".join(
+        ["def _field(%s%s):" % (", ".join(coords), params),
+         "    return (%s,)" % ", ".join(texts),
+         "def _run(_rows, _n, _h, %s%s):" % (zs, params),
+         "    _half = _h / 2",
+         "    _sixth = _h / 6",
+         "    _inf = _math.inf",
+         "    _append = _rows.append",
+         "    try:",
+         "        for _ in _range(_n):"]
+        + ["            " + line for line in body]
+        + ["    except (ArithmeticError, ValueError, TypeError):",
+           "        return"]) + "\n"
+
+
 def _compile_field(X: VectorField, constants: Mapping[str, float]):
-    """Compile a vector field into f(state) -> list of derivatives: one
-    lambdified function returns every component, each printed as it
-    would be on its own."""
-    coords = X.space.coordinates
-    coord_names = [c.name for c in coords]
+    """Compile a vector field into ``(run, field, values)``: the two
+    functions of `_step_source` and the constants' values, which both take
+    after the state."""
+    coord_names = [c.name for c in X.space.coordinates]
     const_names = set()
     for comp in X.components:
         if comp.has_placeholders:
@@ -90,16 +159,53 @@ def _compile_field(X: VectorField, constants: Mapping[str, float]):
             "no numeric value for constant(s) %s; declare values in the "
             "model or pass them explicitly" % ", ".join(missing)
         )
-    args = [sp.Symbol(n) for n in coord_names] + [
-        sp.Symbol(n) for n in sorted(const_names)
-    ]
-    const_values = [float(constants[n]) for n in sorted(const_names)]
-    fn = sp.lambdify(args, [comp.sym for comp in X.components], modules=["math"])
+    const_syms = [sp.Symbol(n) for n in sorted(const_names)]
+    # sympy's substitution for generated functions: a name that is not a
+    # safe identifier (a keyword) becomes a Dummy, made in reverse name order
+    dummies = {s: sp.Dummy() for s in reversed(const_syms)
+               if not s.name.isidentifier() or keyword.iskeyword(s.name)}
+    printer = _StepPrinter()
+    texts = [printer.doprint(comp.sym.xreplace(dummies))
+             for comp in X.components]
+    params = [printer.doprint(dummies.get(s, s)) for s in const_syms]
+    namespace = {"_math": math, "_range": range}
+    exec(compile(_step_source(coord_names, params, texts), "<field>", "exec"),
+         namespace)
+    values = [float(constants[s.name]) for s in const_syms]
+    return namespace["_run"], namespace["_field"], values
 
-    def f(state: Sequence[float]) -> List[float]:
-        return fn(*state, *const_values)
 
-    return f
+def _checked_step(field, values: List[float], t: float, z: Tuple[float, ...],
+                  h: float) -> Tuple[float, ...]:
+    """One RK4 step from z at time t, stage by stage: the arithmetic of the
+    generated loop, with every stage checked for a raised error, a complex
+    value or a non-finite one."""
+
+    def rhs(t: float, z: Sequence[float]):
+        try:
+            out = field(*z, *values)
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise NumericError(
+                "field evaluation failed at t = %.6g, state = %s: %s"
+                % (t, tuple(z), err),
+                time=t, state=tuple(z),
+            )
+        for v in out:
+            if isinstance(v, complex) or not math.isfinite(v):
+                raise NumericError(
+                    "field evaluation left the real domain at t = %.6g, "
+                    "state = %s" % (t, tuple(z)),
+                    time=t, state=tuple(z),
+                )
+        return out
+
+    half, sixth = h / 2, h / 6
+    k1 = rhs(t, z)
+    k2 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k1)])
+    k3 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k2)])
+    k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
+    return tuple(zi + sixth * (a + 2 * b + 2 * c + d)
+                 for zi, a, b, c, d in zip(z, k1, k2, k3, k4))
 
 
 def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
@@ -124,40 +230,16 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             "initial state has %d entries; the field needs %d"
             % (len(z0), len(coords))
         )
-    f = _compile_field(X, dict(constants or {}))
-
-    def rhs(t: float, z: List[float]) -> List[float]:
-        try:
-            out = f(z)
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
-            raise NumericError(
-                "field evaluation failed at t = %.6g, state = %s: %s"
-                % (t, tuple(z), err),
-                time=t, state=tuple(z),
-            )
-        for v in out:
-            if isinstance(v, complex) or not math.isfinite(v):
-                raise NumericError(
-                    "field evaluation left the real domain at t = %.6g, "
-                    "state = %s" % (t, tuple(z)),
-                    time=t, state=tuple(z),
-                )
-        return out
-
-    z = [float(v) for v in z0]
-    rows = [z]
-    half, sixth = h / 2, h / 6
-    for m in range(steps):
-        t = t0 + m * h
-        k1 = rhs(t, z)
-        k2 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k1)])
-        k3 = rhs(t + half, [zi + half * ki for zi, ki in zip(z, k2)])
-        k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
-        z = [
-            zi + sixth * (a + 2 * b + 2 * c + d)
-            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-        ]
-        rows.append(z)
+    run, field, values = _compile_field(X, dict(constants or {}))
+    rows = [tuple(float(v) for v in z0)]
+    while len(rows) <= steps:
+        run(rows, steps + 1 - len(rows), h, *rows[-1], *values)
+        if len(rows) <= steps:
+            # the loop stopped at a step that failed or left the finite
+            # floats; replaying it checked raises, or it was a finite
+            # overflow of the new state, which the loop goes on from
+            m = len(rows) - 1
+            rows.append(_checked_step(field, values, t0 + m * h, rows[-1], h))
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(
         times, np.array(rows, dtype=float),
@@ -178,13 +260,16 @@ class LiftingResult:
 
 def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
                    t1: float, h: float, tol: float = 1e-6,
-                   constants: Optional[Mapping[str, float]] = None) -> LiftingResult:
+                   constants: Optional[Mapping[str, float]] = None,
+                   base: Optional[Trajectory] = None) -> LiftingResult:
     """Numeric check of the lifting property that defines HJ solutions.
 
     Integrates the associated field on the base from ``z0_base``, lifts
     every base state through the candidate, and separately integrates the
     full field from the lifted initial state.  Passes iff the max-abs
     distance between the two trajectories over the grid is ≤ tol.
+    ``base``, if given, is that associated-field trajectory, already
+    integrated with the same state, grid and constants.
     """
     if tol <= 0:
         raise NumericError("the tolerance must be positive")
@@ -222,10 +307,12 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
         except ValueError as err:
             raise NumericError("lifting a base state failed: %s" % err)
 
-    base_traj = integrate(
+    base_traj = base if base is not None else integrate(
         X, [float(v) for v in z0_base], t0, t1, h, values,
         provenance="associated field",
     )
+    if base_traj.labels != tuple(c.name for c in base_coords):
+        raise NumericError("the base trajectory is not on the base space")
     lifted_rows = np.array([lift(row) for row in base_traj.states])
     lifted = Trajectory(
         base_traj.times, lifted_rows,

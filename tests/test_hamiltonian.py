@@ -228,3 +228,20 @@ def test_poisson_reproduces_the_field(beam_ham):
     for coord in T.coordinates:
         f = Expression.coordinate(coord)
         assert hs.field().component(coord) == poisson(f, hs.h, T)
+
+
+def test_the_hamiltonian_submodule_imports_as_a_module():
+    # the package once bound the function under the submodule's name
+    import importlib
+    import types
+
+    import hjmech
+    import hjmech.hamiltonian as H
+
+    assert isinstance(H, types.ModuleType)
+    assert H is hjmech.hamiltonian is importlib.import_module("hjmech.hamiltonian")
+    assert H.PhaseSpace is PhaseSpace and H.poisson is poisson
+    sys_ = LagrangianSystem(2, 1, parse("1/2*q2_1^2", JetSpace(1, 2).table()))
+    fl = legendre(sys_)
+    assert hjmech.hamiltonian(sys_, fl).h == H.hamiltonian(sys_, fl).h
+    assert hamiltonian(sys_, fl).h == H.hamiltonian(sys_, fl).h

@@ -387,6 +387,69 @@ def test_simulate_lift_check_passes(capsys, tmp_path):
     assert lifting and lifting[0][4] == "pass"
 
 
+def test_simulate_lift_integrates_the_associated_field_once(
+        capsys, tmp_path, monkeypatch):
+    import hjmech.cli
+    import hjmech.numeric
+
+    integrate = hjmech.numeric.integrate
+    fields = []
+
+    def counting(X, *args, **kwargs):
+        fields.append(X)
+        return integrate(X, *args, **kwargs)
+
+    monkeypatch.setattr(hjmech.cli, "integrate", counting)
+    monkeypatch.setattr(hjmech.numeric, "integrate", counting)
+    code, out, err = run_cli(
+        capsys, "simulate", model_path("javelin1d.hjm"), "associated:walpha",
+        "base", "0", "0.5", "0.001", "--out", str(tmp_path / "lift.csv"),
+        "--lift", "walpha",
+    )
+    assert code == 0, err
+    assert "-> pass" in out
+    # the associated field, then the full field from the lifted state
+    assert [len(X.components) for X in fields] == [2, 4]
+
+
+SHADOWING_MODEL = """
+[model]
+name = shadow
+k = 1
+n = 1
+constant = %s 2
+
+[lagrangian]
+L = "1/2*q1_1^2 - %s*q0_1^2 + q0_1*sqrt(q0_1^2 + 1) + sin(q0_1) + cos(q0_1) + exp(q0_1/4) + q0_1*ln(q0_1^2 + 2)"
+
+[state s]
+values = 0.5, 0.1
+"""
+
+
+# A constant once became an argument of the compiled field, where a name
+# like sqrt shadowed the math function (TypeError, exit 1); the generated
+# step's own locals are named here too.
+@pytest.mark.parametrize("name", [
+    "sqrt", "sin", "cos", "exp", "log", "math",
+    "h", "t", "half", "sixth", "c1", "k1", "rows", "range", "lambda",
+])
+def test_simulate_with_a_constant_named_like_a_function_or_a_local(
+        capsys, tmp_path, name):
+    def trajectory(constant):
+        path = tmp_path / (constant + ".hjm")
+        path.write_text(SHADOWING_MODEL % (constant, constant))
+        out = tmp_path / (constant + ".csv")
+        code, _, err = run_cli(
+            capsys, "simulate", str(path), "lagrangian", "s", "0", "1",
+            "0.01", "--out", str(out),
+        )
+        assert code == 0, err
+        return out.read_text()
+
+    assert trajectory(name) == trajectory("a")
+
+
 def test_simulate_lift_requires_matching_field(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "simulate", model_path("javelin1d.hjm"), "lagrangian",

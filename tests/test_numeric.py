@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hjmech import (
+    ExprError,
     Expression,
     JetSpace,
     NumericError,
@@ -188,6 +191,59 @@ def test_one_compiled_field_fails_where_the_reference_does(components, z0, t1):
     assert new == old and isinstance(new[1], float)
 
 
+@pytest.mark.parametrize("components, z0, t1, constants", [
+    # a complex stage value: (-x)^(3/2) is complex in Python
+    (("q1_1", "q0_1^(3/2)"), [1.0, -3.0], 2.0, {}),
+    # math.exp overflows inside a stage
+    (("q1_1", "exp(q0_1^3)"), [1.0, 3.0], 2.0, {}),
+    # every stage value is finite but the new state overflows: the
+    # replay finds no failure and the loop goes on from inf
+    (("c", "0"), [0.0, 0.0], 0.05, {"c": 1.5e308}),
+], ids=["complex", "math-overflow", "state-overflow"])
+def test_a_stopped_step_is_replayed_like_the_reference(components, z0, t1,
+                                                       constants):
+    X = fld(T1, *components, constants=tuple(constants))
+    new, old = _integrate_both(X, z0, 0.0, t1, 0.01, constants=constants)
+    assert new == old
+
+
+FIELD_CONSTANTS = ("c1", "mu")
+
+
+@st.composite
+def field_texts(draw, coords, max_depth=3):
+    """Component texts from polynomials, sqrt, sin, cos, exp, the
+    coordinates and named constants."""
+    depth = draw(st.integers(0, max_depth))
+    if depth == 0:
+        return draw(st.sampled_from(("1", "2", "0.5") + coords + FIELD_CONSTANTS))
+    inner = field_texts(coords, depth - 1)
+    kind = draw(st.sampled_from(("binary", "power", "function")))
+    if kind == "binary":
+        return "(%s %s %s)" % (draw(inner), draw(st.sampled_from("+-*")), draw(inner))
+    if kind == "power":
+        return "(%s)^%d" % (draw(inner), draw(st.integers(2, 3)))
+    name = draw(st.sampled_from(("sqrt", "sin", "cos", "exp")))
+    return "%s(%s)" % (name, draw(inner))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_step_loop_keeps_the_reference_bits_and_failures(data):
+    space = data.draw(st.sampled_from((JetSpace(1, 1), JetSpace(2, 1))))
+    coords = tuple(c.name for c in space.coordinates)
+    texts = [data.draw(field_texts(coords)) for _ in coords]
+    try:
+        X = fld(space, *texts, constants=FIELD_CONSTANTS)
+    except ExprError:
+        assume(False)
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    z0 = [data.draw(value) for _ in coords]
+    constants = {name: data.draw(value) for name in FIELD_CONSTANTS}
+    new, old = _integrate_both(X, z0, 0.0, 1.0, 0.05, constants=constants)
+    assert new == old
+
+
 # -- Trajectory ---------------------------------------------------------------
 
 
@@ -303,6 +359,27 @@ def test_lifting_holds_on_the_lagrangian_side():
         tol=1e-6, constants={"c1": -1.0, "c2": 0.0},
     )
     assert res.passed
+
+
+def test_lifting_takes_an_integrated_base_trajectory():
+    sys_ = make_flight_1d()
+    hs = hamiltonian(sys_, legendre(sys_))
+    constants = {"c1": -1.0, "c2": 0.0}
+    X = __import__("hjmech").associated_field(hs, radical_oneform())
+    base = integrate(X, [0.0, 1.0], 0.0, 0.5, 1e-3, constants)
+    reused = verify_lifting(hs, radical_oneform(), [0.0, 1.0], 0.0, 0.5, 1e-3,
+                            constants=constants, base=base)
+    own = verify_lifting(hs, radical_oneform(), [0.0, 1.0], 0.0, 0.5, 1e-3,
+                         constants=constants)
+    assert reused.passed and reused.max_deviation == own.max_deviation
+    assert np.array_equal(reused.lifted.states, own.lifted.states)
+    beam = make_beam()
+    with pytest.raises(NumericError):
+        verify_lifting(hs, radical_oneform(), [0.0, 1.0], 0.0, 0.5, 1e-3,
+                       constants=constants,
+                       base=integrate(beam.euler_lagrange_field(),
+                                      [0.0] * 4, 0.0, 0.5, 1e-3,
+                                      constants=beam.constant_values()))
 
 
 def test_lifting_detects_a_broken_candidate():
