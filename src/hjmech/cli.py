@@ -249,10 +249,7 @@ def cmd_check(args) -> Tuple[Report, bool]:
             ham_energy_residuals(hs, alpha, **knobs),
         ]
         if not alpha.has_placeholders:
-            closed = all(
-                e.verdict in ("exact-zero", "numeric-zero")
-                for e in parts[1].entries
-            )
+            closed = all(e.vanishes for e in parts[1].entries)
             if gf is not None:
                 parts.append(hj_equation(hs, gf, **knobs))
             elif closed:
@@ -324,9 +321,8 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
     elif args.field == "hamiltonian":
         X = hamiltonian_field(ctx.hamiltonian)
     elif args.field.startswith("associated:"):
-        system_like, sol = _resolve_candidate_pair(
-            ctx, args.field[len("associated:"):])
-        X = associated_field(system_like, sol)
+        pair = _resolve_candidate_pair(ctx, args.field[len("associated:"):])
+        X = associated_field(*pair)
     else:
         raise ValueError(
             "field must be lagrangian, hamiltonian, or associated:CANDIDATE")
@@ -356,10 +352,8 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
 
     failed = False
     if args.lift is not None:
-        system_like, sol = _resolve_candidate_pair(ctx, args.lift)
-        result = verify_lifting(system_like, sol, z0, args.t0, args.t1,
-                                args.dt, tol=args.tol, constants=constants,
-                                base=traj)
+        result = verify_lifting(*pair, z0, args.t0, args.t1, args.dt,
+                                tol=args.tol, constants=constants, base=traj)
         verdict = "pass" if result.passed else "fail"
         rep.text("lifting check '%s': max deviation = %s (tol = %s) -> %s"
                  % (args.lift, format_setting(result.max_deviation),

@@ -854,7 +854,8 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
 
     Names free in ``exprs`` and not bound by ``fixed`` are drawn in sorted
     order, uniform in [-2, 2].  A point where some expression raises
-    DomainEvalError is skipped.  Stops after ``samples`` points or
+    DomainEvalError or OverflowError (an exact number beyond the floats)
+    is skipped.  Stops after ``samples`` points or
     ``200 * samples`` attempts, whichever comes first.
     """
     fixed = fixed or {}
@@ -866,7 +867,7 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
         env = {**fixed, **{name: rng.uniform(-2.0, 2.0) for name in names}}
         try:
             values = tuple(evaluate(e, env) for e in exprs)
-        except DomainEvalError:
+        except (DomainEvalError, OverflowError):
             continue
         got += 1
         yield values

@@ -49,7 +49,7 @@ from .hamiltonian import (
     PhaseSpace,
     poisson,
 )
-from .jets import JetSpace, VectorField, project_field
+from .jets import JetSpace, VectorField
 from .lagrangian import (
     LagrangianError, LagrangianSystem, NonAffineError, determinant, solve_affine,
 )
@@ -354,6 +354,11 @@ class ResidualEntry:
     numeric_max: Optional[float]
     verdict: str  # exact-zero | numeric-zero | nonzero | symbolic
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether the residual was decided zero, exactly or by sampling."""
+        return self.verdict in ("exact-zero", "numeric-zero")
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -491,40 +496,41 @@ def _energy(sol, f: Expression) -> list:
 # the associated field
 
 
-def associated_field(system, sol) -> VectorField:
-    """The field on T^(k-1)Q induced by a candidate via tangency.
-
-    Lagrangian systems pair with Sections (restrict X_L, truncate);
-    Hamiltonian systems pair with OneForms (restrict X_h, truncate).
-    """
+def _paired_field(system, sol) -> VectorField:
+    """The dynamics a candidate is checked against: X_L for a Section of a
+    Lagrangian system, X_h for a OneForm of a Hamiltonian one, after
+    checking the pairing and the candidate's shape."""
     if isinstance(system, LagrangianSystem):
         if not isinstance(sol, Section):
             raise HJError("a Lagrangian system pairs with a Section")
         sol._check_shape(system.k, system.n)
-        X = system.euler_lagrange_field()
-        restricted = X.subs(sol.substitution())
-        return project_field(restricted, system.k - 1)
+        return system.euler_lagrange_field()
     if isinstance(system, HamiltonianSystem):
         if not isinstance(sol, OneForm):
             raise HJError("a Hamiltonian system pairs with a OneForm")
-        phase = system.phase
-        sol._check_shape(phase.k, phase.n)
-        X = system.field()
-        base = phase.base_space
-        rules = sol.substitution()
-        comps = []
-        for coord, comp in zip(phase.coordinates[: base.dimension],
-                               X.components[: base.dimension]):
-            restricted = comp.subs(rules)
-            stray = restricted.free_coordinates() - set(base.coordinates)
-            if stray:
-                raise HJError(
-                    "restricted component for %s still references %s"
-                    % (coord.name, ", ".join(sorted(c.name for c in stray)))
-                )
-            comps.append(restricted)
-        return VectorField(base, comps)
+        sol._check_shape(system.phase.k, system.phase.n)
+        return system.field()
     raise HJError("expected a LagrangianSystem or a HamiltonianSystem")
+
+
+def associated_field(system, sol) -> VectorField:
+    """The field on T^(k-1)Q induced by a candidate via tangency: the base
+    components of the paired dynamics (X_L or X_h), which come first on
+    both sides, restricted to the candidate's image."""
+    X = _paired_field(system, sol)
+    base = JetSpace(sol.n, sol.k - 1)
+    rules = sol.substitution()
+    comps = []
+    for coord, comp in zip(base.coordinates, X.components):
+        restricted = comp.subs(rules)
+        stray = restricted.free_coordinates() - set(base.coordinates)
+        if stray:
+            raise HJError(
+                "restricted component for %s still references %s"
+                % (coord.name, ", ".join(sorted(c.name for c in stray)))
+            )
+        comps.append(restricted)
+    return VectorField(base, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +541,8 @@ def gen_lag_residuals(sys: LagrangianSystem, s: Section,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_L(q_j^A − s_j^A) on Im(s), k <= j <= 2k−1."""
-    s._check_shape(sys.k, sys.n)
     return _build_report(
-        _tangency(sys.euler_lagrange_field(), s), sys.constant_values(),
+        _tangency(_paired_field(sys, s), s), sys.constant_values(),
         assumptions=_regularity_assumptions(sys),
         tol=tol, samples=samples, seed=seed,
     )
@@ -592,9 +597,8 @@ def gen_ham_residuals(hs: HamiltonianSystem, alpha: OneForm,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_h(p_A^i − α_A^i) on Im(α)."""
-    alpha._check_shape(hs.phase.k, hs.phase.n)
     return _build_report(
-        _tangency(hs.field(), alpha), hs.constant_values(),
+        _tangency(_paired_field(hs, alpha), alpha), hs.constant_values(),
         tol=tol, samples=samples, seed=seed,
     )
 
@@ -810,22 +814,16 @@ STRICT = "strict-solution"
 NOT_A_SOLUTION = "not-a-solution"
 
 
-def classify(report: ResidualReport, tol: Optional[float] = None) -> str:
+def classify(report: ResidualReport) -> str:
     """Verdict from a report holding tangency (and possibly closedness)
     entries: strict needs both zero, generalized needs tangency zero."""
-    if tol is None:
-        tol = report.tol
 
     def zeroish(entry: ResidualEntry) -> bool:
-        if entry.verdict == "exact-zero":
-            return True
         if entry.verdict == "symbolic":
             raise HJError(
                 "cannot classify a symbolic candidate (placeholder components)"
             )
-        if entry.numeric_max is not None and not entry.residual.is_rational_function:
-            return entry.numeric_max < tol
-        return False
+        return entry.vanishes
 
     tangency = report.with_tag("tangency")
     if not tangency:

@@ -2,10 +2,15 @@
 
 For a Lagrangian L on T^k Q the derived objects live on T^(2k-1) Q:
 
-* local momenta    p̂^{r-1}_A = Σ_{i=0}^{k-r} (−1)^i d_T^i(∂L/∂q_{r+i}^A),
+* local momenta    p̂^{r-1}_A = ∂L/∂q_r^A − d_T p̂^r_A, with p̂^k_A = 0,
 * Cartan 1-form    θ_L = Σ_r p̂^{r-1}_A dq_{r-1}^A,
 * Cartan 2-form    ω_L = −dθ_L,
-* energy           E_L = Σ_r q_r^A p̂^{r-1}_A − L.
+* energy           E_L = Σ_r q_r^A p̂^{r-1}_A − L,
+* EL expressions   b_A = ∂L/∂q_0^A − d_T p̂^0_A, on T^(2k) Q.
+
+One recursion, from p̂^k = 0 down to b, yields the momenta and then the
+EL expressions.  The momenta are cached apart from the Cartan data, so
+the dynamics builds no θ_L, ω_L or E_L, and the Cartan data no b.
 
 The dynamics i(X_L)ω_L = dE_L is solved in semispray form: the stacked
 Euler–Lagrange expressions are affine in the formal top coordinate
@@ -298,10 +303,7 @@ class LagrangianSystem(System):
 
     def _build_cartan(self) -> CartanData:
         k, n, L = self.k, self.n, self.lagrangian
-        momenta: Dict[Tuple[int, int], Expression] = {}
-        for r in range(1, k + 1):
-            for A in range(1, n + 1):
-                momenta[(r - 1, A)] = _alternating_sum(L, k, r, A)
+        momenta = self._momenta()
         space = self.velocity_space
         theta = OneFormField.from_coefficients(
             space,
@@ -316,8 +318,25 @@ class LagrangianSystem(System):
             space=space, momenta=momenta, theta=theta, omega=omega, energy=energy
         )
 
+    def _ostrogradsky(self, r: int, axis: int, p: Expression) -> Expression:
+        """One step of the recursion: ∂L/∂q_r^A − d_T p for p = p̂^r_A on
+        T^(2k-1-r) Q, which is p̂^{r-1}_A, or b_A at r = 0."""
+        return self.lagrangian.diff(jet(r, axis)) - total_derivative(p, 2 * self.k - 1 - r)
+
+    def _momenta(self) -> Dict[Tuple[int, int], Expression]:
+        """{(i, A): p̂^i_A}, from p̂^k = 0 down to p̂^0."""
+        return self._cached("momenta", self._build_momenta)
+
+    def _build_momenta(self) -> Dict[Tuple[int, int], Expression]:
+        momenta = {}
+        for A in range(1, self.n + 1):
+            p = ZERO
+            for r in range(self.k, 0, -1):
+                p = momenta[(r - 1, A)] = self._ostrogradsky(r, A, p)
+        return {key: momenta[key] for key in sorted(momenta)}
+
     def euler_lagrange_expressions(self) -> Tuple[Expression, ...]:
-        """The stacked expressions b_A = Σ_l (−1)^l d_T^l(∂L/∂q_l^A).
+        """The stacked expressions b_A = ∂L/∂q_0^A − d_T p̂^0_A.
 
         These live on the formal extension T^(2k) Q; the dynamics solve
         eliminates the top coordinate, the residual operator substitutes a
@@ -326,10 +345,9 @@ class LagrangianSystem(System):
         return self._cached("el_expressions", self._build_el_expressions)
 
     def _build_el_expressions(self) -> Tuple[Expression, ...]:
-        return tuple(
-            _alternating_sum(self.lagrangian, self.k, 0, A)
-            for A in range(1, self.n + 1)
-        )
+        momenta = self._momenta()
+        return tuple(self._ostrogradsky(0, A, momenta[(0, A)])
+                     for A in range(1, self.n + 1))
 
     def euler_lagrange_field(self) -> SemisprayField:
         return self._cached("el_field", self._build_el_field)
@@ -389,22 +407,3 @@ class LagrangianSystem(System):
             rows.append([b.evaluate(env) for b in exprs])
         return np.asarray(rows, dtype=float)
 
-
-def _alternating_sum(L: Expression, k: int, first: int, axis: int) -> Expression:
-    """Σ_{i=0}^{k-first} (−1)^i d_T^i(∂L/∂q_{first+i}^A) on the axis A:
-    the momentum p̂^{first-1}_A for first >= 1, the EL expression b_A for
-    first = 0."""
-    total = ZERO
-    for i in range(k - first + 1):
-        term = _dt_power(L.diff(jet(first + i, axis)), k, i)
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def _dt_power(e: Expression, base_order: int, times: int) -> Expression:
-    out = e
-    m = base_order
-    for _ in range(times):
-        out = total_derivative(out, m)
-        m += 1
-    return out

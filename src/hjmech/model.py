@@ -115,21 +115,6 @@ class ModelFile:
             raise ModelError("no state named '%s' in this model" % name)
         return self.states[name]
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and (self.k, self.n) == (other.k, other.n)
-            and self.constants == other.constants
-            and self.lagrangian == other.lagrangian
-            and self.sections == other.sections
-            and self.oneforms == other.oneforms
-            and self.genfuncs == other.genfuncs
-            and self.families == other.families
-            and self.states == other.states
-        )
-
 
 def _strip(line: str) -> str:
     # a # starts a comment unless inside a quoted expression

@@ -39,10 +39,8 @@ import sympy as sp
 from sympy.printing.pycode import PythonCodePrinter
 
 from .expr import Expression
-from .hamiltonian import HamiltonianSystem
-from .hj import OneForm, Section, associated_field
-from .jets import VectorField
-from .lagrangian import LagrangianSystem
+from .hj import HJError, _paired_field, associated_field
+from .jets import JetSpace, VectorField
 
 
 class NumericError(ValueError):
@@ -184,19 +182,22 @@ def _checked_step(field, values: List[float], t: float, z: Tuple[float, ...],
     def rhs(t: float, z: Sequence[float]):
         try:
             out = field(*z, *values)
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            real = all(not isinstance(v, complex) and math.isfinite(v)
+                       for v in out)
+        except (ArithmeticError, ValueError, TypeError) as err:
+            # TypeError: a math function given a complex value;
+            # OverflowError: also an exact integer beyond the floats
             raise NumericError(
                 "field evaluation failed at t = %.6g, state = %s: %s"
                 % (t, tuple(z), err),
                 time=t, state=tuple(z),
             )
-        for v in out:
-            if isinstance(v, complex) or not math.isfinite(v):
-                raise NumericError(
-                    "field evaluation left the real domain at t = %.6g, "
-                    "state = %s" % (t, tuple(z)),
-                    time=t, state=tuple(z),
-                )
+        if not real:
+            raise NumericError(
+                "field evaluation left the real domain at t = %.6g, "
+                "state = %s" % (t, tuple(z)),
+                time=t, state=tuple(z),
+            )
         return out
 
     half, sixth = h / 2, h / 6
@@ -269,21 +270,15 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
     full field from the lifted initial state.  Passes iff the max-abs
     distance between the two trajectories over the grid is ≤ tol.
     ``base``, if given, is that associated-field trajectory, already
-    integrated with the same state, grid and constants.
+    integrated with the same state, grid and constants; the associated
+    field is then not derived again.
     """
     if tol <= 0:
         raise NumericError("the tolerance must be positive")
-    if isinstance(system, LagrangianSystem):
-        if not isinstance(sol, Section):
-            raise NumericError("a Lagrangian system lifts through a Section")
-        full_field = system.euler_lagrange_field()
-    elif isinstance(system, HamiltonianSystem):
-        if not isinstance(sol, OneForm):
-            raise NumericError("a Hamiltonian system lifts through a OneForm")
-        full_field = system.field()
-    else:
-        raise NumericError("expected a LagrangianSystem or a HamiltonianSystem")
-    full_space = full_field.space
+    try:
+        full_field = _paired_field(system, sol)
+    except HJError as err:
+        raise NumericError(str(err)) from None
     fiber = [e for _, e in sorted(sol.components.items())]
     values = dict(system.constant_values())
     values.update(constants or {})
@@ -291,36 +286,39 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
         if e.has_placeholders:
             raise NumericError("cannot lift through placeholder components")
 
-    X = associated_field(system, sol)
-    base_coords = X.space.coordinates
+    base_coords = JetSpace(sol.n, sol.k - 1).coordinates
     if len(z0_base) != len(base_coords):
         raise NumericError(
             "base state has %d entries; the base space needs %d"
             % (len(z0_base), len(base_coords))
         )
 
-    def lift(z: Sequence[float]) -> List[float]:
+    def lift(t: float, z: Sequence[float]) -> List[float]:
+        z = [float(v) for v in z]
         bindings = dict(values)
         bindings.update({c.name: v for c, v in zip(base_coords, z)})
         try:
-            return list(z) + [e.evaluate(bindings) for e in fiber]
-        except ValueError as err:
-            raise NumericError("lifting a base state failed: %s" % err)
+            return z + [e.evaluate(bindings) for e in fiber]
+        except (ValueError, OverflowError) as err:
+            raise NumericError(
+                "lifting the base state failed at t = %.6g, state = %s: %s"
+                % (t, tuple(z), err), time=t, state=tuple(z))
 
     base_traj = base if base is not None else integrate(
-        X, [float(v) for v in z0_base], t0, t1, h, values,
-        provenance="associated field",
+        associated_field(system, sol), [float(v) for v in z0_base], t0, t1,
+        h, values, provenance="associated field",
     )
     if base_traj.labels != tuple(c.name for c in base_coords):
         raise NumericError("the base trajectory is not on the base space")
-    lifted_rows = np.array([lift(row) for row in base_traj.states])
+    lifted_rows = np.array([lift(t, row) for t, row
+                            in zip(base_traj.times, base_traj.states)])
     lifted = Trajectory(
         base_traj.times, lifted_rows,
-        tuple(c.name for c in full_space.coordinates),
+        tuple(c.name for c in full_field.space.coordinates),
         "lifted " + base_traj.provenance,
     )
     direct = integrate(
-        full_field, lift([float(v) for v in z0_base]), t0, t1, h, values,
+        full_field, lift(t0, z0_base), t0, t1, h, values,
         provenance="full field",
     )
     deviation = float(np.max(np.abs(lifted.states - direct.states)))

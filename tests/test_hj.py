@@ -12,6 +12,7 @@ from hjmech import (
     GeneratingFunction,
     HJError,
     JetSpace,
+    LagrangianSystem,
     NOT_A_SOLUTION,
     OneForm,
     STRICT,
@@ -374,10 +375,64 @@ def test_classify_numeric_zero_respects_tolerance(flight_1d_pair):
 
 def test_classify_rational_nonzero_never_flips(beam):
     s = zero_section(2, 1)
-    rep = combine([gen_lag_residuals(beam, s), lag_closedness(beam, s)])
+    rep = combine([gen_lag_residuals(beam, s, tol=1e6),
+                   lag_closedness(beam, s, tol=1e6)])
     # -rho/mu evaluates to -24, far over any sane tolerance; and even a
     # huge tolerance must not excuse an exactly nonzero rational residual
-    assert classify(rep, tol=1e6) == NOT_A_SOLUTION
+    assert classify(rep) == NOT_A_SOLUTION
+
+
+# -- the sampling fallback ---------------------------------------------------------------
+
+
+def free_particle_ham(n):
+    L = parse("1/2*(%s)" % " + ".join("q1_%d^2" % A for A in range(1, n + 1)),
+              JetSpace(n, 1).table())
+    sys_ = LagrangianSystem(1, n, L)
+    return hamiltonian(sys_, legendre(sys_))
+
+
+def test_a_trigonometric_identity_is_decided_numeric_zero_by_sampling():
+    hs = free_particle_ham(2)
+    alpha = OneForm(1, 2, {(0, 1): base("sin(q0_2)", n=2, k=1),
+                           (0, 2): base("cos(q0_2)", n=2, k=1)})
+    rep = hj_equation(hs, alpha, energy=Expression.number("1/2"))
+    entry = rep.entry("hjeq", "value")
+    assert not entry.residual.is_zero and not entry.residual.is_rational_function
+    assert entry.verdict == "numeric-zero" and entry.vanishes
+    assert entry.numeric_max < rep.tol
+    assert rep.assumptions == (
+        "radical residuals decided by sampling (40 points, tol 1e-09, "
+        "seed 42): hjeq[value]",)
+    missed = hj_equation(hs, alpha, energy=Expression.number(1))
+    assert missed.entry("hjeq", "value").verdict == "nonzero"
+
+
+def test_a_residual_with_no_valid_sample_is_unsampled_and_nonzero():
+    hs = free_particle_ham(2)
+    # ln of an argument that is negative everywhere
+    alpha = OneForm(1, 2, {(0, 1): base("ln(-1 - q0_1^2)", n=2, k=1),
+                           (0, 2): base("0", n=2, k=1)})
+    rep = hj_equation(hs, alpha, energy=Expression.number("1/2"), samples=3)
+    entry = rep.entry("hjeq", "value")
+    assert (entry.numeric_max, entry.verdict) == (None, "nonzero")
+    assert not entry.vanishes
+    assert rep.assumptions == (
+        "sampling failed on every attempt (domain errors), treated as "
+        "nonzero: hjeq[value]",)
+
+
+def test_classify_counts_numeric_zero_residuals_as_zero():
+    hs = free_particle_ham(1)
+    # sin(2q) - 2 sin(q) cos(q) vanishes, but not canonically
+    alpha = OneForm(1, 1, {(0, 1): base("sin(2*q0_1) - 2*sin(q0_1)*cos(q0_1)",
+                                        k=1)})
+    tang = gen_ham_residuals(hs, alpha)
+    assert [e.verdict for e in tang.entries] == ["numeric-zero"]
+    assert classify(combine([tang, ham_closedness(alpha)])) == STRICT
+    strict = gen_ham_residuals(hs, alpha, tol=1e-300)
+    assert [e.verdict for e in strict.entries] == ["nonzero"]
+    assert classify(strict) == NOT_A_SOLUTION
 
 
 # -- transport round trips ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from hjmech import (
     jet,
     parse,
 )
-from hjmech.jets import central_differences, semispray_type
+from hjmech.jets import central_differences, semispray_type, total_derivative
 from hjmech.lagrangian import (
     NonAffineError, determinant, solve_affine, solve_linear_exact,
 )
@@ -188,6 +188,66 @@ def test_beam_el_field_forcing(beam):
 
 def test_el_field_is_cached(flight):
     assert flight.euler_lagrange_field() is flight.euler_lagrange_field()
+
+
+def _reference_alternating_sum(L, k, first, axis):
+    """Σ_{i=0}^{k-first} (−1)^i d_T^i(∂L/∂q_{first+i}^A), each d_T^i taken
+    term by term from T^k Q: the closed form the momenta (first >= 1) and
+    the EL expressions (first = 0) were computed from before the
+    recursion, kept as its reference."""
+    total = Expression.number(0)
+    for i in range(k - first + 1):
+        term = L.diff(jet(first + i, axis))
+        for m in range(k, k + i):
+            term = total_derivative(term, m)
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
+RECURSION_LAGRANGIANS = [
+    (2, 2, "1/2*(q2_1^2 + q2_2^2) + q1_1*q1_2*q0_2 - q0_1^3*q2_2 + q2_1*q1_2^2"),
+    (3, 1, "1/2*q3_1^2 - q2_1^2*q1_1 + q0_1^4*q3_1 + q1_1*q2_1*q3_1"),
+    (2, 1, "exp(q0_1)*q2_1^2 + exp(q1_1*q2_1) - q1_1^2*exp(-q0_1)"),
+    (2, 2, "sqrt(1 + q2_1^2 + q1_2^2) + q0_1*sqrt(q0_2^2 + 1)*q2_2 + q2_2^2/2"),
+    (1, 2, "sqrt(q1_1^2 + q1_2^2 + 1) - q0_1*q1_2 + exp(q0_2)*q1_1"),
+]
+
+
+@pytest.mark.parametrize("k, n, text", RECURSION_LAGRANGIANS)
+def test_recursion_matches_the_alternating_sums(k, n, text):
+    L = parse(text, JetSpace(n, k).table())
+    sys_ = LagrangianSystem(k, n, L)
+    els = sys_.euler_lagrange_expressions()
+    cart = sys_.cartan()
+    for A in range(1, n + 1):
+        for r in range(1, k + 1):
+            ref = _reference_alternating_sum(L, k, r, A)
+            got = cart.momentum(r - 1, A)
+            assert got == ref and str(got) == str(ref)
+        ref = _reference_alternating_sum(L, k, 0, A)
+        assert els[A - 1] == ref and str(els[A - 1]) == str(ref)
+    assert list(cart.momenta) == [(i, A) for i in range(k) for A in range(1, n + 1)]
+
+
+def test_el_field_builds_no_cartan_data(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dynamics built the Cartan data")
+
+    monkeypatch.setattr(LagrangianSystem, "cartan", refuse)
+    monkeypatch.setattr(LagrangianSystem, "_build_cartan", refuse)
+    sys_ = make_flight_1d()
+    X = sys_.euler_lagrange_field()
+    assert X.forcing == (v(sys_, "-q2_1"),)
+
+
+def test_cartan_builds_no_el_expressions(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Cartan data built the EL expressions")
+
+    monkeypatch.setattr(LagrangianSystem, "euler_lagrange_expressions", refuse)
+    monkeypatch.setattr(LagrangianSystem, "_build_el_expressions", refuse)
+    sys_ = make_flight_1d()
+    assert sys_.cartan().momentum(0, 1) == v(sys_, "q1_1 + q3_1")
 
 
 def test_quartic_velocity_lagrangian_still_quasilinear():

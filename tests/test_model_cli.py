@@ -475,6 +475,69 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert "4" in err  # dimension mismatch names the expected width
 
 
+BEYOND_FLOATS = '''
+[model]
+name = beyond
+k = %d
+n = 1
+%s
+[lagrangian]
+L = "%s"
+
+[section s]
+%s
+
+[state origin]
+values = %s
+'''
+
+
+# Each of these once ended in a traceback with exit 1: a complex value
+# given to sin (TypeError), and exact integers too large for a float
+# (OverflowError from the finiteness check, from sampling and from the
+# lift).
+@pytest.mark.parametrize("model, field, lift, message", [
+    (BEYOND_FLOATS % (1, "constant = mu -1\n",
+                      "1/2*q1_1^2 + sin(sqrt(sqrt(mu)))*q0_1",
+                      's1_1 = "0"', "0.5, 0.1"),
+     "lagrangian", False, "field evaluation failed at t = 0, state = (0.5, 0.1)"),
+    (BEYOND_FLOATS % (1, "", "1/2*q1_1^2 + 2^1100*q0_1", 's1_1 = "0"',
+                      "0.5, 0.1"),
+     "lagrangian", False, "int too large to convert to float"),
+    (BEYOND_FLOATS % (2, "", "1/2*q2_1^2", 's2_1 = "0"\ns3_1 = "2^1100*q0_1"',
+                      "0.5, 0.1"),
+     "associated:s", True, "lifting the base state failed at t = 0"),
+], ids=["complex-argument", "huge-field", "huge-lift"])
+def test_simulate_beyond_the_floats_exits_3(capsys, tmp_path, model, field,
+                                            lift, message):
+    path = tmp_path / "beyond.hjm"
+    path.write_text(model)
+    lift_args = ("--lift", "s") if lift else ()
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), field, "origin", "0", "0.1", "0.01",
+        "--out", str(tmp_path / "x.csv"), *lift_args,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("hjmech: error: ") and message in err
+
+
+def test_check_with_an_integer_beyond_the_floats_decides_exactly(
+        capsys, tmp_path):
+    path = tmp_path / "beyond.hjm"
+    path.write_text(BEYOND_FLOATS % (1, "", "1/2*q1_1^2",
+                                     's1_1 = "2^1100*q0_1"', "0.5"))
+    code, out, err = run_cli(capsys, "check", str(path), "s")
+    assert code == 1 and err == ""
+    rows = machine_rows(out)
+    assert [(r[0], r[1]) for r in rows] == [
+        ("tangency", "lag:q1_1"), ("energy", "lag:q0_1"),
+        ("tangency", "ham:p0_1"), ("energy", "ham:q0_1"),
+        ("hjeq", "ham:constancy:q0_1"),
+    ]
+    assert all(r[3:] == ["-", "nonzero"] for r in rows)
+    assert out.count("classification: not-a-solution") == 2
+
+
 NON_AFFINE_LEGENDRE = '''
 [model]
 name = quartic

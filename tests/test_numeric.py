@@ -129,15 +129,16 @@ def _reference_integrate(X, z0, t0, t1, h, constants=None):
         full = list(z) + const_values
         try:
             out = [fn(*full) for fn in fns]
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            real = all(not isinstance(v, complex) and math.isfinite(v)
+                       for v in out)
+        except (ArithmeticError, ValueError, TypeError) as err:
             raise NumericError(
                 "field evaluation failed at t = %.6g, state = %s: %s"
                 % (t, tuple(z), err), time=t, state=tuple(z))
-        for v in out:
-            if isinstance(v, complex) or not math.isfinite(v):
-                raise NumericError(
-                    "field evaluation left the real domain at t = %.6g, "
-                    "state = %s" % (t, tuple(z)), time=t, state=tuple(z))
+        if not real:
+            raise NumericError(
+                "field evaluation left the real domain at t = %.6g, "
+                "state = %s" % (t, tuple(z)), time=t, state=tuple(z))
         return out
 
     z = [float(v) for v in z0]
@@ -199,7 +200,13 @@ def test_one_compiled_field_fails_where_the_reference_does(components, z0, t1):
     # every stage value is finite but the new state overflows: the
     # replay finds no failure and the loop goes on from inf
     (("c", "0"), [0.0, 0.0], 0.05, {"c": 1.5e308}),
-], ids=["complex", "math-overflow", "state-overflow"])
+    # a complex constant value reaches a math function, which raises
+    # TypeError
+    (("q1_1", "sin(sqrt(sqrt(mu)))"), [0.5, 0.1], 0.1, {"mu": -1.0}),
+    # an exact integer too large for a float
+    (("q1_1", "2^1100"), [0.5, 0.1], 0.1, {}),
+], ids=["complex", "math-overflow", "state-overflow", "complex-argument",
+        "huge-integer"])
 def test_a_stopped_step_is_replayed_like_the_reference(components, z0, t1,
                                                        constants):
     X = fld(T1, *components, constants=tuple(constants))
