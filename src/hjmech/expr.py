@@ -54,11 +54,20 @@ Conventions
   walk would.
 * The parser bounds the number of terms an expansion may produce
   (``TERM_LIMIT``) before it expands or multiplies anything.
+* ``domain_matrix`` is the one way from rows of expressions to exact
+  linear algebra: a ``DomainMatrix`` over the entries' polynomial ring
+  when every entry is a polynomial, else over the domain sympy picks for
+  their trees, plus the map from its domain back to expressions.  The
+  choice between ring and tree is made here and nowhere else.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
 construction (the tree, the hash and ``evaluate``'s function) are
-idempotent stores of pure functions of the value.
+idempotent stores of pure functions of the value.  ``Immutable`` is the
+base of every immutable class of the package: it refuses attribute
+assignment, and constructors store their fields through ``_init``
+(``Expression``, built far more often than the rest, stores its four
+directly).
 """
 
 from __future__ import annotations
@@ -74,9 +83,11 @@ from typing import Iterable, Mapping, Sequence
 import sympy as sp
 from sympy import QQ
 from sympy.core.function import AppliedUndef
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
 
 __all__ = [
+    "Immutable",
     "Coordinate",
     "Constant",
     "SymbolTable",
@@ -89,7 +100,7 @@ __all__ = [
     "parse",
     "diff",
     "derivation",
-    "ring_elements",
+    "domain_matrix",
     "substitute",
     "evaluate",
     "probably_equal",
@@ -135,6 +146,21 @@ class DomainEvalError(ExprError):
     def __init__(self, message, subexpression):
         super().__init__("%s in %s" % (message, subexpression))
         self.subexpression = subexpression
+
+
+class Immutable:
+    """Base of the package's immutable classes: assigning an attribute of
+    an instance raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _init(self, **fields):
+        """Store the fields of an instance under construction."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +347,7 @@ def _unify(*polys):
     return [_into(P, R) for P in polys]
 
 
-def _poly_of(sym):
+def _as_poly(sym):
     """The ring element of a sympy tree that is a polynomial over QQ in its
     symbols (expanded or not), or None."""
     symbols, stack = set(), [sym]
@@ -338,15 +364,6 @@ def _poly_of(sym):
     return _ring(symbols).from_expr(sym)
 
 
-def ring_elements(exprs):
-    """The ring elements of ``exprs`` over the ring of the union of their
-    generators, or None unless there are some and all are polynomials."""
-    polys = [e._poly for e in exprs]
-    if not polys or any(P is None for P in polys):
-        return None
-    return _unify(*polys)
-
-
 def _pdiff(P, x):
     i = _INDEX[P.ring].get(x)
     return P.ring.zero if i is None else P.diff(i)
@@ -357,7 +374,7 @@ def _pdiff(P, x):
 # ---------------------------------------------------------------------------
 
 
-class Expression:
+class Expression(Immutable):
     """An immutable expression in canonical form.
 
     A polynomial is held as a ring element (``_poly``) and its sympy tree
@@ -371,10 +388,10 @@ class Expression:
 
     def __init__(self, sym):
         sym = sp.sympify(sym)
-        poly = _poly_of(sym)
+        poly = _as_poly(sym)
         if poly is None:
             sym = _canon(sym)
-            poly = _poly_of(sym)  # a fraction or radical that reduced to a polynomial
+            poly = _as_poly(sym)  # a fraction or radical that reduced to a polynomial
         self._set(poly, None if poly is not None else sym)
 
     def _set(self, poly, sym):
@@ -386,12 +403,8 @@ class Expression:
 
     @classmethod
     def from_poly(cls, poly) -> "Expression":
-        """The expression of an element of one of this module's rings (as
-        ``ring_elements`` returns them)."""
+        """The expression of an element of one of this module's rings."""
         return object.__new__(cls)._set(poly, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expression is immutable")
 
     def __reduce__(self):
         return Expression, (self.sym,)
@@ -654,6 +667,26 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
         x: v.sym if isinstance(v, Expression) else sp.sympify(v) for x, v in table.items()}))
 
 
+def domain_matrix(rows: Sequence[Sequence[Expression]]):
+    """``(M, back)``: the rows as a DomainMatrix ``M`` and ``back``, the map
+    from an element of its domain to an Expression.
+
+    The domain is the polynomial ring over QQ of the entries' generators
+    when every entry is a polynomial; otherwise it is the domain sympy's
+    ``from_list_sympy`` picks for the entries' trees (a fraction field
+    over QQ for rational functions, EX for radicals and functions).
+    """
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    polys = [e._poly for row in rows for e in row]
+    if polys and all(P is not None for P in polys):
+        polys, m = _unify(*polys), shape[1]
+        domain = polys[0].ring.to_domain()
+        return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
+                            shape, domain), Expression.from_poly
+    M = DomainMatrix.from_list_sympy(*shape, [[e.sym for e in row] for row in rows])
+    return M, lambda x: Expression(M.domain.to_sympy(x))
+
+
 def _subtext(sym):
     try:
         return _tree_text(sym)
@@ -854,9 +887,11 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
 
     Names free in ``exprs`` and not bound by ``fixed`` are drawn in sorted
     order, uniform in [-2, 2].  A point where some expression raises
-    DomainEvalError or OverflowError (an exact number beyond the floats)
-    is skipped.  Stops after ``samples`` points or
-    ``200 * samples`` attempts, whichever comes first.
+    DomainEvalError, OverflowError (an exact number beyond the floats) or
+    a bare ValueError (``sin`` or ``cos`` of an infinity) is skipped;
+    every other ExprError, an unbound symbol first of all, is raised.
+    Stops after ``samples`` points or ``200 * samples`` attempts,
+    whichever comes first.
     """
     fixed = fixed or {}
     names = sorted(set().union(*(e.free_names() for e in exprs)) - set(fixed))
@@ -867,7 +902,11 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
         env = {**fixed, **{name: rng.uniform(-2.0, 2.0) for name in names}}
         try:
             values = tuple(evaluate(e, env) for e in exprs)
-        except (DomainEvalError, OverflowError):
+        except DomainEvalError:
+            continue
+        except ExprError:
+            raise
+        except (ValueError, OverflowError):
             continue
         got += 1
         yield values

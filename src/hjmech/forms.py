@@ -3,7 +3,10 @@
 Everything here is chart-level bookkeeping: a 1-form is one coefficient
 per coordinate differential, a 2-form is its independent coefficients
 ω_{uv} with u before v (ω_{vu} = −ω_{uv} and the diagonal is zero, so
-antisymmetry holds by construction), and the sign conventions are
+antisymmetry holds by construction and is never checked).  The one
+2-form constructor, ``TwoFormField(space, upper)``, takes that strict
+upper triangle and checks only its shape; every operation that yields a
+2-form calls it.  The sign conventions are
 
 * (a ∧ b)_{uv} = a_u b_v − a_v b_u,
 * (dθ)_{uv}   = ∂θ_v/∂u − ∂θ_u/∂v,
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from .expr import Coordinate, Expression, ZERO
+from .expr import Coordinate, Expression, Immutable, ZERO
 from .jets import VectorField
 
 
@@ -52,7 +55,7 @@ def _join_terms(parts) -> str:
     return "".join(out) if out else "0"
 
 
-class OneFormField:
+class OneFormField(Immutable):
     """A 1-form: one coefficient per coordinate differential of a space."""
 
     __slots__ = ("space", "coefficients")
@@ -64,11 +67,7 @@ class OneFormField:
                 "1-form has %d coefficients, space has dimension %d"
                 % (len(coeffs), space.dimension)
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneFormField is immutable")
+        self._init(space=space, coefficients=coeffs)
 
     @classmethod
     def zero(cls, space) -> "OneFormField":
@@ -148,44 +147,29 @@ class OneFormField:
         return "OneFormField(%s)" % self
 
 
-class TwoFormField:
+class TwoFormField(Immutable):
     """A 2-form stored by its independent coefficients ω_{ij}, i < j.
 
-    ``_upper[i][j - i - 1]`` holds ω_{ij}; ω_{ji} = −ω_{ij} and the
-    diagonal is zero, so antisymmetry holds by construction.
+    ``upper[i][j - i - 1]`` holds ω_{ij}: row i of the strict upper
+    triangle has dim − i − 1 entries.  ω_{ji} = −ω_{ij} and the diagonal
+    is zero, so antisymmetry holds by construction; the constructor
+    checks only the shape.
     """
 
     __slots__ = ("space", "_upper")
 
-    def __init__(self, space, matrix):
-        rows = tuple(tuple(_as_expression(c) for c in row) for row in matrix)
+    def __init__(self, space, upper):
+        rows = tuple(tuple(_as_expression(c) for c in row) for row in upper)
         dim = space.dimension
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise FormError("2-form matrix must be %d x %d" % (dim, dim))
-        for i in range(dim):
-            if not rows[i][i].is_zero:
-                raise FormError("2-form matrix must have zero diagonal")
-            for j in range(i + 1, dim):
-                if not (rows[i][j] + rows[j][i]).is_zero:
-                    raise FormError("2-form matrix must be antisymmetric")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_upper", tuple(row[i + 1:] for i, row in enumerate(rows)))
-
-    @classmethod
-    def _of(cls, space, upper) -> "TwoFormField":
-        """Wrap upper-triangle rows, upper[i][j - i - 1] = ω_{ij}."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "space", space)
-        object.__setattr__(form, "_upper", tuple(tuple(row) for row in upper))
-        return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoFormField is immutable")
+        if len(rows) != dim or any(len(row) != dim - i - 1 for i, row in enumerate(rows)):
+            raise FormError("a 2-form on a space of dimension %d needs %d upper-triangle "
+                            "rows of lengths %d down to 0" % (dim, dim, dim - 1))
+        self._init(space=space, _upper=rows)
 
     @classmethod
     def zero(cls, space) -> "TwoFormField":
         dim = space.dimension
-        return cls._of(space, ((ZERO,) * (dim - i - 1) for i in range(dim)))
+        return cls(space, ((ZERO,) * (dim - i - 1) for i in range(dim)))
 
     @classmethod
     def from_upper_entries(cls, space, entries: Mapping[Tuple[Coordinate, Coordinate], Expression]):
@@ -203,8 +187,8 @@ class TwoFormField:
                     "from_upper_entries wants u strictly before v; got (%s, %s)"
                     % (u.name, v.name)
                 )
-            upper[i][j - i - 1] = _as_expression(coeff)
-        return cls._of(space, upper)
+            upper[i][j - i - 1] = coeff
+        return cls(space, upper)
 
     def _coefficient(self, i: int, j: int) -> Expression:
         if i < j:
@@ -220,12 +204,6 @@ class TwoFormField:
         except ValueError:
             raise FormError("(%s, %s) is not in this space" % (u.name, v.name))
         return self._coefficient(i, j)
-
-    @property
-    def matrix(self) -> Tuple[Tuple[Expression, ...], ...]:
-        """The dense antisymmetric coefficient matrix."""
-        dim = self.space.dimension
-        return tuple(tuple(self._coefficient(i, j) for j in range(dim)) for i in range(dim))
 
     @property
     def is_zero(self) -> bool:
@@ -248,7 +226,7 @@ class TwoFormField:
             return NotImplemented
         if self.space.coordinates != other.space.coordinates:
             raise FormError("forms live on different spaces")
-        return TwoFormField._of(
+        return TwoFormField(
             self.space,
             (
                 tuple(a + b for a, b in zip(ra, rb))
@@ -257,7 +235,7 @@ class TwoFormField:
         )
 
     def __neg__(self):
-        return TwoFormField._of(self.space, (tuple(-a for a in row) for row in self._upper))
+        return TwoFormField(self.space, (tuple(-a for a in row) for row in self._upper))
 
     def __sub__(self, other):
         if not isinstance(other, TwoFormField):
@@ -306,7 +284,7 @@ def exterior_derivative(theta: OneFormField) -> TwoFormField:
     """(dθ)_{uv} = ∂θ_v/∂u − ∂θ_u/∂v."""
     coords, th = theta.space.coordinates, theta.coefficients
     dim = len(coords)
-    return TwoFormField._of(
+    return TwoFormField(
         theta.space,
         (
             [th[j].diff(coords[i]) - th[i].diff(coords[j]) for j in range(i + 1, dim)]
@@ -342,7 +320,7 @@ def wedge(a: OneFormField, b: OneFormField) -> TwoFormField:
         raise FormError("forms live on different spaces")
     ac, bc = a.coefficients, b.coefficients
     dim = len(ac)
-    return TwoFormField._of(
+    return TwoFormField(
         a.space,
         ([ac[i] * bc[j] - ac[j] * bc[i] for j in range(i + 1, dim)] for i in range(dim)),
     )
@@ -379,7 +357,7 @@ def pair(X: VectorField, theta: OneFormField) -> Expression:
 # maps and pullbacks
 
 
-class CoordMap:
+class CoordMap(Immutable):
     """A smooth map written as one source expression per target coordinate.
 
     ``images[w]`` is the expression for the target coordinate ``w`` in terms
@@ -409,13 +387,7 @@ class CoordMap:
                 "images supplied for coordinates outside the target: %s"
                 % ", ".join(sorted(c.name for c in extra))
             )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_jacobian", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordMap is immutable")
+        self._init(source=source, target=target, images=imgs, _jacobian=None)
 
     def jacobian(self) -> Dict[Tuple[Coordinate, Coordinate], Expression]:
         """{(w, u): ∂(image of w)/∂u}, computed once."""
@@ -481,4 +453,4 @@ class CoordMap:
                     if not block.is_zero:
                         total = total + entry * block
                 upper[i][j - i - 1] = total
-        return TwoFormField._of(self.source, upper)
+        return TwoFormField(self.source, upper)

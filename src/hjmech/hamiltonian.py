@@ -21,7 +21,7 @@ import types
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .expr import Coordinate, Expression, ZERO, jet, momentum
+from .expr import Coordinate, Expression, Immutable, ZERO, jet, momentum
 from .forms import CoordMap, OneFormField, TwoFormField, exterior_derivative
 from .jets import JetSpace, VectorField
 from .lagrangian import (
@@ -29,6 +29,7 @@ from .lagrangian import (
     LagrangianSystem,
     NonAffineError,
     System,
+    derived,
     solve_affine,
 )
 
@@ -92,7 +93,7 @@ class PhaseSpace:
 # Legendre map
 
 
-class LegendreMap:
+class LegendreMap(Immutable):
     """Forward and (when available) inverse Legendre–Ostrogradsky rules.
 
     ``forward`` maps the velocity space onto phase space; ``inverse`` maps
@@ -104,13 +105,7 @@ class LegendreMap:
 
     def __init__(self, system, forward: CoordMap, inverse: Optional[CoordMap],
                  diagnostic: Optional[str] = None):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "diagnostic", diagnostic)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LegendreMap is immutable")
+        self._init(system=system, forward=forward, inverse=inverse, diagnostic=diagnostic)
 
     @property
     def hyperregular(self) -> bool:
@@ -200,13 +195,10 @@ class HamiltonianSystem(System):
                 % ", ".join(sorted(c.name for c in stray))
             )
         self._declare(h, constants)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "h", h)
+        self._init(phase=phase, h=h)
 
+    @derived
     def field(self) -> VectorField:
-        return self._cached("field", self._build_field)
-
-    def _build_field(self) -> VectorField:
         phase, h = self.phase, self.h
         components = []
         for i in range(phase.k):

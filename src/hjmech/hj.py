@@ -37,6 +37,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .expr import (
     Coordinate,
     Expression,
+    Immutable,
     jet,
     momentum,
     placeholder,
@@ -80,7 +81,7 @@ def _check_base_scope(e: Expression, k: int, n: int, what: str):
             )
 
 
-class _FiberCandidate:
+class _FiberCandidate(Immutable):
     """Components c_j^A(q_0..q_{k-1}) of a map from T^(k-1)Q into a
     bundle over it, keyed (order, axis).
 
@@ -110,12 +111,7 @@ class _FiberCandidate:
         extra = set(components) - set(comps)
         if extra:
             raise HJError("unexpected %s components: %s" % (self._noun, sorted(extra)))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+        self._init(k=k, n=n, components=comps)
 
     @classmethod
     def _key(cls, j: int, axis: int) -> str:
@@ -215,7 +211,7 @@ class OneForm(_FiberCandidate):
         )
 
 
-class GeneratingFunction:
+class GeneratingFunction(Immutable):
     """A function W on T^(k-1)Q, optionally with a declared energy level."""
 
     __slots__ = ("k", "n", "w", "energy")
@@ -226,13 +222,7 @@ class GeneratingFunction:
         if not isinstance(w, Expression):
             w = Expression(w)
         _check_base_scope(w, k, n, "the generating function")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "energy", _as_energy(energy))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratingFunction is immutable")
+        self._init(k=k, n=n, w=w, energy=_as_energy(energy))
 
     @classmethod
     def generic(cls, k: int, n: int, energy=None) -> "GeneratingFunction":
@@ -271,7 +261,7 @@ def _as_energy(energy) -> Optional[Expression]:
     return Expression.number(energy)
 
 
-class CompleteSolutionFamily:
+class CompleteSolutionFamily(Immutable):
     """A parametric family of candidates with kn parameters λ.
 
     ``inverse_rules`` optionally maps each parameter name to an expression
@@ -316,12 +306,7 @@ class CompleteSolutionFamily:
                 raise HJError(
                     "inverse rules for unknown parameters: %s" % sorted(extra)
                 )
-        object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "inverse_rules", rules)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompleteSolutionFamily is immutable")
+        self._init(parameters=params, solution=solution, inverse_rules=rules)
 
     def __eq__(self, other):
         if not isinstance(other, CompleteSolutionFamily):
@@ -411,9 +396,9 @@ def _sample(e: Expression, constant_values: Mapping[str, object],
     return reduce(values) if len(values) == samples else None
 
 
-def _build_report(raw_entries, constant_values: Mapping[str, object],
-                  assumptions=(), notes=(), tol: float = DEFAULT_TOL,
-                  samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> ResidualReport:
+def _residual_report(raw_entries, constant_values: Mapping[str, object],
+                     assumptions=(), notes=(), tol: float = DEFAULT_TOL,
+                     samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> ResidualReport:
     if samples < 1:
         raise HJError("sample count must be at least 1")
     entries = []
@@ -541,7 +526,7 @@ def gen_lag_residuals(sys: LagrangianSystem, s: Section,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_L(q_j^A − s_j^A) on Im(s), k <= j <= 2k−1."""
-    return _build_report(
+    return _residual_report(
         _tangency(_paired_field(sys, s), s), sys.constant_values(),
         assumptions=_regularity_assumptions(sys),
         tol=tol, samples=samples, seed=seed,
@@ -554,7 +539,7 @@ def lag_closedness(sys: LagrangianSystem, s: Section,
     """Independent coefficients of s*ω_L over base-coordinate pairs."""
     s._check_shape(sys.k, sys.n)
     pulled = s.as_map().pull_twoform(sys.cartan().omega)
-    return _build_report(
+    return _residual_report(
         _closedness(pulled, sys.k, sys.n), sys.constant_values(),
         tol=tol, samples=samples, seed=seed,
     )
@@ -565,7 +550,7 @@ def lag_energy_residuals(sys: LagrangianSystem, s: Section,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Coefficients of d(s*E_L) over the base coordinates."""
     s._check_shape(sys.k, sys.n)
-    return _build_report(
+    return _residual_report(
         _energy(s, sys.cartan().energy), sys.constant_values(),
         tol=tol, samples=samples, seed=seed,
     )
@@ -584,7 +569,7 @@ def lag_genfunc_residuals(sys: LagrangianSystem, s: Section,
     raw = []
     for c, coeff in zip(base.coordinates, pulled.coefficients):
         raw.append(("genfunc", c.name, gf.w.diff(c) - coeff))
-    return _build_report(
+    return _residual_report(
         raw, sys.constant_values(), tol=tol, samples=samples, seed=seed
     )
 
@@ -597,7 +582,7 @@ def gen_ham_residuals(hs: HamiltonianSystem, alpha: OneForm,
                       tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> ResidualReport:
     """Tangency residuals X_h(p_A^i − α_A^i) on Im(α)."""
-    return _build_report(
+    return _residual_report(
         _tangency(_paired_field(hs, alpha), alpha), hs.constant_values(),
         tol=tol, samples=samples, seed=seed,
     )
@@ -609,7 +594,7 @@ def ham_closedness(alpha: OneForm,
                    constant_values: Optional[Mapping[str, object]] = None) -> ResidualReport:
     """Coefficients of α*ω_{k-1} = −dα over base-coordinate pairs."""
     minus_d = -exterior_derivative(alpha.as_oneform_field())
-    return _build_report(
+    return _residual_report(
         _closedness(minus_d, alpha.k, alpha.n), dict(constant_values or {}),
         tol=tol, samples=samples, seed=seed,
     )
@@ -620,7 +605,7 @@ def ham_energy_residuals(hs: HamiltonianSystem, alpha: OneForm,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Coefficients of d(α*h) over the base coordinates."""
     alpha._check_shape(hs.phase.k, hs.phase.n)
-    return _build_report(
+    return _residual_report(
         _energy(alpha, hs.h), hs.constant_values(),
         tol=tol, samples=samples, seed=seed,
     )
@@ -668,7 +653,7 @@ def hj_equation(hs: HamiltonianSystem, w, energy=None, strict: bool = False,
                 "h(q, dW) is %sconstant over the base"
                 % ("" if constant else "NOT ")
             )
-    return _build_report(
+    return _residual_report(
         raw, hs.constant_values(), notes=notes, tol=tol, samples=samples, seed=seed
     )
 
@@ -737,7 +722,7 @@ def involution_check(hs: HamiltonianSystem, fam: CompleteSolutionFamily,
             raw.append(
                 ("bracket", "{%s,%s}" % (params[a], params[b]), bracket)
             )
-    return _build_report(
+    return _residual_report(
         raw, hs.constant_values(), notes=notes, tol=tol, samples=samples, seed=seed
     )
 

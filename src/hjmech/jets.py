@@ -27,6 +27,7 @@ import numpy as np
 from .expr import (
     Coordinate,
     Expression,
+    Immutable,
     SymbolTable,
     derivation,
     jet,
@@ -103,7 +104,7 @@ class JetSpace:
 # vector fields
 
 
-class VectorField:
+class VectorField(Immutable):
     """A vector field as one expression component per coordinate.
 
     ``space`` is any object exposing ``coordinates``/``dimension`` (a
@@ -121,11 +122,7 @@ class VectorField:
                 "field has %d components, space has dimension %d"
                 % (len(comps), space.dimension)
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+        self._init(space=space, components=comps)
 
     def component(self, coord: Coordinate) -> Expression:
         try:
@@ -169,7 +166,7 @@ class VectorField:
 # curves
 
 
-class Curve:
+class Curve(Immutable):
     """A curve in an n-dimensional space, symbolic or sampled.
 
     Symbolic curves hold one Expression per component in the reserved
@@ -204,12 +201,7 @@ class Curve:
                 raise JetError("the time grid must be strictly increasing")
             if values_arr.ndim != 2 or values_arr.shape[0] != grid_arr.size:
                 raise JetError("values must have shape (len(grid), n)")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "grid", grid_arr)
-        object.__setattr__(self, "values", values_arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Curve is immutable")
+        self._init(components=comps, grid=grid_arr, values=values_arr)
 
     @classmethod
     def symbolic(cls, components) -> "Curve":
@@ -342,29 +334,3 @@ def semispray_type(X: VectorField) -> Optional[int]:
     if holonomic_blocks == 0:
         return None
     return k - holonomic_blocks + 1
-
-
-def project_field(X: VectorField, s: int) -> VectorField:
-    """Coordinate truncation of a jet-space field to order ``s``.
-
-    The caller must already have substituted away any dependence of the
-    kept components on coordinates above order ``s``; a leftover is a
-    dependency violation and raises.
-    """
-    space = X.space
-    if not isinstance(space, JetSpace):
-        raise JetError("project_field needs a jet-space field")
-    if s > space.order:
-        raise JetError(
-            "target order %d exceeds the field's order %d" % (s, space.order)
-        )
-    target = space.truncated(s)
-    kept = X.components[: target.dimension]
-    for coord, comp in zip(target.coordinates, kept):
-        for c in comp.free_coordinates():
-            if c.kind == "momentum" or c.order > s:
-                raise JetError(
-                    "component for %s still references %s after truncation "
-                    "to order %d" % (coord.name, c.name, s)
-                )
-    return VectorField(target, kept)

@@ -18,22 +18,24 @@ q_{2k}^B, and ``solve_affine`` solves them exactly (sympy's DomainMatrix,
 fraction-free over the smallest domain holding the entries) for the
 forcing components F^A.
 
-All derived objects are computed once per system behind a lock and then
-shared; systems are immutable after construction.
+Exact solves and determinants go through ``expr.domain_matrix``, which
+alone decides between the polynomial ring and sympy's trees.  Every
+derived object is a method decorated with ``derived``: it is computed
+once per system, under the system's lock, and then shared; systems are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
-from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .expr import Constant, Coordinate, Expression, ZERO, jet, ring_elements
+from .expr import Constant, Coordinate, Expression, Immutable, ZERO, domain_matrix, jet
 from .forms import OneFormField, TwoFormField, exterior_derivative
 from .jets import Curve, JetSpace, VectorField, prolong, total_derivative
 
@@ -46,55 +48,31 @@ class LagrangianError(ValueError):
 # exact linear algebra
 
 
-def _ring_matrix(rows):
-    """``rows`` as a DomainMatrix over the polynomial ring of their
-    entries, or None unless every entry is a polynomial."""
-    polys = ring_elements([e for row in rows for e in row])
-    if polys is None:
-        return None
-    m = len(rows[0])
-    return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
-                        (len(rows), m), polys[0].ring.to_domain())
-
-
 def solve_linear_exact(matrix: Sequence[Sequence[Expression]], rhs: Sequence[Expression]) -> Tuple[Expression, ...]:
     """Solve M x = rhs exactly.
 
-    The augmented matrix [M | rhs] is built over the polynomial ring of
-    its entries when all are polynomials, and otherwise converted from
-    their trees to the domain sympy picks (a fraction field over QQ for
-    rational functions, EX for radicals); it is solved fraction-free, and
-    each x_i is the canonical form of its numerator over the common
-    denominator.  A nonsingular system has one solution, so the result
-    does not depend on the elimination order.  Raises LagrangianError
-    when the matrix is singular.
+    The augmented matrix [M | rhs] is ``expr.domain_matrix`` of its
+    entries; it is solved fraction-free, and each x_i is its numerator
+    over the common denominator, as Expressions.  A nonsingular system
+    has one solution, so the result does not depend on the elimination
+    order.  Raises LagrangianError when the matrix is singular.
     """
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise LagrangianError("solve_linear_exact needs a square system")
-    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    aug = _ring_matrix(rows)
-    in_ring = aug is not None
-    if not in_ring:
-        aug = DomainMatrix.from_list_sympy(n, n + 1, [[e.sym for e in row] for row in rows])
+    aug, back = domain_matrix([list(row) + [r] for row, r in zip(matrix, rhs)])
     try:
         num, den = aug[:, :n].solve_den(aug[:, n:])
     except DMNonInvertibleMatrixError:
         raise LagrangianError("singular coefficient matrix in exact solve")
-    if in_ring:
-        den = Expression.from_poly(den)
-        return tuple(Expression.from_poly(x) / den for x in num.to_list_flat())
-    den = num.domain.to_sympy(den)
-    return tuple(Expression(x / den) for x in num.to_Matrix())
+    den = back(den)
+    return tuple(back(x) / den for x in num.to_list_flat())
 
 
 def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
-    """The exact determinant of a square matrix, in the ring when every
-    entry is a polynomial."""
-    dm = _ring_matrix(rows)
-    if dm is None:
-        return Expression(sp.Matrix([[e.sym for e in row] for row in rows]).det())
-    return Expression.from_poly(dm.det())
+    """The exact determinant of a square matrix of Expressions."""
+    M, back = domain_matrix(rows)
+    return back(M.det())
 
 
 class NonAffineError(LagrangianError):
@@ -176,21 +154,35 @@ class SemisprayField(VectorField):
 
     def __init__(self, space, components, forcing):
         VectorField.__init__(self, space, components)
-        object.__setattr__(
-            self,
-            "forcing",
-            tuple(f if isinstance(f, Expression) else Expression(f) for f in forcing),
-        )
+        self._init(forcing=tuple(f if isinstance(f, Expression) else Expression(f)
+                                 for f in forcing))
 
 
 # ---------------------------------------------------------------------------
 # the system
 
 
-class System:
+def derived(method):
+    """Make a method of a System compute its object once, under the
+    system's lock, and return that object on every later call.  The
+    result is a plain function, so it stays a class attribute that can
+    be wrapped like any other method."""
+
+    @functools.wraps(method)
+    def get(self):
+        with self._lock:
+            if method not in self._cache:
+                self._cache[method] = method(self)
+            return self._cache[method]
+
+    return get
+
+
+class System(Immutable):
     """What Lagrangian and Hamiltonian systems share: the declared
     constants of their defining function, and derived objects computed
-    once behind a lock and then shared.  Instances are immutable.
+    once behind a lock (``derived``) and then shared.  Instances are
+    immutable.
     """
 
     __slots__ = ("constants", "_lock", "_cache")
@@ -209,12 +201,7 @@ class System:
                     "constant '%s' appears in %s but is not declared"
                     % (name, self._function)
                 )
-        object.__setattr__(self, "constants", table)
-        object.__setattr__(self, "_lock", threading.RLock())
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+        self._init(constants=table, _lock=threading.RLock(), _cache={})
 
     def constant_values(self) -> Dict[str, object]:
         return {
@@ -222,12 +209,6 @@ class System:
             for name, c in self.constants.items()
             if c.value is not None
         }
-
-    def _cached(self, key, builder):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
-            return self._cache[key]
 
 
 class LagrangianSystem(System):
@@ -259,9 +240,7 @@ class LagrangianSystem(System):
                     "%s exceeds the declared base dimension %d" % (coord.name, n)
                 )
         self._declare(lagrangian, constants)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lagrangian", lagrangian)
+        self._init(k=k, n=n, lagrangian=lagrangian)
 
     # -- spaces -------------------------------------------------------------
 
@@ -277,10 +256,8 @@ class LagrangianSystem(System):
 
     # -- derived objects ------------------------------------------------------
 
+    @derived
     def hessian(self) -> HessianResult:
-        return self._cached("hessian", self._build_hessian)
-
-    def _build_hessian(self) -> HessianResult:
         k, n, L = self.k, self.n, self.lagrangian
         rows = []
         for A in range(1, n + 1):
@@ -298,10 +275,8 @@ class LagrangianSystem(System):
             assumptions=assumptions,
         )
 
+    @derived
     def cartan(self) -> CartanData:
-        return self._cached("cartan", self._build_cartan)
-
-    def _build_cartan(self) -> CartanData:
         k, n, L = self.k, self.n, self.lagrangian
         momenta = self._momenta()
         space = self.velocity_space
@@ -323,11 +298,9 @@ class LagrangianSystem(System):
         T^(2k-1-r) Q, which is p̂^{r-1}_A, or b_A at r = 0."""
         return self.lagrangian.diff(jet(r, axis)) - total_derivative(p, 2 * self.k - 1 - r)
 
+    @derived
     def _momenta(self) -> Dict[Tuple[int, int], Expression]:
         """{(i, A): p̂^i_A}, from p̂^k = 0 down to p̂^0."""
-        return self._cached("momenta", self._build_momenta)
-
-    def _build_momenta(self) -> Dict[Tuple[int, int], Expression]:
         momenta = {}
         for A in range(1, self.n + 1):
             p = ZERO
@@ -335,6 +308,7 @@ class LagrangianSystem(System):
                 p = momenta[(r - 1, A)] = self._ostrogradsky(r, A, p)
         return {key: momenta[key] for key in sorted(momenta)}
 
+    @derived
     def euler_lagrange_expressions(self) -> Tuple[Expression, ...]:
         """The stacked expressions b_A = ∂L/∂q_0^A − d_T p̂^0_A.
 
@@ -342,17 +316,12 @@ class LagrangianSystem(System):
         eliminates the top coordinate, the residual operator substitutes a
         prolonged curve into it.
         """
-        return self._cached("el_expressions", self._build_el_expressions)
-
-    def _build_el_expressions(self) -> Tuple[Expression, ...]:
         momenta = self._momenta()
         return tuple(self._ostrogradsky(0, A, momenta[(0, A)])
                      for A in range(1, self.n + 1))
 
+    @derived
     def euler_lagrange_field(self) -> SemisprayField:
-        return self._cached("el_field", self._build_el_field)
-
-    def _build_el_field(self) -> SemisprayField:
         k, n = self.k, self.n
         hess = self.hessian()
         if not hess.invertible:

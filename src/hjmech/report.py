@@ -20,6 +20,7 @@ from .hj import ResidualReport
 
 MACHINE_BEGIN = "#--BEGIN-MACHINE--#"
 MACHINE_END = "#--END-MACHINE--#"
+INDENT = "  "  # of residual lines and of assumption and note items
 
 
 def format_float(v: float) -> str:
@@ -64,30 +65,29 @@ class Report:
         self.text("%s = %s" % (name, canonical))
         self.row("object", name, canonical)
 
-    def add_residuals(self, rr: ResidualReport, id_prefix: str = "",
-                      indent: str = "  "):
+    def add_residuals(self, rr: ResidualReport, id_prefix: str = ""):
         """Render every entry of a residual report, in order."""
         for e in rr.entries:
-            line = "%s%s[%s]: %s" % (indent, e.tag, e.eq_id, e.verdict)
+            line = "%s%s[%s]: %s" % (INDENT, e.tag, e.eq_id, e.verdict)
             if e.numeric_max is not None and e.verdict != "exact-zero":
                 line += "  (max |r| = %s over %d samples)" % (
                     format_brief(e.numeric_max), rr.samples)
             self.text(line)
             if e.verdict != "exact-zero":
-                self.text("%s  residual = %s" % (indent, e.residual))
+                self.text("%s  residual = %s" % (INDENT, e.residual))
             self.row(e.tag, id_prefix + e.eq_id, str(e.residual),
                      e.numeric_max, e.verdict)
 
-    def add_context(self, rr: ResidualReport, indent: str = "  "):
+    def add_context(self, rr: ResidualReport):
         """Assumptions and notes carried by a residual report."""
         if rr.assumptions:
             self.text("assumptions:")
             for a in rr.assumptions:
-                self.text("%s- %s" % (indent, a))
+                self.text("%s- %s" % (INDENT, a))
         if rr.notes:
             self.text("notes:")
             for m in rr.notes:
-                self.text("%s- %s" % (indent, m))
+                self.text("%s- %s" % (INDENT, m))
 
     def render(self) -> str:
         out = list(self._lines)

@@ -640,6 +640,16 @@ def test_compiled_evaluate_fails_like_the_walker(text, bindings, error, message)
     assert kind is error and message in (None, text)
 
 
+def test_sample_values_skips_float_faults_and_raises_expression_errors():
+    # sin of an infinity raises a bare ValueError and 2^1100 a bare
+    # OverflowError: such points are skipped, not reported as bad input
+    assert list(E.sample_values([p("sin(a*q0_1)")], 5, 1, fixed={"a": math.inf})) == []
+    assert list(E.sample_values([p("2^1100*q0_1")], 5, 1)) == []
+    assert len(list(E.sample_values([p("sqrt(q0_1)")], 5, 1))) == 5
+    with pytest.raises(ExprError, match="placeholder"):
+        list(E.sample_values([placeholder("f", [jet(0, 1)])], 5, 1))
+
+
 def test_compiled_evaluate_reports_the_first_unbound_name_it_reaches():
     # the walk visits the term b before a*q0_1, and a*q1_1 before
     # sqrt(b - q0_1): neither text nor alphabetical order

@@ -78,10 +78,6 @@ def test_oneform_str():
 
 def test_twoform_antisymmetry_enforced():
     one = Expression.number(1)
-    with pytest.raises(FormError):
-        TwoFormField(T1, ((one, one), (-one, Expression.number(0))))
-    with pytest.raises(FormError):
-        TwoFormField(T1, ((Expression.number(0), one), (one, Expression.number(0))))
     om = TwoFormField.from_upper_entries(T1, {(jet(0, 1), jet(1, 1)): one})
     assert om.entry(jet(0, 1), jet(1, 1)) == one
     assert om.entry(jet(1, 1), jet(0, 1)) == -one
@@ -91,20 +87,33 @@ def test_twoform_antisymmetry_enforced():
         om.entry(jet(0, 1), jet(2, 1))
 
 
+@pytest.mark.parametrize("rows", [
+    ((1, 2), (3,)),  # one row short
+    ((1,), (2,), ()),  # first row too short
+    ((1, 2), (3, 4), ()),  # second row too long
+    ((1, 2), (3,), (), ()),  # one row too many
+    ((0, 1), (-1, 0), (0, 0)),  # a dense matrix is not an upper triangle
+])
+def test_twoform_rejects_ragged_upper_rows(rows):
+    with pytest.raises(FormError, match="upper-triangle rows"):
+        TwoFormField(T2, rows)
+
+
 def test_twoform_dense_and_upper_constructions_agree():
+    # the upper-triangle constructor, from_upper_entries and the dense
+    # matrix read back entry by entry all describe one 2-form
     zero = Expression.number(0)
     a, b, c = e("q2_1", T2), e("q0_1*q1_1", T2), e("sqrt(q0_1)", T2)
-    dense = TwoFormField(T2, ((zero, a, b), (-a, zero, c), (-b, -c, zero)))
+    direct = TwoFormField(T2, ((a, b), (c,), ()))
     coords = T2.coordinates
     upper = TwoFormField.from_upper_entries(
         T2, {(coords[0], coords[1]): a, (coords[0], coords[2]): b,
              (coords[1], coords[2]): c})
-    assert dense == upper and hash(dense) == hash(upper)
-    for u in coords:
-        assert upper.entry(u, u).is_zero
-        for v in coords:
-            assert upper.entry(u, v) == -upper.entry(v, u)
-    assert upper.matrix == dense.matrix
+    assert direct == upper and hash(direct) == hash(upper)
+    dense = ((zero, a, b), (-a, zero, c), (-b, -c, zero))
+    assert tuple(tuple(upper.entry(u, v) for v in coords) for u in coords) == dense
+    assert TwoFormField(T2, ((1, 0), (0,), ())) == TwoFormField.from_upper_entries(
+        T2, {(coords[0], coords[1]): Expression.number(1)})
     assert -(-upper) == upper
     assert (upper - upper).is_zero
     assert upper + upper == TwoFormField.from_upper_entries(

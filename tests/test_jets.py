@@ -17,7 +17,6 @@ from hjmech import (
 )
 from hjmech.jets import (
     central_differences,
-    project_field,
     prolong,
     semispray_type,
     total_derivative,
@@ -221,17 +220,3 @@ def test_semispray_type_two():
 def test_semispray_type_none_without_leading_shift():
     comps = [e("q0_1", T2), e("q2_1", T2), e("-q0_1", T2)]
     assert semispray_type(VectorField(T2, comps)) is None
-
-
-def test_project_field_truncates_checked():
-    space = T2
-    X = VectorField(space, [e("q1_1", space), e("q0_1", space), e("q2_1", space)])
-    P = project_field(X, 1)
-    assert [c.name for c in P.space.coordinates] == ["q0_1", "q1_1"]
-    assert P.component(jet(1, 1)) == e("q0_1", space)
-    # the dropped top component may reference q2_1, kept ones may not
-    bad = VectorField(space, [e("q2_1", space), e("q0_1", space), e("q0_1", space)])
-    with pytest.raises(JetError):
-        project_field(bad, 1)
-    with pytest.raises(JetError):
-        project_field(X, 3)

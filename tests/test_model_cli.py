@@ -538,6 +538,22 @@ def test_check_with_an_integer_beyond_the_floats_decides_exactly(
     assert out.count("classification: not-a-solution") == 2
 
 
+def test_check_with_sin_of_an_infinity_reports_unsampled_entries(
+        capsys, tmp_path):
+    # c*d*q0_1 is inf at every sample, and math.sin(inf) raises a bare
+    # ValueError; check once exited 2 with only "math domain error"
+    path = tmp_path / "beyond.hjm"
+    path.write_text(BEYOND_FLOATS % (1, "constant = c 1e300\nconstant = d 1e300\n",
+                                     "1/2*q1_1^2", 's1_1 = "sin(c*d*q0_1)"', "0.5"))
+    code, out, err = run_cli(capsys, "check", str(path), "s")
+    assert code == 1 and err == ""
+    rows = machine_rows(out)
+    assert len(rows) == 5
+    assert all(r[3:] == ["-", "nonzero"] for r in rows)
+    assert "sampling failed on every attempt (domain errors)" in out
+    assert out.count("classification: not-a-solution") == 2
+
+
 NON_AFFINE_LEGENDRE = '''
 [model]
 name = quartic

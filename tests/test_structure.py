@@ -1,0 +1,77 @@
+"""Package-wide structure: every immutable class refuses assignment through
+one base, and only ``expr`` decides between the polynomial ring and
+sympy's trees.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from hjmech import (
+    CompleteSolutionFamily,
+    CoordMap,
+    Curve,
+    GeneratingFunction,
+    JetSpace,
+    OneForm,
+    OneFormField,
+    Section,
+    TwoFormField,
+    VectorField,
+    hamiltonian,
+    legendre,
+    parse,
+)
+from hjmech.expr import Immutable
+
+from conftest import make_flight_1d
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hjmech"
+
+
+def _instances():
+    T1 = JetSpace(1, 1)
+    sys_ = make_flight_1d()
+    q = parse("q0_1", T1)
+    fam = OneForm(1, 1, {(0, 1): parse("c*q0_1", T1.table(("c",)))})
+    return {
+        "Expression": q,
+        "OneFormField": OneFormField.zero(T1),
+        "TwoFormField": TwoFormField.zero(T1),
+        "CoordMap": CoordMap(T1, T1, {c: parse(c.name, T1) for c in T1.coordinates}),
+        "VectorField": VectorField(T1, (q, q)),
+        "Curve": Curve.symbolic([parse("t", T1.table(("t",)))]),
+        "LegendreMap": legendre(sys_),
+        "LagrangianSystem": sys_,
+        "HamiltonianSystem": hamiltonian(sys_, legendre(sys_)),
+        "OneForm": OneForm(1, 1, {(0, 1): q}),
+        "GeneratingFunction": GeneratingFunction(1, 1, q),
+        "CompleteSolutionFamily": CompleteSolutionFamily(("c",), fam),
+        "SemisprayField": sys_.euler_lagrange_field(),
+        "Section": Section(1, 1, {(1, 1): q}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_instances()))
+def test_instances_refuse_attribute_assignment(name):
+    obj = _instances()[name]
+    assert type(obj).__name__ == name and isinstance(obj, Immutable)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        obj.extra = 1
+    first_slot = next(s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ()))
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        setattr(obj, first_slot, None)
+
+
+def test_only_expr_knows_the_polynomial_ring():
+    # the choice between ring elements and sympy trees (and the matrices
+    # built from either) stays behind expr's API
+    banned = re.compile(r"_poly|from_poly|ring_elements|PolyRing|sp\.Matrix")
+    found = [
+        "%s:%d: %s" % (path.name, number, line.strip())
+        for path in sorted(SRC.glob("*.py")) if path.name != "expr.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert found == []
