@@ -23,9 +23,12 @@ Conventions
   ``==`` and ``hash`` agree.  Everything else (radicals, ``sin cos exp
   ln``, symbolic denominators, placeholders) is its canonical sympy tree.
 * A ring-backed expression builds its tree (``.sym``) on first use, for
-  printing, ``evaluate``, ``lambdify`` and solves over non-polynomials.
-  It is the tree ``sp.expand`` gives, so printing and evaluation see the
-  tree the expand-based canonical form had.
+  printing, compiling and solves over non-polynomials.  It is the tree
+  ``sp.expand`` gives, so printing and evaluation see the tree the
+  expand-based canonical form had.  Ring and tree stay inside this
+  module: no other module of the package reads them or imports sympy.
+* ``Expression.of`` is the one way in for a value that is not parsed.
+  It and the constructor refuse text, floats and bools.
 * Canonical form of a tree: an expression whose denominator is a
   rational number is expanded and nothing more.  Any other fraction is
   reduced to a normal form p/q with ``together``/``cancel`` (expanded
@@ -54,37 +57,39 @@ Conventions
   walk would.
 * The parser bounds the number of terms an expansion may produce
   (``TERM_LIMIT``) before it expands or multiplies anything.
-* ``domain_matrix`` is the one way from rows of expressions to exact
-  linear algebra: a ``DomainMatrix`` over the entries' polynomial ring
-  when every entry is a polynomial, else over the domain sympy picks for
-  their trees, plus the map from its domain back to expressions.  The
-  choice between ring and tree is made here and nowhere else.
+* ``solve_linear`` and ``determinant`` are the package's exact linear
+  algebra, over the entries' polynomial ring when every entry is a
+  polynomial, else over the domain sympy picks for their trees; and
+  ``step_texts`` is the Python source of generated numeric code.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
 construction (the tree, the hash and ``evaluate``'s function) are
 idempotent stores of pure functions of the value.  ``Immutable`` is the
 base of every immutable class of the package: it refuses attribute
-assignment, and constructors store their fields through ``_init``
-(``Expression``, built far more often than the rest, stores its four
-directly).
+assignment and deletion, and constructors store their fields through
+``_init`` (``Expression``, built far more often than the rest, stores its
+four directly).
 """
 
 from __future__ import annotations
 
+import keyword
 import math
 import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import sympy as sp
 from sympy import QQ
 from sympy.core.function import AppliedUndef
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.rings import PolyRing
+from sympy.printing.pycode import PythonCodePrinter
 
 __all__ = [
     "Immutable",
@@ -97,10 +102,13 @@ __all__ = [
     "UnknownSymbolError",
     "UnboundSymbolError",
     "DomainEvalError",
+    "SingularMatrixError",
     "parse",
     "diff",
     "derivation",
-    "domain_matrix",
+    "solve_linear",
+    "determinant",
+    "step_texts",
     "substitute",
     "evaluate",
     "probably_equal",
@@ -148,14 +156,20 @@ class DomainEvalError(ExprError):
         self.subexpression = subexpression
 
 
+class SingularMatrixError(ExprError):
+    """An exact solve met a singular coefficient matrix."""
+
+
 class Immutable:
-    """Base of the package's immutable classes: assigning an attribute of
-    an instance raises AttributeError."""
+    """Base of the package's immutable classes: assigning or deleting an
+    attribute of an instance raises AttributeError."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
     def _init(self, **fields):
         """Store the fields of an instance under construction."""
@@ -380,13 +394,15 @@ class Expression(Immutable):
     A polynomial is held as a ring element (``_poly``) and its sympy tree
     is built on first use; anything else is held as its canonical sympy
     tree (``_poly`` is None).  The wrapper is the public contract; the
-    tree is reachable as ``.sym`` for the package's internal linear
-    algebra.
+    tree (``.sym``) is for this module and for tests.
     """
 
     __slots__ = ("_poly", "_sym", "_hash", "_fn")
 
     def __init__(self, sym):
+        if isinstance(sym, (str, float, bool)):
+            raise ExprError("cannot build an exact expression from %r; parse text with "
+                            "parse(), give numbers as int or Fraction" % (sym,))
         sym = sp.sympify(sym)
         poly = _as_poly(sym)
         if poly is None:
@@ -413,6 +429,12 @@ class Expression(Immutable):
         return self.sym
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def of(cls, value) -> "Expression":
+        """``value`` if it is an Expression, else the Expression of an int,
+        a Fraction or a sympy tree; text, floats and bools raise ExprError."""
+        return value if isinstance(value, Expression) else cls(value)
 
     @classmethod
     def number(cls, value) -> "Expression":
@@ -647,35 +669,22 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
 
     In the ring when ``e`` and the right-hand sides of its symbols are
     polynomials."""
-    table = {}
-    for key, value in rules.items():
-        sym = _as_symbol(key)
-        if isinstance(value, float):
-            raise ExprError("floats are not exact; use evaluate() for numerics")
-        if isinstance(value, (int, Fraction)):
-            value = Expression.number(value)
-        table[sym] = value
+    table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     hits = [] if P is None else [(x, v) for x, v in table.items() if x in _INDEX[P.ring]]
-    if P is not None and all(isinstance(v, Expression) and v._poly is not None for _, v in hits):
+    if P is not None and all(v._poly is not None for _, v in hits):
         if not hits:
             return e
         P, *values = _unify(P, *(v._poly for _, v in hits))
         gens = [P.ring.gens[_INDEX[P.ring][x]] for x, _ in hits]
         return Expression.from_poly(P.compose(list(zip(gens, values))))
-    return Expression(e.sym.xreplace({
-        x: v.sym if isinstance(v, Expression) else sp.sympify(v) for x, v in table.items()}))
+    return Expression(e.sym.xreplace({x: v.sym for x, v in table.items()}))
 
 
-def domain_matrix(rows: Sequence[Sequence[Expression]]):
-    """``(M, back)``: the rows as a DomainMatrix ``M`` and ``back``, the map
-    from an element of its domain to an Expression.
-
-    The domain is the polynomial ring over QQ of the entries' generators
-    when every entry is a polynomial; otherwise it is the domain sympy's
-    ``from_list_sympy`` picks for the entries' trees (a fraction field
-    over QQ for rational functions, EX for radicals and functions).
-    """
+def _domain_matrix(rows: Sequence[Sequence[Expression]]):
+    """``(M, back)``: the rows as a DomainMatrix ``M`` over the entries'
+    polynomial ring, or over the domain ``from_list_sympy`` picks for their
+    trees, and ``back``, the map from its domain to Expressions."""
     shape = (len(rows), len(rows[0]) if rows else 0)
     polys = [e._poly for row in rows for e in row]
     if polys and all(P is not None for P in polys):
@@ -685,6 +694,34 @@ def domain_matrix(rows: Sequence[Sequence[Expression]]):
                             shape, domain), Expression.from_poly
     M = DomainMatrix.from_list_sympy(*shape, [[e.sym for e in row] for row in rows])
     return M, lambda x: Expression(M.domain.to_sympy(x))
+
+
+def solve_linear(rows: Sequence[Sequence[Expression]],
+                 rhs: Sequence[Expression]) -> Tuple[Expression, ...]:
+    """The exact solution x of rows · x = rhs.
+
+    The augmented matrix [rows | rhs] is solved fraction-free, and each
+    x_i is its numerator over the common denominator.  A nonsingular
+    system has one solution, so the result does not depend on the
+    elimination order.  Raises SingularMatrixError when the matrix is
+    singular.
+    """
+    n = len(rows)
+    if len(rhs) != n or any(len(row) != n for row in rows):
+        raise ExprError("solve_linear needs a square system")
+    aug, back = _domain_matrix([list(row) + [r] for row, r in zip(rows, rhs)])
+    try:
+        num, den = aug[:, :n].solve_den(aug[:, n:])
+    except DMNonInvertibleMatrixError:
+        raise SingularMatrixError("singular coefficient matrix in exact solve") from None
+    den = back(den)
+    return tuple(back(x) / den for x in num.to_list_flat())
+
+
+def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
+    """The exact determinant of a square matrix of Expressions."""
+    M, back = _domain_matrix(rows)
+    return back(M.det())
 
 
 def _subtext(sym):
@@ -825,8 +862,6 @@ class _Compiler:
                 return "(%r)" % (node.p / node.q)
             except OverflowError:  # raised where evaluation reaches it
                 return self.assign("%d / %d" % (node.p, node.q))
-        if node.is_Float:
-            return self.ref(float(node))
         if node.is_Symbol:
             return self.assign("_load(env, %r)" % node.name)
         if node.is_Add:
@@ -1309,4 +1344,40 @@ def _tree_text(sym) -> str:
 
 def to_text(e) -> str:
     """Deterministic canonical rendering in the module grammar."""
-    return _tree_text(e.sym if isinstance(e, Expression) else _canon(e))
+    return _tree_text(Expression.of(e).sym)
+
+
+# ---------------------------------------------------------------------------
+# Python source for generated numeric code
+# ---------------------------------------------------------------------------
+
+
+class _StepPrinter(PythonCodePrinter):
+    def __init__(self):
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True})
+
+    def _module_format(self, fqn, register=True):
+        name = super()._module_format(fqn, register)
+        return "_math." + name if fqn.startswith("math.") else name
+
+
+def step_texts(exprs: Sequence[Expression],
+               constant_names: Sequence[str]) -> Tuple[List[str], List[str]]:
+    """``(texts, params)``: the Python source of each expression, and the
+    parameter name of each constant, for a generated function that binds
+    the coordinates by name and ``_math`` to the math module.
+
+    A text is what sympy prints for a math-module function
+    (``PythonCodePrinter`` with ``fully_qualified_modules=False``,
+    ``inline=True``, ``allow_unknown_functions=True``), with each math
+    function as ``_math.<name>``.  A constant whose name is a keyword
+    becomes a Dummy, as in sympy's generated functions: the Dummies are
+    made in reverse order of ``constant_names``.
+    """
+    symbols = [sp.Symbol(name) for name in constant_names]
+    dummies = {s: sp.Dummy() for s in reversed(symbols)
+               if not s.name.isidentifier() or keyword.iskeyword(s.name)}
+    printer = _StepPrinter()
+    texts = [printer.doprint(e.sym.xreplace(dummies)) for e in exprs]
+    return texts, [printer.doprint(dummies.get(s, s)) for s in symbols]

@@ -29,10 +29,6 @@ class FormError(ValueError):
     """Raised for malformed forms or maps."""
 
 
-def _as_expression(value) -> Expression:
-    return value if isinstance(value, Expression) else Expression(value)
-
-
 def _coefficient_text(comp: Expression) -> Tuple[str, str]:
     """Render a coefficient as (sign, body) for sign-aware joining."""
     text = str(comp)
@@ -61,7 +57,7 @@ class OneFormField(Immutable):
     __slots__ = ("space", "coefficients")
 
     def __init__(self, space, coefficients):
-        coeffs = tuple(_as_expression(c) for c in coefficients)
+        coeffs = tuple(map(Expression.of, coefficients))
         if len(coeffs) != space.dimension:
             raise FormError(
                 "1-form has %d coefficients, space has dimension %d"
@@ -159,7 +155,7 @@ class TwoFormField(Immutable):
     __slots__ = ("space", "_upper")
 
     def __init__(self, space, upper):
-        rows = tuple(tuple(_as_expression(c) for c in row) for row in upper)
+        rows = tuple(tuple(map(Expression.of, row)) for row in upper)
         dim = space.dimension
         if len(rows) != dim or any(len(row) != dim - i - 1 for i, row in enumerate(rows)):
             raise FormError("a 2-form on a space of dimension %d needs %d upper-triangle "
@@ -276,7 +272,7 @@ class TwoFormField(Immutable):
 
 def differential(e: Expression, space) -> OneFormField:
     """d of a function: coefficients ∂e/∂u over the space's coordinates."""
-    e = _as_expression(e)
+    e = Expression.of(e)
     return OneFormField(space, tuple(e.diff(u) for u in space.coordinates))
 
 
@@ -373,7 +369,7 @@ class CoordMap(Immutable):
         for w in target.coordinates:
             if w not in images:
                 raise FormError("no image supplied for target coordinate %s" % w.name)
-            img = _as_expression(images[w])
+            img = Expression.of(images[w])
             stray = img.free_coordinates() - source_coords
             if stray:
                 raise FormError(
@@ -401,8 +397,7 @@ class CoordMap(Immutable):
         return self._jacobian
 
     def pull_function(self, e: Expression) -> Expression:
-        e = _as_expression(e)
-        out = e.subs(self.images)
+        out = Expression.of(e).subs(self.images)
         stray = out.free_coordinates() - set(self.source.coordinates)
         if stray:
             raise FormError(

@@ -185,8 +185,7 @@ class HamiltonianSystem(System):
     _function = "h"
 
     def __init__(self, phase: PhaseSpace, h: Expression, constants=()):
-        if not isinstance(h, Expression):
-            h = Expression(h)
+        h = Expression.of(h)
         allowed = set(phase.coordinates)
         stray = h.free_coordinates() - allowed
         if stray:
@@ -223,10 +222,7 @@ def hamiltonian_field(hs: HamiltonianSystem) -> VectorField:
 
 def poisson(f: Expression, g: Expression, ps: PhaseSpace) -> Expression:
     """{f, g} = Σ (∂f/∂q_i^A ∂g/∂p_A^i − ∂f/∂p_A^i ∂g/∂q_i^A)."""
-    if not isinstance(f, Expression):
-        f = Expression(f)
-    if not isinstance(g, Expression):
-        g = Expression(g)
+    f, g = Expression.of(f), Expression.of(g)
     total = ZERO
     for i in range(ps.k):
         for A in range(1, ps.n + 1):

@@ -38,6 +38,7 @@ from .expr import (
     Coordinate,
     Expression,
     Immutable,
+    determinant,
     jet,
     momentum,
     placeholder,
@@ -52,7 +53,7 @@ from .hamiltonian import (
 )
 from .jets import JetSpace, VectorField
 from .lagrangian import (
-    LagrangianError, LagrangianSystem, NonAffineError, determinant, solve_affine,
+    LagrangianError, LagrangianSystem, NonAffineError, solve_affine,
 )
 
 DEFAULT_TOL = 1e-9
@@ -103,9 +104,7 @@ class _FiberCandidate(Immutable):
                 key = self._key(j, A)
                 if (j, A) not in components:
                     raise HJError("%s is missing the component %s" % (self._noun, key))
-                e = components[(j, A)]
-                if not isinstance(e, Expression):
-                    e = Expression(e)
+                e = Expression.of(components[(j, A)])
                 _check_base_scope(e, k, n, "%s component %s" % (self._noun, key))
                 comps[(j, A)] = e
         extra = set(components) - set(comps)
@@ -219,8 +218,7 @@ class GeneratingFunction(Immutable):
     def __init__(self, k: int, n: int, w: Expression, energy=None):
         if k < 1 or n < 1:
             raise HJError("a generating function needs k >= 1 and n >= 1")
-        if not isinstance(w, Expression):
-            w = Expression(w)
+        w = Expression.of(w)
         _check_base_scope(w, k, n, "the generating function")
         self._init(k=k, n=n, w=w, energy=_as_energy(energy))
 
@@ -299,8 +297,7 @@ class CompleteSolutionFamily(Immutable):
             for p in params:
                 if p not in inverse_rules:
                     raise HJError("inverse rule missing for parameter '%s'" % p)
-                e = inverse_rules[p]
-                rules[p] = e if isinstance(e, Expression) else Expression(e)
+                rules[p] = Expression.of(inverse_rules[p])
             extra = set(inverse_rules) - set(params)
             if extra:
                 raise HJError(

@@ -114,9 +114,7 @@ class VectorField(Immutable):
     __slots__ = ("space", "components")
 
     def __init__(self, space, components):
-        comps = tuple(
-            c if isinstance(c, Expression) else Expression(c) for c in components
-        )
+        comps = tuple(map(Expression.of, components))
         if len(comps) != space.dimension:
             raise JetError(
                 "field has %d components, space has dimension %d"
@@ -180,10 +178,7 @@ class Curve(Immutable):
         if (components is None) == (grid is None):
             raise JetError("a curve is either symbolic or sampled, not both")
         if components is not None:
-            comps = tuple(
-                c if isinstance(c, Expression) else Expression(c)
-                for c in components
-            )
+            comps = tuple(map(Expression.of, components))
             for c in comps:
                 if c.free_coordinates():
                     raise JetError(

@@ -14,13 +14,10 @@ the dynamics builds no θ_L, ω_L or E_L, and the Cartan data no b.
 
 The dynamics i(X_L)ω_L = dE_L is solved in semispray form: the stacked
 Euler–Lagrange expressions are affine in the formal top coordinate
-q_{2k}^B, and ``solve_affine`` solves them exactly (sympy's DomainMatrix,
-fraction-free over the smallest domain holding the entries) for the
-forcing components F^A.
+q_{2k}^B, and ``solve_affine`` solves them exactly (``expr.solve_linear``)
+for the forcing components F^A.
 
-Exact solves and determinants go through ``expr.domain_matrix``, which
-alone decides between the polynomial ring and sympy's trees.  Every
-derived object is a method decorated with ``derived``: it is computed
+Every derived object is a method decorated with ``derived``: it is computed
 once per system, under the system's lock, and then shared; systems are
 immutable after construction.
 """
@@ -33,9 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .expr import Constant, Coordinate, Expression, Immutable, ZERO, domain_matrix, jet
+from .expr import (Constant, Coordinate, Expression, Immutable, SingularMatrixError, ZERO,
+                   determinant, jet, solve_linear)
 from .forms import OneFormField, TwoFormField, exterior_derivative
 from .jets import Curve, JetSpace, VectorField, prolong, total_derivative
 
@@ -45,34 +42,7 @@ class LagrangianError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
-
-
-def solve_linear_exact(matrix: Sequence[Sequence[Expression]], rhs: Sequence[Expression]) -> Tuple[Expression, ...]:
-    """Solve M x = rhs exactly.
-
-    The augmented matrix [M | rhs] is ``expr.domain_matrix`` of its
-    entries; it is solved fraction-free, and each x_i is its numerator
-    over the common denominator, as Expressions.  A nonsingular system
-    has one solution, so the result does not depend on the elimination
-    order.  Raises LagrangianError when the matrix is singular.
-    """
-    n = len(matrix)
-    if len(rhs) != n or any(len(row) != n for row in matrix):
-        raise LagrangianError("solve_linear_exact needs a square system")
-    aug, back = domain_matrix([list(row) + [r] for row, r in zip(matrix, rhs)])
-    try:
-        num, den = aug[:, :n].solve_den(aug[:, n:])
-    except DMNonInvertibleMatrixError:
-        raise LagrangianError("singular coefficient matrix in exact solve")
-    den = back(den)
-    return tuple(back(x) / den for x in num.to_list_flat())
-
-
-def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
-    """The exact determinant of a square matrix of Expressions."""
-    M, back = domain_matrix(rows)
-    return back(M.det())
+# affine systems
 
 
 class NonAffineError(LagrangianError):
@@ -103,7 +73,10 @@ def solve_affine(equations: Sequence[Expression], unknowns: Sequence) -> Tuple[E
             row.append(coeff)
         rows.append(row)
     at_zero = {u: ZERO for u in unknowns}
-    return solve_linear_exact(rows, [-e.subs(at_zero) for e in equations])
+    try:
+        return solve_linear(rows, [-e.subs(at_zero) for e in equations])
+    except SingularMatrixError:
+        raise LagrangianError("singular coefficient matrix in exact solve") from None
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +127,7 @@ class SemisprayField(VectorField):
 
     def __init__(self, space, components, forcing):
         VectorField.__init__(self, space, components)
-        self._init(forcing=tuple(f if isinstance(f, Expression) else Expression(f)
-                                 for f in forcing))
+        self._init(forcing=tuple(map(Expression.of, forcing)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +198,7 @@ class LagrangianSystem(System):
             raise LagrangianError("the jet order k must be at least 1")
         if n < 1:
             raise LagrangianError("the base dimension n must be at least 1")
-        if not isinstance(lagrangian, Expression):
-            lagrangian = Expression(lagrangian)
+        lagrangian = Expression.of(lagrangian)
         for coord in lagrangian.free_coordinates():
             if coord.kind == "momentum":
                 raise LagrangianError("a Lagrangian must not reference momenta")

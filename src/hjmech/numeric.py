@@ -6,14 +6,11 @@ A field compiles to one generated function that runs the whole step
 loop: the state and the four stage vectors are float locals, and each
 component is spliced in as straight-line code.
 
-Bit identity: a component's text is what sympy prints for a math-module
-function (`PythonCodePrinter` with ``fully_qualified_modules=False``,
-``inline=True``, ``allow_unknown_functions=True``; a constant whose name
-is a keyword becomes a Dummy), except that math functions print as
-``_math.<name>`` so that no constant shadows one.  The stage arithmetic
-is ``z + (h/2)*k``, ``z + h*k`` and ``z + (h/6)*(k1 + 2*k2 + 2*k3 +
-k4)``, so every float operation is the one a per-stage RK4 loop over
-sympy's generated function makes.
+Bit identity: a component's text is ``expr.step_texts``, sympy's text for
+a math-module function with each math function as ``_math.<name>``.  The
+stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z + (h/6)*(k1 +
+2*k2 + 2*k3 + k4)``, so every float operation is the one a per-stage RK4
+loop over sympy's generated function makes.
 
 Failures: the loop stops at a step that raises or whose new state is not
 finite, which every non-finite or complex stage value makes it.  That
@@ -29,16 +26,13 @@ comparison uses the unweighted max-abs distance over all coordinates.
 
 from __future__ import annotations
 
-import keyword
 import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
-from sympy.printing.pycode import PythonCodePrinter
 
-from .expr import Expression
+from .expr import Expression, step_texts
 from .hj import HJError, _paired_field, associated_field
 from .jets import JetSpace, VectorField
 
@@ -89,20 +83,6 @@ class Trajectory:
         return "\n".join([row % tuple(values) for values in rows]) + "\n"
 
 
-class _StepPrinter(PythonCodePrinter):
-    """Sympy's printer for math-module functions, except that a math
-    function prints as ``_math.<name>``: the same function, under a name
-    no constant can take."""
-
-    def __init__(self):
-        super().__init__({"fully_qualified_modules": False, "inline": True,
-                          "allow_unknown_functions": True})
-
-    def _module_format(self, fqn, register=True):
-        name = super()._module_format(fqn, register)
-        return "_math." + name if fqn.startswith("math.") else name
-
-
 def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
     """Source of ``_run``, which takes RK4 steps from a state, appending
     each new state to ``_rows``, until it has taken ``_n`` or a step raises
@@ -151,25 +131,18 @@ def _compile_field(X: VectorField, constants: Mapping[str, float]):
         for name in comp.free_names():
             if name not in coord_names:
                 const_names.add(name)
-    missing = sorted(n for n in const_names if n not in constants)
+    const_names = sorted(const_names)
+    missing = [n for n in const_names if n not in constants]
     if missing:
         raise NumericError(
             "no numeric value for constant(s) %s; declare values in the "
             "model or pass them explicitly" % ", ".join(missing)
         )
-    const_syms = [sp.Symbol(n) for n in sorted(const_names)]
-    # sympy's substitution for generated functions: a name that is not a
-    # safe identifier (a keyword) becomes a Dummy, made in reverse name order
-    dummies = {s: sp.Dummy() for s in reversed(const_syms)
-               if not s.name.isidentifier() or keyword.iskeyword(s.name)}
-    printer = _StepPrinter()
-    texts = [printer.doprint(comp.sym.xreplace(dummies))
-             for comp in X.components]
-    params = [printer.doprint(dummies.get(s, s)) for s in const_syms]
+    texts, params = step_texts(X.components, const_names)
     namespace = {"_math": math, "_range": range}
     exec(compile(_step_source(coord_names, params, texts), "<field>", "exec"),
          namespace)
-    values = [float(constants[s.name]) for s in const_syms]
+    values = [float(constants[name]) for name in const_names]
     return namespace["_run"], namespace["_field"], values
 
 
@@ -339,8 +312,7 @@ def fd_gradient_check(e: Expression, point: Mapping[str, float],
     free symbol; relative tolerance against max(1, |symbolic|)."""
     if step <= 0:
         raise NumericError("the finite-difference step must be positive")
-    if not isinstance(e, Expression):
-        e = Expression(e)
+    e = Expression.of(e)
     if e.has_placeholders:
         raise NumericError("cannot difference placeholder expressions")
     names = sorted(e.free_names())

@@ -33,7 +33,7 @@ from hjmech import (
 )
 from hjmech import expr as E
 from hjmech.cli import main
-from hjmech.expr import placeholder_derivative
+from hjmech.expr import placeholder_derivative, to_text
 
 from conftest import model_path
 
@@ -239,6 +239,27 @@ def test_substitute_rejects_floats():
     with pytest.raises(ValueError):
         substitute(p("q0_1"), {jet(0, 1): 0.5})
     assert substitute(p("q0_1"), {jet(0, 1): Fraction(1, 2)}) == Expression.number("1/2")
+
+
+@pytest.mark.parametrize("value", ["q0_1^2", "1/2", 0.25, float("nan"), True, False])
+def test_values_enter_exactly_or_not_at_all(value):
+    # text once went to sympy's own parser (no symbol table, no term budget)
+    # and floats were stored as sympy Floats that no printer accepts
+    for build in (Expression, Expression.of, to_text,
+                  lambda v: substitute(p("q0_1"), {jet(0, 1): v})):
+        with pytest.raises(ExprError, match="parse text with parse"):
+            build(value)
+    assert Expression.of(Fraction(1, 4)) == Expression.number(Fraction(1, 4))
+    assert Expression.of(sp.Symbol("q0_1") * 2) == p("2*q0_1")
+    e = p("q0_1")
+    assert Expression.of(e) is e
+
+
+def test_text_is_never_evaluated(monkeypatch):
+    monkeypatch.delitem(os.environ, "HJMECH_PROBE", raising=False)
+    with pytest.raises(ExprError):
+        Expression("__import__('os').environ.setdefault('HJMECH_PROBE', '1')")
+    assert "HJMECH_PROBE" not in os.environ
 
 
 # -- evaluation -------------------------------------------------------------

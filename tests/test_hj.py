@@ -7,6 +7,7 @@ import pytest
 from hjmech import (
     CompleteSolutionFamily,
     DegenerateFamilyError,
+    ExprError,
     Expression,
     GENERALIZED,
     GeneratingFunction,
@@ -147,6 +148,20 @@ def test_generating_function_gradient():
     assert gf.energy is None
     gf2 = GeneratingFunction(2, 1, w, energy=Expression.number("1/2"))
     assert gf2.energy == Expression.number("1/2")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GeneratingFunction(1, 1, "q0_1^2"),
+    lambda: Section(1, 1, {(1, 1): 0.25}),
+    lambda: OneForm(1, 1, {(0, 1): True}),
+    lambda: VectorField(JetSpace(1, 0), ("q0_1",)),
+    lambda: CompleteSolutionFamily(("c1", "c2"), radical_oneform(), {"c1": "p0_1", "c2": "1"}),
+], ids=["genfunc-text", "section-float", "oneform-bool", "field-text", "inverse-rule-text"])
+def test_candidates_take_only_exact_expressions(build):
+    # text was parsed by sympy with no symbol table or term budget, and a
+    # float component was stored as a sympy Float that cannot be printed
+    with pytest.raises(ExprError, match="parse text with parse"):
+        build()
 
 
 def test_family_validation():

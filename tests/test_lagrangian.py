@@ -21,9 +21,8 @@ from hjmech import (
     parse,
 )
 from hjmech.jets import central_differences, semispray_type, total_derivative
-from hjmech.lagrangian import (
-    NonAffineError, determinant, solve_affine, solve_linear_exact,
-)
+from hjmech.expr import SingularMatrixError, determinant, solve_linear
+from hjmech.lagrangian import NonAffineError, solve_affine
 
 from conftest import make_beam_symbolic, make_flight_1d
 
@@ -320,10 +319,10 @@ def test_solve_linear_exact():
     one = Expression.number(1)
     two = Expression.number(2)
     three = Expression.number(3)
-    x, y = solve_linear_exact([[two, one], [one, one]], [three, two])
+    x, y = solve_linear([[two, one], [one, one]], [three, two])
     assert x == one and y == one
-    with pytest.raises(LagrangianError, match="^singular coefficient matrix in exact solve$"):
-        solve_linear_exact([[one, one], [one, one]], [one, two])
+    with pytest.raises(SingularMatrixError, match="^singular coefficient matrix in exact solve$"):
+        solve_linear([[one, one], [one, one]], [one, two])
 
 
 @pytest.mark.parametrize("coeff", ["mu", "sqrt(q0_1)"])
@@ -333,7 +332,7 @@ def test_solve_linear_exact_symbolic_coefficients(coeff):
     a = parse(coeff, T)
     one, two, three = (Expression.number(v) for v in (1, 2, 3))
     rhs = [parse("q1_1", T), three]
-    x, y = solve_linear_exact([[a, one], [one, two]], rhs)
+    x, y = solve_linear([[a, one], [one, two]], rhs)
     assert x == parse("(2*q1_1 - 3)/(2*%s - 1)" % coeff, T)
     assert y == parse("(3*%s - q1_1)/(2*%s - 1)" % (coeff, coeff), T)
     assert a * x + y == rhs[0] and x + two * y == rhs[1]
@@ -380,7 +379,7 @@ def test_determinant_and_solve_match_the_sympy_references(name):
     rhs = [parse(text, T) for text in rhs]
     det, ref = determinant(matrix), _reference_determinant(matrix)
     assert det == ref and str(det) == str(ref)
-    solution, ref = solve_linear_exact(matrix, rhs), _reference_solve(matrix, rhs)
+    solution, ref = solve_linear(matrix, rhs), _reference_solve(matrix, rhs)
     assert solution == ref
     assert [str(x) for x in solution] == [str(x) for x in ref]
 
@@ -400,10 +399,10 @@ def test_ring_solve_and_determinant_match_the_sympy_conversion(rows):
     det = determinant(matrix)
     assert det == _reference_determinant(matrix)
     if det.is_zero:
-        with pytest.raises(LagrangianError, match="^singular coefficient matrix"):
-            solve_linear_exact(matrix, rhs)
+        with pytest.raises(SingularMatrixError, match="^singular coefficient matrix"):
+            solve_linear(matrix, rhs)
         return
-    solution = solve_linear_exact(matrix, rhs)
+    solution = solve_linear(matrix, rhs)
     assert solution == _reference_solve(matrix, rhs)
     assert all(str(x) == str(y) for x, y in zip(solution, _reference_solve(matrix, rhs)))
 

@@ -5,6 +5,7 @@ subcommands, report layout, machine block, and exit codes.
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -667,6 +668,105 @@ def test_derive_exits_with_a_documented_code(tmp_path_factory, k, kinetic, text)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(["derive", str(path), topic])
         assert code in (0, 1, 2, 3), (topic, text)
+
+
+HOSTILE_CONSTANTS = st.sampled_from(("0", "1", "-1", "1e300", "-1e300", "1e-300"))
+HOSTILE_STATES = st.sampled_from(("0", "1", "-0.5", "1e200", "-1e200"))
+COMMAND_MODEL = '''[model]
+name = fuzz
+k = %(k)d
+n = 1
+constant = a %(a)s
+constant = b %(b)s
+
+[lagrangian]
+L = "1/2*q%(k)d_1^2 + %(L)s"
+
+[state base]
+values = %(base)s
+
+[state full]
+values = %(full)s
+'''
+
+
+@st.composite
+def command_texts(draw, leaves, depth=2):
+    """Small grammar texts over ``leaves``."""
+    if not depth or draw(st.booleans()):
+        return draw(st.sampled_from(leaves + ("1", "2", "1/2")))
+    inner = command_texts(leaves, depth - 1)
+    kind = draw(st.sampled_from(("+", "-", "*", "/", "^", "f")))
+    if kind == "^":
+        return "(%s)^%s" % (draw(inner), draw(st.sampled_from(("2", "-1", "(1/2)"))))
+    if kind == "f":
+        name = draw(st.sampled_from(("sqrt", "sin", "cos", "exp", "ln")))
+        return "%s(%s)" % (name, draw(inner))
+    return "(%s %s %s)" % (draw(inner), kind, draw(inner))
+
+
+@st.composite
+def command_models(draw):
+    """A one-axis model with hostile constant values and states, and one
+    block for each kind of candidate the commands take: the section s,
+    the 1-form w and the family f, affine in its parameters."""
+    k = draw(st.sampled_from((1, 2)))
+    q = tuple("q%d_1" % i for i in range(k + 1))
+    params = ("a", "b")[:k]
+    others = ("a", "b")[k:]  # the constants that are not parameters
+
+    def text(leaves):
+        return draw(command_texts(leaves))
+
+    def states(size):
+        return ", ".join(draw(st.lists(HOSTILE_STATES, min_size=size, max_size=size)))
+
+    head = COMMAND_MODEL % dict(
+        k=k, a=draw(HOSTILE_CONSTANTS), b=draw(HOSTILE_CONSTANTS),
+        L=text(("a", "b") + q), base=states(k), full=states(2 * k))
+    blocks = {
+        "s": ["[section s]"] + ['s%d_1 = "%s"' % (j, text(("a", "b") + q[:k]))
+                                for j in range(k, 2 * k)],
+        "w": ["[oneform w]"] + ['a%d_1 = "%s"' % (j, text(("a", "b") + q[:k]))
+                                for j in range(k)],
+        "f": ["[family f]", "params = " + ", ".join(params)] + [
+            'a%d_1 = "%s*q%d_1 + %s"' % (j, params[j], j, text(others + q[:k]))
+            for j in range(k)],
+    }
+    return {name: head + "\n" + "\n".join(block) + "\n" for name, block in blocks.items()}
+
+
+def _negative_verdict(command, out):
+    if command == "check":
+        return "classification: not-a-solution" in out
+    if command == "involution":
+        return any(r[0] == "bracket" and r[4] == "nonzero" for r in machine_rows(out))
+    return "-> fail" in out
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=30))
+@given(command_models())
+def test_every_command_exits_with_a_documented_code(tmp_path_factory, models):
+    # exit 1 is a negative verdict and nothing else; no exception escapes
+    base = tmp_path_factory.getbasetemp()
+    for name, text in models.items():
+        (base / ("%s.hjm" % name)).write_text(text)
+    grid = ["0", "0.04", "0.01", "--out", str(base / "commands.csv")]
+    commands = [
+        ["check", "s", "s", "--samples", "5"],
+        ["check", "w", "w", "--samples", "5"],
+        ["involution", "f", "f", "--samples", "5"],
+        ["simulate", "s", "lagrangian", "full"] + grid,
+        ["simulate", "w", "hamiltonian", "full"] + grid,
+        ["simulate", "w", "associated:w", "base"] + grid,
+        ["simulate", "s", "associated:s", "base"] + grid + ["--lift", "s"],
+    ]
+    for command, model, *rest in commands:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([command, str(base / ("%s.hjm" % model))] + rest)
+        assert code in (0, 1, 2, 3), (command, rest, models[model])
+        assert code != 1 or _negative_verdict(command, out.getvalue()), (command, models[model])
 
 
 @pytest.mark.parametrize("what, line", [

@@ -1,6 +1,7 @@
-"""Package-wide structure: every immutable class refuses assignment through
-one base, and only ``expr`` decides between the polynomial ring and
-sympy's trees.
+"""Package-wide structure: every immutable class refuses assignment and
+deletion through one base, and only ``expr`` knows how an expression is
+represented: it alone decides between the polynomial ring and sympy's
+trees, imports sympy and builds Expressions from raw values.
 """
 
 import pathlib
@@ -62,16 +63,30 @@ def test_instances_refuse_attribute_assignment(name):
     first_slot = next(s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ()))
     with pytest.raises(AttributeError, match="^%s is immutable$" % name):
         setattr(obj, first_slot, None)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        delattr(obj, first_slot)
+    getattr(obj, first_slot)  # still there
+
+
+def _lines_outside_expr(banned):
+    return [
+        "%s:%d: %s" % (path.name, number, line.strip())
+        for path in sorted(SRC.glob("*.py")) if path.name != "expr.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
 
 
 def test_only_expr_knows_the_polynomial_ring():
     # the choice between ring elements and sympy trees (and the matrices
     # built from either) stays behind expr's API
     banned = re.compile(r"_poly|from_poly|ring_elements|PolyRing|sp\.Matrix")
-    found = [
-        "%s:%d: %s" % (path.name, number, line.strip())
-        for path in sorted(SRC.glob("*.py")) if path.name != "expr.py"
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if banned.search(line)
-    ]
-    assert found == []
+    assert _lines_outside_expr(banned) == []
+
+
+def test_only_expr_touches_the_representation():
+    # no other module imports sympy, reads a tree, builds a matrix or
+    # builds an Expression except through Expression.of (or parse)
+    banned = re.compile(r"^\s*(import|from) sympy\b|\.sym\b|DomainMatrix"
+                        r"|(?<![\w.])Expression\(")
+    assert _lines_outside_expr(banned) == []
