@@ -36,6 +36,8 @@ Conventions
   atomic factors the fraction is distributed over the numerator's terms.
   Function applications and fractional powers are opaque atoms — no
   radical or trig identities are applied beyond ``x^(1/2) == sqrt(x)``.
+  The constructor is its one door; it is memoized, so an atom built from
+  canonical children is canonicalized once.
 * ``==`` and ``hash`` compare canonical forms (ring elements, or trees)
   and nothing else, so two forms of one radical expression
   (``1/(sqrt(x) + 1)`` and ``(sqrt(x) - 1)/(x - 1)``) are unequal;
@@ -55,8 +57,10 @@ Conventions
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
   walk would.
-* The parser bounds the number of terms an expansion may produce
-  (``TERM_LIMIT``) before it expands or multiplies anything.
+* The parser builds every value with Expression arithmetic, so values
+  enter canonical and ``parse(text)`` equals what that arithmetic builds
+  from the text's atoms.  It bounds the number of terms an expansion may
+  produce (``TERM_LIMIT``) before it expands or multiplies anything.
 * ``solve_linear`` and ``determinant`` are the package's exact linear
   algebra, over the entries' polynomial ring when every entry is a
   polynomial, else over the domain sympy picks for their trees; and
@@ -85,6 +89,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import sympy as sp
 from sympy import QQ
+from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
@@ -301,10 +306,9 @@ def _normalize_atoms(sym):
     return sym
 
 
+@cacheit  # a pure function of an immutable tree; clear_cache() empties it
 def _canon(sym):
-    if isinstance(sym, Expression):
-        return sym.sym
-    sym = _normalize_atoms(sp.sympify(sym))
+    sym = _normalize_atoms(sym)
     if not sym.as_numer_denom()[1].is_Rational:
         try:
             sym = sp.cancel(sp.together(sym))
@@ -425,9 +429,6 @@ class Expression(Immutable):
     def __reduce__(self):
         return Expression, (self.sym,)
 
-    def _sympy_(self):  # sympy functions take an Expression as its tree
-        return self.sym
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -438,10 +439,11 @@ class Expression(Immutable):
 
     @classmethod
     def number(cls, value) -> "Expression":
-        if isinstance(value, float):
-            raise ExprError("floats are not exact; use int/Fraction or evaluate()")
-        value = sp.Rational(value)
-        return cls.from_poly(_ring(()).ground_new(QQ(int(value.p), int(value.q))))
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ExprError("a number is an int or a Fraction, not %r; parse text "
+                            "with parse()" % (value,))
+        value = Fraction(value)
+        return cls.from_poly(_ring(()).ground_new(QQ(value.numerator, value.denominator)))
 
     @classmethod
     def constant(cls, name: str) -> "Expression":
@@ -1002,30 +1004,18 @@ def _power_count(m, n):
     return min(count, _COUNT_CAP + 1)
 
 
-def _raw(value):
-    """A parser value as a sympy tree."""
-    return value.sym if isinstance(value, Expression) else value
-
-
-def _combine(op, a, b):
-    """``op`` on two parser values: ring arithmetic while both are
-    polynomials (dividing only by a number), else the raw sympy tree."""
-    if isinstance(a, Expression) and isinstance(b, Expression) and (
-            op is not operator.truediv or b._poly.is_ground):
-        return op(a, b)
-    return op(_raw(a), _raw(b))
-
-
 class _Parser:
     """Recursive descent; each rule returns (value, count).
 
-    A value is a ring-backed Expression while everything under it is a
-    polynomial, and a raw sympy tree once a function, a root, a negative
-    power or a division by a non-number enters it; ``parse`` canonicalizes
-    a tree once, at the end.  ``count`` bounds the terms expanding the
-    value gives: counts add over a sum (a polynomial sum counts its own
-    terms), multiply over a product or quotient, an m-term base to the
-    integer power ±n counts C(m+n-1, n), and anything else counts one.
+    A value is an Expression, built with the library's own arithmetic
+    (``+ - * /``, ``**`` by an int or a Fraction, functions applied to
+    its tree), so it is canonical when it enters and ``parse`` returns
+    what building the text from its atoms with those operations gives.
+    The checks read operands that are already canonical.  ``count``
+    bounds the terms expanding the value gives: counts add over a sum (a
+    polynomial sum counts its own terms), multiply over a product or
+    quotient, an m-term base to the integer power ±n counts C(m+n-1, n),
+    and anything else counts one.
     """
 
     def __init__(self, tokens, table: SymbolTable):
@@ -1068,8 +1058,8 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.next()
                 rhs, n = self.term()
-                e = _combine(operator.add if value == "+" else operator.sub, e, rhs)
-                count = len(e._poly) if isinstance(e, Expression) else min(
+                e = e + rhs if value == "+" else e - rhs
+                count = len(e._poly) if e._poly is not None else min(
                     count + n, _COUNT_CAP + 1)
             else:
                 return e, count
@@ -1082,10 +1072,10 @@ class _Parser:
                 self.next()
                 rhs_pos = self.peek()[2]
                 rhs, n = self.factor()
-                if value == "/" and _canon(rhs) == 0:
+                if value == "/" and rhs.is_zero:
                     raise ExprSyntaxError("division by zero", rhs_pos)
                 count = self.bounded(min(count * n, _COUNT_CAP + 1), rhs_pos)
-                e = _combine(operator.mul if value == "*" else operator.truediv, e, rhs)
+                e = e * rhs if value == "*" else e / rhs
             else:
                 return e, count
 
@@ -1104,15 +1094,14 @@ class _Parser:
         if kind == "op" and value == "^":
             self.next()
             exp = self.exponent()
-            if exp < 0 and _canon(base) == 0:
+            if exp < 0 and base.is_zero:
                 raise ExprSyntaxError("division by zero", base_pos)
-            if not exp.is_Integer:
+            if exp.denominator == 1:
+                count = self.bounded(_power_count(count, abs(exp.numerator)), base_pos)
+            else:
                 _require_real_root(base, base_pos)
-                return sp.Pow(_raw(base), exp), 1
-            count = self.bounded(_power_count(count, abs(int(exp))), base_pos)
-            if isinstance(base, Expression) and exp >= 0:
-                return base ** int(exp), count
-            return sp.Pow(_raw(base), exp), count
+                count = 1
+            return base ** exp, count
         return base, count
 
     def exponent(self):
@@ -1125,21 +1114,20 @@ class _Parser:
             kind, value, pos = self.peek()
         if kind == "num":
             self.next()
-            return sign * _number(value)
+            return sign * Fraction(value)
         if kind == "op" and value == "(":
             self.next()
             inner, _ = self.expr()
             self.expect_op(")")
-            inner = _canon(inner)
-            if not inner.is_Rational:
+            if not inner.sym.is_Rational:
                 raise ExprSyntaxError("exponent must be a rational number", pos)
-            return sign * inner
+            return sign * _frac(inner.sym)
         raise ExprSyntaxError("expected an exponent", pos)
 
     def atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return Expression.number(_number(value)), 1
+            return Expression.number(Fraction(value)), 1
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -1155,11 +1143,9 @@ class _Parser:
                 self.expect_op(")")
                 if value == "sqrt":
                     _require_real_root(arg, arg_pos)
-                if value == "ln":
-                    c = _canon(arg)
-                    if c.is_number and not c.is_positive:
-                        raise ExprSyntaxError("ln of a non-positive number", pos)
-                return _FUNCTIONS[value](_raw(arg)), 1
+                if value == "ln" and arg.sym.is_number and not arg.sym.is_positive:
+                    raise ExprSyntaxError("ln of a non-positive number", pos)
+                return Expression(_FUNCTIONS[value](arg.sym)), 1
             return self.resolve(value, pos), 1
         raise ExprSyntaxError("unexpected %r" % value, pos)
 
@@ -1180,15 +1166,8 @@ class _Parser:
 
 
 def _require_real_root(base, pos):
-    c = _canon(base)
-    if c.is_number and c.is_negative:
+    if base.sym.is_number and base.sym.is_negative:
         raise ExprSyntaxError("root of a negative number", pos)
-
-
-def _number(text):
-    if "." in text:
-        return sp.Rational(Fraction(text))
-    return sp.Integer(text)
 
 
 def parse(text: str, table: SymbolTable) -> Expression:
@@ -1196,19 +1175,19 @@ def parse(text: str, table: SymbolTable) -> Expression:
 
     Grammar: rational/decimal literals, named constants, coordinates
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
-    functions sqrt sin cos exp ln, parentheses, unary minus.  Polynomial
-    parts are built in the ring as they are parsed.  Division by a
-    divisor whose canonical form is 0, ln of a number that is not
-    positive, sqrt or a fractional power of a negative number, a power
-    or product whose expansion would pass TERM_LIMIT terms (counted by
-    the parser before anything is multiplied), and nesting deeper than
-    the interpreter's recursion limit raise ExprSyntaxError.
+    functions sqrt sin cos exp ln, parentheses, unary minus.  Each value
+    is built with Expression arithmetic as it is parsed, so it enters
+    canonical (polynomials in the ring).  Division by a divisor whose
+    canonical form is 0, ln of a number that is not positive, sqrt or a
+    fractional power of a negative number, a power or product whose
+    expansion would pass TERM_LIMIT terms (counted by the parser before
+    anything is multiplied), and nesting deeper than the interpreter's
+    recursion limit raise ExprSyntaxError.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
     try:
-        value = parser.parse()
-        return value if isinstance(value, Expression) else Expression(value)
+        return parser.parse()
     except RecursionError:
         pos = tokens[min(parser.i, len(tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", pos) from None

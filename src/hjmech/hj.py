@@ -362,25 +362,22 @@ class ResidualReport:
 
 
 def combine(reports: Sequence[ResidualReport]) -> ResidualReport:
-    """Concatenate reports produced with identical numeric settings."""
+    """Concatenate reports produced with identical numeric settings:
+    entries, assumptions and notes in report order.  Equal lines of two
+    reports are both kept, since a line naming residuals ``tag[eq_id]``
+    names different entries in each (the Lagrangian and Hamiltonian
+    sides share energy and closedness ids)."""
     if not reports:
         raise HJError("nothing to combine")
     first = reports[0]
     for r in reports[1:]:
         if (r.tol, r.samples, r.seed) != (first.tol, first.samples, first.seed):
             raise HJError("cannot combine reports with different numeric settings")
-    entries = tuple(e for r in reports for e in r.entries)
-    assumptions = []
-    notes = []
-    for r in reports:
-        for a in r.assumptions:
-            if a not in assumptions:
-                assumptions.append(a)
-        for m in r.notes:
-            if m not in notes:
-                notes.append(m)
     return ResidualReport(
-        entries, tuple(assumptions), tuple(notes), first.tol, first.samples, first.seed
+        tuple(e for r in reports for e in r.entries),
+        tuple(a for r in reports for a in r.assumptions),
+        tuple(m for r in reports for m in r.notes),
+        first.tol, first.samples, first.seed,
     )
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .expr import (
@@ -292,7 +293,7 @@ def loads(text: str) -> ModelFile:
                     if value in constants:
                         energy = Expression.constant(value)
                     elif _RATIONAL_RE.match(value):
-                        energy = Expression.number(value)
+                        energy = Expression.number(Fraction(value))
                     else:
                         raise ModelError(
                             "energy must be a declared constant or a rational",

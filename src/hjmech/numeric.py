@@ -17,8 +17,9 @@ finite, which every non-finite or complex stage value makes it.  That
 step is replayed stage by stage through the same text, checking each
 stage for a raised error, a complex value or a non-finite one, and the
 replay raises `NumericError` with the time and state of the failing
-stage.  A replay that finds no failure (a finite field overflowed the
-state) appends its step, and the loop goes on from there.
+stage and, when ``evaluate`` finds one there, the subterm that fails.
+A replay that finds no failure (a finite field overflowed the state)
+appends its step, and the loop goes on from there.
 
 States follow the coordinate order of the field's space.  Trajectory
 comparison uses the unweighted max-abs distance over all coordinates.
@@ -32,7 +33,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import Expression, step_texts
+from .expr import DomainEvalError, Expression, step_texts
 from .hj import HJError, _paired_field, associated_field
 from .jets import JetSpace, VectorField
 
@@ -146,32 +147,45 @@ def _compile_field(X: VectorField, constants: Mapping[str, float]):
     return namespace["_run"], namespace["_field"], values
 
 
-def _checked_step(field, values: List[float], t: float, z: Tuple[float, ...],
+def _domain_error(X: VectorField, constants: Mapping[str, float],
+                  z: Sequence[float]) -> Optional[DomainEvalError]:
+    """The first DomainEvalError, naming the failing subterm, that
+    evaluating X's components at state z raises, or None."""
+    bindings = dict(constants, **{c.name: v for c, v in zip(X.space.coordinates, z)})
+    for comp in X.components:
+        try:
+            comp.evaluate(bindings)
+        except DomainEvalError as err:
+            return err
+        except (ArithmeticError, ValueError, TypeError):
+            pass
+    return None
+
+
+def _checked_step(X: VectorField, constants: Mapping[str, float], field,
+                  values: List[float], t: float, z: Tuple[float, ...],
                   h: float) -> Tuple[float, ...]:
-    """One RK4 step from z at time t, stage by stage: the arithmetic of the
-    generated loop, with every stage checked for a raised error, a complex
-    value or a non-finite one."""
+    """One RK4 step of X from z at time t, stage by stage: the arithmetic
+    of the generated loop, with every stage checked for a raised error, a
+    complex value or a non-finite one.  A failing stage's message names
+    the subterm ``evaluate`` finds failing at its state, if any."""
 
     def rhs(t: float, z: Sequence[float]):
         try:
             out = field(*z, *values)
-            real = all(not isinstance(v, complex) and math.isfinite(v)
-                       for v in out)
+            if all(not isinstance(v, complex) and math.isfinite(v) for v in out):
+                return out
+            what, reason = "left the real domain", None
         except (ArithmeticError, ValueError, TypeError) as err:
             # TypeError: a math function given a complex value;
             # OverflowError: also an exact integer beyond the floats
-            raise NumericError(
-                "field evaluation failed at t = %.6g, state = %s: %s"
-                % (t, tuple(z), err),
-                time=t, state=tuple(z),
-            )
-        if not real:
-            raise NumericError(
-                "field evaluation left the real domain at t = %.6g, "
-                "state = %s" % (t, tuple(z)),
-                time=t, state=tuple(z),
-            )
-        return out
+            what, reason = "failed", err
+        reason = _domain_error(X, constants, z) or reason
+        raise NumericError(
+            "field evaluation %s at t = %.6g, state = %s%s"
+            % (what, t, tuple(z), "" if reason is None else ": %s" % reason),
+            time=t, state=tuple(z),
+        )
 
     half, sixth = h / 2, h / 6
     k1 = rhs(t, z)
@@ -204,7 +218,8 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             "initial state has %d entries; the field needs %d"
             % (len(z0), len(coords))
         )
-    run, field, values = _compile_field(X, dict(constants or {}))
+    constants = dict(constants or {})
+    run, field, values = _compile_field(X, constants)
     rows = [tuple(float(v) for v in z0)]
     while len(rows) <= steps:
         run(rows, steps + 1 - len(rows), h, *rows[-1], *values)
@@ -213,7 +228,8 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             # floats; replaying it checked raises, or it was a finite
             # overflow of the new state, which the loop goes on from
             m = len(rows) - 1
-            rows.append(_checked_step(field, values, t0 + m * h, rows[-1], h))
+            rows.append(_checked_step(X, constants, field, values, t0 + m * h,
+                                      rows[-1], h))
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(
         times, np.array(rows, dtype=float),

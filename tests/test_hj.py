@@ -2,6 +2,8 @@
 their residual reports, Legendre transport, classification, and involution.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hjmech import (
@@ -146,8 +148,8 @@ def test_generating_function_gradient():
     assert grad.component(0, 1) == base("q1_1^2")
     assert grad.component(1, 1) == base("2*q0_1*q1_1")
     assert gf.energy is None
-    gf2 = GeneratingFunction(2, 1, w, energy=Expression.number("1/2"))
-    assert gf2.energy == Expression.number("1/2")
+    gf2 = GeneratingFunction(2, 1, w, energy=Expression.number(Fraction(1, 2)))
+    assert gf2.energy == Expression.number(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("build", [
@@ -335,7 +337,7 @@ def test_hj_equation_on_the_radical_gradient(flight_1d_pair):
     # pinning the energy level to the recovered constant gives a zero value
     pinned = hj_equation(hs, alpha, energy=Expression.constant("c1"))
     assert pinned.entry("hjeq", "value").verdict == "exact-zero"
-    offset = hj_equation(hs, alpha, energy=Expression.number("1/2"))
+    offset = hj_equation(hs, alpha, energy=Expression.number(Fraction(1, 2)))
     assert offset.entry("hjeq", "value").verdict == "nonzero"
 
 
@@ -411,7 +413,7 @@ def test_a_trigonometric_identity_is_decided_numeric_zero_by_sampling():
     hs = free_particle_ham(2)
     alpha = OneForm(1, 2, {(0, 1): base("sin(q0_2)", n=2, k=1),
                            (0, 2): base("cos(q0_2)", n=2, k=1)})
-    rep = hj_equation(hs, alpha, energy=Expression.number("1/2"))
+    rep = hj_equation(hs, alpha, energy=Expression.number(Fraction(1, 2)))
     entry = rep.entry("hjeq", "value")
     assert not entry.residual.is_zero and not entry.residual.is_rational_function
     assert entry.verdict == "numeric-zero" and entry.vanishes
@@ -428,7 +430,7 @@ def test_a_residual_with_no_valid_sample_is_unsampled_and_nonzero():
     # ln of an argument that is negative everywhere
     alpha = OneForm(1, 2, {(0, 1): base("ln(-1 - q0_1^2)", n=2, k=1),
                            (0, 2): base("0", n=2, k=1)})
-    rep = hj_equation(hs, alpha, energy=Expression.number("1/2"), samples=3)
+    rep = hj_equation(hs, alpha, energy=Expression.number(Fraction(1, 2)), samples=3)
     entry = rep.entry("hjeq", "value")
     assert (entry.numeric_max, entry.verdict) == (None, "nonzero")
     assert not entry.vanishes

@@ -6,6 +6,7 @@ import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -128,7 +129,7 @@ def test_constants_parse_values_and_flags():
 def test_rational_energy():
     text = FAMILY.replace("energy = c1", "energy = -3/2")
     m = M.loads(text)
-    assert m.genfuncs["wg"].energy == Expression.number("-3/2")
+    assert m.genfuncs["wg"].energy == Expression.number(Fraction(-3, 2))
     assert M.loads(M.dumps(m)) == m
 
 
@@ -522,6 +523,20 @@ def test_simulate_beyond_the_floats_exits_3(capsys, tmp_path, model, field,
     assert err.startswith("hjmech: error: ") and message in err
 
 
+def test_simulate_overflow_names_the_failing_subterm(capsys, tmp_path):
+    # the overflow once reached the user as Python's errno tuple,
+    # "(34, 'Numerical result out of range')"
+    path = tmp_path / "beyond.hjm"
+    path.write_text(BEYOND_FLOATS % (1, "", "1/2*q1_1^2 - q0_1^4", 's1_1 = "0"',
+                                     "-1e200, 0"))
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "lagrangian", "origin", "0", "0.01", "0.01",
+        "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (3, "")
+    assert err == ("hjmech: error: field evaluation failed at t = 0, "
+                   "state = (-1e+200, 0.0): overflow in q0_1^3\n")
+
+
 def test_check_with_an_integer_beyond_the_floats_decides_exactly(
         capsys, tmp_path):
     path = tmp_path / "beyond.hjm"
@@ -553,6 +568,20 @@ def test_check_with_sin_of_an_infinity_reports_unsampled_entries(
     assert all(r[3:] == ["-", "nonzero"] for r in rows)
     assert "sampling failed on every attempt (domain errors)" in out
     assert out.count("classification: not-a-solution") == 2
+
+
+
+def test_check_lists_every_unsampled_entry_of_both_sides(capsys, tmp_path):
+    # energy[q0_1] is unsampled on both sides; its two equal assumption
+    # lines were once merged into one, so five entries were listed as four
+    path = tmp_path / "beyond.hjm"
+    path.write_text(BEYOND_FLOATS % (1, "constant = c 1e300\nconstant = d 1e300\n",
+                                     "1/2*q1_1^2", 's1_1 = "sin(c*d*q0_1)"', "0.5"))
+    _, out, _ = run_cli(capsys, "check", str(path), "s")
+    head = "  - sampling failed on every attempt (domain errors), treated as nonzero: "
+    listed = [line[len(head):] for line in out.splitlines() if line.startswith(head)]
+    assert listed == ["tangency[q1_1]", "energy[q0_1]",
+                      "tangency[p0_1]", "energy[q0_1]", "hjeq[constancy:q0_1]"]
 
 
 NON_AFFINE_LEGENDRE = '''

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjmech import (
+    DomainEvalError,
     ExprError,
     Expression,
     JetSpace,
@@ -23,6 +24,7 @@ from hjmech import (
     hamiltonian,
     integrate,
     jet,
+    evaluate,
     legendre,
     parse,
     verify_lifting,
@@ -125,6 +127,19 @@ def _reference_integrate(X, z0, t0, t1, h, constants=None):
     const_values = [float((constants or {})[n]) for n in const_names]
     fns = [sp.lambdify(args, comp.sym, modules=["math"]) for comp in X.components]
 
+    def subterm(z):
+        # ": <the subterm evaluate names>" for the first component that
+        # fails there with a DomainEvalError, else ""
+        bindings = dict(zip(coord_names + const_names, list(z) + const_values))
+        for comp in X.components:
+            try:
+                evaluate(comp, bindings)
+            except DomainEvalError as err:
+                return ": %s" % err
+            except (ArithmeticError, ValueError, TypeError):
+                pass
+        return ""
+
     def rhs(t, z):
         full = list(z) + const_values
         try:
@@ -133,12 +148,12 @@ def _reference_integrate(X, z0, t0, t1, h, constants=None):
                        for v in out)
         except (ArithmeticError, ValueError, TypeError) as err:
             raise NumericError(
-                "field evaluation failed at t = %.6g, state = %s: %s"
-                % (t, tuple(z), err), time=t, state=tuple(z))
+                "field evaluation failed at t = %.6g, state = %s%s"
+                % (t, tuple(z), subterm(z) or ": %s" % err), time=t, state=tuple(z))
         if not real:
             raise NumericError(
                 "field evaluation left the real domain at t = %.6g, "
-                "state = %s" % (t, tuple(z)), time=t, state=tuple(z))
+                "state = %s%s" % (t, tuple(z), subterm(z)), time=t, state=tuple(z))
         return out
 
     z = [float(v) for v in z0]
@@ -212,6 +227,26 @@ def test_a_stopped_step_is_replayed_like_the_reference(components, z0, t1,
     X = fld(T1, *components, constants=tuple(constants))
     new, old = _integrate_both(X, z0, 0.0, t1, 0.01, constants=constants)
     assert new == old
+
+
+@pytest.mark.parametrize("components, z0, constants, message", [
+    (("q1_1", "q0_1^3"), [-1e200, 0.0], {},
+     "field evaluation failed at t = 0, state = (-1e+200, 0.0): overflow in q0_1^3"),
+    (("q1_1", "q0_1^(3/2)"), [-1.0, 0.0], {},
+     "field evaluation left the real domain at t = 0, state = (-1.0, 0.0): "
+     "fractional power of a negative value in q0_1^(3/2)"),
+    (("q1_1", "sin(sqrt(sqrt(mu)))"), [0.5, 0.1], {"mu": -1.0},
+     "field evaluation failed at t = 0, state = (0.5, 0.1): "
+     "fractional power of a negative value in mu^(1/4)"),
+], ids=["overflow", "complex", "complex-argument"])
+def test_a_failed_stage_names_the_subterm_evaluate_names(components, z0,
+                                                         constants, message):
+    # the replay once gave Python's own error (an errno tuple for an
+    # overflow) or no reason at all for a complex value
+    X = fld(T1, *components, constants=tuple(constants))
+    with pytest.raises(NumericError) as info:
+        integrate(X, z0, 0.0, 0.1, 0.01, constants=constants)
+    assert str(info.value) == message
 
 
 FIELD_CONSTANTS = ("c1", "mu")

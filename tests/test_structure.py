@@ -4,6 +4,7 @@ represented: it alone decides between the polynomial ring and sympy's
 trees, imports sympy and builds Expressions from raw values.
 """
 
+import ast
 import pathlib
 import re
 
@@ -90,3 +91,24 @@ def test_only_expr_touches_the_representation():
     banned = re.compile(r"^\s*(import|from) sympy\b|\.sym\b|DomainMatrix"
                         r"|(?<![\w.])Expression\(")
     assert _lines_outside_expr(banned) == []
+
+
+def test_canonical_form_has_one_door():
+    # _canon is called by the Expression constructor and by its own
+    # recursion into atoms, so every value, a parsed one too, is built
+    # canonical and the parser never holds a raw tree
+    tree = ast.parse((SRC / "expr.py").read_text())
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "_canon"):
+                    callers.add(".".join(scope))
+                visit(child, scope)
+
+    visit(tree, ())
+    assert callers == {"Expression.__init__", "_normalize_atoms"}
