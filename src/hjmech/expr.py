@@ -14,18 +14,26 @@ Conventions
   through named constants and the unary functions ``sqrt sin cos exp ln``.
 * Representation: a polynomial over QQ in the coordinates and named
   constants is *ring-backed*, an element of a ``sympy.polys.rings`` ring
-  over QQ with its symbols, sorted by name, as generators.  ``+ - *``,
+  over QQ with symbols, sorted by name, as generators.  ``+ - *``,
   integer ``^``, ``diff``, ``substitute`` with polynomial right-hand
-  sides, ``==``, ``hash`` and the free-name queries stay in the ring, and
-  elements over different generators meet in the ring of their union.
-  Every polynomial is ring-backed, whatever built it (a ``cancel`` that
-  reduces to one, or ``Expression(sym)`` on a raw polynomial tree too), so
-  ``==`` and ``hash`` agree.  Everything else (radicals, ``sin cos exp
-  ln``, symbolic denominators, placeholders) is its canonical sympy tree.
-* A ring-backed expression builds its tree (``.sym``) on first use, for
-  printing, compiling and solves over non-polynomials.  It is the tree
-  ``sp.expand`` gives, so printing and evaluation see the tree the
-  expand-based canonical form had.  Ring and tree stay inside this
+  sides, ``==``, ``hash`` and the free-name queries stay in the ring.
+  ``parse`` builds into one ring per SymbolTable, over the names of the
+  table it was restricted from; the model reader gives a model's tables
+  one ring over every name its objects can carry, so a model's
+  polynomials share one ring.  Elements over different generators (the
+  one-name rings of ``Expression.coordinate``, ``constant`` and
+  ``number``, say) meet in the ring of their union, which for a
+  model's element and a name of the model is the model's ring itself.
+  No result depends on the ring that holds an element.  Every polynomial
+  is ring-backed, whatever built it (a ``cancel`` that reduces to one, or
+  ``Expression(sym)`` on a raw polynomial tree too), so ``==`` and
+  ``hash`` agree.  Everything else (radicals, ``sin cos exp ln``,
+  symbolic denominators, placeholders) is its canonical sympy tree.
+* A ring-backed expression builds its tree (``.sym``) only on demand:
+  for ``step_texts``, arithmetic with a non-polynomial and solves over
+  non-polynomials.  It is the tree ``sp.expand`` gives.  Printing and
+  ``evaluate`` read the ring element's terms and give the text and the
+  compiled source that tree gives.  Ring and tree stay inside this
   module: no other module of the package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
   It and the constructor refuse text, floats and bools.
@@ -48,7 +56,9 @@ Conventions
   last) and ``parse(print(e)) == e`` for every expression the parser
   accepts.  The printer renders the canonical tree as it stands, without
   canonicalizing sub-trees again, and renders each sub-tree once: a
-  sum's text is both its sort key and its output.
+  sum's text is both its sort key and its output.  A ring-backed
+  expression is rendered from its terms, each term's sort key built from
+  its exponents and each generator's key and text computed once per ring.
   ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
   a radical of a sum, product or power prints its base in parentheses.
 * ``evaluate`` compiles an expression into straight-line Python the first
@@ -56,7 +66,8 @@ Conventions
   compiled form keeps the summation and multiplication order of a
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
-  walk would.
+  walk would.  A ring-backed expression is compiled from its terms, put
+  in the order that walk takes, into the same source.
 * The parser builds every value with Expression arithmetic, so values
   enter canonical and ``parse(text)`` equals what that arithmetic builds
   from the text's atoms.  It bounds the number of terms an expansion may
@@ -220,10 +231,20 @@ class Coordinate:
 
     @property
     def symbol(self) -> sp.Symbol:
-        return sp.Symbol(self.name)
+        return _symbol(self.name)
 
     def __str__(self):
         return self.name
+
+
+_SYMBOLS = {}  # name -> its one sympy Symbol: rings find it by identity
+
+
+def _symbol(name: str) -> sp.Symbol:
+    s = _SYMBOLS.get(name)
+    if s is None:
+        s = _SYMBOLS[name] = sp.Symbol(name)
+    return s
 
 
 def jet(order: int, axis: int) -> Coordinate:
@@ -259,17 +280,44 @@ class Constant:
 
 
 class SymbolTable:
-    """The coordinate universe + declared constants a parse is resolved in."""
+    """The coordinate universe + declared constants a parse is resolved in.
+
+    ``parse`` builds every polynomial in one ring: the ring over this
+    table's names, or, for a table made by ``restricted_to``, the ring of
+    the table it was made from.  The ring is built by the first parse.
+    """
 
     def __init__(self, coordinates: Iterable[Coordinate], constants: Iterable[str] = ()):
         self.coordinates = frozenset(coordinates)
         self.constants = frozenset(constants)
         for c in self.constants:
             Constant(c)  # validates name and non-collision
+        self._owner = self  # the table whose ring parse builds into
+        self._ring_and_generators = None  # built by the first parse
+
+    def restricted_to(self, coordinates: Iterable[Coordinate]) -> "SymbolTable":
+        """The table of some of these coordinates, with the same constants,
+        whose parses build into this table's ring."""
+        table = SymbolTable(coordinates, self.constants)
+        if not table.coordinates <= self.coordinates:
+            raise ExprError("a restricted table takes only coordinates of its own table")
+        table._owner = self._owner
+        return table
 
     @property
     def has_momenta(self) -> bool:
         return any(c.kind == "momentum" for c in self.coordinates)
+
+    def _parse_ring(self):
+        """``(R, generators)``: the ring parse builds into, over the owner
+        table's names, and the expression of each name as a generator."""
+        owner = self._owner
+        if owner._ring_and_generators is None:
+            R = _ring([c.symbol for c in owner.coordinates]
+                      + [_symbol(c) for c in owner.constants])
+            owner._ring_and_generators = R, {s.name: Expression.from_poly(g)
+                                             for s, g in zip(R.symbols, R.gens)}
+        return owner._ring_and_generators
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +372,40 @@ def _canon(sym):
 # Polynomial rings
 # ---------------------------------------------------------------------------
 
+class _Generators:
+    """What the module keeps for each of its rings: each generator's
+    position and name, and for the printer each generator's sort key
+    (``_atom``'s), whether it is a coordinate, and the positions in the
+    order of those keys."""
+
+    __slots__ = ("index", "names", "keys", "is_coordinate", "printed")
+
+    def __init__(self, symbols):
+        self.index = {s: i for i, s in enumerate(symbols)}
+        self.names = [s.name for s in symbols]
+        self.keys = [_atom(s)[0] for s in symbols]
+        self.is_coordinate = [key[0] >= 2 for key in self.keys]
+        self.printed = sorted(range(len(symbols)), key=self.keys.__getitem__)
+
+
 _RINGS = {}  # generators sorted by name -> PolyRing over QQ
-_INDEX = {}  # ring -> {generator: its position}
+_GENS = {}  # ring -> its _Generators
 _UNIONS = {}  # (ring, ring) -> the ring of the union of their generators
 
 
 def _ring(symbols) -> PolyRing:
     """The one ring over QQ whose generators are ``symbols``, sorted by name."""
     gens = tuple(sorted(set(symbols), key=lambda s: s.name))
-    if gens not in _RINGS:  # index first: a published ring is always indexed
+    if gens not in _RINGS:  # described first: a published ring always is
         R = PolyRing(gens, QQ)
-        _INDEX[R] = {s: i for i, s in enumerate(gens)}
+        _GENS[R] = _Generators(gens)
         _RINGS[gens] = R
     return _RINGS[gens]
 
 
 def _into(P, R):
     """P as an element of R, whose generators include P's."""
-    if P.ring is R:
-        return P
-    pos = [_INDEX[R][s] for s in P.ring.symbols]
+    pos = [_GENS[R].index[s] for s in P.ring.symbols]
     out = R.zero
     for monom, coeff in P.items():
         m = [0] * R.ngens
@@ -362,7 +424,7 @@ def _unify(*polys):
             if key not in _UNIONS:
                 _UNIONS[key] = _ring(R.symbols + P.ring.symbols)
             R = _UNIONS[key]
-    return [_into(P, R) for P in polys]
+    return [P if P.ring is R else _into(P, R) for P in polys]
 
 
 def _as_poly(sym):
@@ -383,7 +445,7 @@ def _as_poly(sym):
 
 
 def _pdiff(P, x):
-    i = _INDEX[P.ring].get(x)
+    i = _GENS[P.ring].index.get(x)
     return P.ring.zero if i is None else P.diff(i)
 
 
@@ -448,7 +510,7 @@ class Expression(Immutable):
     @classmethod
     def constant(cls, name: str) -> "Expression":
         Constant(name)
-        return cls.from_poly(_ring((sp.Symbol(name),)).gens[0])
+        return cls.from_poly(_ring((_symbol(name),)).gens[0])
 
     @classmethod
     def coordinate(cls, c: Coordinate) -> "Expression":
@@ -631,7 +693,7 @@ def _as_symbol(v) -> sp.Symbol:
     if isinstance(v, sp.Symbol):
         return v
     if isinstance(v, str):
-        return sp.Symbol(v)
+        return _symbol(v)
     raise ExprError("cannot differentiate/bind with respect to %r" % (v,))
 
 
@@ -652,9 +714,9 @@ def derivation(e: Expression, pairs) -> Expression:
     """
     pairs = [(_as_symbol(u), c) for u, c in pairs]
     P = e._poly
-    hits = [] if P is None else [(x, c) for x, c in pairs if x in _INDEX[P.ring]]
+    hits = [] if P is None else [(x, c) for x, c in pairs if x in _GENS[P.ring].index]
     if P is not None and all(c._poly is not None for _, c in hits):
-        total = ZERO
+        total = Expression.from_poly(P.ring.zero)
         for x, c in hits:
             d = _pdiff(P, x)
             if d:
@@ -673,12 +735,12 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     polynomials."""
     table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
-    hits = [] if P is None else [(x, v) for x, v in table.items() if x in _INDEX[P.ring]]
+    hits = [] if P is None else [(x, v) for x, v in table.items() if x in _GENS[P.ring].index]
     if P is not None and all(v._poly is not None for _, v in hits):
         if not hits:
             return e
         P, *values = _unify(P, *(v._poly for _, v in hits))
-        gens = [P.ring.gens[_INDEX[P.ring][x]] for x, _ in hits]
+        gens = [P.ring.gens[_GENS[P.ring].index[x]] for x, _ in hits]
         return Expression.from_poly(P.compose(list(zip(gens, values))))
     return Expression(e.sym.xreplace({x: v.sym for x, v in table.items()}))
 
@@ -727,6 +789,8 @@ def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
 
 
 def _subtext(sym):
+    if isinstance(sym, str):  # compiled from a ring element: the text itself
+        return sym
     try:
         return _tree_text(sym)
     except ExprError:
@@ -735,7 +799,7 @@ def _subtext(sym):
 
 # The checked steps of evaluation.  Compiled code calls them in the order
 # a recursive walk over the tree reaches its nodes; ``sym`` is the node,
-# named in the error.
+# or its text, named in the error.
 
 def _load(env, name):
     try:
@@ -799,18 +863,20 @@ class _Compiler:
     repeated sub-tree is computed once.  The walks keep their own stacks
     and sort keys are computed leaves first, each from its children's
     cached keys, so no depth of nesting reaches the recursion limit; no
-    statement nests parentheses.
+    statement nests parentheses.  ``ring`` writes the same source for a
+    ring element without building its tree.
     """
 
     def __init__(self):
         self.lines = []
-        self.values = {}  # sub-tree -> source of its value
+        self.values = {}  # sub-tree (or its key in ``ring``) -> source of its value
         self.namespace = {
             "sin": math.sin, "cos": math.cos, "_load": _load, "_int_power": _int_power,
             "_root": _root, "_exp": _exp, "_log": _log, "_fail": _fail,
         }
 
-    def compile(self, sym):
+    def tree(self, sym) -> str:
+        """The source of the function that evaluates ``sym``."""
         keys = {}
         stack = [(sym, False)]
         while stack:
@@ -831,8 +897,61 @@ class _Compiler:
                 stack.extend((c, None) for c in reversed(children))
             else:
                 self.values[node] = self.emit(node, [self.values[c] for c in children])
+        return self.source(self.values[sym])
+
+    def ring(self, P) -> str:
+        """``tree(P.as_expr())``, written from the terms of P.
+
+        The tree's ``default_sort_key`` order of a polynomial's terms is
+        the constant term, then the one-generator terms by (name,
+        exponent), then the products by their number of factors and
+        their (name, exponent) pairs; a product's operands are its
+        coefficient, unless it is 1, then its factors by name.  A ring's
+        generators are sorted by name, so their positions order as their
+        names do.  Each number, load and power is emitted once, the first
+        time the walk reaches it, as the tree's nodes are.
+        """
+        names = _GENS[P.ring].names
+        values = self.values
+
+        def number(c):
+            if ("n", c) not in values:
+                values["n", c] = self.number(int(c.numerator), int(c.denominator))
+            return values["n", c]
+
+        def power(i, e):
+            if ("p", i, e) not in values:
+                if e == 1:
+                    values["p", i, e] = self.assign("_load(env, %r)" % names[i])
+                else:
+                    base = power(i, 1)
+                    values["p", i, e] = self.assign("_int_power(%s, %d, %s)" % (
+                        base, e, self.ref("%s^%d" % (names[i], e))))
+            return values["p", i, e]
+
+        terms = sorted((len(f), f, c) for f, c in (
+            (tuple((i, e) for i, e in enumerate(m) if e), c) for m, c in P.terms()))
+        operands = []
+        for count, factors, c in terms:
+            if count == 0:
+                operands.append(number(c))
+            elif count == 1 and c == 1:
+                operands.append(power(*factors[0]))
+            else:
+                args = ([] if c == 1 else [number(c)]) + [power(i, e) for i, e in factors]
+                operands.append(self.chain("1.0", "*", args))
+                values["m", factors] = operands[-1]
+        if not operands:  # the zero polynomial
+            operands.append(number(QQ(0)))
+        return self.source(operands[0] if len(operands) == 1
+                           else self.chain("0.0", "+", operands))
+
+    def source(self, value) -> str:
         body = "".join("    %s\n" % line for line in self.lines)
-        source = "def _evaluate(env):\n%s    return %s\n" % (body, self.values[sym])
+        return "def _evaluate(env):\n%s    return %s\n" % (body, value)
+
+    def function(self, source):
+        """The compiled function of ``source``, with this compiler's globals."""
         exec(compile(source, "<hjmech.expr.evaluate>", "exec"), self.namespace)
         return self.namespace["_evaluate"]
 
@@ -854,16 +973,19 @@ class _Compiler:
                 [var if i else start] + terms[i:i + _CHAIN])))
         return var
 
+    def number(self, p, q):
+        try:
+            return "(%r)" % (p / q)
+        except OverflowError:  # raised where evaluation reaches it
+            return self.assign("%d / %d" % (p, q))
+
     def fail(self, template, node):
         self.lines.append("_fail(%r, %s)" % (template, self.ref(node)))
         return "None"  # never reached
 
     def emit(self, node, args):
         if node.is_Rational:
-            try:
-                return "(%r)" % (node.p / node.q)
-            except OverflowError:  # raised where evaluation reaches it
-                return self.assign("%d / %d" % (node.p, node.q))
+            return self.number(node.p, node.q)
         if node.is_Symbol:
             return self.assign("_load(env, %r)" % node.name)
         if node.is_Add:
@@ -893,12 +1015,14 @@ class _Compiler:
 def evaluate(e: Expression, bindings: Mapping) -> float:
     """Pointwise IEEE-double evaluation; same bindings give the same bits.
 
-    The first call on an expression compiles its canonical tree into one
-    straight-line Python function and caches it on the instance; later
-    calls only run it.  The compiled form keeps the summation and
-    multiplication order of a recursive walk (each sum starts from 0.0
-    and each product from 1.0, operands in ``default_sort_key`` order),
-    so the bits do not depend on compilation.  The cache write is an
+    The first call on an expression compiles its canonical tree (for a
+    polynomial, the terms of its ring element, into the source its tree
+    gives) into one straight-line Python function and caches it on the
+    instance; later calls only run it.  The compiled form keeps the
+    summation and multiplication order of a recursive walk (each sum
+    starts from 0.0 and each product from 1.0, operands in
+    ``default_sort_key`` order), so the bits do not depend on
+    compilation.  The cache write is an
     idempotent store of a pure function, so an expression stays safe to
     share between threads.
 
@@ -910,7 +1034,8 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     """
     fn = e._fn
     if fn is None:
-        fn = _Compiler().compile(e.sym)
+        c = _Compiler()
+        fn = c.function(c.tree(e._sym) if e._poly is None else c.ring(e._poly))
         object.__setattr__(e, "_fn", fn)
     env = {}
     for key, value in bindings.items():
@@ -925,10 +1050,13 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
     Names free in ``exprs`` and not bound by ``fixed`` are drawn in sorted
     order, uniform in [-2, 2].  A point where some expression raises
     DomainEvalError, OverflowError (an exact number beyond the floats) or
-    a bare ValueError (``sin`` or ``cos`` of an infinity) is skipped;
-    every other ExprError, an unbound symbol first of all, is raised.
-    Stops after ``samples`` points or ``200 * samples`` attempts,
-    whichever comes first.
+    a bare ValueError (``sin`` or ``cos`` of an infinity), or where some
+    value is NaN (``inf - inf`` after an overflow), is skipped: a NaN
+    compares false with everything, so the max or min of a list holding
+    one depends on its order.  An infinity is a value.  Every other
+    ExprError, an unbound symbol first of all, is raised.  Stops after
+    ``samples`` points or ``200 * samples`` attempts, whichever comes
+    first.
     """
     fixed = fixed or {}
     names = sorted(set().union(*(e.free_names() for e in exprs)) - set(fixed))
@@ -944,6 +1072,8 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
         except ExprError:
             raise
         except (ValueError, OverflowError):
+            continue
+        if any(v != v for v in values):  # NaN
             continue
         got += 1
         yield values
@@ -1154,14 +1284,14 @@ class _Parser:
         if m:
             coord = Coordinate.from_name(name)
             if coord in self.table.coordinates:
-                return Expression.coordinate(coord)
+                return self.table._parse_ring()[1][coord.name]
             if coord.kind == "momentum" and not self.table.has_momenta:
                 raise UnknownSymbolError(
                     "momentum coordinate %r is not available in this jet-only context" % name
                 )
             raise UnknownSymbolError("coordinate %r is outside the declared universe" % name)
         if name in self.table.constants:
-            return Expression.constant(name)
+            return self.table._parse_ring()[1][name]
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
@@ -1171,26 +1301,34 @@ def _require_real_root(base, pos):
 
 
 def parse(text: str, table: SymbolTable) -> Expression:
-    """Parse the expression grammar against a coordinate universe.
+    """Parse the expression grammar against a coordinate universe: a
+    SymbolTable, or a space, whose coordinates make a table without
+    constants.
 
     Grammar: rational/decimal literals, named constants, coordinates
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
     functions sqrt sin cos exp ln, parentheses, unary minus.  Each value
     is built with Expression arithmetic as it is parsed, so it enters
-    canonical (polynomials in the ring).  Division by a divisor whose
+    canonical (polynomials in the table's ring).  Division by a divisor whose
     canonical form is 0, ln of a number that is not positive, sqrt or a
     fractional power of a negative number, a power or product whose
     expansion would pass TERM_LIMIT terms (counted by the parser before
     anything is multiplied), and nesting deeper than the interpreter's
     recursion limit raise ExprSyntaxError.
     """
+    if not isinstance(table, SymbolTable):
+        table = SymbolTable(table.coordinates)
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
     try:
-        return parser.parse()
+        e = parser.parse()
     except RecursionError:
         pos = tokens[min(parser.i, len(tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", pos) from None
+    R = table._parse_ring()[0]
+    if e._poly is None or e._poly.ring is R:
+        return e
+    return Expression.from_poly(_into(e._poly, R))  # a number, or a tree that reduced
 
 
 # ---------------------------------------------------------------------------
@@ -1291,11 +1429,7 @@ def _term(term):
     negative = coeff < 0
     p, q = abs(int(coeff.p)), int(coeff.q)
     if not den_parts:
-        if q > 1:
-            num_parts.insert(0, "%d/%d" % (p, q))
-        elif p != 1 or not num_parts:
-            num_parts.insert(0, str(p))
-        return key, negative, "*".join(num_parts)
+        return key, negative, _product_text(p, q, num_parts)
     if p != 1 or not num_parts:
         num_parts.insert(0, str(p))
     den_items = ([str(q)] if q > 1 else []) + den_parts
@@ -1306,14 +1440,19 @@ def _term(term):
     return key, negative, "%s/%s" % ("*".join(num_parts), den_text)
 
 
-def _tree_text(sym) -> str:
-    """Render a canonical tree: every sub-tree is rendered once, as it
-    stands, without canonicalizing it again."""
-    if sym == 0:
-        return "0"
-    terms = sorted((_term(t) for t in sp.Add.make_args(sym)), key=lambda t: t[0])
+def _product_text(p, q, parts) -> str:
+    """The text of the coefficient p/q (p >= 0) times the factor texts."""
+    if q > 1:
+        parts = ["%d/%d" % (p, q)] + parts
+    elif p != 1 or not parts:
+        parts = [str(p)] + parts
+    return "*".join(parts)
+
+
+def _sum_text(terms) -> str:
+    """The text of a sum of ``_term`` triples, in the order of their keys."""
     pieces = []
-    for idx, (_, negative, body) in enumerate(terms):
+    for idx, (_, negative, body) in enumerate(sorted(terms, key=lambda t: t[0])):
         if idx == 0:
             pieces.append("-" + body if negative else body)
         else:
@@ -1321,9 +1460,38 @@ def _tree_text(sym) -> str:
     return "".join(pieces)
 
 
+def _tree_text(sym) -> str:
+    """Render a canonical tree: every sub-tree is rendered once, as it
+    stands, without canonicalizing it again."""
+    if sym == 0:
+        return "0"
+    return _sum_text(_term(t) for t in sp.Add.make_args(sym))
+
+
+def _ring_text(P) -> str:
+    """``_tree_text(P.as_expr())``, rendered from the terms of P: each
+    term's ``_term`` key and text, built from its exponents."""
+    if not P:
+        return "0"
+    gens = _GENS[P.ring]
+    terms = []
+    for monom, coeff in P.terms():
+        nonconst, const, parts = [], [], []
+        for i in gens.printed:
+            e = monom[i]
+            if e:
+                (nonconst if gens.is_coordinate[i] else const).append((gens.keys[i], -e))
+                parts.append(gens.names[i] if e == 1 else "%s^%d" % (gens.names[i], e))
+        key = (1 if not nonconst else 0, tuple(nonconst), tuple(const), coeff)
+        text = _product_text(abs(int(coeff.numerator)), int(coeff.denominator), parts)
+        terms.append((key, coeff < 0, text))
+    return _sum_text(terms)
+
+
 def to_text(e) -> str:
     """Deterministic canonical rendering in the module grammar."""
-    return _tree_text(Expression.of(e).sym)
+    e = Expression.of(e)
+    return _tree_text(e._sym) if e._poly is None else _ring_text(e._poly)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .expr import (
     Constant,
     Expression,
     ExprError,
+    SymbolTable,
     parse as parse_expr,
     placeholder,
 )
@@ -232,9 +233,13 @@ def loads(text: str) -> ModelFile:
 
     const_names = tuple(constants)
     base = JetSpace(n, k - 1)
-    base_table = base.table(const_names)
-    lag_table = JetSpace(n, k).table(const_names)
-    phase_table = PhaseSpace(n, k).table(const_names)
+    # one polynomial ring for every name the model's objects can carry:
+    # jets of orders 0..2k, momenta of orders 0..k-1 and the constants
+    names = SymbolTable(JetSpace(n, 2 * k).coordinates + PhaseSpace(n, k).coordinates,
+                        const_names)
+    base_table = names.restricted_to(base.coordinates)
+    lag_table = names.restricted_to(JetSpace(n, k).coordinates)
+    phase_table = names.restricted_to(PhaseSpace(n, k).coordinates)
 
     model = ModelFile(name, k, n, constants)
     taken: Dict[str, int] = {}

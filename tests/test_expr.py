@@ -334,18 +334,29 @@ def test_probably_equal_skips_domain_holes():
 # -- property tests ----------------------------------------------------------
 
 COORD_NAMES = ("q0_1", "q0_2", "q1_1", "q1_2")
+# negative and rational coefficients, and some beyond the floats: their
+# compiled literal overflows, or the float of their ratio is 0.0
+COEFFICIENTS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(-5, 5, max_denominator=12),
+    st.sampled_from((10 ** 400, Fraction(-3 * 10 ** 400, 7), Fraction(1, 10 ** 400),
+                     Fraction(10 ** 400, 10 ** 399 + 1))),
+)
 
 
 @st.composite
 def polynomials(draw, max_depth=3):
     depth = draw(st.integers(0, max_depth))
     if depth == 0:
-        which = draw(st.integers(0, 2))
+        which = draw(st.integers(0, 3))
         if which == 0:
             return p(draw(st.sampled_from(COORD_NAMES)))
         if which == 1:
-            return Expression.number(draw(st.integers(-5, 5)))
-        return Expression.constant(draw(st.sampled_from(("a", "b"))))
+            return Expression.number(draw(COEFFICIENTS))
+        if which == 2:
+            return Expression.constant(draw(st.sampled_from(("a", "b"))))
+        # a high power of one name, which overflows at moderate values
+        return p(draw(st.sampled_from(COORD_NAMES + ("a",)))) ** draw(st.integers(4, 400))
     op = draw(st.sampled_from("+-*^"))
     if op == "^":
         base = draw(polynomials(max_depth=depth - 1))
@@ -813,6 +824,95 @@ def test_compiled_evaluate_handles_deep_nesting():
     assert abs(value - (1 + math.sqrt(5)) / 2) < 1e-12
     assert _outcome(evaluate, e, {"q0_1": -3.0}) == (
         DomainEvalError, "fractional power of a negative value in sqrt(q0_1 + 1)")
+
+
+# -- the ring printer and compiler against the tree's ----------------------
+
+
+def _tree_function(tree):
+    compiler = E._Compiler()
+    return compiler.function(compiler.tree(tree))
+
+
+def _same_as_tree(e, bindings):
+    """Text, compiled source and value of a ring-backed ``e`` are those of
+    its tree: the bits, or the class and message of what was raised."""
+    P = e._poly
+    assert P is not None
+    tree = P.as_expr()
+    assert to_text(e) == E._tree_text(tree)
+    assert E._Compiler().ring(P) == E._Compiler().tree(tree)
+    env = {name: float(value) for name, value in bindings.items()}
+    assert _outcome(evaluate, e, bindings) == _outcome(_tree_function(tree), env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), bindings())
+def test_ring_printer_and_compiler_match_the_tree(e, bindings):
+    _same_as_tree(e, bindings)
+
+
+def test_an_overflowing_power_names_the_same_subterm():
+    e = p("q0_1^400 + 3*a*q0_1^2")
+    bindings = {"q0_1": 10.0, "a": 1.0}
+    _same_as_tree(e, bindings)
+    assert _outcome(evaluate, e, bindings) == (DomainEvalError, "overflow in q0_1^400")
+
+
+@pytest.mark.parametrize("model", ["javelin", "beam"])
+def test_ring_printer_and_compiler_match_the_tree_on_the_derive_transcripts(
+        model, monkeypatch, capsys):
+    import random
+
+    printed = []
+    to_text_ = E.to_text
+    monkeypatch.setattr(E, "to_text", lambda e: printed.append(e) or to_text_(e))
+    for topic in ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield"):
+        assert main(["derive", model_path("%s.hjm" % model), topic]) == 0
+        capsys.readouterr()
+    polys = [e for e in printed if e._poly is not None]
+    assert len(polys) >= 10
+    rng = random.Random(7)
+    for e in polys:
+        names = sorted(e.free_names())
+        for _ in range(3):
+            _same_as_tree(e, {name: rng.uniform(-2.0, 2.0) for name in names})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials())
+def test_moving_into_a_larger_ring_changes_nothing(e):
+    P = e._poly
+    # generators that sort between, before and after the element's own
+    extra = tuple(sp.Symbol(name) for name in ("aa", "q0_15", "p3_4"))
+    R = E._ring(P.ring.symbols + extra)
+    moved = Expression.from_poly(E._into(P, R))
+    assert moved._poly.ring is R is not P.ring
+    assert moved == e and hash(moved) == hash(e)
+    assert to_text(moved) == to_text(e)
+    assert E._Compiler().ring(moved._poly) == E._Compiler().ring(P)
+    assert sp.srepr(moved.sym) == sp.srepr(e.sym)
+
+
+def test_printing_and_evaluating_a_polynomial_build_no_tree():
+    e = Expression.from_poly(p("3/2*q0_1^2*a - q1_2 + 7")._poly)
+    assert to_text(e) == "3/2*a*q0_1^2 - q1_2 + 7"
+    assert evaluate(e, {"q0_1": 1.0, "q1_2": 2.0, "a": 2.0}) == 8.0
+    assert e._sym is None
+
+
+def test_a_table_parses_into_one_ring():
+    table = JetSpace(2, 2).table(("c",))
+    texts = ("q0_1", "c*q2_2 - 1", "7", "sqrt(q1_1)^2", "(q0_1^2 - 1)/(q0_1 - 1)")
+    rings = {parse(text, table)._poly.ring for text in texts}
+    assert len(rings) == 1 and len(rings.pop().symbols) == 7
+    # a restricted table parses into the ring of the table it came from
+    small = table.restricted_to(JetSpace(2, 0).coordinates)
+    assert parse("q0_2 + c", small)._poly.ring is parse("q0_1", table)._poly.ring
+    with pytest.raises(UnknownSymbolError):
+        parse("q1_1", small)
+    with pytest.raises(ExprError, match="restricted"):
+        small.restricted_to(JetSpace(2, 1).coordinates)
 
 
 # -- ring-backed polynomials against the expand path -----------------------

@@ -439,6 +439,20 @@ def test_a_residual_with_no_valid_sample_is_unsampled_and_nonzero():
         "nonzero: hjeq[value]",)
 
 
+def test_a_nan_sample_is_skipped_so_the_verdict_does_not_hang_on_sample_order():
+    # with c = d = 1e308, c*q0_1*sqrt(...) - d*q0_1*sqrt(...) is inf - inf,
+    # a NaN, wherever the products overflow; max over a list holding a NaN
+    # depends on where the NaN stands, so seeds 43, 46 and 49 gave
+    # "nonzero" with numeric_max NaN and the others "numeric-zero"
+    from hjmech.hj import _residual_report
+
+    R = base("sqrt(q0_1^2 + 1)*(c*q0_1 - d*q0_1)", k=1, constants=("c", "d"))
+    fixed = {"c": 1e308, "d": 1e308}
+    entries = [_residual_report([("tangency", "q0_1", R)], fixed, seed=seed).entries[0]
+               for seed in range(40, 50)]
+    assert {(e.verdict, e.numeric_max) for e in entries} == {("numeric-zero", 0.0)}
+
+
 def test_classify_counts_numeric_zero_residuals_as_zero():
     hs = free_particle_ham(1)
     # sin(2q) - 2 sin(q) cos(q) vanishes, but not canonically

@@ -5,8 +5,14 @@ trees, imports sympy and builds Expressions from raw values.
 """
 
 import ast
+import contextlib
+import io
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -25,11 +31,15 @@ from hjmech import (
     legendre,
     parse,
 )
+from hjmech import expr as E
+from hjmech import hj
+from hjmech.cli import main
 from hjmech.expr import Immutable
 
-from conftest import make_flight_1d
+from conftest import make_flight_1d, model_path
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hjmech"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hjmech"
 
 
 def _instances():
@@ -112,3 +122,46 @@ def test_canonical_form_has_one_door():
 
     visit(tree, ())
     assert callers == {"Expression.__init__", "_normalize_atoms"}
+
+
+def test_a_models_polynomial_residuals_lie_in_its_one_ring(monkeypatch):
+    # the model reader gives its tables one ring over every name the
+    # model's objects can carry, and the residuals stay in it; an exact
+    # zero may be the shared ZERO, which has no generators
+    residuals = []
+    report = hj._residual_report
+    monkeypatch.setattr(hj, "_residual_report", lambda raw, *args, **kwargs: (
+        residuals.extend(r for _, _, r in raw) or report(raw, *args, **kwargs)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", model_path("javelin.hjm"), "rest"]) == 0
+    rings = {r._poly.ring for r in residuals if r._poly is not None and r is not E.ZERO}
+    assert len(rings) == 1
+    # jets of orders 0..4 and momenta of orders 0..1 on three axes
+    assert len(rings.pop().symbols) == 21 and sum(not r.is_zero for r in residuals) >= 10
+
+
+RING_COUNT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from hjmech import expr
+from hjmech.cli import main
+op = next(op for op in workloads.build("verdicts", 1, sys.argv[2])
+          if op.key == "javelin_r03/check-cand")
+before = set(expr._RINGS)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(list(op.argv))
+print(json.dumps(sorted({len(g) for g in expr._RINGS if g not in before})))
+"""
+
+
+def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
+    # each new generator count costs sympy's generated monomial code, so
+    # a fresh process running one op of the verdicts benchmark builds
+    # rings of the model's generator count and of the one- and two-name
+    # rings of Expression's constructors only (18 counts while every
+    # operation built the ring of its operands' union)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert len(json.loads(out.stdout)) <= 3, out.stdout
