@@ -12,11 +12,17 @@ Conventions
   then by ``(i, A)``.
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
-* Representation: a polynomial over QQ in the coordinates and named
-  constants is *ring-backed*, an element of a ``sympy.polys.rings`` ring
-  over QQ with symbols, sorted by name, as generators.  ``+ - *``,
-  integer ``^``, ``diff``, ``substitute`` with polynomial right-hand
-  sides, ``==``, ``hash`` and the free-name queries stay in the ring.
+* Representation: a Laurent polynomial over QQ in the coordinates and
+  named constants (a polynomial divided by a monomial, such as ``p1_1/mu``)
+  is *ring-backed*, an element of a ``sympy.polys.rings`` ring over QQ
+  with symbols, sorted by name, as generators, whose monomials may carry
+  negative exponents.  ``+ - *``, ``/`` by a single term (a product with
+  its inverse), integer ``^`` (negative only of a single term), ``diff``,
+  ``substitute`` with ring-backed right-hand sides, ``==``, ``hash`` and
+  the free-name queries (any nonzero exponent) stay in the ring.  Where
+  sympy's ring code assumes non-negative exponents the tree path is
+  taken: ``substitute`` for a substituted symbol with a negative
+  exponent, and exact linear algebra over a Laurent entry.
   ``parse`` builds into one ring per SymbolTable, over the names of the
   table it was restricted from; the model reader gives a model's tables
   one ring over every name its objects can carry, so a model's
@@ -24,14 +30,16 @@ Conventions
   one-name rings of ``Expression.coordinate``, ``constant`` and
   ``number``, say) meet in the ring of their union, which for a
   model's element and a name of the model is the model's ring itself.
-  No result depends on the ring that holds an element.  Every polynomial
-  is ring-backed, whatever built it (a ``cancel`` that reduces to one, or
-  ``Expression(sym)`` on a raw polynomial tree too), so ``==`` and
+  No result depends on the ring that holds an element.  Every Laurent
+  polynomial is ring-backed, whatever built it (a ``cancel`` that reduces
+  to one, or ``Expression(sym)`` on a raw tree too), so ``==`` and
   ``hash`` agree.  Everything else (radicals, ``sin cos exp ln``,
-  symbolic denominators, placeholders) is its canonical sympy tree.
+  denominators that are not monomials, placeholders) is its canonical
+  sympy tree.
 * A ring-backed expression builds its tree (``.sym``) only on demand:
   for ``step_texts``, arithmetic with a non-polynomial and solves over
-  non-polynomials.  It is the tree ``sp.expand`` gives.  Printing and
+  non-polynomials or Laurent entries.  It is the tree ``_canon`` gives,
+  the expanded sum (a monomial denominator is atomic).  Printing and
   ``evaluate`` read the ring element's terms and give the text and the
   compiled source that tree gives.  Ring and tree stay inside this
   module: no other module of the package reads them or imports sympy.
@@ -41,7 +49,9 @@ Conventions
   rational number is expanded and nothing more.  Any other fraction is
   reduced to a normal form p/q with ``together``/``cancel`` (expanded
   numerator, no common factors); when the denominator is a product of
-  atomic factors the fraction is distributed over the numerator's terms.
+  atomic factors the fraction is distributed over the numerator's terms,
+  which for a monomial denominator is the Laurent element's tree, so a
+  ring-backed value never reaches this path.
   Function applications and fractional powers are opaque atoms — no
   radical or trig identities are applied beyond ``x^(1/2) == sqrt(x)``.
   The constructor is its one door; it is memoized, so an atom built from
@@ -74,8 +84,9 @@ Conventions
   produce (``TERM_LIMIT``) before it expands or multiplies anything.
 * ``solve_linear`` and ``determinant`` are the package's exact linear
   algebra, over the entries' polynomial ring when every entry is a
-  polynomial, else over the domain sympy picks for their trees; and
-  ``step_texts`` is the Python source of generated numeric code.
+  polynomial (no negative exponent), else over the domain sympy picks
+  for their trees; and ``step_texts`` is the Python source of generated
+  numeric code.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
@@ -266,7 +277,10 @@ def coordinate_of(symbol: sp.Symbol):
 
 @dataclass(frozen=True)
 class Constant:
-    """A named constant with an optional numeric value and a nonzero flag."""
+    """A named constant with an optional numeric value and a nonzero flag.
+
+    The value, when given, is finite, and not 0 for a nonzero constant.
+    """
 
     name: str
     value: float | None = None
@@ -277,6 +291,10 @@ class Constant:
             raise ExprError("bad constant name %r (want [a-z][a-z0-9_]*)" % self.name)
         if _COORD_RE.match(self.name):
             raise ExprError("constant name %r collides with a coordinate" % self.name)
+        if self.value is not None and not math.isfinite(self.value):
+            raise ExprError("constant %r needs a finite value, not %r" % (self.name, self.value))
+        if self.nonzero and self.value == 0:
+            raise ExprError("constant %r is declared nonzero but its value is 0" % self.name)
 
 
 class SymbolTable:
@@ -428,8 +446,10 @@ def _unify(*polys):
 
 
 def _as_poly(sym):
-    """The ring element of a sympy tree that is a polynomial over QQ in its
-    symbols (expanded or not), or None."""
+    """The ring element of a sympy tree that is a Laurent polynomial over
+    QQ in its symbols (expanded or not; a negative power only of a
+    symbol), or None.  It is built with ring arithmetic: sympy's
+    ``from_expr`` refuses negative powers."""
     symbols, stack = set(), [sym]
     while stack:
         node = stack.pop()
@@ -437,11 +457,38 @@ def _as_poly(sym):
             symbols.add(node)
         elif node.is_Add or node.is_Mul:
             stack.extend(node.args)
-        elif node.is_Pow and node.exp.is_Integer and node.exp.is_positive:
+        elif node.is_Pow and node.exp.is_Integer and (node.exp.is_positive
+                                                      or node.base.is_Symbol):
             stack.append(node.base)
         elif not node.is_Rational:
             return None
-    return _ring(symbols).from_expr(sym)
+    R = _ring(symbols)
+    gens = dict(zip(R.symbols, R.gens))
+
+    def build(node):
+        if node.is_Symbol:
+            return gens[node]
+        if node.is_Add or node.is_Mul:
+            args = [build(a) for a in node.args]
+            return sum(args, R.zero) if node.is_Add else math.prod(args, start=R.one)
+        if node.is_Pow:
+            return _power(build(node.base), int(node.exp))
+        return R.ground_new(QQ(int(node.p), int(node.q)))
+
+    return build(sym)
+
+
+def _power(P, n):
+    """P ** n, for a single-term P when n is negative."""
+    if n >= 0:
+        return P ** n if n else P.ring.one  # 0^0 = 1
+    (monom, coeff), = P.items()
+    return P.ring.from_dict({tuple(n * e for e in monom): coeff ** n})
+
+
+def _is_laurent(P):
+    """Whether some exponent of P is negative."""
+    return any(e < 0 for monom in P.itermonoms() for e in monom)
 
 
 def _pdiff(P, x):
@@ -457,10 +504,10 @@ def _pdiff(P, x):
 class Expression(Immutable):
     """An immutable expression in canonical form.
 
-    A polynomial is held as a ring element (``_poly``) and its sympy tree
-    is built on first use; anything else is held as its canonical sympy
-    tree (``_poly`` is None).  The wrapper is the public contract; the
-    tree (``.sym``) is for this module and for tests.
+    A Laurent polynomial is held as a ring element (``_poly``) and its
+    sympy tree is built on first use; anything else is held as its
+    canonical sympy tree (``_poly`` is None).  The wrapper is the public
+    contract; the tree (``.sym``) is for this module and for tests.
     """
 
     __slots__ = ("_poly", "_sym", "_hash", "_fn")
@@ -550,7 +597,7 @@ class Expression(Immutable):
         P = self._poly
         if P is None:
             return self._sym.free_symbols
-        return {s for s, d in zip(P.ring.symbols, P.degrees()) if d > 0}
+        return {s for s, exponents in zip(P.ring.symbols, zip(*P.itermonoms())) if any(exponents)}
 
     def free_names(self) -> set:
         return {s.name for s in self._free_symbols()}
@@ -574,15 +621,19 @@ class Expression(Immutable):
         return NotImplemented
 
     def _apply(self, other, op, swap=False):
-        """``op`` in the ring when both sides are polynomials (and a
-        divisor is a nonzero number), else on the trees."""
+        """``op`` in the ring when both sides are ring elements (and a
+        divisor is a single term: ``/`` multiplies by its inverse), else on
+        the trees."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         a, b = (o, self) if swap else (self, o)
         P, Q = a._poly, b._poly
-        if P is not None and Q is not None and (op is not operator.truediv or Q.is_ground and Q):
-            return Expression.from_poly(op(*_unify(P, Q)))
+        if P is not None and Q is not None:
+            if op is not operator.truediv:
+                return Expression.from_poly(op(*_unify(P, Q)))
+            if len(Q) == 1:
+                return Expression.from_poly(operator.mul(*_unify(P, _power(Q, -1))))
         return Expression(op(a.sym, b.sym))
 
     def __add__(self, other):
@@ -617,8 +668,8 @@ class Expression(Immutable):
         else:
             return NotImplemented
         P = self._poly
-        if P is not None and other.is_Integer and other >= 0:
-            return Expression.from_poly(P ** int(other) if other else P.ring.one)  # 0^0 = 1
+        if P is not None and other.is_Integer and (other >= 0 or len(P) == 1):
+            return Expression.from_poly(_power(P, int(other)))
         return Expression(sp.Pow(self.sym, other))
 
     def __neg__(self):
@@ -732,7 +783,8 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     """Simultaneous substitution; right-hand sides are not re-substituted.
 
     In the ring when ``e`` and the right-hand sides of its symbols are
-    polynomials."""
+    ring elements and no substituted symbol has a negative exponent in
+    ``e`` (``compose`` raises on one)."""
     table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     hits = [] if P is None else [(x, v) for x, v in table.items() if x in _GENS[P.ring].index]
@@ -741,7 +793,10 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
             return e
         P, *values = _unify(P, *(v._poly for _, v in hits))
         gens = [P.ring.gens[_GENS[P.ring].index[x]] for x, _ in hits]
-        return Expression.from_poly(P.compose(list(zip(gens, values))))
+        try:
+            return Expression.from_poly(P.compose(list(zip(gens, values))))
+        except ValueError:  # a negative power of a substituted generator
+            pass
     return Expression(e.sym.xreplace({x: v.sym for x, v in table.items()}))
 
 
@@ -751,7 +806,7 @@ def _domain_matrix(rows: Sequence[Sequence[Expression]]):
     trees, and ``back``, the map from its domain to Expressions."""
     shape = (len(rows), len(rows[0]) if rows else 0)
     polys = [e._poly for row in rows for e in row]
-    if polys and all(P is not None for P in polys):
+    if polys and all(P is not None and not _is_laurent(P) for P in polys):
         polys, m = _unify(*polys), shape[1]
         domain = polys[0].ring.to_domain()
         return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
@@ -902,13 +957,15 @@ class _Compiler:
     def ring(self, P) -> str:
         """``tree(P.as_expr())``, written from the terms of P.
 
-        The tree's ``default_sort_key`` order of a polynomial's terms is
-        the constant term, then the one-generator terms by (name,
-        exponent), then the products by their number of factors and
-        their (name, exponent) pairs; a product's operands are its
-        coefficient, unless it is 1, then its factors by name.  A ring's
-        generators are sorted by name, so their positions order as their
-        names do.  Each number, load and power is emitted once, the first
+        The tree's ``default_sort_key`` order of a Laurent polynomial's
+        terms is the constant term, then the one-generator terms by
+        (name, exponent), then the products by their number of factors
+        and their (name, exponent) pairs, a negative exponent ordering
+        as the number it is; a product's operands are its coefficient,
+        unless it is 1, then its factors by name.  A negative power is
+        one ``_int_power`` node, named ``1/x^n`` as the tree's is.  A
+        ring's generators are sorted by name, so their positions order as
+        their names do.  Each number, load and power is emitted once, the first
         time the walk reaches it, as the tree's nodes are.
         """
         names = _GENS[P.ring].names
@@ -924,9 +981,9 @@ class _Compiler:
                 if e == 1:
                     values["p", i, e] = self.assign("_load(env, %r)" % names[i])
                 else:
-                    base = power(i, 1)
+                    text = _power_text(names[i], abs(e))
                     values["p", i, e] = self.assign("_int_power(%s, %d, %s)" % (
-                        base, e, self.ref("%s^%d" % (names[i], e))))
+                        power(i, 1), e, self.ref(text if e > 0 else "1/" + text)))
             return values["p", i, e]
 
         terms = sorted((len(f), f, c) for f, c in (
@@ -1426,27 +1483,23 @@ def _term(term):
     key = (1 if not nonconst else 0, nonconst, const, _frac(coeff))
     num_parts = [text for _, up, text in factors if up]
     den_parts = [text for _, up, text in factors if not up]
-    negative = coeff < 0
-    p, q = abs(int(coeff.p)), int(coeff.q)
+    return key, coeff < 0, _product_text(abs(int(coeff.p)), int(coeff.q), num_parts, den_parts)
+
+
+def _product_text(p, q, num_parts, den_parts) -> str:
+    """The text of the coefficient p/q (p >= 0) times the numerator's
+    factor texts over the denominator's."""
     if not den_parts:
-        return key, negative, _product_text(p, q, num_parts)
+        if q > 1:
+            num_parts = ["%d/%d" % (p, q)] + num_parts
+        elif p != 1 or not num_parts:
+            num_parts = [str(p)] + num_parts
+        return "*".join(num_parts)
     if p != 1 or not num_parts:
-        num_parts.insert(0, str(p))
+        num_parts = [str(p)] + num_parts
     den_items = ([str(q)] if q > 1 else []) + den_parts
-    if len(den_items) == 1:
-        den_text = den_items[0]
-    else:
-        den_text = "(%s)" % "*".join(den_items)
-    return key, negative, "%s/%s" % ("*".join(num_parts), den_text)
-
-
-def _product_text(p, q, parts) -> str:
-    """The text of the coefficient p/q (p >= 0) times the factor texts."""
-    if q > 1:
-        parts = ["%d/%d" % (p, q)] + parts
-    elif p != 1 or not parts:
-        parts = [str(p)] + parts
-    return "*".join(parts)
+    den_text = den_items[0] if len(den_items) == 1 else "(%s)" % "*".join(den_items)
+    return "%s/%s" % ("*".join(num_parts), den_text)
 
 
 def _sum_text(terms) -> str:
@@ -1468,22 +1521,27 @@ def _tree_text(sym) -> str:
     return _sum_text(_term(t) for t in sp.Add.make_args(sym))
 
 
+def _power_text(name, e) -> str:
+    return name if e == 1 else "%s^%d" % (name, e)
+
+
 def _ring_text(P) -> str:
     """``_tree_text(P.as_expr())``, rendered from the terms of P: each
-    term's ``_term`` key and text, built from its exponents."""
+    term's ``_term`` key and text, built from its exponents (a negative
+    one goes to the denominator)."""
     if not P:
         return "0"
     gens = _GENS[P.ring]
     terms = []
     for monom, coeff in P.terms():
-        nonconst, const, parts = [], [], []
+        nonconst, const, num, den = [], [], [], []
         for i in gens.printed:
             e = monom[i]
             if e:
                 (nonconst if gens.is_coordinate[i] else const).append((gens.keys[i], -e))
-                parts.append(gens.names[i] if e == 1 else "%s^%d" % (gens.names[i], e))
+                (num if e > 0 else den).append(_power_text(gens.names[i], abs(e)))
         key = (1 if not nonconst else 0, tuple(nonconst), tuple(const), coeff)
-        text = _product_text(abs(int(coeff.numerator)), int(coeff.denominator), parts)
+        text = _product_text(abs(int(coeff.numerator)), int(coeff.denominator), num, den)
         terms.append((key, coeff < 0, text))
     return _sum_text(terms)
 

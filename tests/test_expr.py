@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import pickle
+import random
 import struct
 from fractions import Fraction
 
@@ -899,6 +900,24 @@ def test_printing_and_evaluating_a_polynomial_build_no_tree():
     assert to_text(e) == "3/2*a*q0_1^2 - q1_2 + 7"
     assert evaluate(e, {"q0_1": 1.0, "q1_2": 2.0, "a": 2.0}) == 8.0
     assert e._sym is None
+    # a Laurent element too, and a zero divisor is named as in its tree
+    e = Expression.from_poly(p("q0_1/a - 2/q1_2^2 + 1")._poly)
+    assert to_text(e) == "q0_1/a - 2/q1_2^2 + 1"
+    assert evaluate(e, {"q0_1": 1.0, "q1_2": 2.0, "a": 2.0}) == 1.0
+    with pytest.raises(DomainEvalError, match=r"division by zero in 1/a$"):
+        evaluate(e, {"q0_1": 1.0, "q1_2": 2.0, "a": 0.0})
+    assert e._sym is None
+
+
+def test_quotients_by_a_term_stay_in_the_ring():
+    # / by a single term and ** -n of one multiply by its inverse; only
+    # a divisor that is a sum builds the trees
+    a, t = (Expression.from_poly(p(text)._poly) for text in ("q0_1 + a", "-2*q1_2/a"))
+    assert to_text(a / t) == "-a*q0_1/(2*q1_2) - a^2/(2*q1_2)"
+    assert to_text(t ** -2) == "a^2/(4*q1_2^2)"
+    assert to_text(diff(t, "a")) == "2*q1_2/a^2"
+    assert a._sym is None and t._sym is None
+    assert (t / a)._poly is None and a._sym is not None
 
 
 def test_a_table_parses_into_one_ring():
@@ -1043,7 +1062,11 @@ def test_polynomials_are_ring_backed_whatever_builds_them():
     for e in cases:
         assert e._poly is not None, e
     assert cases[0] == x + 1 and cases[1] == cases[2] / 2 == x and cases[3] == x
-    assert p("1/q0_1")._poly is None and p("q0_1/a")._poly is None
+    # a quotient by a monomial is a Laurent element of the ring; a quotient
+    # by a sum and a radical stay trees
+    assert p("1/q0_1")._poly is not None and p("q0_1/a")._poly is not None
+    for text in ("1/(q0_1 + 1)", "q0_1/(a + 1)", "sqrt(q0_1)"):
+        assert p(text)._poly is None, text
 
 
 def test_shape_queries_answer_without_a_tree():
@@ -1065,3 +1088,79 @@ def test_term_budget_counts_polynomial_sums_by_their_terms():
     assert "expanding this gives 1024 terms" in str(exc.value)
     # a polynomial sum counts the terms it has, not those written
     assert len(parse("(q0_1 + (c+1)^2 - c^2 - 2*c)^30", table).sym.args) == 31
+
+
+# -- Laurent elements against the tree path ---------------------------------
+
+LAURENT_NAMES = ("a", "b") + COORD_NAMES
+
+
+@st.composite
+def laurent_terms(draw):
+    """A raw sympy monomial: a nonzero rational times powers -2..3 of names."""
+    coeff = sp.Rational(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))),
+                        draw(st.integers(1, 4)))
+    names = draw(st.lists(st.sampled_from(LAURENT_NAMES), max_size=3, unique=True))
+    return sp.Mul(coeff, *(sp.Pow(sp.Symbol(n), draw(st.integers(-2, 3))) for n in names))
+
+
+def laurent_sums():
+    return st.lists(laurent_terms(), min_size=1, max_size=3).map(lambda ts: sp.Add(*ts))
+
+
+@st.composite
+def laurent_trees(draw):
+    """A raw sum of Laurent terms, or the unexpanded product of two, or a
+    power 0..3 of one."""
+    tree = draw(laurent_sums())
+    kind = draw(st.sampled_from(("sum", "product", "power")))
+    if kind == "product":
+        return sp.Mul(tree, draw(laurent_sums()))
+    if kind == "power":
+        return sp.Pow(tree, draw(st.integers(0, 3)))
+    return tree
+
+
+def _matches_tree(e, raw):
+    """e is what canonicalizing the raw tree gives: its tree, its text, its
+    compiled source and the bits of its compiled function at seeded
+    points."""
+    want = E._canon(raw)
+    assert (e._poly is None) == (E._as_poly(want) is None)
+    assert to_text(e) == E._tree_text(want)
+    if e._poly is not None:
+        assert E._Compiler().ring(e._poly) == E._Compiler().tree(want)
+    assert sp.srepr(e.sym) == sp.srepr(want)
+    rng, tree_function = random.Random(len(to_text(e))), _tree_function(want)
+    for zero in (None, None, None) + LAURENT_NAMES:  # a zero divisor is named alike
+        env = {name: 0.0 if name == zero else rng.uniform(-2.0, 2.0) for name in LAURENT_NAMES}
+        assert _outcome(evaluate, e, env) == _outcome(tree_function, env)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_trees(), laurent_sums(), laurent_terms(), st.integers(1, 3), st.data())
+def test_laurent_elements_match_the_tree_path(raw, raw2, raw_term, n, data):
+    e, e2, t = Expression(raw), Expression(raw2), Expression(raw_term)
+    for x, r in ((e, raw), (e2, raw2), (t, raw_term)):
+        assert x._poly is not None
+        _matches_tree(x, r)
+    _matches_tree(e * e2, raw * raw2)
+    _matches_tree(e / t, raw / raw_term)
+    _matches_tree(t ** -n, sp.Pow(raw_term, -n))
+    _matches_tree(e + t, raw + raw_term)
+    names = sorted(e.free_names()) or ["q0_1"]
+    name, other = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(COORD_NAMES))
+    x, y = sp.Symbol(name), sp.Symbol(other)
+    _matches_tree(diff(e, name), sp.diff(raw, x))
+    _matches_tree(E.derivation(e, [(name, e2), (other, t)]),
+                  raw2 * sp.diff(raw, x) + raw_term * sp.diff(raw, y))
+    # onto a name that may carry a negative exponent, with Laurent values
+    _matches_tree(substitute(e, {name: t}), raw.xreplace({x: raw_term}))
+    if not e2.is_zero:
+        _matches_tree(substitute(e, {name: e2, other: t}),
+                      raw.xreplace({x: raw2, y: raw_term}))
+    # equality and hash do not depend on the ring that holds an element
+    extra = tuple(sp.Symbol(s) for s in ("aa", "q0_15", "p3_4"))
+    moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
+    assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
+    assert moved.free_names() == e.free_names() == {s.name for s in E._canon(raw).free_symbols}

@@ -306,6 +306,22 @@ def test_check_beam_rest_fails(capsys):
     assert "-rho/mu" in out
 
 
+@pytest.mark.parametrize("command, name, code", [
+    ("check", "quotients", 1),
+    *(("derive", topic, 0) for topic in ("cartan", "energy", "field", "legendre",
+                                         "hamiltonian", "hamfield")),
+])
+def test_quotients_by_monomials_print_byte_for_byte(capsys, command, name, code):
+    # the transcripts were recorded while every quotient by a coordinate or
+    # a constant was a canonical sympy tree; as Laurent ring elements they
+    # must print, and sample, the same bytes
+    golden = os.path.join(os.path.dirname(__file__), "goldens",
+                          "beam_quotients_%s_%s.txt" % (command, name))
+    with open(golden) as fh:
+        want = fh.read()
+    assert run_cli(capsys, command, fixture_path("beam_quotients.hjm"), name) == (code, want, "")
+
+
 def test_check_radical_oneform_is_strict(capsys):
     code, out, _ = run_cli(capsys, "check", model_path("javelin1d.hjm"), "walpha")
     assert code == 0
@@ -891,6 +907,30 @@ def test_singular_lagrangian_field_is_exit_3(capsys, tmp_path):
     )
     assert code == 3
     assert "singular" in err
+
+
+@pytest.mark.parametrize("declaration, message", [
+    ("c nan", "constant 'c' needs a finite value, not nan"),
+    ("c -inf", "constant 'c' needs a finite value, not -inf"),
+    ("c 0 nonzero", "constant 'c' is declared nonzero but its value is 0"),
+])
+def test_a_constant_the_maths_cannot_use_is_bad_input(capsys, tmp_path, declaration, message):
+    # a NaN made every sampled residual "nonzero" (exit 1), and a zero
+    # "nonzero" constant derived h = p0_1^2/(2*c) with exit 0 until
+    # simulate divided by it (exit 3)
+    path = tmp_path / "constant.hjm"
+    path.write_text(
+        "[model]\nname = m\nk = 1\nn = 1\nconstant = %s\n\n"
+        '[lagrangian]\nL = "1/2*c*q1_1^2 + c*q0_1"\n\n'
+        '[section s]\ns1_1 = "c*q0_1"\n\n'
+        "[state o]\nvalues = 0, 1\n" % declaration
+    )
+    for argv in (("check", str(path), "s"), ("derive", str(path), "hamiltonian"),
+                 ("simulate", str(path), "hamiltonian", "o", "0", "1", "0.1",
+                  "--out", str(tmp_path / "x.csv"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "line 5: %s" % message in err
 
 
 # -- model-reader fuzz ---------------------------------------------------------

@@ -15,6 +15,7 @@ import subprocess
 import sys
 
 import pytest
+from sympy.core.cache import clear_cache
 
 from hjmech import (
     CompleteSolutionFamily,
@@ -165,3 +166,38 @@ def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
     out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=300, check=True)
     assert len(json.loads(out.stdout)) <= 3, out.stdout
+
+
+BEAM_POLYNOMIAL = '''
+[model]
+name = beam
+k = 2
+n = 1
+constant = mu 1 nonzero
+constant = rho 24
+
+[lagrangian]
+L = "1/2*mu*q2_1^2 + rho*q0_1"
+
+[section poly]
+s2_1 = "q0_1^2 - 2*q1_1"
+s3_1 = "mu*q1_1 + rho"
+'''
+
+
+@pytest.mark.parametrize("argv", [("check", "poly"), ("derive", "hamfield")])
+def test_quotients_by_a_constant_stay_in_the_ring(monkeypatch, tmp_path, argv):
+    # beam's Legendre inverse q2_1 = p1_1/mu and its Euler-Lagrange field
+    # q4_1 = -rho/mu are Laurent ring elements, so neither side of a
+    # polynomial check nor the Hamiltonian field canonicalizes a tree
+    # (8 and 4 _canon calls while a quotient by a monomial was a tree)
+    path = tmp_path / "beam.hjm"
+    path.write_text(BEAM_POLYNOMIAL)
+    calls = []
+    canon = E._canon
+    monkeypatch.setattr(E, "_canon", lambda sym: calls.append(sym) or canon(sym))
+    clear_cache()
+    command, name = argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, str(path), name]) in (0, 1)
+    assert calls == []
