@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -140,6 +141,13 @@ def _header(rep: Report, m: model_io.ModelFile, subtitle: str, settings: str):
     rep.text()
 
 
+def _check_tol(tol):
+    # a NaN tolerance fails every comparison and an infinite one passes
+    # every sampled residual
+    if not 0 < tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
+
+
 def _standard_settings(tol, samples, seed) -> str:
     return "tol = %s, samples = %s, seed = %s" % (
         format_setting(tol), format_setting(samples), format_setting(seed))
@@ -197,8 +205,7 @@ def cmd_derive(args) -> Tuple[Report, bool]:
 
 
 def cmd_check(args) -> Tuple[Report, bool]:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     knobs = dict(tol=args.tol, samples=args.samples, seed=args.seed)
@@ -308,8 +315,7 @@ def _resolve_candidate_pair(ctx: _Context, name):
 
 
 def cmd_simulate(args) -> Tuple[Report, bool]:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     ctx = _Context(args.model)
     m, sys_ = ctx.model, ctx.system
     constants = sys_.constant_values()
@@ -367,8 +373,7 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
 
 
 def cmd_involution(args) -> Tuple[Report, bool]:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     ctx = _Context(args.model)

@@ -12,36 +12,49 @@ Conventions
   then by ``(i, A)``.
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
-* Representation: a Laurent polynomial over QQ in the coordinates and
-  named constants (a polynomial divided by a monomial, such as ``p1_1/mu``)
-  is *ring-backed*, an element of a ``sympy.polys.rings`` ring over QQ
-  with symbols, sorted by name, as generators, whose monomials may carry
-  negative exponents.  ``+ - *``, ``/`` by a single term (a product with
-  its inverse), integer ``^`` (negative only of a single term), ``diff``,
-  ``substitute`` with ring-backed right-hand sides, ``==``, ``hash`` and
-  the free-name queries (any nonzero exponent) stay in the ring.  Where
-  sympy's ring code assumes non-negative exponents the tree path is
-  taken: ``substitute`` for a substituted symbol with a negative
-  exponent, and exact linear algebra over a Laurent entry.
-  ``parse`` builds into one ring per SymbolTable, over the names of the
-  table it was restricted from; the model reader gives a model's tables
-  one ring over every name its objects can carry, so a model's
-  polynomials share one ring.  Elements over different generators (the
-  one-name rings of ``Expression.coordinate``, ``constant`` and
-  ``number``, say) meet in the ring of their union, which for a
-  model's element and a name of the model is the model's ring itself.
-  No result depends on the ring that holds an element.  Every Laurent
-  polynomial is ring-backed, whatever built it (a ``cancel`` that reduces
-  to one, or ``Expression(sym)`` on a raw tree too), so ``==`` and
-  ``hash`` agree.  Everything else (radicals, ``sin cos exp ln``,
-  denominators that are not monomials, placeholders) is its canonical
+* Representation: a Laurent polynomial over QQ in the coordinates, the
+  named constants and the placeholders (a polynomial divided by a
+  monomial, such as ``p1_1/mu``) is *ring-backed*, an element of a
+  ``sympy.polys.rings`` ring over QQ whose monomials may carry negative
+  exponents.  Its generators are symbols, sorted by name, then
+  placeholders: an unknown function ``s2_1(q0_1, …)`` of distinct
+  coordinates, or sympy's ``Derivative`` of one.  ``+ - *``, ``/`` by a
+  single term (a product with its inverse), integer ``^`` (negative only
+  of a single term), ``diff``, ``substitute`` with ring-backed
+  right-hand sides, ``==``, ``hash`` and the queries (free names,
+  ``has_placeholders``, ``is_rational_function``) stay in the ring.  A
+  placeholder differentiates to the generator of its partial, or to 0
+  for a coordinate it does not take; the partial joins the ring, with
+  the placeholder's other first partials, when it is not in it yet.  A
+  placeholder contributes its arguments to the free names.  The tree
+  path is taken where sympy's ring code assumes non-negative exponents
+  (``substitute`` for a substituted symbol with a negative exponent,
+  exact linear algebra over a Laurent entry) and where a placeholder's
+  argument is substituted.  ``parse`` builds into one ring per
+  SymbolTable, over the names of the table it was restricted from; the
+  model reader gives a model's tables one ring over every name its
+  objects can carry, so a model's polynomials share one ring, and
+  declares its placeholders together (``placeholders``), so they share
+  one ring too, over the model's names, themselves and their first
+  partials, built the first time one of them is computed with.
+  Elements over different generators (the one-name rings of
+  ``Expression.coordinate``, ``constant`` and ``number``, say) meet in
+  the ring of their union, which for a model's element and a name of
+  the model is the model's ring itself.  No result depends on the ring
+  that holds an element.  Every Laurent polynomial is ring-backed,
+  whatever built it (a ``cancel`` that reduces to one, or
+  ``Expression(sym)`` on a raw tree too), so ``==`` and ``hash`` agree.
+  Everything else (radicals, ``sin cos exp ln``, denominators that are
+  not monomials, placeholders of other arguments) is its canonical
   sympy tree.
 * A ring-backed expression builds its tree (``.sym``) only on demand:
-  for ``step_texts``, arithmetic with a non-polynomial and solves over
-  non-polynomials or Laurent entries.  It is the tree ``_canon`` gives,
-  the expanded sum (a monomial denominator is atomic).  Printing and
-  ``evaluate`` read the ring element's terms and give the text and the
-  compiled source that tree gives.  Ring and tree stay inside this
+  for ``step_texts``, arithmetic with a non-polynomial, solves over
+  non-polynomials or Laurent entries, and ``evaluate`` of a placeholder
+  (which compiles the tree, so its error names the node it always
+  named).  It is the tree ``_canon`` gives, the expanded sum (a monomial
+  denominator is atomic).  Printing and ``evaluate`` read the ring
+  element's terms and give the text and the compiled source that tree
+  gives.  Ring and tree stay inside this
   module: no other module of the package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
   It and the constructor refuse text, floats and bools.
@@ -100,6 +113,7 @@ four directly).
 
 from __future__ import annotations
 
+import functools
 import keyword
 import math
 import operator
@@ -111,6 +125,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import sympy as sp
 from sympy import QQ
+from sympy.core.basic import Basic
 from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 from sympy.polys.matrices import DomainMatrix
@@ -142,6 +157,7 @@ __all__ = [
     "sample_values",
     "to_text",
     "placeholder",
+    "placeholders",
     "placeholder_derivative",
     "jet",
     "momentum",
@@ -392,28 +408,59 @@ def _canon(sym):
 
 class _Generators:
     """What the module keeps for each of its rings: each generator's
-    position and name, and for the printer each generator's sort key
-    (``_atom``'s), whether it is a coordinate, and the positions in the
-    order of those keys."""
+    position and text (a symbol's name), for the printer each
+    generator's sort key (``_atom``'s), whether it is a coordinate, and
+    the positions in the order of those keys; and for the placeholders,
+    which come after the symbols, the first one's position, the symbols
+    each generator depends on (a placeholder's arguments) and the
+    placeholders depending on each symbol."""
 
-    __slots__ = ("index", "names", "keys", "is_coordinate", "printed")
+    __slots__ = ("index", "names", "keys", "is_coordinate", "printed",
+                 "first_placeholder", "free", "dependents", "widened")
 
     def __init__(self, symbols):
         self.index = {s: i for i, s in enumerate(symbols)}
-        self.names = [s.name for s in symbols]
-        self.keys = [_atom(s)[0] for s in symbols]
+        atoms = [_atom(s) for s in symbols]
+        self.names = [text for _, text in atoms]
+        self.keys = [key for key, _ in atoms]
         self.is_coordinate = [key[0] >= 2 for key in self.keys]
         self.printed = sorted(range(len(symbols)), key=self.keys.__getitem__)
+        self.first_placeholder = sum(s.is_Symbol for s in symbols)
+        self.free = [(s,) if s.is_Symbol else _function_of(s).args for s in symbols]
+        self.dependents = {}
+        for j in range(self.first_placeholder, len(symbols)):
+            for x in self.free[j]:
+                self.dependents.setdefault(x, []).append(j)
+        self.widened = {}  # placeholder -> this ring with its first partials
 
 
-_RINGS = {}  # generators sorted by name -> PolyRing over QQ
+_RINGS = {}  # sorted generators -> PolyRing over QQ
 _GENS = {}  # ring -> its _Generators
 _UNIONS = {}  # (ring, ring) -> the ring of the union of their generators
+_HOMES = {}  # placeholder -> the generators of the ring it joins, built on call
+_PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
+
+
+def _order(g):
+    """A generator's place in its ring: symbols by name, then the
+    placeholders by name, arguments and differentiations."""
+    if g.is_Symbol:
+        return 0, g.name
+    f = _function_of(g)
+    return (1, f.func.__name__, tuple(a.name for a in f.args),
+            () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
 
 
 def _ring(symbols) -> PolyRing:
-    """The one ring over QQ whose generators are ``symbols``, sorted by name."""
-    gens = tuple(sorted(set(symbols), key=lambda s: s.name))
+    """The one ring over QQ whose generators are ``symbols`` in ``_order``,
+    widened, when there is more than one and one is a placeholder
+    declared by ``placeholders``, by that placeholder's home."""
+    gens = set(symbols)
+    if len(gens) > 1 and not all(g.is_Symbol for g in gens):
+        for home in {_HOMES.get(_function_of(g)) for g in gens if not g.is_Symbol}:
+            if home is not None:
+                gens.update(home())
+    gens = tuple(sorted(gens, key=_order))
     if gens not in _RINGS:  # described first: a published ring always is
         R = PolyRing(gens, QQ)
         _GENS[R] = _Generators(gens)
@@ -434,22 +481,41 @@ def _into(P, R):
 
 
 def _unify(*polys):
-    """The elements over the ring of the union of their generators."""
+    """The elements over the ring of the union of their generators (the
+    larger ring, when one holds the other's generators)."""
     R = polys[0].ring
     for P in polys[1:]:
         if P.ring is not R:
             key = (R, P.ring)
             if key not in _UNIONS:
-                _UNIONS[key] = _ring(R.symbols + P.ring.symbols)
+                S = P.ring
+                _UNIONS[key] = (R if _GENS[R].index.keys() >= set(S.symbols) else
+                                S if _GENS[S].index.keys() >= set(R.symbols) else
+                                _ring(R.symbols + S.symbols))
             R = _UNIONS[key]
     return [P if P.ring is R else _into(P, R) for P in polys]
 
 
+def _is_placeholder(node):
+    """Whether a tree is a ring generator that is not a symbol: an
+    unknown function applied to distinct coordinate symbols, or a
+    partial derivative of one."""
+    f = _function_of(node)
+    return (isinstance(f, AppliedUndef) and len(set(f.args)) == len(f.args)
+            and all(a.is_Symbol and _COORD_RE.match(a.name) for a in f.args))
+
+
+def _function_of(g):
+    """The applied function of a placeholder generator (itself, or what a
+    partial differentiates)."""
+    return g.expr if isinstance(g, sp.Derivative) else g
+
+
 def _as_poly(sym):
     """The ring element of a sympy tree that is a Laurent polynomial over
-    QQ in its symbols (expanded or not; a negative power only of a
-    symbol), or None.  It is built with ring arithmetic: sympy's
-    ``from_expr`` refuses negative powers."""
+    QQ in its symbols and placeholders (expanded or not; a negative power
+    only of a symbol or a placeholder), or None.  It is built with ring
+    arithmetic: sympy's ``from_expr`` refuses negative powers."""
     symbols, stack = set(), [sym]
     while stack:
         node = stack.pop()
@@ -457,23 +523,27 @@ def _as_poly(sym):
             symbols.add(node)
         elif node.is_Add or node.is_Mul:
             stack.extend(node.args)
-        elif node.is_Pow and node.exp.is_Integer and (node.exp.is_positive
-                                                      or node.base.is_Symbol):
+        elif node.is_Pow and node.exp.is_Integer and (
+                node.exp.is_positive or node.base.is_Symbol or _is_placeholder(node.base)):
             stack.append(node.base)
-        elif not node.is_Rational:
+        elif node.is_Rational:
+            pass
+        elif _is_placeholder(node):
+            symbols.add(node)
+        else:
             return None
     R = _ring(symbols)
     gens = dict(zip(R.symbols, R.gens))
 
     def build(node):
-        if node.is_Symbol:
-            return gens[node]
         if node.is_Add or node.is_Mul:
             args = [build(a) for a in node.args]
             return sum(args, R.zero) if node.is_Add else math.prod(args, start=R.one)
         if node.is_Pow:
             return _power(build(node.base), int(node.exp))
-        return R.ground_new(QQ(int(node.p), int(node.q)))
+        if node.is_Rational:
+            return R.ground_new(QQ(int(node.p), int(node.q)))
+        return gens[node]
 
     return build(sym)
 
@@ -491,9 +561,54 @@ def _is_laurent(P):
     return any(e < 0 for monom in P.itermonoms() for e in monom)
 
 
+def _present(P, positions):
+    """The positions among ``positions`` of generators that occur in P."""
+    if not positions:
+        return []
+    monoms = list(P.itermonoms())
+    return [j for j in positions if any(m[j] for m in monoms)]
+
+
+def _partial(g, x):
+    """sympy's ∂g/∂x of a placeholder generator g that takes x, built
+    once.  A first partial is the tree ``sp.diff`` gives, put together
+    without its checks; a partial of a partial is ``sp.diff``'s."""
+    if (g, x) not in _PARTIALS:
+        _PARTIALS[g, x] = (Basic.__new__(sp.Derivative, g, sp.Tuple(x, sp.S.One))
+                           if isinstance(g, AppliedUndef) else sp.diff(g, x))
+    return _PARTIALS[g, x]
+
+
+def _widened(R, g):
+    """R with the first partials of its placeholder generator g."""
+    wider = _GENS[R].widened
+    if g not in wider:
+        wider[g] = _ring(R.symbols + tuple(_partial(g, x) for x in _function_of(g).args))
+    return wider[g]
+
+
 def _pdiff(P, x):
-    i = _GENS[P.ring].index.get(x)
-    return P.ring.zero if i is None else P.diff(i)
+    """∂P/∂x.  A placeholder generator that takes x differentiates to the
+    generator of its partial, which joins the ring, with the
+    placeholder's other first partials, when it is not in it yet."""
+    R = P.ring
+    gens = _GENS[R]
+    i = gens.index.get(x)
+    d = R.zero if i is None else P.diff(i)
+    moved = _present(P, gens.dependents.get(x, ()))
+    if not moved:
+        return d
+    S = R
+    for j in moved:
+        if _partial(R.symbols[j], x) not in _GENS[S].index:
+            S = _widened(S, R.symbols[j])
+    if S is not R:
+        P, d = _into(P, S), _into(d, S)
+    index = _GENS[S].index
+    for j in moved:
+        g = R.symbols[j]
+        d = d + P.diff(index[g]) * S.gens[index[_partial(g, x)]]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +699,29 @@ class Expression(Immutable):
 
     @property
     def is_rational_function(self) -> bool:
-        """Whether there are no function atoms and no fractional powers."""
-        return self._poly is not None or not self._sym.atoms(sp.Function) and all(
+        """Whether there are no function atoms (placeholders are) and no
+        fractional powers."""
+        if self._poly is not None:
+            return not self.has_placeholders
+        return not self._sym.atoms(sp.Function) and all(
             p.exp.is_Integer for p in self._sym.atoms(sp.Pow))
 
     @property
     def has_placeholders(self) -> bool:
-        return self._poly is None and bool(
-            self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
+        P = self._poly
+        if P is None:
+            return bool(self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
+        first = _GENS[P.ring].first_placeholder
+        return first < P.ring.ngens and any(any(m[first:]) for m in P.itermonoms())
 
     def _free_symbols(self):
+        """The symbols the value depends on: a placeholder's arguments too."""
         P = self._poly
         if P is None:
             return self._sym.free_symbols
-        return {s for s, exponents in zip(P.ring.symbols, zip(*P.itermonoms())) if any(exponents)}
+        free = _GENS[P.ring].free
+        return {s for i, exponents in enumerate(zip(*P.itermonoms())) if any(exponents)
+                for s in free[i]}
 
     def free_names(self) -> set:
         return {s.name for s in self._free_symbols()}
@@ -718,14 +842,48 @@ ZERO = Expression(0)
 ONE = Expression(1)
 
 
-def placeholder(name: str, args: Iterable[Coordinate]) -> Expression:
-    """An opaque unknown function of the given coordinates.
+def placeholders(names: Sequence[str], args: Sequence[Coordinate],
+                 table: SymbolTable = None) -> List[Expression]:
+    """Opaque unknown functions of the given distinct coordinates, one
+    per name, declared together.
+
+    Each is the generator of a ring of its own.  The first time one
+    meets another ring or is differentiated, it joins its *home*: the
+    one ring over the table's names (the names of the ring ``parse``
+    builds into), every placeholder of this call and their first
+    partials, built then.  So a model's unknowns share one ring, and a
+    model that never computes with them builds none.  A later
+    declaration of the same unknown gives it the later home.
+    """
+    symbols = [c.symbol for c in args]
+    if len(set(symbols)) != len(symbols):
+        raise ExprError("a placeholder takes distinct coordinates")
+    functions = [sp.Function(name)(*symbols) for name in names]
+
+    @functools.cache
+    def home():
+        own = table._parse_ring()[0].symbols if table is not None else ()
+        return own + tuple(functions) + tuple(
+            _partial(f, x) for f in functions for x in symbols)
+
+    for f in functions:
+        _HOMES[f] = home
+    return [Expression.from_poly(_ring((f,)).gens[0]) for f in functions]
+
+
+def placeholder(name: str, args: Sequence[Coordinate]) -> Expression:
+    """An opaque unknown function of the given distinct coordinates, in
+    the home it was declared in (see ``placeholders``), else declared
+    alone.
 
     Used by the residual reports when a candidate's components are left
     symbolic (the "?" components of a model file); prints as the bare name,
     with partial derivatives printed as d(name)/d(coord).
     """
-    return Expression(sp.Function(name)(*[c.symbol for c in args]))
+    f = sp.Function(name)(*[c.symbol for c in args])
+    if f not in _HOMES:
+        return placeholders([name], args)[0]
+    return Expression.from_poly(_ring((f,)).gens[0])
 
 
 def placeholder_derivative(name: str, args: Iterable[Coordinate], wrt: Coordinate) -> Expression:
@@ -759,13 +917,15 @@ def diff(e: Expression, v) -> Expression:
 def derivation(e: Expression, pairs) -> Expression:
     """Σ c·∂e/∂u over the (u, c) pairs, u a coordinate and c an Expression.
 
-    In the ring when ``e`` and the ``c`` of its symbols are polynomials;
-    otherwise the sympy sum is built from the raw partials and
-    canonicalized once.
+    In the ring when ``e`` and the ``c`` of its symbols (a placeholder's
+    arguments too) are ring elements; otherwise the sympy sum is built
+    from the raw partials and canonicalized once.
     """
     pairs = [(_as_symbol(u), c) for u, c in pairs]
     P = e._poly
-    hits = [] if P is None else [(x, c) for x, c in pairs if x in _GENS[P.ring].index]
+    gens = None if P is None else _GENS[P.ring]
+    hits = [] if P is None else [(x, c) for x, c in pairs
+                                 if x in gens.index or x in gens.dependents]
     if P is not None and all(c._poly is not None for _, c in hits):
         total = Expression.from_poly(P.ring.zero)
         for x, c in hits:
@@ -783,12 +943,15 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     """Simultaneous substitution; right-hand sides are not re-substituted.
 
     In the ring when ``e`` and the right-hand sides of its symbols are
-    ring elements and no substituted symbol has a negative exponent in
-    ``e`` (``compose`` raises on one)."""
+    ring elements, no substituted symbol has a negative exponent in ``e``
+    (``compose`` raises on one) and none is an argument of a placeholder
+    of ``e``; on the tree otherwise."""
     table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
-    hits = [] if P is None else [(x, v) for x, v in table.items() if x in _GENS[P.ring].index]
-    if P is not None and all(v._poly is not None for _, v in hits):
+    gens = None if P is None else _GENS[P.ring]
+    hits = [] if P is None else [(x, v) for x, v in table.items() if x in gens.index]
+    if P is not None and all(v._poly is not None for _, v in hits) and not _present(
+            P, [j for x in table for j in gens.dependents.get(x, ())]):
         if not hits:
             return e
         P, *values = _unify(P, *(v._poly for _, v in hits))
@@ -964,8 +1127,9 @@ class _Compiler:
         as the number it is; a product's operands are its coefficient,
         unless it is 1, then its factors by name.  A negative power is
         one ``_int_power`` node, named ``1/x^n`` as the tree's is.  A
-        ring's generators are sorted by name, so their positions order as
-        their names do.  Each number, load and power is emitted once, the first
+        ring's symbols come first, sorted by name, so their positions
+        order as their names do (a placeholder is compiled from the
+        tree).  Each number, load and power is emitted once, the first
         time the walk reaches it, as the tree's nodes are.
         """
         names = _GENS[P.ring].names
@@ -1073,8 +1237,8 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     """Pointwise IEEE-double evaluation; same bindings give the same bits.
 
     The first call on an expression compiles its canonical tree (for a
-    polynomial, the terms of its ring element, into the source its tree
-    gives) into one straight-line Python function and caches it on the
+    polynomial without placeholders, the terms of its ring element, into
+    the source its tree gives) into one straight-line Python function and caches it on the
     instance; later calls only run it.  The compiled form keeps the
     summation and multiplication order of a recursive walk (each sum
     starts from 0.0 and each product from 1.0, operands in
@@ -1092,7 +1256,8 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     fn = e._fn
     if fn is None:
         c = _Compiler()
-        fn = c.function(c.tree(e._sym) if e._poly is None else c.ring(e._poly))
+        ring = e._poly is not None and not e.has_placeholders
+        fn = c.function(c.ring(e._poly) if ring else c.tree(e.sym))
         object.__setattr__(e, "_fn", fn)
     env = {}
     for key, value in bindings.items():
@@ -1411,10 +1576,10 @@ def _atom(base):
             return (1, base.name), base.name
         return (2 if c.kind == "jet" else 3, (c.order, c.axis)), base.name
     if isinstance(base, sp.Derivative):
-        key = (5, _atom_label(base.expr), tuple(str(v) for v in base.variables))
+        key = (5, _atom_label(base.expr), tuple(map(_name, base.variables)))
         return key, _derivative_text(base)
     if isinstance(base, AppliedUndef):
-        return (4, _atom_label(base), tuple(str(a) for a in base.args)), base.func.__name__
+        return (4, _atom_label(base), tuple(map(_name, base.args))), base.func.__name__
     if base.is_Function and base.func in _FUNC_LABEL:
         label = _FUNC_LABEL[base.func]
         key = (4, label, tuple(str(a) for a in base.args))
@@ -1424,11 +1589,16 @@ def _atom(base):
     raise ExprError("cannot print %s" % sp.srepr(base))
 
 
+def _name(x) -> str:
+    """``str(x)``, read off a symbol without the printer."""
+    return x.name if type(x) is sp.Symbol else str(x)
+
+
 def _derivative_text(d):
     label = _atom_label(d.expr)
     variables = []
     for v, count in d.variable_count:
-        variables.extend([str(v)] * int(count))
+        variables.extend([_name(v)] * int(count))
     if len(variables) == 1:
         return "d(%s)/d(%s)" % (label, variables[0])
     return "d%d(%s)/(%s)" % (

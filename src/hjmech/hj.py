@@ -42,6 +42,7 @@ from .expr import (
     jet,
     momentum,
     placeholder,
+    placeholders,
     sample_values,
 )
 from .forms import CoordMap, OneFormField, exterior_derivative, differential
@@ -119,13 +120,9 @@ class _FiberCandidate(Immutable):
     @classmethod
     def generic(cls, k: int, n: int):
         """All components opaque placeholders <prefix><j>_<A>(q_0..q_{k-1})."""
-        base = JetSpace(n, k - 1).coordinates
-        comps = {
-            (j, A): placeholder(cls._key(j, A), base)
-            for j in cls._orders(k)
-            for A in range(1, n + 1)
-        }
-        return cls(k, n, comps)
+        keys = [(j, A) for j in cls._orders(k) for A in range(1, n + 1)]
+        values = placeholders([cls._key(j, A) for j, A in keys], JetSpace(n, k - 1).coordinates)
+        return cls(k, n, dict(zip(keys, values)))
 
     def component(self, j: int, axis: int) -> Expression:
         try:

@@ -50,6 +50,7 @@ from .expr import (
     SymbolTable,
     parse as parse_expr,
     placeholder,
+    placeholders,
 )
 from .hamiltonian import PhaseSpace
 from .hj import (
@@ -241,6 +242,14 @@ def loads(text: str) -> ModelFile:
     lag_table = names.restricted_to(JetSpace(n, k).coordinates)
     phase_table = names.restricted_to(PhaseSpace(n, k).coordinates)
 
+    # every "?" component's placeholder, and the W a check pairs a "?"
+    # section with, are declared in one call: they share one ring over
+    # the model's names and their first partials
+    keys = {"W" if key == "w" else key
+            for block in blocks[1:] for key, value, _ in block.items if value == "?"}
+    keys = sorted(keys | {"W"}) if keys else []
+    unknown = dict(zip(keys, placeholders(keys, base.coordinates, base_table)))
+
     model = ModelFile(name, k, n, constants)
     taken: Dict[str, int] = {}
 
@@ -279,8 +288,7 @@ def loads(text: str) -> ModelFile:
                         "%s components are keyed %s<order>_<axis>"
                         % (noun, cls._prefix), line)
                 comps[(int(m.group(2)), int(m.group(3)))] = (
-                    placeholder(key, base.coordinates)
-                    if value == "?" else _parse_in(base_table, value, line)
+                    unknown[key] if value == "?" else _parse_in(base_table, value, line)
                 )
             try:
                 table[block.name] = cls(k, n, comps)
@@ -292,8 +300,8 @@ def loads(text: str) -> ModelFile:
             energy = None
             for key, value, line in block.items:
                 if key == "w":
-                    w = (placeholder("W", base.coordinates)
-                         if value == "?" else _parse_in(base_table, value, line))
+                    w = (unknown["W"] if value == "?"
+                         else _parse_in(base_table, value, line))
                 elif key == "energy":
                     if value in constants:
                         energy = Expression.constant(value)

@@ -38,6 +38,13 @@ from .hj import HJError, _paired_field, associated_field
 from .jets import JetSpace, VectorField
 
 
+# The most values (times and state coordinates) one trajectory may hold:
+# about 16 MB as the float array, several times that while the rows are
+# built and written.  Every shipped model and benchmark run holds at most
+# 170,017 (10,000 steps of 16 coordinates).
+MAX_TRAJECTORY_VALUES = 2_000_000
+
+
 class NumericError(ValueError):
     """Raised for bad numeric inputs and mid-flight evaluation failures."""
 
@@ -201,14 +208,25 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
               provenance: str = "field") -> Trajectory:
     """Classical RK4 from z0 over [t0, t1] with fixed step h.
 
-    h must divide the interval (to grid roundoff); a domain failure during
+    t0, t1 and h must be finite, h must divide the interval (to grid
+    roundoff) and the trajectory must fit in MAX_TRAJECTORY_VALUES, all
+    checked before anything is allocated; a domain failure during
     evaluation is reported with the time and state where it happened.
     """
+    if not all(math.isfinite(v) for v in (t0, t1, h)):
+        raise NumericError("t0, t1 and the step h must be finite")
     if h <= 0:
         raise NumericError("the step h must be positive")
     if t1 <= t0:
         raise NumericError("the interval needs t1 > t0")
     span = t1 - t0
+    width = 1 + len(X.space.coordinates)
+    if (span / h + 1) * width > MAX_TRAJECTORY_VALUES:  # an infinite quotient too
+        raise NumericError(
+            "the grid needs %.3g steps; a trajectory holds at most %d values, "
+            "%d steps of this %d-coordinate field"
+            % (span / h, MAX_TRAJECTORY_VALUES, MAX_TRAJECTORY_VALUES // width - 1,
+               width - 1))
     steps = int(round(span / h))
     if steps < 1 or abs(t0 + steps * h - t1) > 1e-9 * max(1.0, abs(t1)):
         raise NumericError("the step h must divide the interval [t0, t1]")

@@ -1164,3 +1164,104 @@ def test_laurent_elements_match_the_tree_path(raw, raw2, raw_term, n, data):
     moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
     assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
     assert moved.free_names() == e.free_names() == {s.name for s in E._canon(raw).free_symbols}
+
+
+# -- placeholders as ring generators against the tree path -------------------
+
+Q0_1, Q0_2, Q1_1, Q1_2 = (sp.Symbol(n) for n in COORD_NAMES)
+F = sp.Function("f")(Q0_1, Q1_1)
+G = sp.Function("g")(Q0_1, Q0_2, Q1_2)
+PLACEHOLDER_ATOMS = (F, G, sp.diff(F, Q0_1), sp.diff(G, Q1_2), sp.diff(F, Q0_1, Q1_1),
+                     sp.diff(G, Q0_2, 2))
+
+
+@st.composite
+def placeholder_terms(draw):
+    """A raw sympy monomial: a nonzero rational times powers -2..3 of
+    names, placeholders and their partials."""
+    coeff = sp.Rational(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))),
+                        draw(st.integers(1, 4)))
+    atoms = draw(st.lists(st.sampled_from(tuple(map(sp.Symbol, LAURENT_NAMES))
+                                          + PLACEHOLDER_ATOMS), max_size=3, unique=True))
+    return sp.Mul(coeff, *(sp.Pow(a, draw(st.integers(-2, 3))) for a in atoms))
+
+
+def placeholder_sums():
+    return st.lists(placeholder_terms(), min_size=1, max_size=3).map(lambda ts: sp.Add(*ts))
+
+
+def _tree_has_placeholders(tree):
+    return bool(tree.atoms(sp.core.function.AppliedUndef) or tree.atoms(sp.Derivative))
+
+
+def _tree_is_rational_function(tree):
+    return not tree.atoms(sp.Function) and all(p.exp.is_Integer for p in tree.atoms(sp.Pow))
+
+
+def _matches_placeholder_tree(e, raw):
+    """e is what canonicalizing the raw tree gives: its tree, its text, the
+    queries' answers, and the outcome of evaluating it at seeded points
+    (the error names the node the tree's names)."""
+    want = E._canon(raw)
+    assert (e._poly is None) == (E._as_poly(want) is None)
+    assert to_text(e) == E._tree_text(want)
+    assert sp.srepr(e.sym) == sp.srepr(want)
+    assert e.has_placeholders == _tree_has_placeholders(want)
+    assert e.is_rational_function == _tree_is_rational_function(want)
+    assert e.free_names() == {s.name for s in want.free_symbols}
+    rng, tree_function = random.Random(len(to_text(e))), _tree_function(want)
+    for zero in (None, None) + LAURENT_NAMES:
+        env = {name: 0.0 if name == zero else rng.uniform(-2.0, 2.0) for name in LAURENT_NAMES}
+        assert _outcome(evaluate, e, env) == _outcome(tree_function, env)
+
+
+@settings(max_examples=150, deadline=None)
+@given(placeholder_sums(), placeholder_sums(), placeholder_terms(), st.data())
+def test_placeholder_elements_match_the_tree_path(raw, raw2, raw_term, data):
+    e, e2, t = Expression(raw), Expression(raw2), Expression(raw_term)
+    for x, r in ((e, raw), (e2, raw2), (t, raw_term)):
+        assert x._poly is not None
+        _matches_placeholder_tree(x, r)
+    _matches_placeholder_tree(e * e2, raw * raw2)
+    _matches_placeholder_tree(e / t, raw / raw_term)
+    _matches_placeholder_tree(e - t, raw - raw_term)
+    # the partials of placeholders, second partials among them, and chain rules
+    name, other = (data.draw(st.sampled_from(COORD_NAMES)) for _ in range(2))
+    x, y = sp.Symbol(name), sp.Symbol(other)
+    _matches_placeholder_tree(diff(e, name), sp.diff(raw, x))
+    _matches_placeholder_tree(E.derivation(e, [(name, e2), (other, t)]),
+                              raw2 * sp.diff(raw, x) + raw_term * sp.diff(raw, y))
+    # a rule on a name no placeholder takes stays in the ring; one on a
+    # placeholder's argument renames it, or makes it a tree (a constant)
+    _matches_placeholder_tree(substitute(e, {"a": t, "b": e2}),
+                              raw.xreplace({sp.Symbol("a"): raw_term, sp.Symbol("b"): raw2}))
+    value = data.draw(st.sampled_from((Expression.coordinate(momentum(0, 1)),
+                                       Expression.constant("b"))))
+    _matches_placeholder_tree(substitute(e, {"q0_1": value}),
+                              E._canon(raw).xreplace({Q0_1: value.sym}))
+    # equality and hash do not depend on the path or the ring
+    built = sum((Expression(term) for term in sp.Add.make_args(raw)), Expression(0))
+    assert built == e and hash(built) == hash(e)
+    extra = (sp.Symbol("aa"), sp.diff(sp.Function("h")(Q0_1), Q0_1))
+    moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
+    assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
+
+
+def test_declared_placeholders_share_one_ring_built_on_first_use():
+    table = JetSpace(2, 3).table(("c",))
+    base = JetSpace(2, 1)
+    before = set(E._RINGS)
+    s, w = E.placeholders(["s9_1", "W9"], base.coordinates, table.restricted_to(base.coordinates))
+    assert {len(g) for g in E._RINGS if g not in before} == {1}  # a ring of its own each
+    assert s == placeholder("s9_1", base.coordinates) and s.has_placeholders
+    assert s.free_names() == {"q0_1", "q0_2", "q1_1", "q1_2"} and not s.is_rational_function
+    d = diff(s, "q0_2") * w + parse("c*q3_2", table)
+    home = d._poly.ring  # the table's names, both placeholders and their first partials
+    assert home.ngens == len(table.coordinates) + 1 + 2 + 2 * 4
+    assert (diff(w, "q1_1") - s)._poly.ring is home
+    assert str(d) == "c*q3_2 + W9*d(s9_1)/d(q0_2)"
+    assert diff(s, "q3_2").is_zero and diff(s, "c").is_zero
+    second = diff(diff(s, "q0_2"), "q1_1")  # joins with d(s9_1)/d(q0_2)'s other partials
+    assert str(second) == "d2(s9_1)/(d(q0_2)*d(q1_1))" and second._poly.ring.ngens == home.ngens + 4
+    with pytest.raises(ExprError, match="distinct"):
+        E.placeholders(["s9_2"], (jet(0, 1), jet(0, 1)))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
+from hjmech import numeric
 from hjmech.cli import main
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
 
@@ -322,6 +323,19 @@ def test_quotients_by_monomials_print_byte_for_byte(capsys, command, name, code)
     assert run_cli(capsys, command, fixture_path("beam_quotients.hjm"), name) == (code, want, "")
 
 
+@pytest.mark.parametrize("path, golden", [
+    (model_path("beam.hjm"), "beam_check_unknown.txt"),
+    (fixture_path("beam_genfunc.hjm"), "beam_genfunc_check_unknown.txt"),
+])
+def test_placeholder_systems_print_byte_for_byte(capsys, path, golden):
+    # recorded while placeholders were canonical sympy trees: beam's "?"
+    # section times -rho/mu, and a "?" generating function whose
+    # Hamilton-Jacobi systems carry second partials and 1/mu^2
+    with open(os.path.join(os.path.dirname(__file__), "goldens", golden)) as fh:
+        want = fh.read()
+    assert run_cli(capsys, "check", path, "unknown") == (0, want, "")
+
+
 def test_check_radical_oneform_is_strict(capsys):
     code, out, _ = run_cli(capsys, "check", model_path("javelin1d.hjm"), "walpha")
     assert code == 0
@@ -491,6 +505,45 @@ def test_simulate_usage_errors(capsys, tmp_path):
     )
     assert code == 2
     assert "4" in err  # dimension mismatch names the expected width
+
+
+# An infinite or overflowing step count once ended in an OverflowError
+# traceback with exit 1; a finite one too large for memory is refused
+# before anything is allocated.
+@pytest.mark.parametrize("t1, dt, message", [
+    ("inf", "0.5", "t0, t1 and the step h must be finite"),
+    ("1", "nan", "t0, t1 and the step h must be finite"),
+    ("1e300", "1e-300", "the grid needs inf steps"),
+    ("1", "1e-12", "the grid needs 1e+12 steps; a trajectory holds at most "
+                   "2000000 values, 153845 steps of this 12-coordinate field"),
+], ids=["infinite-interval", "nan-step", "overflowing-count", "over-budget"])
+def test_simulate_refuses_grids_beyond_the_budget(capsys, tmp_path, t1, dt, message):
+    code, out, err = run_cli(
+        capsys, "simulate", model_path("javelin.hjm"), "lagrangian", "launch",
+        "0", t1, dt, "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("hjmech: error: ") and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_the_trajectory_budget_admits_the_benchmarks_widest_run():
+    # 10,000 steps of the 16-coordinate (k, n) = (2, 4) ladder rung
+    assert numeric.MAX_TRAJECTORY_VALUES >= 10_001 * 17
+
+
+# A NaN tolerance made every sampled comparison false and an infinite one
+# made every sampled radical residual "numeric-zero"; both were accepted.
+@pytest.mark.parametrize("argv", [
+    ("check", model_path("javelin.hjm"), "rest"),
+    ("involution", model_path("javelin1d.hjm"), "wfam"),
+    ("simulate", model_path("beam.hjm"), "lagrangian", "released", "0", "1", "0.5"),
+], ids=["check", "involution", "simulate"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_positive_and_finite(capsys, tmp_path, argv, tol):
+    extra = ("--out", str(tmp_path / "x.csv")) if argv[0] == "simulate" else ()
+    code, out, err = run_cli(capsys, *argv, *extra, "--tol", tol)
+    assert (code, out, err) == (2, "", "hjmech: error: --tol must be positive and finite\n")
 
 
 BEYOND_FLOATS = '''

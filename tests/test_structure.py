@@ -147,13 +147,22 @@ sys.path.insert(0, sys.argv[1])
 import workloads
 from hjmech import expr
 from hjmech.cli import main
-op = next(op for op in workloads.build("verdicts", 1, sys.argv[2])
-          if op.key == "javelin_r03/check-cand")
+argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
+                            if op.key == "javelin_r03/check-cand")
 before = set(expr._RINGS)
 with contextlib.redirect_stdout(io.StringIO()):
-    main(list(op.argv))
+    main(list(argv))
 print(json.dumps(sorted({len(g) for g in expr._RINGS if g not in before})))
 """
+
+
+def _fresh_ring_counts(tmp_path, *argv):
+    """The generator counts of the rings a fresh process builds running
+    the CLI on ``argv`` (by default one op of the verdicts benchmark)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path),
+                          *argv], capture_output=True, text=True, env=env, timeout=300, check=True)
+    return json.loads(out.stdout)
 
 
 def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
@@ -162,10 +171,8 @@ def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
     # rings of the model's generator count and of the one- and two-name
     # rings of Expression's constructors only (18 counts while every
     # operation built the ring of its operands' union)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert len(json.loads(out.stdout)) <= 3, out.stdout
+    counts = _fresh_ring_counts(tmp_path)
+    assert len(counts) <= 3, counts
 
 
 BEAM_POLYNOMIAL = '''
@@ -201,3 +208,28 @@ def test_quotients_by_a_constant_stay_in_the_ring(monkeypatch, tmp_path, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, str(path), name]) in (0, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("path", [model_path("javelin.hjm"), model_path("beam.hjm"),
+                                  str(ROOT / "tests" / "models" / "beam_genfunc.hjm")])
+def test_a_placeholder_check_stays_in_the_ring(monkeypatch, path):
+    # placeholders and their partials are ring generators, so the
+    # Hamilton-Jacobi systems of a "?" candidate are ring elements (345
+    # _canon calls for javelin while placeholders were sympy trees)
+    calls = []
+    canon = E._canon
+    monkeypatch.setattr(E, "_canon", lambda sym: calls.append(sym) or canon(sym))
+    clear_cache()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", path, "unknown"]) == 0
+    assert calls == []
+
+
+def test_a_placeholder_check_builds_rings_of_few_generator_counts(tmp_path):
+    # the model's "?" components and the W they are checked with are
+    # declared together, so their first partials join one ring (70
+    # generators: javelin's 21 names, 7 placeholders, 42 partials) once,
+    # not once per placeholder or per partial ({1, 2, 21} while
+    # placeholders were sympy trees)
+    counts = _fresh_ring_counts(tmp_path, "check", model_path("javelin.hjm"), "unknown")
+    assert len(counts) <= 4 and 70 in counts, counts
