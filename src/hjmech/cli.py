@@ -42,6 +42,7 @@ from .hj import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    MAX_SAMPLES,
     DegenerateFamilyError,
     GeneratingFunction,
     NOT_A_SOLUTION,
@@ -148,6 +149,15 @@ def _check_tol(tol):
         raise ValueError("--tol must be positive and finite")
 
 
+def _check_samples(samples):
+    # every residual is evaluated at up to 200 attempts per sample, so
+    # the count bounds the run
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError("--samples must be at most %d" % MAX_SAMPLES)
+
+
 def _standard_settings(tol, samples, seed) -> str:
     return "tol = %s, samples = %s, seed = %s" % (
         format_setting(tol), format_setting(samples), format_setting(seed))
@@ -206,8 +216,7 @@ def cmd_derive(args) -> Tuple[Report, bool]:
 
 def cmd_check(args) -> Tuple[Report, bool]:
     _check_tol(args.tol)
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    _check_samples(args.samples)
     knobs = dict(tol=args.tol, samples=args.samples, seed=args.seed)
 
     ctx = _Context(args.model)
@@ -374,8 +383,7 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
 
 def cmd_involution(args) -> Tuple[Report, bool]:
     _check_tol(args.tol)
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    _check_samples(args.samples)
     ctx = _Context(args.model)
     m = ctx.model
     kind, fam = m.candidate(args.family)

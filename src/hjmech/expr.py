@@ -13,40 +13,66 @@ Conventions
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
 * Representation: a Laurent polynomial over QQ in the coordinates, the
-  named constants and the placeholders (a polynomial divided by a
-  monomial, such as ``p1_1/mu``) is *ring-backed*, an element of a
+  named constants, the placeholders and the square roots of polynomials
+  (a polynomial divided by a monomial, such as ``p1_1/mu``, times powers
+  of those roots) is *ring-backed*, an element of a
   ``sympy.polys.rings`` ring over QQ whose monomials may carry negative
   exponents.  Its generators are symbols, sorted by name, then
   placeholders: an unknown function ``s2_1(q0_1, …)`` of distinct
-  coordinates, or sympy's ``Derivative`` of one.  ``+ - *``, ``/`` by a
-  single term (a product with its inverse), integer ``^`` (negative only
-  of a single term), ``diff``, ``substitute`` with ring-backed
-  right-hand sides, ``==``, ``hash`` and the queries (free names,
+  coordinates, or sympy's ``Derivative`` of one, then radicals
+  ``t = u^(1/2)`` by their radicands.  ``+ - *``, ``/`` by a single
+  term (a product with its inverse), integer ``^`` (negative only of a
+  single term), ``diff``, ``substitute`` with ring-backed right-hand
+  sides, ``==``, ``hash`` and the queries (free names,
   ``has_placeholders``, ``is_rational_function``) stay in the ring.  A
   placeholder differentiates to the generator of its partial, or to 0
   for a coordinate it does not take; the partial joins the ring, with
   the placeholder's other first partials, when it is not in it yet.  A
-  placeholder contributes its arguments to the free names.  The tree
-  path is taken where sympy's ring code assumes non-negative exponents
-  (``substitute`` for a substituted symbol with a negative exponent,
-  exact linear algebra over a Laurent entry) and where a placeholder's
-  argument is substituted.  ``parse`` builds into one ring per
-  SymbolTable, over the names of the table it was restricted from; the
-  model reader gives a model's tables one ring over every name its
-  objects can carry, so a model's polynomials share one ring, and
-  declares its placeholders together (``placeholders``), so they share
-  one ring too, over the model's names, themselves and their first
-  partials, built the first time one of them is computed with.
-  Elements over different generators (the one-name rings of
-  ``Expression.coordinate``, ``constant`` and ``number``, say) meet in
-  the ring of their union, which for a model's element and a name of
-  the model is the model's ring itself.  No result depends on the ring
-  that holds an element.  Every Laurent polynomial is ring-backed,
-  whatever built it (a ``cancel`` that reduces to one, or
-  ``Expression(sym)`` on a raw tree too), so ``==`` and ``hash`` agree.
-  Everything else (radicals, ``sin cos exp ln``, denominators that are
-  not monomials, placeholders of other arguments) is its canonical
-  sympy tree.
+  placeholder contributes its arguments to the free names.
+* Radicals: ``u^(k/2)`` of a ring element u is a power of the generator
+  ``t = u^(1/2)``, built once from u's canonical tree, when u is a
+  polynomial in symbols of more than one term that sympy's term
+  factoring leaves as it stands (integer coefficients without a common
+  factor, no common monomial, no pulled-out sign); its ring holds u's
+  names, and t contributes them to the free names.  After every
+  operation t^(2k+r) becomes u^k·t^r, so a value is A·t⁻¹ + B + C·t,
+  and a t part beside a t⁻¹ part folds into it, (A + C·u)·t⁻¹ + B:
+  that is (A' + B·t)/t^e with e in {0, 1}, the form the tree path's
+  common denominator gives.  ∂t/∂x = (∂u/∂x)/2 · t⁻¹, the derivation of
+  the quadratic extension.  ``==`` stays structural: (u·y)/t and y·t
+  are unequal, as their trees are.  The tree path is kept for
+    - t⁻² and lower powers, whose denominator u is not a monomial;
+    - A·t⁻¹ alone with A a one-term multiple of u, which the tree turns
+      into that term times t along some paths and not along others,
+      and a product or substitution where such a multiple of u meets
+      t⁻¹ (``_reduce``, ``_meets_radicand``);
+    - radicands that are not such polynomials: Laurent ones, one term,
+      a content or sign sympy splits out of the root, placeholders, or
+      nested radicals;
+    - roots other than square roots;
+    - ``solve_linear`` with a radical entry, and ``substitute`` into a
+      radicand's names.
+* The tree path is also taken where sympy's ring code assumes
+  non-negative exponents (``substitute`` for a substituted symbol with
+  a negative exponent, ``solve_linear`` over a Laurent entry) and where
+  a placeholder's argument is substituted.  ``parse`` builds into one
+  ring per SymbolTable, over the names of the table it was restricted
+  from; the model reader gives a model's tables one ring over every
+  name its objects can carry, so a model's polynomials share one ring
+  (with a radical, that ring and the radical), and declares its
+  placeholders together (``placeholders``), so they share one ring too,
+  over the model's names, themselves and their first partials, built
+  the first time one of them is computed with.  Elements over different
+  generators (the one-name rings of ``Expression.coordinate``,
+  ``constant`` and ``number``, say) meet in the ring of their union,
+  which for a model's element and a name of the model is the model's
+  ring itself.  No result depends on the ring that holds an element.
+  Every Laurent polynomial is ring-backed, whatever built it (a
+  ``cancel`` that reduces to one, or ``Expression(sym)`` on a raw tree
+  too), and so is every canonical tree in the radicals' form, so ``==``
+  and ``hash`` agree.  Everything else (``sin cos exp ln``,
+  denominators that are not monomials, placeholders of other arguments,
+  the radical fallbacks above) is its canonical sympy tree.
 * A ring-backed expression builds its tree (``.sym``) only on demand:
   for ``step_texts``, arithmetic with a non-polynomial, solves over
   non-polynomials or Laurent entries, and ``evaluate`` of a placeholder
@@ -54,8 +80,9 @@ Conventions
   named).  It is the tree ``_canon`` gives, the expanded sum (a monomial
   denominator is atomic).  Printing and ``evaluate`` read the ring
   element's terms and give the text and the compiled source that tree
-  gives.  Ring and tree stay inside this
-  module: no other module of the package reads them or imports sympy.
+  gives; a radical compiles as the ``_root`` of its radicand's tree.
+  Ring and tree stay inside this module: no other module of the package
+  reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
   It and the constructor refuse text, floats and bools.
 * Canonical form of a tree: an expression whose denominator is a
@@ -97,9 +124,11 @@ Conventions
   produce (``TERM_LIMIT``) before it expands or multiplies anything.
 * ``solve_linear`` and ``determinant`` are the package's exact linear
   algebra, over the entries' polynomial ring when every entry is a
-  polynomial (no negative exponent), else over the domain sympy picks
-  for their trees; and ``step_texts`` is the Python source of generated
-  numeric code.
+  polynomial (no negative exponent, no radical), else over the domain
+  sympy picks for their trees; ``determinant`` also takes ring-backed
+  Laurent and radical entries over their polynomial ring, each row
+  cleared of its monomial denominator first; and ``step_texts`` is the
+  Python source of generated numeric code.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
@@ -410,28 +439,32 @@ class _Generators:
     """What the module keeps for each of its rings: each generator's
     position and text (a symbol's name), for the printer each
     generator's sort key (``_atom``'s), whether it is a coordinate, and
-    the positions in the order of those keys; and for the placeholders,
-    which come after the symbols, the first one's position, the symbols
-    each generator depends on (a placeholder's arguments) and the
-    placeholders depending on each symbol."""
+    the positions in the order of those keys; for the placeholders and
+    then the radicals, which come after the symbols, the first one's
+    position, the symbols each generator depends on (a placeholder's
+    arguments, a radicand's names) and the generators depending on each
+    symbol; and each radical's radicand, an element of the ring."""
 
-    __slots__ = ("index", "names", "keys", "is_coordinate", "printed",
-                 "first_placeholder", "free", "dependents", "widened")
+    __slots__ = ("index", "names", "keys", "is_coordinate", "printed", "first_placeholder",
+                 "first_radical", "free", "dependents", "widened", "radicands")
 
     def __init__(self, symbols):
         self.index = {s: i for i, s in enumerate(symbols)}
-        atoms = [_atom(s) for s in symbols]
+        atoms = [_radical_atom(s) if s.is_Pow else _atom(s) for s in symbols]
         self.names = [text for _, text in atoms]
         self.keys = [key for key, _ in atoms]
         self.is_coordinate = [key[0] >= 2 for key in self.keys]
         self.printed = sorted(range(len(symbols)), key=self.keys.__getitem__)
         self.first_placeholder = sum(s.is_Symbol for s in symbols)
-        self.free = [(s,) if s.is_Symbol else _function_of(s).args for s in symbols]
+        self.first_radical = len(symbols) - sum(s.is_Pow for s in symbols)
+        self.free = [(s,) if s.is_Symbol else _RADICANDS[s][1] if s.is_Pow
+                     else _function_of(s).args for s in symbols]
         self.dependents = {}
         for j in range(self.first_placeholder, len(symbols)):
             for x in self.free[j]:
                 self.dependents.setdefault(x, []).append(j)
         self.widened = {}  # placeholder -> this ring with its first partials
+        self.radicands = {}  # radical's position -> its radicand in this ring
 
 
 _RINGS = {}  # sorted generators -> PolyRing over QQ
@@ -439,13 +472,20 @@ _GENS = {}  # ring -> its _Generators
 _UNIONS = {}  # (ring, ring) -> the ring of the union of their generators
 _HOMES = {}  # placeholder -> the generators of the ring it joins, built on call
 _PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
+# radical generator -> (its radicand over the radicand's names, those names,
+# its place among radicals); and a radicand's tree -> its radical or None
+_RADICANDS = {}
+_RADICALS = {}
 
 
 def _order(g):
     """A generator's place in its ring: symbols by name, then the
-    placeholders by name, arguments and differentiations."""
+    placeholders by name, arguments and differentiations, then the
+    radicals by their radicands."""
     if g.is_Symbol:
         return 0, g.name
+    if g.is_Pow:
+        return 2, _RADICANDS[g][2]
     f = _function_of(g)
     return (1, f.func.__name__, tuple(a.name for a in f.args),
             () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
@@ -453,9 +493,12 @@ def _order(g):
 
 def _ring(symbols) -> PolyRing:
     """The one ring over QQ whose generators are ``symbols`` in ``_order``,
-    widened, when there is more than one and one is a placeholder
-    declared by ``placeholders``, by that placeholder's home."""
+    with the names of each radical's radicand, and widened, when there
+    is more than one generator and one is a placeholder declared by
+    ``placeholders``, by that placeholder's home."""
     gens = set(symbols)
+    for g in [g for g in gens if g.is_Pow]:
+        gens.update(_RADICANDS[g][1])
     if len(gens) > 1 and not all(g.is_Symbol for g in gens):
         for home in {_HOMES.get(_function_of(g)) for g in gens if not g.is_Symbol}:
             if home is not None:
@@ -463,19 +506,23 @@ def _ring(symbols) -> PolyRing:
     gens = tuple(sorted(gens, key=_order))
     if gens not in _RINGS:  # described first: a published ring always is
         R = PolyRing(gens, QQ)
-        _GENS[R] = _Generators(gens)
+        gens_info = _GENS[R] = _Generators(gens)
+        for j in range(gens_info.first_radical, len(gens)):
+            gens_info.radicands[j] = _into(_RADICANDS[gens[j]][0], R)
         _RINGS[gens] = R
     return _RINGS[gens]
 
 
 def _into(P, R):
-    """P as an element of R, whose generators include P's."""
-    pos = [_GENS[R].index[s] for s in P.ring.symbols]
+    """P as an element of R, whose generators include those that occur
+    in P."""
+    pos = [_GENS[R].index.get(s) for s in P.ring.symbols]
     out = R.zero
     for monom, coeff in P.items():
         m = [0] * R.ngens
         for i, e in zip(pos, monom):
-            m[i] = e
+            if e:
+                m[i] = e
         out[tuple(m)] = coeff
     return out
 
@@ -511,11 +558,15 @@ def _function_of(g):
     return g.expr if isinstance(g, sp.Derivative) else g
 
 
-def _as_poly(sym):
+def _as_poly(sym, radicals=False):
     """The ring element of a sympy tree that is a Laurent polynomial over
     QQ in its symbols and placeholders (expanded or not; a negative power
     only of a symbol or a placeholder), or None.  It is built with ring
-    arithmetic: sympy's ``from_expr`` refuses negative powers."""
+    arithmetic: sympy's ``from_expr`` refuses negative powers.
+
+    With ``radicals``, for a canonical tree: the powers of ``_radical``s
+    are generators too, and the element is returned when it is in the
+    form ``_reduce`` gives, which is then the form of the tree."""
     symbols, stack = set(), [sym]
     while stack:
         node = stack.pop()
@@ -530,6 +581,9 @@ def _as_poly(sym):
             pass
         elif _is_placeholder(node):
             symbols.add(node)
+        elif radicals and node.is_Pow and node.exp.is_Rational and node.exp.q == 2 and (
+                _radical(node.base) is not None):
+            symbols.add(_radical(node.base))
         else:
             return None
     R = _ring(symbols)
@@ -539,13 +593,16 @@ def _as_poly(sym):
         if node.is_Add or node.is_Mul:
             args = [build(a) for a in node.args]
             return sum(args, R.zero) if node.is_Add else math.prod(args, start=R.one)
-        if node.is_Pow:
+        if node.is_Pow and node.exp.is_Integer:
             return _power(build(node.base), int(node.exp))
+        if node.is_Pow:
+            return _power(gens[_radical(node.base)], int(node.exp.p))
         if node.is_Rational:
             return R.ground_new(QQ(int(node.p), int(node.q)))
         return gens[node]
 
-    return build(sym)
+    P = build(sym)
+    return P if not radicals or _reduce(P) is P else None
 
 
 def _power(P, n):
@@ -559,6 +616,13 @@ def _power(P, n):
 def _is_laurent(P):
     """Whether some exponent of P is negative."""
     return any(e < 0 for monom in P.itermonoms() for e in monom)
+
+
+def _holds_atoms(P):
+    """Whether a generator that is not a symbol (a placeholder or a
+    radical) occurs in P."""
+    first = _GENS[P.ring].first_placeholder
+    return first < P.ring.ngens and any(any(m[first:]) for m in P.itermonoms())
 
 
 def _present(P, positions):
@@ -588,14 +652,20 @@ def _widened(R, g):
 
 
 def _pdiff(P, x):
-    """∂P/∂x.  A placeholder generator that takes x differentiates to the
-    generator of its partial, which joins the ring, with the
-    placeholder's other first partials, when it is not in it yet."""
+    """∂P/∂x, before ``_reduce``.  A radical t = u^(1/2) differentiates
+    to (∂u/∂x)/2 · t⁻¹.  A placeholder generator that takes x
+    differentiates to the generator of its partial, which joins the
+    ring, with the placeholder's other first partials, when it is not in
+    it yet."""
     R = P.ring
     gens = _GENS[R]
     i = gens.index.get(x)
     d = R.zero if i is None else P.diff(i)
     moved = _present(P, gens.dependents.get(x, ()))
+    for j in [j for j in moved if j >= gens.first_radical]:
+        du = _pdiff(gens.radicands[j], x).mul_monom(_unit(R, j, -1))
+        d += P.diff(j) * du * QQ(1, 2)
+    moved = [j for j in moved if j < gens.first_radical]
     if not moved:
         return d
     S = R
@@ -609,6 +679,103 @@ def _pdiff(P, x):
         g = R.symbols[j]
         d = d + P.diff(index[g]) * S.gens[index[_partial(g, x)]]
     return d
+
+
+def _radical(base, U=None):
+    """The generator ``sqrt(base)`` of a canonical tree, whose ring
+    element ``U`` may be given, built once, or None.  The radicand must
+    be a polynomial over QQ in symbols, of more than one term, that
+    sympy's term factoring leaves as it stands (no rational content,
+    common monomial or pulled-out sign), because the tree path splits
+    such a factor out of the radical."""
+    if base not in _RADICALS:
+        if U is None and base.is_Add:
+            U = _as_poly(base)
+        g = None
+        if (base.is_Add and U is not None and not _is_laurent(U) and not _holds_atoms(U)
+                and U.as_expr() == base == sp.gcd_terms(base) == sp.factor_terms(base)):
+            g = sp.Pow(base, sp.S.Half)
+            names = tuple(U.ring.symbols[i] for i in _present(U, range(U.ring.ngens)))
+            _RADICANDS[g] = U, names, sp.default_sort_key(base)
+        _RADICALS[base] = g
+    return _RADICALS[base]
+
+
+def _radical_atom(g):
+    """(sort key, text) of a radical generator: the tree printer's, for
+    the fractional power of a sum."""
+    text = _tree_text(g.base)
+    return (6, text), "sqrt(%s)" % text
+
+
+def _unit(R, j, e):
+    """The monomial of R's generator j to the power e."""
+    return tuple(e if k == j else 0 for k in range(R.ngens))
+
+
+def _radicals_in(P):
+    """The positions of the radicals that occur in P."""
+    gens = _GENS[P.ring]
+    return _present(P, range(gens.first_radical, P.ring.ngens))
+
+
+def _is_multiple(P, U):
+    """Whether P is a one-term multiple of U."""
+    if len(P) != len(U):
+        return False
+    (m, c), (n, d) = P.LT, U.LT
+    return P == U.mul_term((tuple(a - b for a, b in zip(m, n)), c / d))
+
+
+def _reduce(P):
+    """P in the form of the tree path, or None where that form leaves the
+    ring.  For each radical t = u^(1/2) of P, t^(2k+r) becomes u^k·t^r,
+    so P is A·t⁻¹ + B + C·t; a t part beside a t⁻¹ part folds into it,
+    (A + C·u)·t⁻¹ + B, as the tree's common denominator t does.  None
+    for a power t⁻² or lower, whose denominator u is not a monomial, and
+    for A·t⁻¹ alone with A a one-term multiple of u, which the tree may
+    or may not turn into that term times t.  P itself when it is in
+    that form already."""
+    R = P.ring
+    if _GENS[R].first_radical == R.ngens:
+        return P
+    for j in _radicals_in(P):
+        parts = {}
+        for m, c in P.items():
+            parts.setdefault(m[j], {})[m[:j] + (0,) + m[j + 1:]] = c
+        low, high = min(parts), max(parts)
+        U = _GENS[R].radicands[j]
+        if low < -1:
+            return None
+        if high <= 1 and not (low == -1 and high == 1):
+            if low == -1 and high == -1 and _is_multiple(R.from_dict(parts[-1]), U):
+                return None
+            continue
+        A, B, C = R.from_dict(parts.get(-1, {})), R.zero, R.zero
+        for e, terms in parts.items():
+            if e >= 0:
+                part = R.from_dict(terms) * U ** (e // 2)
+                B, C = (B, C + part) if e % 2 else (B + part, C)
+        if A:
+            A, C = A + C * U, R.zero
+            if not B and _is_multiple(A, U):
+                return None
+        P = A.mul_monom(_unit(R, j, -1)) + B + C.mul_monom(_unit(R, j, 1))
+    return P
+
+
+def _meets_radicand(*factors):
+    """Whether a product of these factors (over one ring) may let the tree
+    cancel a radicand against its radical: one factor is a one-term
+    multiple of a radicand u and another holds 1/u^(1/2).  The tree path
+    decides those."""
+    R = factors[0].ring
+    gens = _GENS[R]
+    for j in range(gens.first_radical, R.ngens):
+        if any(m[j] < 0 for F in factors for m in F.itermonoms()) and any(
+                _is_multiple(F, gens.radicands[j]) for F in factors):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +802,8 @@ class Expression(Immutable):
         poly = _as_poly(sym)
         if poly is None:
             sym = _canon(sym)
-            poly = _as_poly(sym)  # a fraction or radical that reduced to a polynomial
+            # a fraction that reduced to a polynomial, or a radical's form
+            poly = _as_poly(sym, radicals=True)
         self._set(poly, None if poly is not None else sym)
 
     def _set(self, poly, sym):
@@ -702,7 +870,7 @@ class Expression(Immutable):
         """Whether there are no function atoms (placeholders are) and no
         fractional powers."""
         if self._poly is not None:
-            return not self.has_placeholders
+            return not _holds_atoms(self._poly)
         return not self._sym.atoms(sp.Function) and all(
             p.exp.is_Integer for p in self._sym.atoms(sp.Pow))
 
@@ -711,8 +879,8 @@ class Expression(Immutable):
         P = self._poly
         if P is None:
             return bool(self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
-        first = _GENS[P.ring].first_placeholder
-        return first < P.ring.ngens and any(any(m[first:]) for m in P.itermonoms())
+        gens = _GENS[P.ring]
+        return bool(_present(P, range(gens.first_placeholder, gens.first_radical)))
 
     def _free_symbols(self):
         """The symbols the value depends on: a placeholder's arguments too."""
@@ -753,11 +921,15 @@ class Expression(Immutable):
             return NotImplemented
         a, b = (o, self) if swap else (self, o)
         P, Q = a._poly, b._poly
-        if P is not None and Q is not None:
-            if op is not operator.truediv:
-                return Expression.from_poly(op(*_unify(P, Q)))
-            if len(Q) == 1:
-                return Expression.from_poly(operator.mul(*_unify(P, _power(Q, -1))))
+        if P is not None and Q is not None and (op is not operator.truediv or len(Q) == 1):
+            ring_op = op
+            if op is operator.truediv:
+                ring_op, Q = operator.mul, _power(Q, -1)
+            P, Q = _unify(P, Q)
+            if ring_op is not operator.mul or not _meets_radicand(P, Q):
+                result = _reduce(ring_op(P, Q))
+                if result is not None:
+                    return Expression.from_poly(result)
         return Expression(op(a.sym, b.sym))
 
     def __add__(self, other):
@@ -792,8 +964,16 @@ class Expression(Immutable):
         else:
             return NotImplemented
         P = self._poly
+        result = None
         if P is not None and other.is_Integer and (other >= 0 or len(P) == 1):
-            return Expression.from_poly(_power(P, int(other)))
+            result = _reduce(_power(P, int(other)))
+        elif P is not None and other.q == 2:
+            t = _radical(self.sym, P)
+            if t is not None:
+                R = _ring(P.ring.symbols + (t,))
+                result = _reduce(_power(R.gens[_GENS[R].index[t]], int(other.p)))
+        if result is not None:
+            return Expression.from_poly(result)
         return Expression(sp.Pow(self.sym, other))
 
     def __neg__(self):
@@ -909,17 +1089,19 @@ def _as_symbol(v) -> sp.Symbol:
 def diff(e: Expression, v) -> Expression:
     """Exact partial derivative; distinct coordinates are independent."""
     x = _as_symbol(v)
-    if e._poly is None:
-        return Expression(sp.diff(e.sym, x))
-    return Expression.from_poly(_pdiff(e._poly, x))
+    d = None if e._poly is None else _reduce(_pdiff(e._poly, x))
+    return Expression(sp.diff(e.sym, x)) if d is None else Expression.from_poly(d)
 
 
 def derivation(e: Expression, pairs) -> Expression:
     """Σ c·∂e/∂u over the (u, c) pairs, u a coordinate and c an Expression.
 
     In the ring when ``e`` and the ``c`` of its symbols (a placeholder's
-    arguments too) are ring elements; otherwise the sympy sum is built
-    from the raw partials and canonicalized once.
+    arguments and a radicand's names too) are ring elements; otherwise
+    the sympy sum is built from the raw partials and canonicalized once.
+    With radicals, the ring sum is reduced once, as the tree is, and the
+    tree path is taken where a partial or a product may take another
+    form there (see ``_reduce`` and ``_meets_radicand``).
     """
     pairs = [(_as_symbol(u), c) for u, c in pairs]
     P = e._poly
@@ -927,16 +1109,34 @@ def derivation(e: Expression, pairs) -> Expression:
     hits = [] if P is None else [(x, c) for x, c in pairs
                                  if x in gens.index or x in gens.dependents]
     if P is not None and all(c._poly is not None for _, c in hits):
-        total = Expression.from_poly(P.ring.zero)
-        for x, c in hits:
-            d = _pdiff(P, x)
-            if d:
-                total = total + c * Expression.from_poly(d)
-        return total
+        total = _ring_derivation(P, hits)
+        if total is not None:
+            return Expression.from_poly(total)
     total = sp.S.Zero
     for x, c in pairs:
         total += c.sym * sp.diff(e.sym, x)
     return Expression(total)
+
+
+def _ring_derivation(P, hits):
+    """Σ c·∂P/∂x over the hits in the ring, or None where the tree path
+    decides: a partial or a product that ``_reduce`` or
+    ``_meets_radicand`` sends there, or a t⁻² in a product."""
+    total = P.ring.zero
+    for x, c in hits:
+        d = _pdiff(P, x)
+        if not d:
+            continue
+        if _reduce(d) is None:
+            return None
+        d, c = _unify(d, c._poly)
+        term = c * d
+        radicals = _radicals_in(term)
+        if _meets_radicand(c, d) or any(m[j] < -1 for m in term.itermonoms() for j in radicals):
+            return None
+        total, term = _unify(total, term)
+        total += term
+    return _reduce(total)
 
 
 def substitute(e: Expression, rules: Mapping) -> Expression:
@@ -944,8 +1144,13 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
 
     In the ring when ``e`` and the right-hand sides of its symbols are
     ring elements, no substituted symbol has a negative exponent in ``e``
-    (``compose`` raises on one) and none is an argument of a placeholder
-    of ``e``; on the tree otherwise."""
+    (``compose`` raises on one), none is an argument of a placeholder or
+    a name of a radicand of ``e``, and the result over radicals is in
+    the form the tree takes (``_reduce``, ``_meets_radicand``); on the
+    tree otherwise.  A rule that maps a variable of a placeholder's
+    partial derivative to anything but a symbol raises ExprError naming
+    that partial: the derivative of an unknown function by an
+    expression is not defined."""
     table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     gens = None if P is None else _GENS[P.ring]
@@ -957,10 +1162,20 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
         P, *values = _unify(P, *(v._poly for _, v in hits))
         gens = [P.ring.gens[_GENS[P.ring].index[x]] for x, _ in hits]
         try:
-            return Expression.from_poly(P.compose(list(zip(gens, values))))
+            result = None if _meets_radicand(P, *values) else _reduce(
+                P.compose(list(zip(gens, values))))
         except ValueError:  # a negative power of a substituted generator
-            pass
-    return Expression(e.sym.xreplace({x: v.sym for x, v in table.items()}))
+            result = None
+        if result is not None:
+            return Expression.from_poly(result)
+    tree = e.sym
+    for d in tree.atoms(sp.Derivative):
+        for x in d.variables:
+            if x in table and not table[x].sym.is_Symbol:
+                raise ExprError("cannot substitute %s for %s in %s: a partial derivative is "
+                                "taken by a coordinate" % (to_text(table[x]), x.name,
+                                                           _derivative_text(d)))
+    return Expression(tree.xreplace({x: v.sym for x, v in table.items()}))
 
 
 def _domain_matrix(rows: Sequence[Sequence[Expression]]):
@@ -969,7 +1184,8 @@ def _domain_matrix(rows: Sequence[Sequence[Expression]]):
     trees, and ``back``, the map from its domain to Expressions."""
     shape = (len(rows), len(rows[0]) if rows else 0)
     polys = [e._poly for row in rows for e in row]
-    if polys and all(P is not None and not _is_laurent(P) for P in polys):
+    if polys and all(P is not None and not _is_laurent(P) and not _radicals_in(P)
+                     for P in polys):
         polys, m = _unify(*polys), shape[1]
         domain = polys[0].ring.to_domain()
         return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
@@ -1001,7 +1217,31 @@ def solve_linear(rows: Sequence[Sequence[Expression]],
 
 
 def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
-    """The exact determinant of a square matrix of Expressions."""
+    """The exact determinant of a square matrix of Expressions.
+
+    When every entry is a ring element, over their polynomial ring: each
+    row is first multiplied by the monomial that clears its negative
+    exponents (radicals' included), and the determinant divided by their
+    product, then reduced by ``_reduce``, which maps t² to u as the
+    quotient ring QQ[…, t]/(t² − u) does, so the result is exact.  The
+    entries' trees are taken where the result would leave the ring or a
+    radicand may cancel against its radical (``_meets_radicand``)."""
+    polys = [e._poly for row in rows for e in row]
+    if polys and all(P is not None for P in polys):
+        polys = _unify(*polys)
+        if not _meets_radicand(*polys):
+            R, entries, cleared = polys[0].ring, iter(polys), []
+            scale = [0] * R.ngens
+            for row in [[next(entries) for _ in row] for row in rows]:
+                low = [min([0] + [m[k] for P in row for m in P.itermonoms()])
+                       for k in range(R.ngens)]
+                scale = [a + b for a, b in zip(scale, low)]
+                cleared.append([P.mul_monom(tuple(-e for e in low)) for P in row])
+            shape = (len(rows), len(rows[0]))
+            det = DomainMatrix(cleared, shape, R.to_domain()).det()
+            result = _reduce(det.mul_monom(tuple(scale)))
+            if result is not None:
+                return Expression.from_poly(result)
     M, back = _domain_matrix(rows)
     return back(M.det())
 
@@ -1095,6 +1335,10 @@ class _Compiler:
 
     def tree(self, sym) -> str:
         """The source of the function that evaluates ``sym``."""
+        return self.source(self.walk(sym))
+
+    def walk(self, sym) -> str:
+        """Emit the statements that evaluate ``sym``; return its value."""
         keys = {}
         stack = [(sym, False)]
         while stack:
@@ -1115,24 +1359,30 @@ class _Compiler:
                 stack.extend((c, None) for c in reversed(children))
             else:
                 self.values[node] = self.emit(node, [self.values[c] for c in children])
-        return self.source(self.values[sym])
+        return self.values[sym]
 
     def ring(self, P) -> str:
-        """``tree(P.as_expr())``, written from the terms of P.
+        """``tree(P.as_expr())``, written from the terms of P, in the order
+        of operations and checks that tree has.
 
         The tree's ``default_sort_key`` order of a Laurent polynomial's
-        terms is the constant term, then the one-generator terms by
-        (name, exponent), then the products by their number of factors
-        and their (name, exponent) pairs, a negative exponent ordering
-        as the number it is; a product's operands are its coefficient,
-        unless it is 1, then its factors by name.  A negative power is
-        one ``_int_power`` node, named ``1/x^n`` as the tree's is.  A
-        ring's symbols come first, sorted by name, so their positions
-        order as their names do (a placeholder is compiled from the
-        tree).  Each number, load and power is emitted once, the first
-        time the walk reaches it, as the tree's nodes are.
+        terms is the constant term, then the one-symbol terms by (name,
+        exponent), then the products by their number of factors and
+        their (name, exponent) pairs, a negative exponent ordering as the
+        number it is, then a radical alone, by its radicand and exponent;
+        a product's operands are its coefficient, unless it is 1, then
+        its factors by name, radicals last.  A negative power is one
+        ``_int_power`` node, named ``1/x^n`` as the tree's is; a radical's
+        power is the ``_root`` of its radicand's tree, walked as the
+        tree's nodes are.  A ring's symbols come first, sorted by name,
+        then its radicals by their radicands, so positions order as the
+        tree's factors do (a placeholder is compiled from the tree).
+        Each number, load and power is emitted once, the first time the
+        walk reaches it, as the tree's nodes are; a name loaded inside a
+        radicand may be loaded again outside it, which changes no bit.
         """
-        names = _GENS[P.ring].names
+        gens = _GENS[P.ring]
+        names, first_radical = gens.names, gens.first_radical
         values = self.values
 
         def number(c):
@@ -1142,7 +1392,10 @@ class _Compiler:
 
         def power(i, e):
             if ("p", i, e) not in values:
-                if e == 1:
+                if i >= first_radical:
+                    t = P.ring.symbols[i]
+                    values["p", i, e] = self.walk(t if e == 1 else sp.Pow(t.base, sp.Rational(e, 2)))
+                elif e == 1:
                     values["p", i, e] = self.assign("_load(env, %r)" % names[i])
                 else:
                     text = _power_text(names[i], abs(e))
@@ -1150,10 +1403,13 @@ class _Compiler:
                         power(i, 1), e, self.ref(text if e > 0 else "1/" + text)))
             return values["p", i, e]
 
-        terms = sorted((len(f), f, c) for f, c in (
+        def kind(f):  # the constant, a power of a symbol, a product, a radical
+            return min(len(f), 2) if len(f) != 1 else 3 if f[0][0] >= first_radical else 1
+
+        terms = sorted((kind(f), len(f), f, c) for f, c in (
             (tuple((i, e) for i, e in enumerate(m) if e), c) for m, c in P.terms()))
         operands = []
-        for count, factors, c in terms:
+        for _, count, factors, c in terms:
             if count == 0:
                 operands.append(number(c))
             elif count == 1 and c == 1:
@@ -1495,6 +1751,7 @@ class _Parser:
                 self.expect_op(")")
                 if value == "sqrt":
                     _require_real_root(arg, arg_pos)
+                    return arg ** Fraction(1, 2), 1
                 if value == "ln" and arg.sym.is_number and not arg.sym.is_positive:
                     raise ExprSyntaxError("ln of a non-positive number", pos)
                 return Expression(_FUNCTIONS[value](arg.sym)), 1
@@ -1550,7 +1807,8 @@ def parse(text: str, table: SymbolTable) -> Expression:
     R = table._parse_ring()[0]
     if e._poly is None or e._poly.ring is R:
         return e
-    return Expression.from_poly(_into(e._poly, R))  # a number, or a tree that reduced
+    # a number, a tree that reduced, or the table's ring with a radical
+    return Expression.from_poly(_unify(e._poly, R.zero)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ from .lagrangian import (
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 40
 DEFAULT_SEED = 42
+# The most sample points a residual battery may ask for: each residual
+# takes up to 200 attempts per point, so this bounds a run's time.
+MAX_SAMPLES = 10_000
 
 
 class HJError(ValueError):
@@ -378,20 +381,26 @@ def combine(reports: Sequence[ResidualReport]) -> ResidualReport:
     )
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise HJError("sample count must be between 1 and %d" % MAX_SAMPLES)
+
+
 def _sample(e: Expression, constant_values: Mapping[str, object],
             samples: int, seed: int, reduce=max) -> Optional[float]:
     """Seeded ``reduce`` (max or min) of |e| over ``sample_values``'s
     points, with the named constants fixed; None if fewer than
     ``samples`` points avoid domain errors."""
-    values = [abs(v) for (v,) in sample_values((e,), samples, seed, constant_values)]
-    return reduce(values) if len(values) == samples else None
+    best, got = None, 0
+    for (v,) in sample_values((e,), samples, seed, constant_values):
+        best, got = abs(v) if best is None else reduce(best, abs(v)), got + 1
+    return best if got == samples else None
 
 
 def _residual_report(raw_entries, constant_values: Mapping[str, object],
                      assumptions=(), notes=(), tol: float = DEFAULT_TOL,
                      samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> ResidualReport:
-    if samples < 1:
-        raise HJError("sample count must be at least 1")
+    _check_samples(samples)
     entries = []
     assumption_list = list(assumptions)
     fallback_ids = []
@@ -683,8 +692,7 @@ def involution_check(hs: HamiltonianSystem, fam: CompleteSolutionFamily,
     round-trip) or, failing that, from an affine solve of α_λ(q) = p.
     A family that cannot be inverted is degenerate and raises.
     """
-    if samples < 1:
-        raise HJError("sample count must be at least 1")
+    _check_samples(samples)
     alpha = fam.solution
     if not isinstance(alpha, OneForm):
         raise HJError(

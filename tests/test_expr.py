@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -310,6 +311,17 @@ def test_placeholder_prints_and_differentiates():
     assert d == placeholder_derivative("s2_1", coords, jet(0, 1))
     assert str(d) == "d(s2_1)/d(q0_1)"
     assert diff(s, jet(1, 2)).is_zero
+
+
+def test_substituting_an_expression_into_a_partials_variable_is_an_expr_error():
+    # sympy's bare ValueError ("Can't calculate derivative wrt q0_1 + 1.")
+    # used to escape; a partial is taken by a coordinate only
+    coords = JetSpace(1, 1).coordinates
+    d = diff(placeholder("s1_1", coords), jet(0, 1))
+    with pytest.raises(ExprError, match=r"q0_1 \+ 1 for q0_1 in d\(s1_1\)/d\(q0_1\)"):
+        substitute(d, {jet(0, 1): p("q0_1 + 1")})
+    # a coordinate for a coordinate renames the variable
+    assert str(substitute(d, {jet(0, 1): Expression.coordinate(jet(0, 2))})) == "d(s1_1)/d(q0_2)"
 
 
 def test_placeholder_cannot_be_evaluated():
@@ -1265,3 +1277,151 @@ def test_declared_placeholders_share_one_ring_built_on_first_use():
     assert str(second) == "d2(s9_1)/(d(q0_2)*d(q1_1))" and second._poly.ring.ngens == home.ngens + 4
     with pytest.raises(ExprError, match="distinct"):
         E.placeholders(["s9_2"], (jet(0, 1), jet(0, 1)))
+
+
+# -- square roots as ring generators against the tree path -------------------
+
+RADICAL_NAMES = ("a", "q0_1", "q1_1")
+# the walpha radicand and a relativistic one; a rational content, a
+# common monomial and an all-negative sum, which sympy splits out of the
+# radical, and so stay trees
+FIXED_RADICANDS = tuple(sp.sympify(text) for text in (
+    "2*a*q1_1 - q1_1**2 - 2*q0_1", "1 - q1_1**2", "2 - 2*q1_1**2", "q0_1**2 + q0_1*q1_1",
+    "-a - q0_1"))
+
+
+@st.composite
+def radicands(draw):
+    """A polynomial of two or three terms with small integer coefficients."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIXED_RADICANDS))
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                                    st.lists(st.sampled_from(RADICAL_NAMES), max_size=2)),
+                          min_size=2, max_size=3))
+    tree = sp.Add(*(sp.Mul(c, *map(sp.Symbol, names)) for c, names in terms))
+    assume(tree.is_Add)
+    return tree
+
+
+@st.composite
+def radical_terms(draw, roots):
+    """A raw Laurent monomial times a power -3..3 of half of a radicand."""
+    return sp.Mul(draw(laurent_terms()),
+                  sp.Pow(draw(st.sampled_from(roots)), sp.Rational(draw(st.integers(-3, 3)), 2)))
+
+
+def _matches_radical_tree(e, want):
+    """e holds the canonical tree ``want``: the same tree, text, queries,
+    and outcome of evaluating at seeded points, some of them zeros of a
+    name (so a radicand or a denominator may vanish or turn negative)."""
+    assert (e._poly is None) == (E._as_poly(want, radicals=True) is None)
+    assert sp.srepr(e.sym) == sp.srepr(want)
+    assert to_text(e) == E._tree_text(want)
+    assert not e.has_placeholders
+    assert e.is_rational_function == _tree_is_rational_function(want)
+    assert e.free_names() == {s.name for s in want.free_symbols}
+    rng, tree_function = random.Random(len(to_text(e))), _tree_function(want)
+    for zero in (None, None) + LAURENT_NAMES:
+        env = {name: 0.0 if name == zero else rng.uniform(-2.0, 2.0) for name in LAURENT_NAMES}
+        assert _outcome(evaluate, e, env) == _outcome(tree_function, env)
+
+
+def _tree_determinant(rows):
+    M = DomainMatrix.from_list_sympy(len(rows), len(rows), [[e.sym for e in row] for row in rows])
+    return E._canon(M.domain.to_sympy(M.det()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(radicands(), min_size=1, max_size=2), st.data())
+def test_radical_elements_match_the_tree_path(roots, data):
+    # few examples: the tree path it is checked against takes about a
+    # second for each
+    raws = [sp.Add(*data.draw(st.lists(radical_terms(roots), min_size=1, max_size=2)))
+            for _ in range(2)] + [data.draw(radical_terms(roots))]
+    e, e2, t = (Expression(raw) for raw in raws)
+    for x, raw in zip((e, e2, t), raws):
+        _matches_radical_tree(x, E._canon(raw))
+    # tree-path arithmetic canonicalizes what it builds from canonical trees
+    a, b, c = e.sym, e2.sym, t.sym
+    _matches_radical_tree(e * e2, E._canon(a * b))
+    _matches_radical_tree(e + e2, E._canon(a + b))
+    _matches_radical_tree(e - t, E._canon(a - c))
+    _matches_radical_tree(e / t, E._canon(a / c))
+    n = data.draw(st.integers(-2, 3))
+    if n >= 0 or not e.is_zero:
+        _matches_radical_tree(e ** n, E._canon(sp.Pow(a, n)))
+    name, other = (data.draw(st.sampled_from(LAURENT_NAMES)) for _ in range(2))
+    x, y = sp.Symbol(name), sp.Symbol(other)
+    _matches_radical_tree(diff(e, name), E._canon(sp.diff(a, x)))
+    _matches_radical_tree(E.derivation(e, [(name, e2), (other, t)]),
+                          E._canon(b * sp.diff(a, x) + c * sp.diff(a, y)))
+    # onto a name no radicand holds, and a renamed radicand (a new radical)
+    name = data.draw(st.sampled_from(("b", "q0_2", "q1_2")))
+    value = data.draw(st.sampled_from((e2, t, Expression.number(3))))
+    _matches_radical_tree(substitute(e, {name: value}),
+                          E._canon(a.xreplace({sp.Symbol(name): value.sym})))
+    p0_1 = Expression.coordinate(momentum(0, 1))
+    _matches_radical_tree(substitute(e, {"q0_1": p0_1}),
+                          E._canon(a.xreplace({sp.Symbol("q0_1"): p0_1.sym})))
+    rows = [[t, e2], [Expression.constant("b"), t]]
+    _matches_radical_tree(E.determinant(rows), _tree_determinant(rows))
+    # equality and hash do not depend on the path or the ring
+    built = sum((Expression(term) for term in sp.Add.make_args(a)), Expression(0))
+    assert built == e and hash(built) == hash(e)
+    if e._poly is not None:
+        extra = (sp.Symbol("aa"), sp.Symbol("q0_15"))
+        moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
+        assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(radicands(), st.integers(-3, 3))
+def test_half_powers_of_polynomials_match_the_tree_path(radicand, k):
+    power = Expression(radicand) ** Fraction(k, 2)
+    _matches_radical_tree(power, E._canon(sp.Pow(radicand, sp.Rational(k, 2))))
+    assert p("sqrt(%s)" % to_text(Expression(radicand))) == Expression(radicand) ** Fraction(1, 2)
+
+
+@pytest.mark.parametrize("left, right, op", [
+    ("(q1_1*(1 - q1_1^2) + 1)/sqrt(1 - q1_1^2)", "-1/sqrt(1 - q1_1^2)", operator.add),  # y·t
+    ("1/sqrt(1 - q1_1^2)", "q1_1 - q1_1^3", operator.mul),  # y·t: u meets 1/t
+    ("(2 - 2*q1_1)/sqrt(1 - q1_1^2)", "1 + q1_1", operator.mul),  # 2u/t stays
+    ("q1_1/sqrt(1 - q1_1^2) + 1", "q1_1 - q1_1^3", operator.mul),
+    ("q1_1 - q1_1^3", "sqrt(1 - q1_1^2)", operator.truediv),
+])
+def test_a_multiple_of_the_radicand_over_its_root_takes_the_trees_form(left, right, op):
+    # the tree turns A/t with A a one-term multiple of u into that term
+    # times t along some paths and not along others; the result is the
+    # tree's either way
+    a, b = p(left), p(right)
+    want = E._canon(op(a.sym, b.sym))
+    assert sp.srepr(op(a, b).sym) == sp.srepr(want)
+    assert (op(a, b)._poly is None) == (E._as_poly(want, radicals=True) is None)
+
+
+def test_square_roots_are_ring_generators():
+    table = JetSpace(2, 1).table(("c1", "c2"))
+    t = parse("(2*c2*q1_1 - q1_1^2 - 2*c1)^(1/2)", table)
+    model_ring = table._parse_ring()[0]
+    assert t._poly is not None and t._poly.ring.ngens == model_ring.ngens + 1
+    assert t._sym is None  # nothing built the tree
+    u = parse("2*c2*q1_1 - q1_1^2 - 2*c1", table)
+    assert t * t == u and t ** 3 == u * t and (t ** -1)._poly is not None
+    # the derivative rule, ∂t = (∂u/∂x)/2 · t⁻¹, and a t part folded beside a t⁻¹ part
+    assert str(diff(t, "q1_1")) == "-q1_1/sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1) + c2/sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1)"
+    folded = t + 1 / t
+    assert folded._poly is not None and not folded.is_rational_function
+    assert str(folded) == ("-q1_1^2/sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1) + 2*c2*q1_1/sqrt(-q1_1^2 + "
+                           "2*c2*q1_1 - 2*c1) + 1/sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1) - "
+                           "2*c1/sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1)")
+    assert (folded - 1 / t) == t  # today's tree gives t here as well
+    assert folded.free_names() == {"q1_1", "c1", "c2"}
+    # the family Jacobian of walpha over the ring: 1/t
+    rows = [[diff(parse("c2", table), c), diff(t, c)] for c in ("c1", "c2")]
+    det = E.determinant(list(map(list, zip(*rows))))
+    assert det._poly is not None and det == t ** -1
+    # the named fallbacks: t⁻², a one-term radicand, a cube root, a nested radical
+    for text in ("(1 - q1_1^2)^(-3/2)", "sqrt(q1_1)", "(1 - q1_1^2)^(1/3)",
+                 "sqrt(1 + sqrt(1 - q1_1^2))", "sqrt(2 - 2*q1_1^2)"):
+        assert parse(text, table)._poly is None, text
+    assert (parse("sqrt(1 - q1_1^2)", table) ** -2)._poly is None

@@ -16,6 +16,7 @@ from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
 from hjmech import numeric
 from hjmech.cli import main
+from hjmech.hj import MAX_SAMPLES
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
 
 from conftest import fixture_path, model_path
@@ -336,6 +337,38 @@ def test_placeholder_systems_print_byte_for_byte(capsys, path, golden):
     assert run_cli(capsys, "check", path, "unknown") == (0, want, "")
 
 
+def _golden_text(name):
+    with open(os.path.join(os.path.dirname(__file__), "goldens", name), newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("argv, golden, code", [
+    (("check", model_path("javelin1d.hjm"), "walpha"), "javelin1d_check_walpha.txt", 0),
+    (("involution", model_path("javelin1d.hjm"), "wfam"), "javelin1d_involution_wfam.txt", 0),
+    (("check", fixture_path("javelin1d_scaled.hjm"), "wscaled"),
+     "javelin1d_scaled_check_wscaled.txt", 1),
+    *((("derive", fixture_path("relativistic.hjm"), topic),
+       "relativistic_derive_%s.txt" % topic, 0) for topic in ("cartan", "energy", "legendre")),
+])
+def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
+    # recorded while every value holding a square root was a canonical
+    # sympy tree: the walpha family's residuals, its family Jacobian note,
+    # and a relativistic particle whose Hessian has a radical cubed in
+    # its denominator
+    assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
+
+
+def test_radical_lift_is_bit_for_bit(capsys, tmp_path, monkeypatch):
+    # the walpha lift, recorded while the fiber was a canonical sympy tree
+    monkeypatch.chdir(tmp_path)
+    out_csv = "javelin1d_lift_walpha.csv"
+    assert run_cli(capsys, "simulate", model_path("javelin1d.hjm"), "associated:walpha",
+                   "base", "0", "0.5", "0.01", "--lift", "walpha", "--out", out_csv) == (
+        0, _golden_text("javelin1d_lift_walpha.txt"), "")
+    with open(os.path.join(os.path.dirname(__file__), "goldens", out_csv), "rb") as fh:
+        assert (tmp_path / out_csv).read_bytes() == fh.read()
+
+
 def test_check_radical_oneform_is_strict(capsys):
     code, out, _ = run_cli(capsys, "check", model_path("javelin1d.hjm"), "walpha")
     assert code == 0
@@ -361,6 +394,20 @@ def test_check_rejects_families_and_unknowns(capsys):
     assert "involution" in err
     code, _, err = run_cli(capsys, "check", model_path("javelin.hjm"), "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", model_path("javelin1d.hjm"), "walpha"),
+    ("involution", model_path("javelin1d.hjm"), "wfam"),
+])
+def test_sample_counts_are_bounded(capsys, argv):
+    # "check … wscaled --samples 100000000000" ran on, holding every
+    # sampled value, until a timeout killed it; past MAX_SAMPLES the count
+    # is bad input, refused before the model is read
+    code, out, err = run_cli(capsys, *argv, "--samples", str(MAX_SAMPLES + 1))
+    assert (code, out) == (2, "")
+    assert err == "hjmech: error: --samples must be at most %d\n" % MAX_SAMPLES
+    assert run_cli(capsys, *argv, "--samples", "3")[0] == 0
 
 
 def test_check_validates_knobs(capsys):
@@ -1062,3 +1109,19 @@ def test_model_reader_loads_or_raises_model_error(text):
     again = M.loads(M.dumps(m))
     assert again == m
     assert M.dumps(again) == M.dumps(m)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # "No module named hjmech.__main__" before there was one
+    import subprocess
+    import sys
+
+    argv = ("derive", model_path("free_particle.hjm"), "energy")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    ran = subprocess.run([sys.executable, "-m", "hjmech", *argv], capture_output=True,
+                         env=env, timeout=120)
+    code, out, err = run_cli(capsys, *argv)
+    assert (ran.returncode, ran.stdout, ran.stderr) == (code, out.encode(), err.encode())
+    assert code == 0 and out

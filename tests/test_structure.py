@@ -233,3 +233,39 @@ def test_a_placeholder_check_builds_rings_of_few_generator_counts(tmp_path):
     # placeholders were sympy trees)
     counts = _fresh_ring_counts(tmp_path, "check", model_path("javelin.hjm"), "unknown")
     assert len(counts) <= 4 and 70 in counts, counts
+
+
+RADICAL_OPS = [
+    ("check", model_path("javelin1d.hjm"), "walpha"),
+    ("check", str(ROOT / "tests" / "models" / "javelin1d_scaled.hjm"), "wscaled"),
+    ("involution", model_path("javelin1d.hjm"), "wfam"),
+    ("simulate", model_path("javelin1d.hjm"), "associated:walpha", "base", "0", "0.5", "0.01",
+     "--lift", "walpha"),
+]
+
+
+@pytest.mark.parametrize("argv", RADICAL_OPS, ids=lambda argv: "%s-%s" % (argv[0], argv[2]))
+def test_a_radical_family_stays_in_the_ring(monkeypatch, tmp_path, argv):
+    # the square root of walpha's radicand is a ring generator, so its
+    # residuals, its family Jacobian and its lift are ring elements (15,
+    # 17, 9 and 5 _canon calls while a radical was a sympy tree)
+    if argv[0] == "simulate":
+        argv += ("--out", str(tmp_path / "lift.csv"))
+    calls = []
+    canon = E._canon
+    monkeypatch.setattr(E, "_canon", lambda sym: calls.append(sym) or canon(sym))
+    clear_cache()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) in (0, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", RADICAL_OPS, ids=lambda argv: "%s-%s" % (argv[0], argv[2]))
+def test_a_radical_family_builds_rings_of_few_generator_counts(tmp_path, argv):
+    # the radical joins the model's ring as one more generator, and its
+    # radicand stays in the ring it was built in ({1, 2, 3, 4, 9} for
+    # the checks while a radical was a sympy tree)
+    if argv[0] == "simulate":
+        argv += ("--out", str(tmp_path / "lift.csv"))
+    counts = _fresh_ring_counts(tmp_path, *argv)
+    assert len(counts) <= 4 and 10 in counts, counts
