@@ -57,22 +57,20 @@ Conventions
   a negative exponent, ``solve_linear`` over a Laurent entry) and where
   a placeholder's argument is substituted.  ``parse`` builds into one
   ring per SymbolTable, over the names of the table it was restricted
-  from; the model reader gives a model's tables one ring over every
-  name its objects can carry, so a model's polynomials share one ring
-  (with a radical, that ring and the radical), and declares its
-  placeholders together (``placeholders``), so they share one ring too,
-  over the model's names, themselves and their first partials, built
-  the first time one of them is computed with.  Elements over different
-  generators (the one-name rings of ``Expression.coordinate``,
-  ``constant`` and ``number``, say) meet in the ring of their union,
-  which for a model's element and a name of the model is the model's
-  ring itself.  No result depends on the ring that holds an element.
-  Every Laurent polynomial is ring-backed, whatever built it (a
-  ``cancel`` that reduces to one, or ``Expression(sym)`` on a raw tree
-  too), and so is every canonical tree in the radicals' form, so ``==``
-  and ``hash`` agree.  Everything else (``sin cos exp ln``,
-  denominators that are not monomials, placeholders of other arguments,
-  the radical fallbacks above) is its canonical sympy tree.
+  from, which becomes those names' *home*: ``Expression.coordinate``
+  and ``constant`` give a name as a generator of the ring of the table
+  that last built one over it (else of a ring of its own).  The model
+  reader gives a model's tables one ring over every name its objects
+  can carry, so a model's polynomials and the coordinates library code
+  builds share one ring (with a radical, that ring and the radical),
+  and its placeholders another (``placeholders``).  Elements of two
+  rings meet in their union, and no result depends on the ring that
+  holds an element.  Every Laurent polynomial is ring-backed, whatever
+  built it (a ``cancel`` that reduces to one, or ``Expression(sym)`` on
+  a raw tree too), and so is every canonical tree in the radicals'
+  form, so ``==`` and ``hash`` agree.  Everything else (``sin cos exp
+  ln``, denominators that are not monomials, placeholders of other
+  arguments, the radical fallbacks above) is its canonical sympy tree.
 * A ring-backed expression builds its tree (``.sym``) only on demand:
   for ``step_texts``, arithmetic with a non-polynomial, solves over
   non-polynomials or Laurent entries, and ``evaluate`` of a placeholder
@@ -356,7 +354,7 @@ class SymbolTable:
         for c in self.constants:
             Constant(c)  # validates name and non-collision
         self._owner = self  # the table whose ring parse builds into
-        self._ring_and_generators = None  # built by the first parse
+        self._ring = None  # built by the first parse
 
     def restricted_to(self, coordinates: Iterable[Coordinate]) -> "SymbolTable":
         """The table of some of these coordinates, with the same constants,
@@ -371,16 +369,14 @@ class SymbolTable:
     def has_momenta(self) -> bool:
         return any(c.kind == "momentum" for c in self.coordinates)
 
-    def _parse_ring(self):
-        """``(R, generators)``: the ring parse builds into, over the owner
-        table's names, and the expression of each name as a generator."""
+    def _parse_ring(self) -> PolyRing:
+        """The ring parse builds into, over the owner table's names: their home."""
         owner = self._owner
-        if owner._ring_and_generators is None:
-            R = _ring([c.symbol for c in owner.coordinates]
-                      + [_symbol(c) for c in owner.constants])
-            owner._ring_and_generators = R, {s.name: Expression.from_poly(g)
-                                             for s, g in zip(R.symbols, R.gens)}
-        return owner._ring_and_generators
+        if owner._ring is None:
+            R = owner._ring = _ring([c.symbol for c in owner.coordinates]
+                                    + [_symbol(c) for c in owner.constants])
+            _HOMES.update(dict.fromkeys(R.symbols, R))
+        return owner._ring
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +465,8 @@ class _Generators:
 
 _RINGS = {}  # sorted generators -> PolyRing over QQ
 _GENS = {}  # ring -> its _Generators
-_UNIONS = {}  # (ring, ring) -> the ring of the union of their generators
-_HOMES = {}  # placeholder -> the generators of the ring it joins, built on call
+# a name's symbol -> the ring of the table that last built one over it;
+_HOMES = {}  # a placeholder -> the generators of the ring it joins, built on call
 _PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
 # radical generator -> (its radicand over the radicand's names, those names,
 # its place among radicals); and a radicand's tree -> its radical or None
@@ -516,30 +512,29 @@ def _ring(symbols) -> PolyRing:
 def _into(P, R):
     """P as an element of R, whose generators include those that occur
     in P."""
-    pos = [_GENS[R].index.get(s) for s in P.ring.symbols]
+    index, symbols = _GENS[R].index, P.ring.symbols
     out = R.zero
     for monom, coeff in P.items():
         m = [0] * R.ngens
-        for i, e in zip(pos, monom):
-            if e:
-                m[i] = e
+        for s, e in zip(symbols, monom):
+            if e:  # looked up only where it occurs: P's ring may be a model's
+                m[index[s]] = e
         out[tuple(m)] = coeff
     return out
 
 
+@functools.cache  # placeholders meet a model's ring again and again
+def _union(R, S):
+    """The ring of the union of two rings' generators: one of them if it holds the other's."""
+    r, s = _GENS[R].index.keys(), _GENS[S].index.keys()
+    return R if r >= s else S if s >= r else _ring(R.symbols + S.symbols)
+
+
 def _unify(*polys):
-    """The elements over the ring of the union of their generators (the
-    larger ring, when one holds the other's generators)."""
+    """The elements over the ring of the union of their generators."""
     R = polys[0].ring
     for P in polys[1:]:
-        if P.ring is not R:
-            key = (R, P.ring)
-            if key not in _UNIONS:
-                S = P.ring
-                _UNIONS[key] = (R if _GENS[R].index.keys() >= set(S.symbols) else
-                                S if _GENS[S].index.keys() >= set(R.symbols) else
-                                _ring(R.symbols + S.symbols))
-            R = _UNIONS[key]
+        R = R if P.ring is R else _union(R, P.ring)
     return [P if P.ring is R else _into(P, R) for P in polys]
 
 
@@ -840,11 +835,11 @@ class Expression(Immutable):
     @classmethod
     def constant(cls, name: str) -> "Expression":
         Constant(name)
-        return cls.from_poly(_ring((_symbol(name),)).gens[0])
+        return _generator(_symbol(name))
 
     @classmethod
     def coordinate(cls, c: Coordinate) -> "Expression":
-        return cls.from_poly(_ring((c.symbol,)).gens[0])
+        return _generator(c.symbol)
 
     # -- introspection -----------------------------------------------------
 
@@ -1022,18 +1017,24 @@ ZERO = Expression(0)
 ONE = Expression(1)
 
 
+def _generator(symbol, R=None) -> Expression:
+    """A name as a generator of R, by default of its home, else of a ring of its own."""
+    R = R or _HOMES.get(symbol) or _ring((symbol,))
+    return Expression.from_poly(R.gens[_GENS[R].index[symbol]])
+
+
 def placeholders(names: Sequence[str], args: Sequence[Coordinate],
                  table: SymbolTable = None) -> List[Expression]:
     """Opaque unknown functions of the given distinct coordinates, one
     per name, declared together.
 
-    Each is the generator of a ring of its own.  The first time one
-    meets another ring or is differentiated, it joins its *home*: the
-    one ring over the table's names (the names of the ring ``parse``
-    builds into), every placeholder of this call and their first
-    partials, built then.  So a model's unknowns share one ring, and a
-    model that never computes with them builds none.  A later
-    declaration of the same unknown gives it the later home.
+    Each is the generator of a ring of its own: a model's largest ring,
+    built on every load, would cost more.  The first time one meets
+    another ring or is differentiated, it joins its *home*: the ring
+    over the table's names (their home), every placeholder of this call
+    and their first partials, built then.  So a model's unknowns share
+    one ring, and a model that never computes with them builds none.  A
+    later declaration of the same unknown gives it the later home.
     """
     symbols = [c.symbol for c in args]
     if len(set(symbols)) != len(symbols):
@@ -1042,7 +1043,7 @@ def placeholders(names: Sequence[str], args: Sequence[Coordinate],
 
     @functools.cache
     def home():
-        own = table._parse_ring()[0].symbols if table is not None else ()
+        own = table._parse_ring().symbols if table is not None else ()
         return own + tuple(functions) + tuple(
             _partial(f, x) for f in functions for x in symbols)
 
@@ -1759,18 +1760,17 @@ class _Parser:
         raise ExprSyntaxError("unexpected %r" % value, pos)
 
     def resolve(self, name, pos):
-        m = _COORD_RE.match(name)
-        if m:
+        if _COORD_RE.match(name):
             coord = Coordinate.from_name(name)
             if coord in self.table.coordinates:
-                return self.table._parse_ring()[1][coord.name]
+                return _generator(coord.symbol, self.table._parse_ring())
             if coord.kind == "momentum" and not self.table.has_momenta:
                 raise UnknownSymbolError(
                     "momentum coordinate %r is not available in this jet-only context" % name
                 )
             raise UnknownSymbolError("coordinate %r is outside the declared universe" % name)
         if name in self.table.constants:
-            return self.table._parse_ring()[1][name]
+            return _generator(_symbol(name), self.table._parse_ring())
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
@@ -1804,7 +1804,7 @@ def parse(text: str, table: SymbolTable) -> Expression:
     except RecursionError:
         pos = tokens[min(parser.i, len(tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", pos) from None
-    R = table._parse_ring()[0]
+    R = table._parse_ring()
     if e._poly is None or e._poly.ring is R:
         return e
     # a number, a tree that reduced, or the table's ring with a radical

@@ -10,6 +10,7 @@ import pickle
 import random
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -946,6 +947,73 @@ def test_a_table_parses_into_one_ring():
         small.restricted_to(JetSpace(2, 1).coordinates)
 
 
+def test_a_name_starts_in_the_ring_of_the_table_that_last_built_one_over_it():
+    with mock.patch.dict(E._HOMES):
+        assert Expression.constant("zz9")._poly.ring.ngens == 1  # no table has built one
+        table = JetSpace(1, 3).table(("k",))
+        R = table._parse_ring()
+        assert Expression.coordinate(jet(3, 1))._poly.ring is R
+        assert Expression.constant("k")._poly.ring is R
+        # a later table moves the homes of its own names only, and parse
+        # builds into its table's ring whatever the homes
+        S = JetSpace(1, 1).table(("k",))._parse_ring()
+        assert Expression.coordinate(jet(0, 1))._poly.ring is S is not R
+        assert Expression.coordinate(jet(3, 1))._poly.ring is R
+        assert parse("q0_1", table)._poly.ring is R
+
+
+HOME_NAMES = ("a", "b") + COORD_NAMES
+
+
+@st.composite
+def recipes(draw, max_depth=3):
+    """A polynomial as nested operations on names and numbers, built by
+    ``_build`` from Expression's constructors."""
+    depth = draw(st.integers(0, max_depth))
+    if depth == 0:
+        return draw(st.one_of(st.sampled_from(HOME_NAMES), COEFFICIENTS))
+    op = draw(st.sampled_from("+-*/^"))
+    lhs = draw(recipes(max_depth=depth - 1))
+    if op == "/":  # by one name, so the value stays a Laurent polynomial
+        return op, lhs, draw(st.sampled_from(HOME_NAMES))
+    if op == "^":
+        return op, lhs, draw(st.integers(0, 3))
+    return op, lhs, draw(recipes(max_depth=depth - 1))
+
+
+def _build(recipe):
+    if isinstance(recipe, str):
+        if recipe in ("a", "b"):
+            return Expression.constant(recipe)
+        return Expression.coordinate(Coordinate.from_name(recipe))
+    if not isinstance(recipe, tuple):
+        return Expression.number(recipe)
+    op, lhs, rhs = recipe
+    if op == "^":
+        return _build(lhs) ** rhs
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return ops[op](_build(lhs), _build(rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(recipes(), bindings())
+def test_a_value_does_not_depend_on_the_home_of_its_names(recipe, bindings):
+    # a home is process-global; the same polynomial built before any
+    # table declares its names (one-name rings), after a table declares
+    # some of them, and after one declares all of them is one value
+    with mock.patch.dict(E._HOMES):
+        for name in HOME_NAMES:
+            E._HOMES.pop(E._symbol(name), None)
+        values = [_build(recipe)]
+        for table in (JetSpace(2, 0).table(("b",)), JetSpace(2, 1).table(("a", "b"))):
+            table._parse_ring()
+            values.append(_build(recipe))
+    first = values[0]
+    for e in values[1:]:
+        assert e == first and hash(e) == hash(first) and to_text(e) == to_text(first)
+        assert _outcome(evaluate, e, bindings) == _outcome(evaluate, first, bindings)
+
+
 # -- ring-backed polynomials against the expand path -----------------------
 
 POLY_LEAVES = st.one_of(
@@ -1402,7 +1470,7 @@ def test_a_multiple_of_the_radicand_over_its_root_takes_the_trees_form(left, rig
 def test_square_roots_are_ring_generators():
     table = JetSpace(2, 1).table(("c1", "c2"))
     t = parse("(2*c2*q1_1 - q1_1^2 - 2*c1)^(1/2)", table)
-    model_ring = table._parse_ring()[0]
+    model_ring = table._parse_ring()
     assert t._poly is not None and t._poly.ring.ngens == model_ring.ngens + 1
     assert t._sym is None  # nothing built the tree
     u = parse("2*c2*q1_1 - q1_1^2 - 2*c1", table)

@@ -358,6 +358,26 @@ def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
 
 
+JAVELIN_DERIVES = ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield")
+
+
+def test_transcripts_do_not_depend_on_the_ring_that_holds_a_value(capsys, monkeypatch):
+    # a name starts in its home, the ring of the table that last built a
+    # ring over it, which is process-global: one process checks
+    # javelin's and beam's "?" sections and derives javelin, then derives
+    # javelin again with beam read after it, so that the names the two
+    # models share start in beam's ring; every transcript is the golden
+    for model in ("javelin", "beam"):
+        assert run_cli(capsys, "check", model_path("%s.hjm" % model), "unknown") == (
+            0, _golden_text("%s_check_unknown.txt" % model), "")
+    load = M.load
+    for reader in (load, lambda path: (load(path), load(model_path("beam.hjm")))[0]):
+        monkeypatch.setattr(M, "load", reader)
+        for topic in JAVELIN_DERIVES:
+            assert run_cli(capsys, "derive", model_path("javelin.hjm"), topic) == (
+                0, _golden_text("javelin_derive_%s.txt" % topic), "")
+
+
 def test_radical_lift_is_bit_for_bit(capsys, tmp_path, monkeypatch):
     # the walpha lift, recorded while the fiber was a canonical sympy tree
     monkeypatch.chdir(tmp_path)

@@ -150,29 +150,47 @@ from hjmech.cli import main
 argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
                             if op.key == "javelin_r03/check-cand")
 before = set(expr._RINGS)
+copies = []
+into = expr._into
+expr._into = lambda P, R: copies.append(R) or into(P, R)
 with contextlib.redirect_stdout(io.StringIO()):
     main(list(argv))
-print(json.dumps(sorted({len(g) for g in expr._RINGS if g not in before})))
+print(json.dumps([[len(g) for g in expr._RINGS if g not in before], len(copies)]))
 """
 
 
-def _fresh_ring_counts(tmp_path, *argv):
-    """The generator counts of the rings a fresh process builds running
-    the CLI on ``argv`` (by default one op of the verdicts benchmark)."""
+def _fresh_rings(tmp_path, *argv):
+    """The generator count of each ring a fresh process builds running
+    the CLI on ``argv`` (by default one op of the verdicts benchmark),
+    and how many elements it copies from one ring into another."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path),
                           *argv], capture_output=True, text=True, env=env, timeout=300, check=True)
     return json.loads(out.stdout)
 
 
+def _fresh_ring_counts(tmp_path, *argv):
+    """The distinct generator counts of the rings ``_fresh_rings`` sees."""
+    return sorted(set(_fresh_rings(tmp_path, *argv)[0]))
+
+
 def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
     # each new generator count costs sympy's generated monomial code, so
     # a fresh process running one op of the verdicts benchmark builds
-    # rings of the model's generator count and of the one- and two-name
-    # rings of Expression's constructors only (18 counts while every
-    # operation built the ring of its operands' union)
+    # rings of the model's generator count and of numbers only (18 counts
+    # while every operation built the ring of its operands' union, 3
+    # while Expression.coordinate built one-name rings)
     counts = _fresh_ring_counts(tmp_path)
-    assert len(counts) <= 3, counts
+    assert set(counts) <= {0, 21}, counts
+
+
+def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
+    # the coordinates library code builds start in their model's ring,
+    # so one check builds no one- or two-name ring and copies few
+    # elements between rings (21 one-name and 3 two-name rings, and 567
+    # copies, while Expression.coordinate built one-name rings)
+    sizes, copies = _fresh_rings(tmp_path)
+    assert not {1, 2} & set(sizes) and copies <= 100, (sizes, copies)
 
 
 BEAM_POLYNOMIAL = '''
@@ -264,8 +282,9 @@ def test_a_radical_family_stays_in_the_ring(monkeypatch, tmp_path, argv):
 def test_a_radical_family_builds_rings_of_few_generator_counts(tmp_path, argv):
     # the radical joins the model's ring as one more generator, and its
     # radicand stays in the ring it was built in ({1, 2, 3, 4, 9} for
-    # the checks while a radical was a sympy tree)
+    # the checks while a radical was a sympy tree, 4 counts while
+    # Expression.coordinate built one-name rings)
     if argv[0] == "simulate":
         argv += ("--out", str(tmp_path / "lift.csv"))
     counts = _fresh_ring_counts(tmp_path, *argv)
-    assert len(counts) <= 4 and 10 in counts, counts
+    assert len(counts) <= 3 and 10 in counts, counts
