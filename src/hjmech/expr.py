@@ -72,13 +72,14 @@ Conventions
   ln``, denominators that are not monomials, placeholders of other
   arguments, the radical fallbacks above) is its canonical sympy tree.
 * A ring-backed expression builds its tree (``.sym``) only on demand:
-  for ``step_texts``, arithmetic with a non-polynomial, solves over
-  non-polynomials or Laurent entries, and ``evaluate`` of a placeholder
-  (which compiles the tree, so its error names the node it always
-  named).  It is the tree ``_canon`` gives, the expanded sum (a monomial
-  denominator is atomic).  Printing and ``evaluate`` read the ring
-  element's terms and give the text and the compiled source that tree
-  gives; a radical compiles as the ``_root`` of its radicand's tree.
+  for arithmetic with a non-polynomial, solves over non-polynomials or
+  Laurent entries, and ``evaluate`` and ``step_texts`` of a placeholder
+  (which compile and print the tree, so an error names the node it
+  always named).  It is the tree ``_canon`` gives, the expanded sum (a
+  monomial denominator is atomic).  Printing, ``evaluate`` and
+  ``step_texts`` read the ring element's terms and give the text, the
+  compiled source and the Python text that tree gives; a radical
+  compiles as the ``_root`` of its radicand's terms.
   Ring and tree stay inside this module: no other module of the package
   reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
@@ -125,8 +126,9 @@ Conventions
   polynomial (no negative exponent, no radical), else over the domain
   sympy picks for their trees; ``determinant`` also takes ring-backed
   Laurent and radical entries over their polynomial ring, each row
-  cleared of its monomial denominator first; and ``step_texts`` is the
-  Python source of generated numeric code.
+  cleared of its monomial denominator first; and ``step_texts`` and
+  ``row_evaluator`` write the Python source of generated numeric code,
+  a ring element's from its terms.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
@@ -180,6 +182,7 @@ __all__ = [
     "step_texts",
     "substitute",
     "evaluate",
+    "row_evaluator",
     "probably_equal",
     "sample_values",
     "to_text",
@@ -531,11 +534,13 @@ def _union(R, S):
 
 
 def _unify(*polys):
-    """The elements over the ring of the union of their generators."""
+    """The elements over the ring of the union of their generators; a
+    zero or a number becomes that ring's constant without a copy."""
     R = polys[0].ring
     for P in polys[1:]:
         R = R if P.ring is R else _union(R, P.ring)
-    return [P if P.ring is R else _into(P, R) for P in polys]
+    return [P if P.ring is R else R.zero if not P else _into(P, R) if P.ring.ngens
+            else R.ground_new(P[()]) for P in polys]
 
 
 def _is_placeholder(node):
@@ -1322,21 +1327,27 @@ class _Compiler:
     repeated sub-tree is computed once.  The walks keep their own stacks
     and sort keys are computed leaves first, each from its children's
     cached keys, so no depth of nesting reaches the recursion limit; no
-    statement nests parentheses.  ``ring`` writes the same source for a
-    ring element without building its tree.
+    statement nests parentheses.  ``terms`` writes the same statements
+    for a ring element without building its tree.  Compilers that share a
+    namespace, each with its own ``prefix`` for its variables, write
+    statements that can be spliced into one function.
     """
 
-    def __init__(self):
+    def __init__(self, namespace=None, prefix="t"):
         self.lines = []
-        self.values = {}  # sub-tree (or its key in ``ring``) -> source of its value
-        self.namespace = {
+        self.values = {}  # sub-tree (or its key in ``terms``) -> source of its value
+        self.prefix = prefix
+        self.namespace = namespace if namespace is not None else {
             "sin": math.sin, "cos": math.cos, "_load": _load, "_int_power": _int_power,
             "_root": _root, "_exp": _exp, "_log": _log, "_fail": _fail,
         }
 
-    def tree(self, sym) -> str:
-        """The source of the function that evaluates ``sym``."""
-        return self.source(self.walk(sym))
+    def value(self, e) -> str:
+        """Emit the statements that evaluate the Expression e, from its
+        terms if it is a ring element without placeholders, else from its
+        tree; return its value."""
+        ring = e._poly is not None and not e.has_placeholders
+        return self.terms(e._poly) if ring else self.walk(e.sym)
 
     def walk(self, sym) -> str:
         """Emit the statements that evaluate ``sym``; return its value."""
@@ -1362,8 +1373,8 @@ class _Compiler:
                 self.values[node] = self.emit(node, [self.values[c] for c in children])
         return self.values[sym]
 
-    def ring(self, P) -> str:
-        """``tree(P.as_expr())``, written from the terms of P, in the order
+    def terms(self, P) -> str:
+        """``walk(P.as_expr())``, written from the terms of P, in the order
         of operations and checks that tree has.
 
         The tree's ``default_sort_key`` order of a Laurent polynomial's
@@ -1374,13 +1385,16 @@ class _Compiler:
         a product's operands are its coefficient, unless it is 1, then
         its factors by name, radicals last.  A negative power is one
         ``_int_power`` node, named ``1/x^n`` as the tree's is; a radical's
-        power is the ``_root`` of its radicand's tree, walked as the
-        tree's nodes are.  A ring's symbols come first, sorted by name,
+        power is one ``_root`` node of its radicand, written from the
+        radicand's terms in the same ring, named ``sqrt(u)`` or
+        ``1/sqrt(u)``.  A ring's symbols come first, sorted by name,
         then its radicals by their radicands, so positions order as the
         tree's factors do (a placeholder is compiled from the tree).
         Each number, load and power is emitted once, the first time the
-        walk reaches it, as the tree's nodes are; a name loaded inside a
-        radicand may be loaded again outside it, which changes no bit.
+        walk reaches it, inside a radicand or outside it: the tree's
+        walk computes one inside again outside, which changes no bit and
+        no error, since the first computation raises where the second
+        would.
         """
         gens = _GENS[P.ring]
         names, first_radical = gens.names, gens.first_radical
@@ -1394,8 +1408,10 @@ class _Compiler:
         def power(i, e):
             if ("p", i, e) not in values:
                 if i >= first_radical:
-                    t = P.ring.symbols[i]
-                    values["p", i, e] = self.walk(t if e == 1 else sp.Pow(t.base, sp.Rational(e, 2)))
+                    if ("u", i) not in values:
+                        values["u", i] = self.terms(gens.radicands[i])
+                    values["p", i, e] = self.assign("_root(%s, %d, 2, %s)" % (
+                        values["u", i], e, self.ref(names[i] if e == 1 else "1/" + names[i])))
                 elif e == 1:
                     values["p", i, e] = self.assign("_load(env, %r)" % names[i])
                 else:
@@ -1418,11 +1434,10 @@ class _Compiler:
             else:
                 args = ([] if c == 1 else [number(c)]) + [power(i, e) for i, e in factors]
                 operands.append(self.chain("1.0", "*", args))
-                values["m", factors] = operands[-1]
+                values["m", len(values)] = operands[-1]  # the next variable is new
         if not operands:  # the zero polynomial
             operands.append(number(QQ(0)))
-        return self.source(operands[0] if len(operands) == 1
-                           else self.chain("0.0", "+", operands))
+        return operands[0] if len(operands) == 1 else self.chain("0.0", "+", operands)
 
     def source(self, value) -> str:
         body = "".join("    %s\n" % line for line in self.lines)
@@ -1440,12 +1455,12 @@ class _Compiler:
         return name
 
     def assign(self, source):
-        var = "t%d" % len(self.values)
+        var = "%s%d" % (self.prefix, len(self.values))
         self.lines.append("%s = %s" % (var, source))
         return var
 
     def chain(self, start, op, terms):
-        var = "t%d" % len(self.values)
+        var = "%s%d" % (self.prefix, len(self.values))
         for i in range(0, len(terms), _CHAIN):
             self.lines.append("%s = %s" % (var, (" %s " % op).join(
                 [var if i else start] + terms[i:i + _CHAIN])))
@@ -1513,13 +1528,44 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     fn = e._fn
     if fn is None:
         c = _Compiler()
-        ring = e._poly is not None and not e.has_placeholders
-        fn = c.function(c.ring(e._poly) if ring else c.tree(e.sym))
+        fn = c.function(c.source(c.value(e)))
         object.__setattr__(e, "_fn", fn)
-    env = {}
-    for key, value in bindings.items():
-        env[key if isinstance(key, str) else _as_symbol(key).name] = float(value)
-    return fn(env)
+    return fn(_env(bindings))
+
+
+def _env(bindings) -> dict:
+    """Bindings by name, as floats."""
+    return {key if isinstance(key, str) else _as_symbol(key).name: float(value)
+            for key, value in bindings.items()}
+
+
+def row_evaluator(exprs: Sequence[Expression], names: Sequence[str]):
+    """One generated function ``run(rows, out, bindings)`` that appends to
+    ``out``, for each row of floats in ``rows``, that row followed by the
+    values of ``exprs`` with the row bound to ``names`` and the rest to
+    ``bindings``.
+
+    Each expression's statements are the ones ``evaluate`` compiles for
+    it, spliced into the loop in the order of ``exprs``, so every value
+    has ``evaluate``'s bits and every failure its error.  When one
+    raises, ``out`` holds the rows before the failing one.
+    """
+    namespace = _Compiler().namespace
+    lines, values = [], []
+    for k, e in enumerate(exprs):
+        c = _Compiler(namespace, "t%d_" % k)
+        values.append(c.value(e))
+        lines += c.lines
+    source = "\n".join(
+        ["def _run(_rows, _out, env):",
+         "    _append = _out.append",
+         "    for _row in _rows:"]
+        + ["        %s, = _row" % ", ".join("env[%r]" % n for n in names)] * bool(names)
+        + ["        " + line for line in lines]
+        + ["        _append([*_row, %s])" % ", ".join(values)]) + "\n"
+    exec(compile(source, "<hjmech.expr.row_evaluator>", "exec"), namespace)
+    run = namespace["_run"]
+    return lambda rows, out, bindings: run(rows, out, _env(bindings))
 
 
 def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
@@ -1995,6 +2041,72 @@ class _StepPrinter(PythonCodePrinter):
         return "_math." + name if fqn.startswith("math.") else name
 
 
+def _python_names(R, renames):
+    """The order in which ``_StepPrinter`` sorts R's generators (symbols by
+    printed name, so a renamed keyword first; placeholders; radicals by
+    their renamed radicands' ``default_sort_key``) and each one's text: a
+    symbol's printed name, a radical's ``_math.sqrt`` of its radicand."""
+    gens = _GENS[R]
+    texts = [renames.get(s, s).name if s.is_Symbol else None for s in R.symbols]
+    order = list(range(R.ngens))
+    if any(s in renames for s in R.symbols):
+        keys = {j: sp.default_sort_key(R.symbols[j].base.xreplace(renames))
+                for j in range(gens.first_radical, R.ngens)}
+        order.sort(key=lambda i: (0, texts[i]) if i < gens.first_placeholder else
+                   (1, i) if i < gens.first_radical else (2, keys[i]))
+    for j in range(gens.first_radical, R.ngens):
+        texts[j] = "_math.sqrt(%s)" % _python_text(gens.radicands[j], order, texts)
+    return order, texts
+
+
+def _rational_python(c) -> str:
+    p, q = int(c.numerator), int(c.denominator)
+    return str(p) if q == 1 else "%d/%d" % (p, q)
+
+
+def _python_text(P, order, texts) -> str:
+    """``_StepPrinter().doprint(P.as_expr())`` written from the terms of P,
+    whose generators print as ``texts`` and sort as ``order``.
+
+    The printer orders a sum's terms by their exponents over the sorted
+    generators, largest first (lex order), except a positive number
+    beside one negative multiple of one power, which goes first.  A term
+    is its number, a lone power (``x``, ``x**2``, ``1/x``, ``x**(-2)``),
+    or a product: the sign, the coefficient unless it is 1 (a fraction
+    in parentheses unless the sign precedes it and other factors follow
+    it), the positive powers, then ``/`` and the negative ones, in
+    parentheses when there are several."""
+    def power(i, e):
+        return texts[i] if e == 1 else "%s**%d" % (texts[i], e)
+
+    if not P:
+        return "0"
+    terms = sorted(((tuple(m[i] for i in order), c) for m, c in P.terms()), reverse=True)
+    if (len(terms) == 2 and not any(terms[1][0]) and terms[1][1] > 0 and terms[0][1] < 0
+            and sum(map(bool, terms[0][0])) == 1):
+        terms.reverse()
+    pieces = []
+    for monom, c in terms:
+        factors = [(i, e) for i, e in zip(order, monom) if e]
+        if not factors:
+            text = _rational_python(c)
+        elif c == 1 and len(factors) == 1:
+            (i, e), = factors
+            text = (power(i, e) if e > 0 else "1/" + texts[i] if e == -1
+                    else "%s**(%d)" % (texts[i], e))
+        else:
+            sign = "-" if c < 0 else ""
+            num = [power(i, e) for i, e in factors if e > 0]
+            den = [power(i, -e) for i, e in factors if e < 0]
+            if abs(c) != 1:
+                coeff = _rational_python(abs(c))
+                num.insert(0, coeff if "/" not in coeff or sign and num else "(%s)" % coeff)
+            text = sign + "*".join(num or ["1"]) + (
+                "" if not den else "/" + den[0] if len(den) == 1 else "/(%s)" % "*".join(den))
+        pieces += ["-", text[1:]] if text.startswith("-") else ["+", text]
+    return ("-" if pieces[0] == "-" else "") + " ".join(pieces[1:])
+
+
 def step_texts(exprs: Sequence[Expression],
                constant_names: Sequence[str]) -> Tuple[List[str], List[str]]:
     """``(texts, params)``: the Python source of each expression, and the
@@ -2004,13 +2116,20 @@ def step_texts(exprs: Sequence[Expression],
     A text is what sympy prints for a math-module function
     (``PythonCodePrinter`` with ``fully_qualified_modules=False``,
     ``inline=True``, ``allow_unknown_functions=True``), with each math
-    function as ``_math.<name>``.  A constant whose name is a keyword
-    becomes a Dummy, as in sympy's generated functions: the Dummies are
-    made in reverse order of ``constant_names``.
+    function as ``_math.<name>``.  A ring-backed expression without
+    placeholders is written from its terms (``_python_text``) without
+    building its tree; the printer prints the rest.  A constant whose
+    name is a keyword is renamed ``_<name>``, a symbol that sorts before
+    every other name, in the text and in ``params``.
     """
-    symbols = [sp.Symbol(name) for name in constant_names]
-    dummies = {s: sp.Dummy() for s in reversed(symbols)
-               if not s.name.isidentifier() or keyword.iskeyword(s.name)}
-    printer = _StepPrinter()
-    texts = [printer.doprint(e.sym.xreplace(dummies)) for e in exprs]
-    return texts, [printer.doprint(dummies.get(s, s)) for s in symbols]
+    renames = {_symbol(n): sp.Symbol("_" + n) for n in constant_names if keyword.iskeyword(n)}
+    printer, texts, names = _StepPrinter(), [], {}
+    for e in exprs:
+        P = e._poly
+        if P is None or e.has_placeholders:
+            texts.append(printer.doprint(e.sym.xreplace(renames)))
+        else:
+            if P.ring not in names:
+                names[P.ring] = _python_names(P.ring, renames)
+            texts.append(_python_text(P, *names[P.ring]))
+    return texts, ["_" + n if keyword.iskeyword(n) else n for n in constant_names]

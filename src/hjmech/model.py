@@ -38,6 +38,7 @@ expression printing and whitespace; ``loads(dumps(m)) == m`` exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -367,6 +368,8 @@ def loads(text: str) -> ModelFile:
                     )
                 except ValueError:
                     raise ModelError("states are comma-separated numbers", line)
+                if not all(map(math.isfinite, values)):
+                    raise ModelError("a state's values must be finite", line)
             if not values:
                 raise ModelError("[state] needs values", block.line)
             model.states[block.name] = values

@@ -6,11 +6,17 @@ A field compiles to one generated function that runs the whole step
 loop: the state and the four stage vectors are float locals, and each
 component is spliced in as straight-line code.
 
-Bit identity: a component's text is ``expr.step_texts``, sympy's text for
-a math-module function with each math function as ``_math.<name>``.  The
-stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z + (h/6)*(k1 +
-2*k2 + 2*k3 + k4)``, so every float operation is the one a per-stage RK4
-loop over sympy's generated function makes.
+Bit identity: a component's text is ``expr.step_texts``, the text
+sympy prints for a math-module function, with each math function as
+``_math.<name>``; a ring-backed component's text is written from its
+terms, byte for byte what sympy prints for its tree, which is not
+built.  The stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z +
+(h/6)*(k1 + 2*k2 + 2*k3 + k4)``, so every float operation is the one a
+per-stage RK4 loop over sympy's generated function makes.  The lifting
+check lifts every base state through one function generated by
+``expr.row_evaluator``, which splices in the statements ``evaluate``
+compiles for each fiber component, so each lifted value has
+``evaluate``'s bits and each failure its error.
 
 Failures: the loop stops at a step that raises or whose new state is not
 finite, which every non-finite or complex stage value makes it.  That
@@ -33,7 +39,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import DomainEvalError, Expression, step_texts
+from .expr import DomainEvalError, Expression, row_evaluator, step_texts
 from .hj import HJError, _paired_field, associated_field
 from .jets import JetSpace, VectorField
 
@@ -208,7 +214,7 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
               provenance: str = "field") -> Trajectory:
     """Classical RK4 from z0 over [t0, t1] with fixed step h.
 
-    t0, t1 and h must be finite, h must divide the interval (to grid
+    t0, t1, h and z0 must be finite, h must divide the interval (to grid
     roundoff) and the trajectory must fit in MAX_TRAJECTORY_VALUES, all
     checked before anything is allocated; a domain failure during
     evaluation is reported with the time and state where it happened.
@@ -236,9 +242,12 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             "initial state has %d entries; the field needs %d"
             % (len(z0), len(coords))
         )
+    z0 = [float(v) for v in z0]
+    if not all(map(math.isfinite, z0)):
+        raise NumericError("the initial state must be finite")
     constants = dict(constants or {})
     run, field, values = _compile_field(X, constants)
-    rows = [tuple(float(v) for v in z0)]
+    rows = [tuple(z0)]
     while len(rows) <= steps:
         run(rows, steps + 1 - len(rows), h, *rows[-1], *values)
         if len(rows) <= steps:
@@ -278,10 +287,11 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
     distance between the two trajectories over the grid is ≤ tol.
     ``base``, if given, is that associated-field trajectory, already
     integrated with the same state, grid and constants; the associated
-    field is then not derived again.
+    field is then not derived again.  The lift of its first state is the
+    full field's initial state.
     """
-    if tol <= 0:
-        raise NumericError("the tolerance must be positive")
+    if not 0 < tol < math.inf:  # NaN would fail every lift, and inf pass every one
+        raise NumericError("the tolerance must be positive and finite")
     try:
         full_field = _paired_field(system, sol)
     except HJError as err:
@@ -299,33 +309,34 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
             "base state has %d entries; the base space needs %d"
             % (len(z0_base), len(base_coords))
         )
-
-    def lift(t: float, z: Sequence[float]) -> List[float]:
-        z = [float(v) for v in z]
-        bindings = dict(values)
-        bindings.update({c.name: v for c, v in zip(base_coords, z)})
-        try:
-            return z + [e.evaluate(bindings) for e in fiber]
-        except (ValueError, OverflowError) as err:
-            raise NumericError(
-                "lifting the base state failed at t = %.6g, state = %s: %s"
-                % (t, tuple(z), err), time=t, state=tuple(z))
+    z0_base = [float(v) for v in z0_base]
+    if not all(map(math.isfinite, z0_base)):
+        raise NumericError("the base state must be finite")
 
     base_traj = base if base is not None else integrate(
-        associated_field(system, sol), [float(v) for v in z0_base], t0, t1,
-        h, values, provenance="associated field",
+        associated_field(system, sol), z0_base, t0, t1, h, values,
+        provenance="associated field",
     )
     if base_traj.labels != tuple(c.name for c in base_coords):
         raise NumericError("the base trajectory is not on the base space")
-    lifted_rows = np.array([lift(t, row) for t, row
-                            in zip(base_traj.times, base_traj.states)])
+    rows = base_traj.states.tolist()
+    if rows[0] != z0_base:
+        raise NumericError("the base trajectory does not start at the base state")
+    lifted_rows = []
+    try:
+        row_evaluator(fiber, [c.name for c in base_coords])(rows, lifted_rows, values)
+    except (ValueError, OverflowError) as err:
+        t, z = base_traj.times[len(lifted_rows)], tuple(rows[len(lifted_rows)])
+        raise NumericError(
+            "lifting the base state failed at t = %.6g, state = %s: %s" % (t, z, err),
+            time=t, state=z)
     lifted = Trajectory(
-        base_traj.times, lifted_rows,
+        base_traj.times, np.array(lifted_rows),
         tuple(c.name for c in full_field.space.coordinates),
         "lifted " + base_traj.provenance,
     )
     direct = integrate(
-        full_field, lift(t0, z0_base), t0, t1, h, values,
+        full_field, lifted_rows[0], t0, t1, h, values,
         provenance="full field",
     )
     deviation = float(np.max(np.abs(lifted.states - direct.states)))
@@ -344,8 +355,10 @@ def fd_gradient_check(e: Expression, point: Mapping[str, float],
                       step: float = 1e-5, tol: float = 1e-6) -> Tuple[GradientCheck, ...]:
     """Symbolic gradient vs central finite differences, one check per
     free symbol; relative tolerance against max(1, |symbolic|)."""
-    if step <= 0:
-        raise NumericError("the finite-difference step must be positive")
+    if not 0 < step < math.inf:
+        raise NumericError("the finite-difference step must be positive and finite")
+    if not 0 < tol < math.inf:
+        raise NumericError("the tolerance must be positive and finite")
     e = Expression.of(e)
     if e.has_placeholders:
         raise NumericError("cannot difference placeholder expressions")

@@ -845,7 +845,17 @@ def test_compiled_evaluate_handles_deep_nesting():
 
 def _tree_function(tree):
     compiler = E._Compiler()
-    return compiler.function(compiler.tree(tree))
+    return compiler.function(compiler.source(compiler.walk(tree)))
+
+
+def _tree_source(tree):
+    compiler = E._Compiler()
+    return compiler.source(compiler.walk(tree))
+
+
+def _ring_source(P):
+    compiler = E._Compiler()
+    return compiler.source(compiler.terms(P))
 
 
 def _same_as_tree(e, bindings):
@@ -855,7 +865,7 @@ def _same_as_tree(e, bindings):
     assert P is not None
     tree = P.as_expr()
     assert to_text(e) == E._tree_text(tree)
-    assert E._Compiler().ring(P) == E._Compiler().tree(tree)
+    assert _ring_source(P) == _tree_source(tree)
     env = {name: float(value) for name, value in bindings.items()}
     assert _outcome(evaluate, e, bindings) == _outcome(_tree_function(tree), env)
 
@@ -904,7 +914,7 @@ def test_moving_into_a_larger_ring_changes_nothing(e):
     assert moved._poly.ring is R is not P.ring
     assert moved == e and hash(moved) == hash(e)
     assert to_text(moved) == to_text(e)
-    assert E._Compiler().ring(moved._poly) == E._Compiler().ring(P)
+    assert _ring_source(moved._poly) == _ring_source(P)
     assert sp.srepr(moved.sym) == sp.srepr(e.sym)
 
 
@@ -1209,7 +1219,7 @@ def _matches_tree(e, raw):
     assert (e._poly is None) == (E._as_poly(want) is None)
     assert to_text(e) == E._tree_text(want)
     if e._poly is not None:
-        assert E._Compiler().ring(e._poly) == E._Compiler().tree(want)
+        assert _ring_source(e._poly) == _tree_source(want)
     assert sp.srepr(e.sym) == sp.srepr(want)
     rng, tree_function = random.Random(len(to_text(e))), _tree_function(want)
     for zero in (None, None, None) + LAURENT_NAMES:  # a zero divisor is named alike
@@ -1493,3 +1503,88 @@ def test_square_roots_are_ring_generators():
                  "sqrt(1 + sqrt(1 - q1_1^2))", "sqrt(2 - 2*q1_1^2)"):
         assert parse(text, table)._poly is None, text
     assert (parse("sqrt(1 - q1_1^2)", table) ** -2)._poly is None
+
+
+# -- step texts written from the ring ------------------------------------------
+
+# "lambda" and "if" are constants named by Python keywords
+KEYWORDS = ("lambda", "if")
+STEP_NAMES = ("a", "b") + KEYWORDS + COORD_NAMES
+# radicands the ring holds as generators, two of them over keyword-named constants
+STEP_RADICANDS = tuple(parse(text, SPACE.table(("a", "b") + KEYWORDS)) for text in (
+    "2*a*q1_1 - q1_1^2 - 2*q0_1", "1 - q1_1^2", "q0_1*q1_1 - b + 3",
+    "2*lambda*q1_1 - q1_1^2 + 1", "if*q0_1 - lambda"))
+
+
+@st.composite
+def step_terms(draw, roots):
+    """A Laurent monomial over names, keywords among them, with a rational
+    coefficient, times a power -1..1 of the square root of one of ``roots``."""
+    coeff = Fraction(draw(st.sampled_from((1, -1)) | st.fractions(-5, 5, max_denominator=6)))
+    names = draw(st.lists(st.sampled_from(STEP_NAMES), max_size=3, unique=True))
+    term = Expression(sp.Mul(sp.Rational(coeff.numerator, coeff.denominator),
+                             *(sp.Pow(sp.Symbol(n), draw(st.integers(-2, 3))) for n in names)))
+    return term * draw(st.sampled_from(roots)) ** Fraction(draw(st.integers(-1, 1)), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(range(len(STEP_RADICANDS))), min_size=1, max_size=2, unique=True),
+       st.data())
+def test_step_texts_from_the_ring_match_the_printer(radicands, data):
+    roots = [STEP_RADICANDS[i] for i in radicands]
+    e = sum(data.draw(st.lists(step_terms(roots), min_size=1, max_size=4)), Expression.number(0))
+    assume(e._poly is not None)
+    names = sorted(e.free_constants())
+    texts, params = E.step_texts([e], names)
+    assert e._sym is None  # written from the terms, without the tree
+    renamed = {sp.Symbol(n): sp.Symbol("_" + n) for n in names if n in KEYWORDS}
+    assert texts == [E._StepPrinter().doprint(e.sym.xreplace(renamed))]
+    assert params == [renamed.get(sp.Symbol(n), sp.Symbol(n)).name for n in names]
+    if len(renamed) == 1:
+        # the text sympy gave with the keyword-named constant as a Dummy,
+        # up to its name
+        (symbol, new), = renamed.items()
+        dummy = sp.Dummy()
+        old = E._StepPrinter().doprint(e.sym.xreplace({symbol: dummy}))
+        assert texts[0] == old.replace("_" + dummy.name, new.name)
+
+
+STEP_TABLE = E.SymbolTable(list(JetSpace(1, 2).coordinates) + [momentum(0, 1)],
+                           ("c1", "c2", "mu", "lambda"))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1/2*q1_1^2 - 3/2/mu", "(1/2)*q1_1**2 - (3/2)/mu"),
+    ("-1/2*q0_1*q1_1^2/mu", "-1/2*q0_1*q1_1**2/mu"),
+    ("q0_1^-2", "q0_1**(-2)"),
+    ("q1_1 - p0_1", "-p0_1 + q1_1"),
+    ("sqrt(2*c2*q1_1 - q1_1^2 - 2*c1)", "_math.sqrt(-2*c1 + 2*c2*q1_1 - q1_1**2)"),
+    ("q0_1/sqrt(2*c2*q1_1 - q1_1^2 - 2*c1) + q2_1",
+     "q0_1/_math.sqrt(-2*c1 + 2*c2*q1_1 - q1_1**2) + q2_1"),
+    ("1 - q0_1", "1 - q0_1"),  # a positive number first beside one negative power
+    ("3/2 - 2*q0_1^2", "3/2 - 2*q0_1**2"),
+    ("3/2 - 2*q0_1*q1_1", "-2*q0_1*q1_1 + 3/2"),
+    ("-2/3/(q0_1^2*mu)", "-(2/3)/(mu*q0_1**2)"),
+    ("-1/sqrt(1 - q1_1^2)", "-1/_math.sqrt(1 - q1_1**2)"),
+    ("lambda*q0_1 - 1/lambda", "_lambda*q0_1 - 1/_lambda"),
+    ("0", "0"),
+    ("-7/2", "-7/2"),
+])
+def test_step_texts_from_the_ring(text, want):
+    e = parse(text, STEP_TABLE)
+    names = sorted(e.free_constants())
+    assert e._poly is not None
+    assert E.step_texts([e], names)[0] == [want] == [
+        E._StepPrinter().doprint(e.sym.xreplace({sp.Symbol("lambda"): sp.Symbol("_lambda")}))]
+
+
+def test_a_radicand_compiled_from_its_terms_keeps_the_trees_outcomes():
+    # each term of the radicand u also stands outside the root in
+    # u - b*sqrt(u); their products once shared one compiled variable,
+    # so the radicand summed its last term three times
+    u = p("2*a*q1_1 - 2*q0_1 - q1_1^2")
+    e = u - Expression.constant("b") * u ** Fraction(1, 2)
+    tree_function = _tree_function(E._canon(e.sym))
+    for q0_1 in (0.5, -0.5):  # the radicand negative, then positive
+        env = {"a": 0.0, "b": 0.6, "q0_1": q0_1, "q1_1": -1.5}
+        assert _outcome(evaluate, e, env) == _outcome(tree_function, env)

@@ -175,6 +175,12 @@ def test_shipped_models_all_load():
         ("non-numeric state",
          FAMILY.replace("values = 0, 1", "values = a, b"),
          "comma-separated numbers"),
+        ("state that is not finite",
+         FAMILY.replace("values = 0, 1", "values = nan, 1"),
+         "a state's values must be finite"),
+        ("state that overflows",
+         FAMILY.replace("values = 0, 1", "values = 0, 1e999"),
+         "a state's values must be finite"),
         ("energy must be declared or rational",
          FAMILY.replace("energy = c1", "energy = zz"), "declared constant"),
     ],
@@ -591,6 +597,32 @@ def test_simulate_refuses_grids_beyond_the_budget(capsys, tmp_path, t1, dt, mess
     )
     assert (code, out) == (2, "")
     assert err.startswith("hjmech: error: ") and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# A NaN in the initial state once integrated to rows of NaN with exit 0,
+# final state (nan, -4, -12, -24), from the command line and from a
+# [state] block alike.
+@pytest.mark.parametrize("initial", ["nan,0,0,0", "0,0,-inf,0"])
+def test_simulate_refuses_an_initial_state_that_is_not_finite(capsys, tmp_path, initial):
+    code, out, err = run_cli(
+        capsys, "simulate", model_path("beam.hjm"), "lagrangian", initial,
+        "0", "1", "0.5", "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out, err) == (2, "", "hjmech: error: the initial state must be finite\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_state_block_that_is_not_finite_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "beam.hjm"
+    with open(model_path("beam.hjm")) as fh:
+        path.write_text(fh.read().replace("values = 0, 0, 0, 0", "values = nan, 0, 0, 0"))
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "lagrangian", "released",
+        "0", "1", "0.5", "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "a state's values must be finite" in err and "line 28" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -2,7 +2,11 @@
 and finite-difference gradient validation.
 """
 
+import contextlib
+import importlib
+import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hjmech import (
     Section,
     Trajectory,
     VectorField,
+    associated_field,
     fd_gradient_check,
     hamiltonian,
     integrate,
@@ -29,8 +34,13 @@ from hjmech import (
     parse,
     verify_lifting,
 )
+from hjmech import expr as E
+from hjmech import numeric
+from hjmech.cli import main
 
 from conftest import make_beam, make_flight_1d
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 T1 = JetSpace(1, 1)
 
@@ -99,6 +109,15 @@ def test_integrate_requires_constant_bindings():
     assert "g" in str(exc.value)
     traj = integrate(X, [0.0, 0.0], 0.0, 1.0, 0.1, constants={"g": 9.8})
     assert traj.states[-1][1] == pytest.approx(-9.8)
+
+
+# A NaN initial state once integrated to rows of NaN without an error.
+@pytest.mark.parametrize("z0", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0]])
+def test_integrate_refuses_an_initial_state_that_is_not_finite(z0):
+    with pytest.raises(NumericError) as info:
+        integrate(fld(T1, "q1_1", "-q0_1"), z0, 0.0, 1.0, 0.1)
+    assert str(info.value) == "the initial state must be finite"
+    assert info.value.time is None and info.value.state is None
 
 
 def test_domain_failure_reports_time_and_state():
@@ -464,6 +483,123 @@ def test_lifting_requires_domain_valid_start():
         )
 
 
+# A NaN tolerance passed the tol <= 0 check and then failed every lift; an
+# infinite one passed every lift; a NaN base state lifted to NaN rows.
+@pytest.mark.parametrize("z0, tol, message", [
+    ([0.0, 1.0], math.nan, "the tolerance must be positive and finite"),
+    ([0.0, 1.0], math.inf, "the tolerance must be positive and finite"),
+    ([math.nan, 1.0], 1e-6, "the base state must be finite"),
+    ([0.0, math.inf], 1e-6, "the base state must be finite"),
+])
+def test_lifting_refuses_values_that_are_not_finite(z0, tol, message):
+    hs = hamiltonian(make_flight_1d(), legendre(make_flight_1d()))
+    with pytest.raises(NumericError) as info:
+        verify_lifting(hs, radical_oneform(), z0, 0.0, 0.5, 1e-2, tol=tol,
+                       constants={"c1": -1.0, "c2": 0.0})
+    assert str(info.value) == message and info.value.time is None
+
+
+def test_lifting_refuses_a_base_trajectory_from_another_state():
+    hs = hamiltonian(make_flight_1d(), legendre(make_flight_1d()))
+    constants = {"c1": -1.0, "c2": 0.0}
+    base = integrate(associated_field(hs, radical_oneform()), [0.0, 1.0], 0.0, 0.5, 1e-2,
+                     constants)
+    with pytest.raises(NumericError, match="does not start at the base state"):
+        verify_lifting(hs, radical_oneform(), [0.0, 0.5], 0.0, 0.5, 1e-2,
+                       constants=constants, base=base)
+
+
+def _reference_lift(system, sol, base, constants):
+    """The lifted rows of ``base`` as the lifting check made them with one
+    ``evaluate`` call per fiber component and point, and a bindings dict
+    per point."""
+    fiber = [e for _, e in sorted(sol.components.items())]
+    values = dict(system.constant_values())
+    values.update(constants)
+    base_coords = JetSpace(sol.n, sol.k - 1).coordinates
+
+    def lift(t, z):
+        z = [float(v) for v in z]
+        bindings = dict(values)
+        bindings.update({c.name: v for c, v in zip(base_coords, z)})
+        try:
+            return z + [e.evaluate(bindings) for e in fiber]
+        except (ValueError, OverflowError) as err:
+            raise NumericError(
+                "lifting the base state failed at t = %.6g, state = %s: %s"
+                % (t, tuple(z), err), time=t, state=tuple(z))
+
+    return np.array([lift(t, row) for t, row in zip(base.times, base.states)])
+
+
+def _lift_outcomes(system, sol, base, constants, h):
+    """The lifted rows as bytes, or the message, time and state of the
+    NumericError raised, from the lifting check and from the reference."""
+    outcomes = []
+    for run in (lambda: verify_lifting(system, sol, base.states[0], 0.0, base.times[-1], h,
+                                       constants=constants, base=base).lifted.states,
+                lambda: _reference_lift(system, sol, base, constants)):
+        try:
+            outcomes.append(run().tobytes())
+        except NumericError as err:
+            outcomes.append((str(err), err.time, err.state))
+    return outcomes
+
+
+def _base(q0, q1, steps=400, h=1e-3):
+    """A trajectory on the base space (q0_1, q1_1), linear in each coordinate."""
+    times = h * np.arange(steps + 1)
+    return Trajectory(times, np.column_stack((np.linspace(*q0, steps + 1),
+                                              np.linspace(*q1, steps + 1))),
+                      ("q0_1", "q1_1"), "test")
+
+
+@pytest.mark.parametrize("base, constants, failure", [
+    # the associated flow, inside the radicand's domain throughout
+    (None, {"c1": -1.0, "c2": 0.0}, None),
+    # 2 - q1^2 turns negative at q1 = sqrt(2), about mid-trajectory
+    (_base((0.0, 1.0), (0.0, 3.0)), {"c1": -1.0, "c2": 0.0},
+     "fractional power of a negative value in sqrt(-q1_1^2 + 2*c2*q1_1 - 2*c1)"),
+    (_base((0.5, -0.5), (1.0, 0.0)), {"c2": 0.0}, "unbound symbol 'c1'"),
+], ids=["in-domain", "leaves-the-domain", "unbound-constant"])
+def test_the_fused_lift_keeps_the_per_point_lifts_bits_and_failures(base, constants, failure):
+    hs = hamiltonian(make_flight_1d(), legendre(make_flight_1d()))
+    sol = radical_oneform()
+    if base is None:
+        base = integrate(associated_field(hs, sol), [0.0, 1.0], 0.0, 0.4, 1e-3, constants)
+    new, old = _lift_outcomes(hs, sol, base, constants, 1e-3)
+    assert new == old
+    if failure is None:
+        assert isinstance(new, bytes)
+    else:
+        message, time, state = new
+        row = list(base.times).index(time)
+        assert message.endswith(": " + failure) and list(state) == base.states[row].tolist()
+        assert row == (0 if "unbound" in failure else 189)  # q1 = 1.4175 at row 189
+
+
+def test_every_flows_field_prints_from_the_ring_as_the_printer_prints_it(
+        monkeypatch, tmp_path):
+    # each field the seed-1 flows benchmark compiles, run for ten steps
+    seen = []
+    texts = numeric.step_texts
+    monkeypatch.setattr(numeric, "step_texts", lambda exprs, names: (
+        seen.append((list(exprs), list(names))) or texts(exprs, names)))
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    for op in workloads.build("flows", 1, str(tmp_path)):
+        argv = list(op.argv)
+        argv[5] = repr(10 * float(argv[6]))  # t1: ten steps of dt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert len(seen) == 35 + 16  # each op's field, and each lift's full field
+    printer = E._StepPrinter()
+    for exprs, names in seen:
+        assert all(e._poly is not None for e in exprs)
+        assert texts(exprs, names) == ([printer.doprint(e.sym) for e in exprs], names)
+
+
 # -- fd_gradient_check -----------------------------------------------------------
 
 
@@ -486,6 +622,11 @@ def test_fd_gradient_check_validation():
     e = parse("q0_1^2", T1.table())
     with pytest.raises(NumericError):
         fd_gradient_check(e, {"q0_1": 1.0}, step=0.0)
+    # a NaN step or tolerance made every check fail, an infinite one pass
+    for knobs in ({"step": math.nan}, {"step": math.inf}, {"tol": math.nan},
+                  {"tol": math.inf}, {"tol": 0.0}):
+        with pytest.raises(NumericError, match="must be positive and finite"):
+            fd_gradient_check(e, {"q0_1": 1.0}, **knobs)
     with pytest.raises(NumericError):
         fd_gradient_check(e, {})
     from hjmech import placeholder

@@ -186,11 +186,69 @@ def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
 
 def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
     # the coordinates library code builds start in their model's ring,
-    # so one check builds no one- or two-name ring and copies few
-    # elements between rings (21 one-name and 3 two-name rings, and 567
-    # copies, while Expression.coordinate built one-name rings)
+    # and a number meets a ring as that ring's constant, so one check
+    # builds no one- or two-name ring and copies no element between
+    # rings (21 one-name and 3 two-name rings, and 567 copies, while
+    # Expression.coordinate built one-name rings; 86 copies, nearly all
+    # of numbers, while numbers were copied)
     sizes, copies = _fresh_rings(tmp_path)
-    assert not {1, 2} & set(sizes) and copies <= 100, (sizes, copies)
+    assert not {1, 2} & set(sizes) and copies == 0, (sizes, copies)
+
+
+LIFT_COUNT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from sympy.polys.rings import PolyElement
+from hjmech import cli, expr, numeric
+op = next(op for op in workloads.build("flows", 1, sys.argv[2]) if op.key == "lift_m00/walpha")
+counts = {"components": 0, "ring_backed": 0, "as_expr": 0, "evaluate": 0}
+inside = set()
+
+def within(name, fn):
+    def call(*args, **kwargs):
+        inside.add(name)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            inside.discard(name)
+    return call
+
+def count(name, where, fn):
+    def call(*args, **kwargs):
+        counts[name] += where in inside
+        return fn(*args, **kwargs)
+    return call
+
+step_texts = numeric.step_texts
+def seen(exprs, names):
+    counts["components"] += len(exprs)
+    counts["ring_backed"] += sum(e._poly is not None for e in exprs)
+    return step_texts(exprs, names)
+
+PolyElement.as_expr = count("as_expr", "step_texts", PolyElement.as_expr)
+expr.evaluate = count("evaluate", "lift", expr.evaluate)
+numeric.step_texts = within("step_texts", seen)
+cli.verify_lifting = within("lift", numeric.verify_lifting)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(list(op.argv))
+print(json.dumps([code, counts]))
+"""
+
+
+def test_a_lift_writes_its_numeric_code_from_ring_terms(tmp_path):
+    # one op of the flows benchmark in a fresh process: its fields' step
+    # texts are written from their ring elements, building no tree, and
+    # every base state is lifted by one generated function, not through
+    # evaluate (2,004 evaluate calls in the lift, and a tree for each of
+    # the 6 components, while each point was lifted through evaluate and
+    # each text was printed from the tree)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", LIFT_COUNT, str(ROOT / "bench"), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    code, counts = json.loads(out.stdout)
+    assert code == 0
+    assert counts == {"components": 6, "ring_backed": 6, "as_expr": 0, "evaluate": 0}, counts
 
 
 BEAM_POLYNOMIAL = '''
