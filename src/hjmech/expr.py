@@ -17,10 +17,13 @@ Conventions
   (a polynomial divided by a monomial, such as ``p1_1/mu``, times powers
   of those roots) is *ring-backed*, an element of a
   ``sympy.polys.rings`` ring over QQ whose monomials may carry negative
-  exponents.  Its generators are symbols, sorted by name, then
-  placeholders: an unknown function ``s2_1(q0_1, …)`` of distinct
-  coordinates, or sympy's ``Derivative`` of one, then radicals
-  ``t = u^(1/2)`` by their radicands.  ``+ - *``, ``/`` by a single
+  exponents.  Each ring is a ``_Ring``: sympy's ``PolyRing``, equal to
+  it and hashing the same, whose monomial arithmetic is generic instead
+  of the code sympy generates and compiles for each generator count, so
+  a ring costs little to build cold.  Its generators are symbols,
+  sorted by name, then placeholders: an unknown function ``s2_1(q0_1,
+  …)`` of distinct coordinates, or sympy's ``Derivative`` of one, then
+  radicals ``t = u^(1/2)`` by their radicands.  ``+ - *``, ``/`` by a single
   term (a product with its inverse), integer ``^`` (negative only of a
   single term), ``diff``, ``substitute`` with ring-backed right-hand
   sides, ``==``, ``hash`` and the queries (free names,
@@ -30,10 +33,11 @@ Conventions
   the placeholder's other first partials, when it is not in it yet.  A
   placeholder contributes its arguments to the free names.
 * Radicals: ``u^(k/2)`` of a ring element u is a power of the generator
-  ``t = u^(1/2)``, built once from u's canonical tree, when u is a
-  polynomial in symbols of more than one term that sympy's term
-  factoring leaves as it stands (integer coefficients without a common
-  factor, no common monomial, no pulled-out sign); its ring holds u's
+  ``t = u^(1/2)``, built once for u's terms (with u's canonical tree,
+  its sympy symbol), when u is a polynomial in symbols of more than one
+  term that sympy's term factoring leaves as it stands, which u's terms
+  tell: integer coefficients without a common factor, not all
+  negative, and no generator dividing every term.  Its ring holds u's
   names, and t contributes them to the free names.  After every
   operation t^(2k+r) becomes u^k·t^r, so a value is A·t⁻¹ + B + C·t,
   and a t part beside a t⁻¹ part folds into it, (A + C·u)·t⁻¹ + B:
@@ -47,8 +51,8 @@ Conventions
       and a product or substitution where such a multiple of u meets
       t⁻¹ (``_reduce``, ``_meets_radicand``);
     - radicands that are not such polynomials: Laurent ones, one term,
-      a content or sign sympy splits out of the root, placeholders, or
-      nested radicals;
+      a content, common monomial or sign sympy splits out of the root,
+      placeholders, or nested radicals;
     - roots other than square roots;
     - ``solve_linear`` with a radical entry, and ``substitute`` into a
       radicand's names.
@@ -159,7 +163,8 @@ from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-from sympy.polys.rings import PolyRing
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 from sympy.printing.pycode import PythonCodePrinter
 
 __all__ = [
@@ -466,13 +471,59 @@ class _Generators:
         self.radicands = {}  # radical's position -> its radicand in this ring
 
 
-_RINGS = {}  # sorted generators -> PolyRing over QQ
+def _monomial_div(a, b):
+    quotient = tuple(map(operator.sub, a, b))
+    return None if any(e < 0 for e in quotient) else quotient
+
+
+# sympy's seven monomial functions, for monomials of any length
+_MONOMIAL_OPS = {
+    "monomial_mul": lambda a, b: tuple(map(operator.add, a, b)),
+    "monomial_pow": lambda a, k: tuple([e * k for e in a]),
+    "monomial_mulpow": lambda a, b, k: tuple([e + f * k for e, f in zip(a, b)]),
+    "monomial_ldiv": lambda a, b: tuple(map(operator.sub, a, b)),
+    "monomial_div": _monomial_div,
+    "monomial_lcm": lambda a, b: tuple(map(max, a, b)),
+    "monomial_gcd": lambda a, b: tuple(map(min, a, b)),
+}
+
+
+class _Ring(PolyRing):
+    """sympy's ``PolyRing`` over QQ in lex order, equal to it and hashing
+    the same, whose monomial functions are generic: sympy's constructor
+    generates and compiles seven of them for each ring's generator
+    count, which costs a cold ring several times what the rest of it
+    costs.  Any other domain or order (sympy's own code may ask for one
+    through ``clone``) is sympy's ``PolyRing``."""
+
+    def __new__(cls, symbols, domain=QQ, order=lex):
+        if domain is not QQ or order is not lex:
+            return PolyRing(symbols, domain, order)
+        obj = object.__new__(cls)
+        obj.symbols = symbols = tuple(symbols)
+        obj.ngens, obj.domain, obj.order = len(symbols), QQ, lex
+        obj._hash_tuple = ("PolyRing", symbols, len(symbols), QQ, lex)  # as sympy's ring's
+        obj._hash = hash(obj._hash_tuple)
+        obj.dtype = PolyElement(obj, ()).new
+        obj.zero_monom = (0,) * len(symbols)
+        obj.gens = obj._gens()
+        obj._gens_set = set(obj.gens)
+        obj._one = [(obj.zero_monom, QQ.one)]
+        obj.__dict__.update(_MONOMIAL_OPS)
+        obj.leading_expv = max
+        for symbol, generator in zip(symbols, obj.gens):
+            if isinstance(symbol, sp.Symbol) and not hasattr(obj, symbol.name):
+                setattr(obj, symbol.name, generator)
+        return obj
+
+
+_RINGS = {}  # sorted generators -> _Ring
 _GENS = {}  # ring -> its _Generators
 # a name's symbol -> the ring of the table that last built one over it;
 _HOMES = {}  # a placeholder -> the generators of the ring it joins, built on call
 _PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
 # radical generator -> (its radicand over the radicand's names, those names,
-# its place among radicals); and a radicand's tree -> its radical or None
+# its place among radicals); and a radicand's terms -> its radical or None
 _RADICANDS = {}
 _RADICALS = {}
 
@@ -504,7 +555,7 @@ def _ring(symbols) -> PolyRing:
                 gens.update(home())
     gens = tuple(sorted(gens, key=_order))
     if gens not in _RINGS:  # described first: a published ring always is
-        R = PolyRing(gens, QQ)
+        R = _Ring(gens)
         gens_info = _GENS[R] = _Generators(gens)
         for j in range(gens_info.first_radical, len(gens)):
             gens_info.radicands[j] = _into(_RADICANDS[gens[j]][0], R)
@@ -567,7 +618,7 @@ def _as_poly(sym, radicals=False):
     With ``radicals``, for a canonical tree: the powers of ``_radical``s
     are generators too, and the element is returned when it is in the
     form ``_reduce`` gives, which is then the form of the tree."""
-    symbols, stack = set(), [sym]
+    symbols, roots, stack = set(), {}, [sym]
     while stack:
         node = stack.pop()
         if node.is_Symbol:
@@ -582,8 +633,11 @@ def _as_poly(sym, radicals=False):
         elif _is_placeholder(node):
             symbols.add(node)
         elif radicals and node.is_Pow and node.exp.is_Rational and node.exp.q == 2 and (
-                _radical(node.base) is not None):
-            symbols.add(_radical(node.base))
+                node.base.is_Add):
+            roots[node.base] = t = _radical(_as_poly(node.base), node.base)
+            if t is None:
+                return None
+            symbols.add(t)
         else:
             return None
     R = _ring(symbols)
@@ -596,7 +650,7 @@ def _as_poly(sym, radicals=False):
         if node.is_Pow and node.exp.is_Integer:
             return _power(build(node.base), int(node.exp))
         if node.is_Pow:
-            return _power(gens[_radical(node.base)], int(node.exp.p))
+            return _power(gens[roots[node.base]], int(node.exp.p))
         if node.is_Rational:
             return R.ground_new(QQ(int(node.p), int(node.q)))
         return gens[node]
@@ -681,24 +735,42 @@ def _pdiff(P, x):
     return d
 
 
-def _radical(base, U=None):
-    """The generator ``sqrt(base)`` of a canonical tree, whose ring
-    element ``U`` may be given, built once, or None.  The radicand must
-    be a polynomial over QQ in symbols, of more than one term, that
-    sympy's term factoring leaves as it stands (no rational content,
-    common monomial or pulled-out sign), because the tree path splits
-    such a factor out of the radical."""
-    if base not in _RADICALS:
-        if U is None and base.is_Add:
-            U = _as_poly(base)
+def _terms(P):
+    """P's terms, each monomial as its (symbol, exponent) pairs: equal for
+    equal elements of any two rings."""
+    symbols = P.ring.symbols
+    return frozenset((tuple((s, e) for s, e in zip(symbols, m) if e), c) for m, c in P.items())
+
+
+def _is_radicand(U):
+    """Whether the tree path keeps ``sqrt(U)`` as it stands: U is a
+    polynomial in symbols of more than one term that sympy's term
+    factoring leaves alone, with integer coefficients without a common
+    factor, not all negative, and no generator dividing every term."""
+    if len(U) < 2 or _is_laurent(U) or _holds_atoms(U):
+        return False
+    coeffs = U.values()
+    return (all(c.denominator == 1 for c in coeffs) and math.gcd(*map(int, coeffs)) == 1
+            and any(c > 0 for c in coeffs) and not any(map(min, zip(*U.itermonoms()))))
+
+
+def _radical(U, base=None):
+    """The generator ``sqrt(U)`` of a ring element U, or None where U is
+    None or not a radicand the tree path keeps whole (``_is_radicand``).
+    It is built once for U's terms, whatever ring holds them, from
+    ``base``, U's canonical tree, which is built when not given."""
+    if U is None:
+        return None
+    key = _terms(U)
+    if key not in _RADICALS:
         g = None
-        if (base.is_Add and U is not None and not _is_laurent(U) and not _holds_atoms(U)
-                and U.as_expr() == base == sp.gcd_terms(base) == sp.factor_terms(base)):
+        if _is_radicand(U):
+            base = U.as_expr() if base is None else base
             g = sp.Pow(base, sp.S.Half)
             names = tuple(U.ring.symbols[i] for i in _present(U, range(U.ring.ngens)))
             _RADICANDS[g] = U, names, sp.default_sort_key(base)
-        _RADICALS[base] = g
-    return _RADICALS[base]
+        _RADICALS[key] = g
+    return _RADICALS[key]
 
 
 def _radical_atom(g):
@@ -968,7 +1040,7 @@ class Expression(Immutable):
         if P is not None and other.is_Integer and (other >= 0 or len(P) == 1):
             result = _reduce(_power(P, int(other)))
         elif P is not None and other.q == 2:
-            t = _radical(self.sym, P)
+            t = _radical(P, self._sym)
             if t is not None:
                 R = _ring(P.ring.symbols + (t,))
                 result = _reduce(_power(R.gens[_GENS[R].index[t]], int(other.p)))
@@ -996,8 +1068,7 @@ class Expression(Immutable):
     def __hash__(self):
         if self._hash is None:  # a polynomial's hash does not depend on its ring
             P = self._poly
-            object.__setattr__(self, "_hash", hash(self._sym) if P is None else hash(frozenset(
-                (tuple((s, e) for s, e in zip(P.ring.symbols, m) if e), c) for m, c in P.items())))
+            object.__setattr__(self, "_hash", hash(self._sym) if P is None else hash(_terms(P)))
         return self._hash
 
     # -- operations --------------------------------------------------------
@@ -1034,12 +1105,14 @@ def placeholders(names: Sequence[str], args: Sequence[Coordinate],
     per name, declared together.
 
     Each is the generator of a ring of its own: a model's largest ring,
-    built on every load, would cost more.  The first time one meets
-    another ring or is differentiated, it joins its *home*: the ring
-    over the table's names (their home), every placeholder of this call
-    and their first partials, built then.  So a model's unknowns share
-    one ring, and a model that never computes with them builds none.  A
-    later declaration of the same unknown gives it the later home.
+    built at every declaration, would cost more.  The first time one
+    meets another ring or is differentiated, it joins its *home*: the
+    ring over the table's names (their home), every placeholder of this
+    call and their first partials, built then.  So a model's unknowns
+    share one ring, and a model that never computes with them builds
+    none.  A later declaration of the same unknown gives it the later
+    home.  The model reader declares a model's unknowns when a command
+    first reads a candidate that holds one.
     """
     symbols = [c.symbol for c in args]
     if len(set(symbols)) != len(symbols):
@@ -1821,7 +1894,10 @@ class _Parser:
 
 
 def _require_real_root(base, pos):
-    if base.sym.is_number and base.sym.is_negative:
+    P = base._poly  # a ring element is read without building its tree
+    negative = (P.is_ground and P.LC < 0) if P is not None else (
+        base.sym.is_number and base.sym.is_negative)
+    if negative:
         raise ExprSyntaxError("root of a negative number", pos)
 
 

@@ -38,13 +38,16 @@ expression printing and whitespace; ``loads(dumps(m)) == m`` exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .expr import (
+    ZERO,
     Constant,
     Expression,
     ExprError,
@@ -79,6 +82,34 @@ _HEADER_RE = re.compile(r"^\[([a-z]+)(?:[ \t]+([A-Za-z_][A-Za-z0-9_-]*))?\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)[ \t]*=[ \t]*(.*)$")
 _COMPONENT_KEY_RE = re.compile(r"^([sa])([0-9]+)_([0-9]+)$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+
+
+class _Candidates(Mapping):
+    """A table of named candidates in file order.  A candidate with a "?"
+    component is held as the function that builds it until first read."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def __setitem__(self, name, entry):
+        self._entries[name] = entry
+
+    def __getitem__(self, name):
+        if callable(self._entries[name]):
+            self._entries[name] = self._entries[name]()
+        return self._entries[name]
+
+    def __contains__(self, name):
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 @dataclass
@@ -244,14 +275,21 @@ def loads(text: str) -> ModelFile:
     phase_table = names.restricted_to(PhaseSpace(n, k).coordinates)
 
     # every "?" component's placeholder, and the W a check pairs a "?"
-    # section with, are declared in one call: they share one ring over
-    # the model's names and their first partials
+    # section with, are declared in one call, when a command first reads
+    # a candidate that holds one: they share one ring over the model's
+    # names and their first partials, and a command that reads none
+    # (simulate, derive) declares none.  Until then a "?" component
+    # stands as 0 in the candidate that checks the block's keys.
     keys = {"W" if key == "w" else key
             for block in blocks[1:] for key, value, _ in block.items if value == "?"}
-    keys = sorted(keys | {"W"}) if keys else []
-    unknown = dict(zip(keys, placeholders(keys, base.coordinates, base_table)))
+    keys = sorted(keys | {"W"})
 
-    model = ModelFile(name, k, n, constants)
+    @functools.cache
+    def unknown():
+        return dict(zip(keys, placeholders(keys, base.coordinates, base_table)))
+
+    model = ModelFile(name, k, n, constants, sections=_Candidates(),
+                      oneforms=_Candidates(), genfuncs=_Candidates())
     taken: Dict[str, int] = {}
 
     def claim(candidate_name, line):
@@ -281,28 +319,33 @@ def loads(text: str) -> ModelFile:
                 (Section, model.sections, "section")
                 if block.kind == "section"
                 else (OneForm, model.oneforms, "one-form"))
-            comps = {}
+            comps, holes = {}, {}
             for key, value, line in block.items:
                 m = _COMPONENT_KEY_RE.match(key)
                 if not m or m.group(1) != cls._prefix:
                     raise ModelError(
                         "%s components are keyed %s<order>_<axis>"
                         % (noun, cls._prefix), line)
-                comps[(int(m.group(2)), int(m.group(3)))] = (
-                    unknown[key] if value == "?" else _parse_in(base_table, value, line)
-                )
+                at = (int(m.group(2)), int(m.group(3)))
+                holes.pop(at, None)
+                if value == "?":
+                    holes[at] = key
+                comps[at] = ZERO if value == "?" else _parse_in(base_table, value, line)
             try:
-                table[block.name] = cls(k, n, comps)
+                candidate = cls(k, n, comps)
             except HJError as err:
                 raise ModelError(str(err), block.line)
+            table[block.name] = (functools.partial(_filled, candidate, holes, unknown)
+                                 if holes else candidate)
         elif block.kind == "genfunc":
             claim(block.name, block.line)
             w = None
+            hole = False
             energy = None
             for key, value, line in block.items:
                 if key == "w":
-                    w = (unknown["W"] if value == "?"
-                         else _parse_in(base_table, value, line))
+                    w = ZERO if value == "?" else _parse_in(base_table, value, line)
+                    hole = value == "?"
                 elif key == "energy":
                     if value in constants:
                         energy = Expression.constant(value)
@@ -317,9 +360,11 @@ def loads(text: str) -> ModelFile:
             if w is None:
                 raise ModelError("[genfunc] needs w", block.line)
             try:
-                model.genfuncs[block.name] = GeneratingFunction(k, n, w, energy)
+                gf = GeneratingFunction(k, n, w, energy)
             except HJError as err:
                 raise ModelError(str(err), block.line)
+            model.genfuncs[block.name] = (functools.partial(_filled, gf, None, unknown)
+                                          if hole else gf)
         elif block.kind == "family":
             claim(block.name, block.line)
             params = None
@@ -384,6 +429,18 @@ def loads(text: str) -> ModelFile:
     except LagrangianError as err:
         raise ModelError(str(err), head.line)
     return model
+
+
+def _filled(candidate, holes, unknown):
+    """``candidate`` with the placeholders ``unknown()`` declares in its
+    "?" components: ``holes`` maps each one's (order, axis) to its key,
+    and is None for a generating function, whose "?" is W."""
+    declared = unknown()
+    if holes is None:
+        return GeneratingFunction(candidate.k, candidate.n, declared["W"], candidate.energy)
+    comps = dict(candidate.components)
+    comps.update({at: declared[key] for at, key in holes.items()})
+    return type(candidate)(candidate.k, candidate.n, comps)
 
 
 def load(path: str) -> ModelFile:

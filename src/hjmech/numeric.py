@@ -33,6 +33,7 @@ comparison uses the unweighted max-abs distance over all coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -101,8 +102,9 @@ def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
     """Source of ``_run``, which takes RK4 steps from a state, appending
     each new state to ``_rows``, until it has taken ``_n`` or a step raises
     or leaves the finite floats (a complex state fails the comparison with
-    TypeError); and of ``_field``, the component texts evaluated once.
-    Every name the source adds starts with ``_``, which no constant's does."""
+    TypeError).  Every name the source adds starts with ``_``, which no
+    constant's does.  ``_field_source`` gives the replay's function from
+    the same texts."""
     n = range(len(texts))
     zs = ", ".join("_z%d" % i for i in n)
     params = "".join(", " + c for c in consts)
@@ -117,9 +119,7 @@ def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
              "    return",
              "_append((%s,))" % zs]
     return "\n".join(
-        ["def _field(%s%s):" % (", ".join(coords), params),
-         "    return (%s,)" % ", ".join(texts),
-         "def _run(_rows, _n, _h, %s%s):" % (zs, params),
+        ["def _run(_rows, _n, _h, %s%s):" % (zs, params),
          "    _half = _h / 2",
          "    _sixth = _h / 6",
          "    _inf = _math.inf",
@@ -131,10 +131,23 @@ def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
            "        return"]) + "\n"
 
 
+def _field_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
+    """Source of ``_field``, the component texts evaluated once, which a
+    failed step's replay calls stage by stage."""
+    return "def _field(%s):\n    return (%s,)\n" % (", ".join(coords + consts), ", ".join(texts))
+
+
+def _compiled(source: str, name: str):
+    namespace = {"_math": math, "_range": range}
+    exec(compile(source, "<field>", "exec"), namespace)
+    return namespace[name]
+
+
 def _compile_field(X: VectorField, constants: Mapping[str, float]):
-    """Compile a vector field into ``(run, field, values)``: the two
-    functions of `_step_source` and the constants' values, which both take
-    after the state."""
+    """Compile a vector field into ``(run, field, values)``: ``_run`` of
+    `_step_source`, a function giving ``_field`` of `_field_source`,
+    compiled on its first call (only a failed step needs it), and the
+    constants' values, which both take after the state."""
     coord_names = [c.name for c in X.space.coordinates]
     const_names = set()
     for comp in X.components:
@@ -153,11 +166,11 @@ def _compile_field(X: VectorField, constants: Mapping[str, float]):
             "model or pass them explicitly" % ", ".join(missing)
         )
     texts, params = step_texts(X.components, const_names)
-    namespace = {"_math": math, "_range": range}
-    exec(compile(_step_source(coord_names, params, texts), "<field>", "exec"),
-         namespace)
+    run = _compiled(_step_source(coord_names, params, texts), "_run")
+    field = functools.cache(
+        lambda: _compiled(_field_source(coord_names, params, texts), "_field"))
     values = [float(constants[name]) for name in const_names]
-    return namespace["_run"], namespace["_field"], values
+    return run, field, values
 
 
 def _domain_error(X: VectorField, constants: Mapping[str, float],
@@ -255,7 +268,7 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             # floats; replaying it checked raises, or it was a finite
             # overflow of the new state, which the loop goes on from
             m = len(rows) - 1
-            rows.append(_checked_step(X, constants, field, values, t0 + m * h,
+            rows.append(_checked_step(X, constants, field(), values, t0 + m * h,
                                       rows[-1], h))
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(

@@ -14,8 +14,12 @@ from unittest import mock
 
 import pytest
 import sympy as sp
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import assume, given, settings
+from sympy.polys.monomials import MonomialOps
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hjmech import (
@@ -513,8 +517,9 @@ def test_equal_expressions_hash_equal_and_canonical_form_is_fixed(t1, t2):
     assert Expression(a.sym).sym == a.sym
 
 
-# Reference canonical form that sends every fraction, numeric
-# denominators included, through together/cancel.
+# Reference canonical form, written from expr's documented one: an
+# expression whose denominator is a rational number is expanded and
+# nothing more, and every other fraction goes through together/cancel.
 def _reference_normalize_atoms(sym):
     if sym.is_Atom or isinstance(sym, (sp.Derivative, E.AppliedUndef)):
         return sym
@@ -532,9 +537,10 @@ def _reference_normalize_atoms(sym):
 
 def _reference_canon(sym):
     sym = _reference_normalize_atoms(sp.sympify(sym))
-    num, den = sym.as_numer_denom()
-    if den == 1:
-        return sp.expand(num)
+    if sym.as_numer_denom()[1].is_Rational:
+        # together would reach into a radicand: sqrt(a + 9/4) has the
+        # denominator 2, and together gives sqrt(4*a + 9)/2
+        return sp.expand(sym)
     try:
         c = sp.cancel(sp.together(sym))
     except (sp.PolynomialError, AttributeError, NotImplementedError):
@@ -548,6 +554,7 @@ def _reference_canon(sym):
 
 @settings(max_examples=150, deadline=None)
 @given(grammar_texts())
+@example("((2.25 + a))^(1/2)")  # the reference once took its root's 2 out through together
 def test_canonical_form_matches_the_together_cancel_reference(text):
     try:
         p(text)
@@ -1503,6 +1510,88 @@ def test_square_roots_are_ring_generators():
                  "sqrt(1 + sqrt(1 - q1_1^2))", "sqrt(2 - 2*q1_1^2)"):
         assert parse(text, table)._poly is None, text
     assert (parse("sqrt(1 - q1_1^2)", table) ** -2)._poly is None
+
+
+@st.composite
+def rational_radicands(draw):
+    """A polynomial over QQ of two to four terms, its coefficients
+    rational, sometimes all negative, sometimes with a monomial common to
+    every term."""
+    terms = draw(st.lists(st.tuples(st.fractions(-12, 12, max_denominator=3).filter(bool),
+                                    st.lists(st.sampled_from(RADICAL_NAMES), max_size=3)),
+                          min_size=2, max_size=4))
+    common = draw(st.lists(st.sampled_from(RADICAL_NAMES), max_size=2))
+    sign = draw(st.sampled_from((None, 1, -1)))  # None keeps the drawn signs
+    return sp.Add(*(sp.Mul(sp.Rational(c.numerator, c.denominator) if sign is None
+                           else sign * abs(sp.Rational(c.numerator, c.denominator)),
+                           *map(sp.Symbol, names + common)) for c, names in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(radicands(), rational_radicands()))
+def test_the_ring_radicand_test_matches_sympys_term_factoring(tree):
+    # the root of u stays as it stands on the tree path exactly when
+    # sympy's term factoring leaves u alone: no rational content, common
+    # monomial or pulled-out sign
+    U = E._as_poly(tree)
+    assume(len(U) >= 2)
+    base = U.as_expr()
+    assert E._is_radicand(U) == (base == sp.gcd_terms(base) == sp.factor_terms(base)), base
+
+
+# -- rings without generated monomial code ------------------------------------
+
+
+@st.composite
+def monomial_arguments(draw):
+    """A generator count 0..30, two monomials of that length whose
+    exponents may be negative, and an integer power."""
+    n = draw(st.integers(0, 30))
+    monomial = st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple)
+    return n, draw(monomial), draw(monomial), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_arguments())
+def test_generic_monomial_functions_match_sympys_generated_ones(arguments):
+    # sympy's PolyRing calls the functions MonomialOps(n) generates and
+    # compiles, and with no generators functions that give ()
+    n, a, b, k = arguments
+    ops = MonomialOps(n)
+    reference = vars(PolyRing((), QQ)) if n == 0 else {
+        "monomial_" + name: getattr(ops, name)()
+        for name in ("mul", "pow", "mulpow", "ldiv", "div", "lcm", "gcd")}
+    assert len(E._MONOMIAL_OPS) == 7
+    for name, fn in E._MONOMIAL_OPS.items():
+        args = (a, k) if name == "monomial_pow" else (a, b, k) if name == "monomial_mulpow" \
+            else (a, b)
+        assert fn(*args) == reference[name](*args), name
+
+
+@pytest.mark.parametrize("symbols", [
+    (),
+    (sp.Symbol("q0_1"),),
+    tuple(sp.symbols("c1 c2 q0_1 q1_1 p0_1")),
+    # names of a ring's own attributes, which sympy does not overwrite
+    tuple(sp.symbols("gens order zero")),
+    (sp.Symbol("q0_1"), sp.Function("s1_1")(sp.Symbol("q0_1")),
+     sp.Derivative(sp.Function("W")(sp.Symbol("q0_1")), sp.Symbol("q0_1")),
+     sp.sqrt(1 - sp.Symbol("q0_1") ** 2)),
+])
+def test_a_ring_is_sympys_ring_without_its_generated_code(symbols):
+    # guards pyproject's sympy>=1.12: a sympy whose PolyRing sets an
+    # attribute _Ring does not set, or hashes otherwise, fails here
+    ours, sympys = E._Ring(symbols), PolyRing(symbols, QQ)
+    assert ours.__dict__.keys() == sympys.__dict__.keys()
+    assert ours == sympys and sympys == ours and hash(ours) == hash(sympys)
+    assert ours._hash_tuple == sympys._hash_tuple
+    same = [key for key in ours.__dict__ if key != "dtype" and not key.startswith("monomial_")]
+    assert [getattr(ours, key) for key in same] == [getattr(sympys, key) for key in same]
+    x = ours.gens[0] if symbols else ours.one
+    assert (x * x + 2 * x) ** 2 == sympys.from_dict(dict((x * x + 2 * x) ** 2))
+    # any other domain or order is sympy's ring, and so is a clone over one
+    for other in (E._Ring(symbols, ZZ), E._Ring(symbols, QQ, grlex), ours.clone(domain=ZZ)):
+        assert type(other) is PolyRing
 
 
 # -- step texts written from the ring ------------------------------------------

@@ -251,6 +251,56 @@ def test_a_lift_writes_its_numeric_code_from_ring_terms(tmp_path):
     assert counts == {"components": 6, "ring_backed": 6, "as_expr": 0, "evaluate": 0}, counts
 
 
+LOAD_COUNT = """
+import collections, contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import sympy
+import workloads
+from sympy.core.function import UndefinedFunction
+from sympy.polys.monomials import MonomialOps
+from hjmech.cli import main
+counts = collections.Counter()
+
+def counted(name, fn):
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return call
+
+UndefinedFunction.__new__ = counted("function_classes", UndefinedFunction.__new__)
+sympy.gcd_terms = counted("term_factorings", sympy.gcd_terms)
+sympy.factor_terms = counted("term_factorings", sympy.factor_terms)
+MonomialOps._build = counted("monomial_code", MonomialOps._build)
+workload, key = sys.argv[3:]
+op = next(op for op in workloads.build(workload, 1, sys.argv[2]) if op.key == key)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(list(op.argv))
+print(json.dumps([code, counts]))
+"""
+
+
+@pytest.mark.parametrize("workload, key", [
+    # a ladder system with an all-"?" section: 5 function classes (its
+    # 4 placeholders and W) while the reader declared them on every load
+    ("flows", "flow_k2_n2/s0"),
+    # 2 term factorings (gcd_terms, factor_terms) each while the radicand
+    # was checked on its tree
+    ("verdicts", "walpha_m00/check-walpha"),
+    ("flows", "lift_m00/walpha"),
+])
+def test_an_op_does_no_model_load_work_it_does_not_use(tmp_path, workload, key):
+    # a fresh process running one benchmark op creates no sympy function
+    # class, factors no radicand's terms in sympy and generates no
+    # monomial code (14 builds each, seven functions for each of two
+    # generator counts, while the rings were sympy's PolyRing)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", LOAD_COUNT, str(ROOT / "bench"), str(tmp_path),
+                          workload, key], capture_output=True, text=True, env=env, timeout=300,
+                         check=True)
+    code, counts = json.loads(out.stdout)
+    assert code == 0 and counts == {}, counts
+
+
 BEAM_POLYNOMIAL = '''
 [model]
 name = beam
