@@ -67,7 +67,9 @@ Conventions
   reader gives a model's tables one ring over every name its objects
   can carry, so a model's polynomials and the coordinates library code
   builds share one ring (with a radical, that ring and the radical),
-  and its placeholders another (``placeholders``).  Elements of two
+  and its placeholders another: their home, that ring with the
+  placeholders and their first partials, which ``placeholders`` builds
+  when it declares them.  Elements of two
   rings meet in their union, and no result depends on the ring that
   holds an element.  Every Laurent polynomial is ring-backed, whatever
   built it (a ``cancel`` that reduces to one, or ``Expression(sym)`` on
@@ -203,6 +205,7 @@ __all__ = [
 
 _COORD_RE = re.compile(r"^([qp])(\d+)_([1-9]\d*)$")
 _CONST_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_COMPONENT_RE = re.compile(r"^[sa]\d+_\d+$")  # a candidate component's key, a placeholder's name
 
 _FUNCTIONS = {"sqrt": sp.sqrt, "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "ln": sp.log}
 _FUNC_LABEL = {sp.sin: "sin", sp.cos: "cos", sp.exp: "exp", sp.log: "ln"}
@@ -330,7 +333,9 @@ def coordinate_of(symbol: sp.Symbol):
 class Constant:
     """A named constant with an optional numeric value and a nonzero flag.
 
-    The value, when given, is finite, and not 0 for a nonzero constant.
+    The name is not a coordinate's, nor a candidate component's key
+    (``s<j>_<A>``, ``a<i>_<A>``), which a placeholder prints as.  The
+    value, when given, is finite, and not 0 for a nonzero constant.
     """
 
     name: str
@@ -342,6 +347,8 @@ class Constant:
             raise ExprError("bad constant name %r (want [a-z][a-z0-9_]*)" % self.name)
         if _COORD_RE.match(self.name):
             raise ExprError("constant name %r collides with a coordinate" % self.name)
+        if _COMPONENT_RE.match(self.name):
+            raise ExprError("constant name %r collides with a candidate component" % self.name)
         if self.value is not None and not math.isfinite(self.value):
             raise ExprError("constant %r needs a finite value, not %r" % (self.name, self.value))
         if self.nonzero and self.value == 0:
@@ -519,8 +526,8 @@ class _Ring(PolyRing):
 
 _RINGS = {}  # sorted generators -> _Ring
 _GENS = {}  # ring -> its _Generators
-# a name's symbol -> the ring of the table that last built one over it;
-_HOMES = {}  # a placeholder -> the generators of the ring it joins, built on call
+# a name's symbol -> the ring of the table that last built one over it, and
+_HOMES = {}  # a placeholder -> the ring of the last ``placeholders`` call that declared it
 _PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
 # radical generator -> (its radicand over the radicand's names, those names,
 # its place among radicals); and a radicand's terms -> its radical or None
@@ -543,16 +550,10 @@ def _order(g):
 
 def _ring(symbols) -> PolyRing:
     """The one ring over QQ whose generators are ``symbols`` in ``_order``,
-    with the names of each radical's radicand, and widened, when there
-    is more than one generator and one is a placeholder declared by
-    ``placeholders``, by that placeholder's home."""
+    with the names of each radical's radicand."""
     gens = set(symbols)
     for g in [g for g in gens if g.is_Pow]:
         gens.update(_RADICANDS[g][1])
-    if len(gens) > 1 and not all(g.is_Symbol for g in gens):
-        for home in {_HOMES.get(_function_of(g)) for g in gens if not g.is_Symbol}:
-            if home is not None:
-                gens.update(home())
     gens = tuple(sorted(gens, key=_order))
     if gens not in _RINGS:  # described first: a published ring always is
         R = _Ring(gens)
@@ -577,7 +578,7 @@ def _into(P, R):
     return out
 
 
-@functools.cache  # placeholders meet a model's ring again and again
+@functools.cache  # a model's rings, its placeholders' home among them, meet again and again
 def _union(R, S):
     """The ring of the union of two rings' generators: one of them if it holds the other's."""
     r, s = _GENS[R].index.keys(), _GENS[S].index.keys()
@@ -1094,7 +1095,8 @@ ONE = Expression(1)
 
 
 def _generator(symbol, R=None) -> Expression:
-    """A name as a generator of R, by default of its home, else of a ring of its own."""
+    """A name or placeholder as a generator of R, by default of its home,
+    else of a ring of its own."""
     R = R or _HOMES.get(symbol) or _ring((symbol,))
     return Expression.from_poly(R.gens[_GENS[R].index[symbol]])
 
@@ -1104,30 +1106,22 @@ def placeholders(names: Sequence[str], args: Sequence[Coordinate],
     """Opaque unknown functions of the given distinct coordinates, one
     per name, declared together.
 
-    Each is the generator of a ring of its own: a model's largest ring,
-    built at every declaration, would cost more.  The first time one
-    meets another ring or is differentiated, it joins its *home*: the
-    ring over the table's names (their home), every placeholder of this
-    call and their first partials, built then.  So a model's unknowns
-    share one ring, and a model that never computes with them builds
-    none.  A later declaration of the same unknown gives it the later
-    home.  The model reader declares a model's unknowns when a command
-    first reads a candidate that holds one.
+    They are generators of their *home*, which this builds: the ring
+    over the table's names, every placeholder of this call and their
+    first partials.  So a model's unknowns share one ring, and their
+    first partials are in it.  A later declaration of the same unknown
+    gives it the later home.  The model reader declares a model's
+    unknowns when a command first reads a candidate that holds one.
     """
     symbols = [c.symbol for c in args]
     if len(set(symbols)) != len(symbols):
         raise ExprError("a placeholder takes distinct coordinates")
     functions = [sp.Function(name)(*symbols) for name in names]
-
-    @functools.cache
-    def home():
-        own = table._parse_ring().symbols if table is not None else ()
-        return own + tuple(functions) + tuple(
-            _partial(f, x) for f in functions for x in symbols)
-
-    for f in functions:
-        _HOMES[f] = home
-    return [Expression.from_poly(_ring((f,)).gens[0]) for f in functions]
+    own = table._parse_ring().symbols if table is not None else ()
+    home = _ring(own + tuple(functions) + tuple(
+        _partial(f, x) for f in functions for x in symbols))
+    _HOMES.update(dict.fromkeys(functions, home))
+    return [_generator(f, home) for f in functions]
 
 
 def placeholder(name: str, args: Sequence[Coordinate]) -> Expression:
@@ -1140,9 +1134,7 @@ def placeholder(name: str, args: Sequence[Coordinate]) -> Expression:
     with partial derivatives printed as d(name)/d(coord).
     """
     f = sp.Function(name)(*[c.symbol for c in args])
-    if f not in _HOMES:
-        return placeholders([name], args)[0]
-    return Expression.from_poly(_ring((f,)).gens[0])
+    return _generator(f) if f in _HOMES else placeholders([name], args)[0]
 
 
 def placeholder_derivative(name: str, args: Iterable[Coordinate], wrt: Coordinate) -> Expression:

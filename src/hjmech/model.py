@@ -28,9 +28,12 @@ strings in the core grammar, parsed against the base coordinates
 (orders 0..k-1) plus the declared constants; a bare ``?`` makes an
 opaque placeholder component.  `constant = NAME [VALUE] [nonzero]`
 declares a named constant, optionally with a numeric value and a
-nonzero promise.  Families list `params = ...` (declared constants),
-their components (section-style s-keys or one-form-style a-keys), and
-optional `inverse.PARAM = "expr"` recovery rules on phase space.
+nonzero promise; it is the one key a block may repeat, and a constant
+may not be named like a coordinate or a component key.  Families list
+`params = ...` (declared constants), their components (section-style
+s-keys or one-form-style a-keys), and optional `inverse.PARAM = "expr"`
+recovery rules on phase space.  A model's size is bounded: k*n may be
+at most ``MAX_KN`` (24), checked before any coordinate is built.
 
 ``dumps(loads(text))`` reproduces any well-formed file up to canonical
 expression printing and whitespace; ``loads(dumps(m)) == m`` exactly.
@@ -82,6 +85,10 @@ _HEADER_RE = re.compile(r"^\[([a-z]+)(?:[ \t]+([A-Za-z_][A-Za-z0-9_-]*))?\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)[ \t]*=[ \t]*(.*)$")
 _COMPONENT_KEY_RE = re.compile(r"^([sa])([0-9]+)_([0-9]+)$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+
+# the largest k*n a model may declare: the reader builds (4k+1)*n names,
+# and a check of "?" components a ring of about (k*n)^2 generators
+MAX_KN = 24
 
 
 class _Candidates(Mapping):
@@ -170,6 +177,16 @@ class _Block:
         self.name = name
         self.line = line
         self.items = []  # (key, value, line)
+        self._lines = {}  # a key, or a component's (kind, order, axis) -> its line
+
+    def add(self, key, value, line):
+        """One key = value line; a key may repeat only as [model]'s constant."""
+        m = _COMPONENT_KEY_RE.match(key)
+        same = (m.group(1), int(m.group(2)), int(m.group(3))) if m else key
+        if same in self._lines and (self.kind, key) != ("model", "constant"):
+            raise ModelError("'%s' repeats the key of line %d" % (key, self._lines[same]), line)
+        self._lines[same] = line
+        self.items.append((key, value, line))
 
 
 def _split_blocks(text: str):
@@ -189,7 +206,7 @@ def _split_blocks(text: str):
             raise ModelError("expected a [header] or key = value", num)
         if current is None:
             raise ModelError("key outside any [section]", num)
-        current.items.append((m.group(1), m.group(2).strip(), num))
+        current.add(m.group(1), m.group(2).strip(), num)
     return blocks
 
 
@@ -263,6 +280,8 @@ def loads(text: str) -> ModelFile:
         raise ModelError("[model] needs a name", head.line)
     if k is None or n is None:
         raise ModelError("[model] needs k and n", head.line)
+    if k * n > MAX_KN:
+        raise ModelError("k*n = %d is over the size budget of %d" % (k * n, MAX_KN), head.line)
 
     const_names = tuple(constants)
     base = JetSpace(n, k - 1)
@@ -327,7 +346,6 @@ def loads(text: str) -> ModelFile:
                         "%s components are keyed %s<order>_<axis>"
                         % (noun, cls._prefix), line)
                 at = (int(m.group(2)), int(m.group(3)))
-                holes.pop(at, None)
                 if value == "?":
                     holes[at] = key
                 comps[at] = ZERO if value == "?" else _parse_in(base_table, value, line)

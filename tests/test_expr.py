@@ -1344,18 +1344,24 @@ def test_placeholder_elements_match_the_tree_path(raw, raw2, raw_term, data):
     assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
 
 
-def test_declared_placeholders_share_one_ring_built_on_first_use():
+def test_declared_placeholders_share_one_ring_built_at_declaration():
+    # the declaration builds the table's ring and the home: the table's
+    # names, both placeholders and their first partials (a ring of one
+    # generator for each placeholder, which joined its home on first use,
+    # while _HOMES held a closure that built the home's generators)
     table = JetSpace(2, 3).table(("c",))
     base = JetSpace(2, 1)
     before = set(E._RINGS)
     s, w = E.placeholders(["s9_1", "W9"], base.coordinates, table.restricted_to(base.coordinates))
-    assert {len(g) for g in E._RINGS if g not in before} == {1}  # a ring of its own each
+    home = s._poly.ring
+    assert w._poly.ring is home and home.ngens == len(table.coordinates) + 1 + 2 + 2 * 4 == 19
+    built = {len(g) for g in E._RINGS if g not in before}
+    assert 19 in built and built <= {9, 19}, built
+    assert all(isinstance(R, E._Ring) for R in E._HOMES.values())
     assert s == placeholder("s9_1", base.coordinates) and s.has_placeholders
     assert s.free_names() == {"q0_1", "q0_2", "q1_1", "q1_2"} and not s.is_rational_function
     d = diff(s, "q0_2") * w + parse("c*q3_2", table)
-    home = d._poly.ring  # the table's names, both placeholders and their first partials
-    assert home.ngens == len(table.coordinates) + 1 + 2 + 2 * 4
-    assert (diff(w, "q1_1") - s)._poly.ring is home
+    assert d._poly.ring is home and (diff(w, "q1_1") - s)._poly.ring is home
     assert str(d) == "c*q3_2 + W9*d(s9_1)/d(q0_2)"
     assert diff(s, "q3_2").is_zero and diff(s, "c").is_zero
     second = diff(diff(s, "q0_2"), "q1_1")  # joins with d(s9_1)/d(q0_2)'s other partials

@@ -183,12 +183,70 @@ def test_shipped_models_all_load():
          "a state's values must be finite"),
         ("energy must be declared or rational",
          FAMILY.replace("energy = c1", "energy = zz"), "declared constant"),
+        # a repeated key kept its last value (k = 1 then k = 2 derived the
+        # k = 2 system); only constant repeats, with distinct names
+        ("repeated name", JAVELIN.replace("k = 2", "name = again\nk = 2"),
+         "'name' repeats the key of line 4"),
+        ("repeated k", JAVELIN.replace("k = 2", "k = 1\nk = 2"),
+         "'k' repeats the key of line 5"),
+        ("repeated L", JAVELIN.replace('L = "', 'L = "q0_1"\nL = "'), "'L' repeats"),
+        ("repeated component", JAVELIN.replace('s3_3 = "0"', 's3_3 = "0"\ns3_3 = "0"'),
+         "'s3_3' repeats"),
+        ("repeated component, another spelling",
+         JAVELIN.replace('s3_3 = "0"', 's3_3 = "0"\ns03_3 = "0"'), "'s03_3' repeats"),
+        ("repeated hole", JAVELIN.replace("s3_3 = ?", "s3_3 = ?\ns3_3 = ?"), "'s3_3' repeats"),
+        ("repeated w", FAMILY.replace('w = "c2*q0_1"', 'w = "c2*q0_1"\nw = ?'), "'w' repeats"),
+        ("repeated energy", FAMILY.replace("energy = c1", "energy = c1\nenergy = 0"),
+         "'energy' repeats"),
+        ("repeated params", FAMILY.replace("params = c1, c2", "params = c1\nparams = c1, c2"),
+         "'params' repeats"),
+        ("repeated inverse rule",
+         FAMILY.replace('inverse.c2 = "p0_1"', 'inverse.c2 = "p0_1"\ninverse.c2 = "0"'),
+         "'inverse.c2' repeats"),
+        ("repeated values", FAMILY.replace("values = 0, 1", "values = 0, 1\nvalues = 1, 0"),
+         "'values' repeats"),
+        # a placeholder prints as its bare name: with constant s1_1 and
+        # s1_1 = ?, check printed -s1_1*d(s1_1)/d(q0_1) + s1_1
+        ("constant named like a section component",
+         JAVELIN.replace("n = 3", "n = 3\nconstant = s2_1 2"), "collides with a candidate component"),
+        ("constant named like a one-form component",
+         FAMILY.replace("constant = c2 0", "constant = c2 0\nconstant = a1_1"),
+         "collides with a candidate component"),
     ],
 )
 def test_parse_errors(label, text, fragment):
     with pytest.raises(M.ModelError) as exc:
         M.loads(text)
     assert fragment in str(exc.value), label
+
+
+def test_a_repeated_key_or_a_component_named_constant_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.hjm"
+    for text, line in [(JAVELIN.replace("k = 2", "k = 1\nk = 2"), 6),
+                       (JAVELIN.replace("n = 3", "n = 3\nconstant = s2_1 2"), 7)]:
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "derive", str(path), "energy")
+        assert (code, out) == (2, "") and err.startswith("hjmech: error: line %d: " % line)
+
+
+def _sized(k, n):
+    return ('[model]\nname = big\nk = %d\nn = %d\n\n[lagrangian]\nL = "%s"\n'
+            % (k, n, " + ".join("1/2*q%d_%d^2" % (k, axis) for axis in range(1, n + 1))))
+
+
+def test_a_model_over_the_size_budget_is_refused(capsys, tmp_path):
+    # k*n is bounded before any coordinate is built: the reader built
+    # (4k+1)*n names for any k, and derive energy took 15.7 s at k = 400
+    over = M.MAX_KN + 1
+    path = tmp_path / "big.hjm"
+    for k, n in [(over, 1), (1, over)]:
+        with pytest.raises(M.ModelError, match="over the size budget of %d" % M.MAX_KN) as exc:
+            M.loads(_sized(k, n))
+        assert exc.value.line == 1
+        path.write_text(_sized(k, n))
+        code, out, err = run_cli(capsys, "derive", str(path), "energy")
+        assert (code, out) == (2, "") and err.startswith("hjmech: error: line 1: k*n = %d" % over)
+    assert M.loads(_sized(M.MAX_KN, 1)).k == M.MAX_KN
 
 
 def test_errors_carry_line_numbers():

@@ -175,7 +175,6 @@ def _fresh_ring_counts(tmp_path, *argv):
 
 
 def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
-    # each new generator count costs sympy's generated monomial code, so
     # a fresh process running one op of the verdicts benchmark builds
     # rings of the model's generator count and of numbers only (18 counts
     # while every operation built the ring of its operands' union, 3
@@ -353,12 +352,27 @@ def test_a_placeholder_check_stays_in_the_ring(monkeypatch, path):
 
 def test_a_placeholder_check_builds_rings_of_few_generator_counts(tmp_path):
     # the model's "?" components and the W they are checked with are
-    # declared together, so their first partials join one ring (70
-    # generators: javelin's 21 names, 7 placeholders, 42 partials) once,
-    # not once per placeholder or per partial ({1, 2, 21} while
-    # placeholders were sympy trees)
-    counts = _fresh_ring_counts(tmp_path, "check", model_path("javelin.hjm"), "unknown")
-    assert len(counts) <= 4 and 70 in counts, counts
+    # declared together in their home, built then: the model's names,
+    # the placeholders and their first partials (70 generators for
+    # javelin: 21 names, 7 placeholders, 42 partials), so a check builds
+    # the model's ring and the home and nothing else ({1, 2, 21} while
+    # placeholders were sympy trees; seven one-generator rings beside
+    # these two, and 587 copies between rings, while each placeholder
+    # started in a ring of its own and joined its home on first use)
+    sizes, copies = _fresh_rings(tmp_path, "check", model_path("javelin.hjm"), "unknown")
+    assert sorted(sizes) == [21, 70] and copies <= 260, (sizes, copies)
+    sizes, _ = _fresh_rings(tmp_path, "check", model_path("beam.hjm"), "unknown")
+    assert sorted(sizes) == [9, 18], sizes
+
+
+def test_a_ring_is_built_from_its_generators_alone():
+    # a placeholder starts in its home, so _ring widens no generator set
+    # by one (it read _HOMES while a placeholder started in a ring of its
+    # own and joined its home the first time it met another ring)
+    tree = ast.parse((SRC / "expr.py").read_text())
+    ring = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_ring")
+    assert not any(isinstance(node, ast.Name) and node.id == "_HOMES" for node in ast.walk(ring))
 
 
 RADICAL_OPS = [
