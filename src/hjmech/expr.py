@@ -160,6 +160,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import sympy as sp
 from sympy import QQ
+from sympy.core.add import _unevaluated_Add
 from sympy.core.basic import Basic
 from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
@@ -755,18 +756,31 @@ def _is_radicand(U):
             and any(c > 0 for c in coeffs) and not any(map(min, zip(*U.itermonoms()))))
 
 
+def _radicand_tree(U):
+    """``U.as_expr()`` for a polynomial U in symbols of two or more terms,
+    built without an evaluated sum: each term is the ``Mul`` of its coefficient and
+    powers, and ``_unevaluated_Add`` puts the number first and sorts the
+    rest with ``_addsort``, as ``Add.flatten`` does.  The first evaluated
+    sum of a process imports sympy's tensor and combinatorics packages."""
+    symbols, to_sympy = U.ring.symbols, U.ring.domain.to_sympy
+    return _unevaluated_Add(*[
+        sp.Mul(to_sympy(c), *[sp.Pow(s, e) for s, e in zip(symbols, m) if e])
+        for m, c in U.iterterms()])
+
+
 def _radical(U, base=None):
     """The generator ``sqrt(U)`` of a ring element U, or None where U is
     None or not a radicand the tree path keeps whole (``_is_radicand``).
     It is built once for U's terms, whatever ring holds them, from
-    ``base``, U's canonical tree, which is built when not given."""
+    ``base``, U's canonical tree; a caller that holds no tree passes
+    none, and ``_radicand_tree`` builds it from U's terms."""
     if U is None:
         return None
     key = _terms(U)
     if key not in _RADICALS:
         g = None
         if _is_radicand(U):
-            base = U.as_expr() if base is None else base
+            base = _radicand_tree(U) if base is None else base
             g = sp.Pow(base, sp.S.Half)
             names = tuple(U.ring.symbols[i] for i in _present(U, range(U.ring.ngens)))
             _RADICANDS[g] = U, names, sp.default_sort_key(base)

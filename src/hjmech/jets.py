@@ -20,9 +20,7 @@ Projections between orders are coordinate truncations, so "project" and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .expr import (
     Coordinate,
@@ -32,6 +30,11 @@ from .expr import (
     derivation,
     jet,
 )
+
+# numpy is imported by the functions that use it, so that the symbolic
+# commands, and importing the package, do not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 TIME = "t"
 
@@ -90,6 +93,8 @@ class JetSpace:
 
     def truncate_state(self, state: Sequence[float], s: int) -> np.ndarray:
         """Numeric coordinate truncation rho^order_s of a point."""
+        import numpy as np
+
         self.truncated(s)
         state = np.asarray(state, dtype=float)
         if state.shape[-1] != self.dimension:
@@ -187,6 +192,8 @@ class Curve(Immutable):
             grid_arr = None
             values_arr = None
         else:
+            import numpy as np
+
             comps = None
             grid_arr = np.asarray(grid, dtype=float)
             values_arr = np.asarray(values, dtype=float)
@@ -223,6 +230,8 @@ class Curve(Immutable):
             return False
         if self.is_symbolic:
             return self.components == other.components
+        import numpy as np
+
         return np.array_equal(self.grid, other.grid) and np.array_equal(
             self.values, other.values
         )
@@ -235,6 +244,8 @@ class Curve(Immutable):
 
 def sample_curve(c: Curve, grid, constants=None) -> np.ndarray:
     """Evaluate a symbolic curve on a time grid; returns (len(grid), n)."""
+    import numpy as np
+
     if not c.is_symbolic:
         raise JetError("sample_curve expects a symbolic curve")
     bindings = dict(constants or {})
@@ -247,6 +258,8 @@ def sample_curve(c: Curve, grid, constants=None) -> np.ndarray:
 
 def central_differences(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Second-order finite differences on a (possibly nonuniform) grid."""
+    import numpy as np
+
     edge = 2 if len(grid) >= 3 else 1
     return np.gradient(values, grid, axis=0, edge_order=edge)
 
@@ -298,6 +311,8 @@ def prolong(c: Curve, k: int, scheme: Optional[Callable] = None) -> Curve:
             "sampled curve has %d points, too short for order %d"
             % (c.grid.size, k)
         )
+    import numpy as np
+
     blocks = [c.values]
     for _ in range(k):
         blocks.append(np.asarray(scheme(c.grid, blocks[-1]), dtype=float))

@@ -29,8 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .expr import (Constant, Coordinate, Expression, Immutable, SingularMatrixError, ZERO,
                    determinant, jet, solve_linear)
 from .forms import OneFormField, TwoFormField, exterior_derivative
@@ -336,6 +334,8 @@ class LagrangianSystem(System):
                 for A in range(1, self.n + 1):
                     rules[jet(i, A)] = lifted.components[i * self.n + (A - 1)]
             return tuple(b.subs(rules) for b in exprs)
+        import numpy as np
+
         bindings = dict(constants or {})
         names = [
             jet(i, A).name for i in range(order + 1) for A in range(1, self.n + 1)

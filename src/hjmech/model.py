@@ -26,7 +26,8 @@ Sections `[section NAME]`, `[oneform NAME]`, `[genfunc NAME]`,
 candidate names share one namespace.  Expressions are double-quoted
 strings in the core grammar, parsed against the base coordinates
 (orders 0..k-1) plus the declared constants; a bare ``?`` makes an
-opaque placeholder component.  `constant = NAME [VALUE] [nonzero]`
+opaque placeholder component, named by its canonical key (``s02_1 = ?``
+is the placeholder ``s2_1``).  `constant = NAME [VALUE] [nonzero]`
 declares a named constant, optionally with a numeric value and a
 nonzero promise; it is the one key a block may repeat, and a constant
 may not be named like a coordinate or a component key.  Families list
@@ -293,19 +294,19 @@ def loads(text: str) -> ModelFile:
     lag_table = names.restricted_to(JetSpace(n, k).coordinates)
     phase_table = names.restricted_to(PhaseSpace(n, k).coordinates)
 
-    # every "?" component's placeholder, and the W a check pairs a "?"
-    # section with, are declared in one call, when a command first reads
-    # a candidate that holds one: they share one ring over the model's
-    # names and their first partials, and a command that reads none
-    # (simulate, derive) declares none.  Until then a "?" component
+    # every "?" component's placeholder, named by the component's
+    # canonical key (s02_1 = ? declares s2_1), and the W a check pairs a
+    # "?" section with, are declared in one call, when a command first
+    # reads a candidate that holds one: they share one ring over the
+    # model's names and their first partials, and a command that reads
+    # none (simulate, derive) declares none.  Until then a "?" component
     # stands as 0 in the candidate that checks the block's keys.
-    keys = {"W" if key == "w" else key
-            for block in blocks[1:] for key, value, _ in block.items if value == "?"}
-    keys = sorted(keys | {"W"})
+    keys = {"W"}
 
     @functools.cache
     def unknown():
-        return dict(zip(keys, placeholders(keys, base.coordinates, base_table)))
+        names = sorted(keys)
+        return dict(zip(names, placeholders(names, base.coordinates, base_table)))
 
     model = ModelFile(name, k, n, constants, sections=_Candidates(),
                       oneforms=_Candidates(), genfuncs=_Candidates())
@@ -347,12 +348,13 @@ def loads(text: str) -> ModelFile:
                         % (noun, cls._prefix), line)
                 at = (int(m.group(2)), int(m.group(3)))
                 if value == "?":
-                    holes[at] = key
+                    holes[at] = cls._key(*at)
                 comps[at] = ZERO if value == "?" else _parse_in(base_table, value, line)
             try:
                 candidate = cls(k, n, comps)
             except HJError as err:
                 raise ModelError(str(err), block.line)
+            keys.update(holes.values())
             table[block.name] = (functools.partial(_filled, candidate, holes, unknown)
                                  if holes else candidate)
         elif block.kind == "genfunc":
@@ -451,8 +453,8 @@ def loads(text: str) -> ModelFile:
 
 def _filled(candidate, holes, unknown):
     """``candidate`` with the placeholders ``unknown()`` declares in its
-    "?" components: ``holes`` maps each one's (order, axis) to its key,
-    and is None for a generating function, whose "?" is W."""
+    "?" components: ``holes`` maps each one's (order, axis) to its
+    canonical key, and is None for a generating function, whose "?" is W."""
     declared = unknown()
     if holes is None:
         return GeneratingFunction(candidate.k, candidate.n, declared["W"], candidate.energy)

@@ -36,13 +36,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import DomainEvalError, Expression, row_evaluator, step_texts
 from .hj import HJError, _paired_field, associated_field
 from .jets import JetSpace, VectorField
+
+# numpy is imported by the functions that use it, so that the symbolic
+# commands, and importing the package, do not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # The most values (times and state coordinates) one trajectory may hold:
@@ -75,6 +78,8 @@ class Trajectory:
     provenance: str
 
     def __post_init__(self):
+        import numpy as np
+
         if self.times.ndim != 1 or self.states.ndim != 2:
             raise NumericError("times must be a vector and states a matrix")
         if len(self.times) != len(self.states):
@@ -93,6 +98,8 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Rows "t,state…" with 17-significant-digit floats."""
+        import numpy as np
+
         row = ",".join(["%.17g"] * (1 + self.states.shape[1]))
         rows = np.column_stack((self.times, self.states)).tolist()
         return "\n".join([row % tuple(values) for values in rows]) + "\n"
@@ -270,6 +277,8 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
             m = len(rows) - 1
             rows.append(_checked_step(X, constants, field(), values, t0 + m * h,
                                       rows[-1], h))
+    import numpy as np
+
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(
         times, np.array(rows, dtype=float),
@@ -343,6 +352,8 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
         raise NumericError(
             "lifting the base state failed at t = %.6g, state = %s: %s" % (t, z, err),
             time=t, state=z)
+    import numpy as np
+
     lifted = Trajectory(
         base_traj.times, np.array(lifted_rows),
         tuple(c.name for c in full_field.space.coordinates),

@@ -1545,6 +1545,35 @@ def test_the_ring_radicand_test_matches_sympys_term_factoring(tree):
     assert E._is_radicand(U) == (base == sp.gcd_terms(base) == sp.factor_terms(base)), base
 
 
+TREE_NAMES = ("a", "c2", "p0_1", "q0_1", "q1_1")
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Names and terms of a polynomial of two to six terms in one to
+    five symbols, with integer coefficients of either sign: a term may be
+    a number, and an exponent may exceed 1."""
+    n = draw(st.integers(1, len(TREE_NAMES)))
+    monomial = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(monomial, st.integers(-50, 50).filter(bool),
+                                 min_size=2, max_size=6))
+    return TREE_NAMES[:n], terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polynomials())
+@example((("q1_1",), {(2,): -1, (1,): 2, (0,): 1}))  # one-variable sum with a number
+@example((("a", "q1_1"), {(0, 0): -3, (1, 0): 2, (0, 2): -1, (1, 1): 5}))
+def test_a_radicand_tree_is_the_rings_expression(polynomial):
+    # the tree built from the terms with an unevaluated sum is sympy's
+    # as_expr tree: the same structure, equality and hash
+    names, terms = polynomial
+    U = E._Ring(sp.symbols(names)).from_dict(terms)
+    tree, want = E._radicand_tree(U), U.as_expr()
+    assert sp.srepr(tree) == sp.srepr(want)
+    assert tree == want and hash(tree) == hash(want)
+
+
 # -- rings without generated monomial code ------------------------------------
 
 

@@ -422,6 +422,31 @@ def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
 
 
+def _javelin_with_s02_1(tmp_path):
+    """javelin.hjm with its "?" component s2_1 keyed s02_1."""
+    with open(model_path("javelin.hjm")) as fh:
+        text = fh.read()
+    assert text.count("s2_1 = ?") == 1
+    path = tmp_path / "javelin.hjm"
+    path.write_text(text.replace("s2_1 = ?", "s02_1 = ?"))
+    return path
+
+
+def test_a_placeholder_is_named_by_its_components_canonical_key(capsys, tmp_path):
+    # s02_1 is the component s2_1, and its placeholder is s2_1 (it was
+    # s02_1, which the check printed)
+    path = _javelin_with_s02_1(tmp_path)
+    assert run_cli(capsys, "check", str(path), "unknown") == (
+        0, _golden_text("javelin_check_unknown.txt"), "")
+
+
+def test_a_placeholder_keyed_in_another_spelling_round_trips(tmp_path):
+    # dumps refused the component s2_1 holding the placeholder s02_1
+    m = M.load(str(_javelin_with_s02_1(tmp_path)))
+    assert M.loads(M.dumps(m)) == m
+    assert m.sections["unknown"] == M.load(model_path("javelin.hjm")).sections["unknown"]
+
+
 JAVELIN_DERIVES = ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield")
 
 

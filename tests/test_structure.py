@@ -38,6 +38,7 @@ from hjmech.cli import main
 from hjmech.expr import Immutable
 
 from conftest import make_flight_1d, model_path
+from test_acceptance import DERIVE_TOPICS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hjmech"
@@ -298,6 +299,40 @@ def test_an_op_does_no_model_load_work_it_does_not_use(tmp_path, workload, key):
                          check=True)
     code, counts = json.loads(out.stdout)
     assert code == 0 and counts == {}, counts
+
+
+IMPORTED = """
+import contextlib, io, json, sys
+from hjmech.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [name for name in ("sympy.tensor.tensor", "sympy.combinatorics", "numpy")
+                          if name in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("commands, imported", [
+    ([["derive", model_path("javelin.hjm"), topic] for topic in DERIVE_TOPICS], []),
+    ([["derive", model_path("beam.hjm"), topic] for topic in DERIVE_TOPICS], []),
+    ([["check", model_path("javelin.hjm"), "unknown"]], []),
+    ([["check", model_path("javelin1d.hjm"), "walpha"]], []),
+    ([["involution", model_path("javelin1d.hjm"), "wfam"]], []),
+    ([["simulate", model_path("javelin1d.hjm"), "associated:walpha", "base", "0", "0.5",
+       "0.01", "--lift", "walpha", "--out", "lift.csv"]], ["numpy"]),
+])
+def test_a_command_imports_only_what_it_runs(tmp_path, commands, imported):
+    # in a fresh process, no command on the ring path imports sympy's
+    # tensor or combinatorics package, and only simulate imports numpy
+    # (while the package imported numpy, every command did, and while a
+    # radicand's tree was an evaluated sum, every command with a square
+    # root imported the two sympy packages)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", IMPORTED, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True,
+                         cwd=tmp_path)
+    codes, modules = json.loads(out.stdout)
+    assert codes == [0] * len(commands)
+    assert modules == imported
 
 
 BEAM_POLYNOMIAL = '''
