@@ -15,30 +15,30 @@ Conventions
 * Representation: a Laurent polynomial over QQ in the coordinates, the
   named constants, the placeholders and the square roots of polynomials
   (a polynomial divided by a monomial, such as ``p1_1/mu``, times powers
-  of those roots) is *ring-backed*, an element of a
-  ``sympy.polys.rings`` ring over QQ whose monomials may carry negative
-  exponents.  Each ring is a ``_Ring``: sympy's ``PolyRing``, equal to
-  it and hashing the same, whose monomial arithmetic is generic instead
-  of the code sympy generates and compiles for each generator count, so
-  a ring costs little to build cold.  Its generators are symbols,
-  sorted by name, then placeholders: an unknown function ``s2_1(q0_1,
-  …)`` of distinct coordinates, or sympy's ``Derivative`` of one, then
-  radicals ``t = u^(1/2)`` by their radicands.  ``+ - *``, ``/`` by a single
-  term (a product with its inverse), integer ``^`` (negative only of a
-  single term), ``diff``, ``substitute`` with ring-backed right-hand
-  sides, ``==``, ``hash`` and the queries (free names,
-  ``has_placeholders``, ``is_rational_function``) stay in the ring.  A
-  placeholder differentiates to the generator of its partial, or to 0
-  for a coordinate it does not take; the partial joins the ring, with
-  the placeholder's other first partials, when it is not in it yet.  A
-  placeholder contributes its arguments to the free names.
-* Radicals: ``u^(k/2)`` of a ring element u is a power of the generator
+  of those roots) is held sparse, as a ``_Poly``: a dict from each
+  monomial, the sorted (generator id, exponent) pairs of its nonzero
+  exponents, to its coefficient in QQ.  A generator is a symbol, a
+  placeholder (an unknown function ``s2_1(q0_1, …)`` of distinct
+  coordinates, or sympy's ``Derivative`` of one) or a radical
+  ``t = u^(1/2)``.  What the module needs to know of one (its print key
+  and text, its place among generators, the symbols it depends on, a
+  radical's radicand) is recorded once, in its ``_Gen``, the first time
+  it is used, so no polynomial needs a ring to hold it and any two meet
+  as they are.  ``+ - *``, ``/`` by a single term (a product with its
+  inverse), integer ``^`` (negative only of a single term), ``diff``,
+  ``substitute`` with polynomial right-hand sides, ``==``, ``hash`` and
+  the queries (free names, ``has_placeholders``,
+  ``is_rational_function``) stay polynomials.  A placeholder
+  differentiates to the generator of its partial, or to 0 for a
+  coordinate it does not take, and contributes its arguments to the free
+  names.
+* Radicals: ``u^(k/2)`` of a polynomial u is a power of the generator
   ``t = u^(1/2)``, built once for u's terms (with u's canonical tree,
   its sympy symbol), when u is a polynomial in symbols of more than one
   term that sympy's term factoring leaves as it stands, which u's terms
   tell: integer coefficients without a common factor, not all
-  negative, and no generator dividing every term.  Its ring holds u's
-  names, and t contributes them to the free names.  After every
+  negative, and no generator dividing every term.  t contributes u's
+  names to the free names.  After every
   operation t^(2k+r) becomes u^k·t^r, so a value is A·t⁻¹ + B + C·t,
   and a t part beside a t⁻¹ part folds into it, (A + C·u)·t⁻¹ + B:
   that is (A' + B·t)/t^e with e in {0, 1}, the form the tree path's
@@ -56,38 +56,26 @@ Conventions
     - roots other than square roots;
     - ``solve_linear`` with a radical entry, and ``substitute`` into a
       radicand's names.
-* The tree path is also taken where sympy's ring code assumes
-  non-negative exponents (``substitute`` for a substituted symbol with
-  a negative exponent, ``solve_linear`` over a Laurent entry) and where
-  a placeholder's argument is substituted.  ``parse`` builds into one
-  ring per SymbolTable, over the names of the table it was restricted
-  from, which becomes those names' *home*: ``Expression.coordinate``
-  and ``constant`` give a name as a generator of the ring of the table
-  that last built one over it (else of a ring of its own).  The model
-  reader gives a model's tables one ring over every name its objects
-  can carry, so a model's polynomials and the coordinates library code
-  builds share one ring (with a radical, that ring and the radical),
-  and its placeholders another: their home, that ring with the
-  placeholders and their first partials, which ``placeholders`` builds
-  when it declares them.  Elements of two
-  rings meet in their union, and no result depends on the ring that
-  holds an element.  Every Laurent polynomial is ring-backed, whatever
-  built it (a ``cancel`` that reduces to one, or ``Expression(sym)`` on
-  a raw tree too), and so is every canonical tree in the radicals'
-  form, so ``==`` and ``hash`` agree.  Everything else (``sin cos exp
-  ln``, denominators that are not monomials, placeholders of other
-  arguments, the radical fallbacks above) is its canonical sympy tree.
-* A ring-backed expression builds its tree (``.sym``) only on demand:
+* The tree path is also taken for ``substitute`` for a symbol with a
+  negative exponent, ``solve_linear`` over a Laurent entry, and where
+  a placeholder's argument is substituted.  Every Laurent polynomial is
+  a ``_Poly``, whatever built it (a ``cancel`` that reduces to one, or
+  ``Expression(sym)`` on a raw tree too), and so is every canonical tree
+  in the radicals' form, so ``==`` and ``hash`` agree.  Everything else
+  (``sin cos exp ln``, denominators that are not monomials,
+  placeholders of other arguments, the radical fallbacks above) is its
+  canonical sympy tree.
+* A polynomial builds its tree (``.sym``) only on demand:
   for arithmetic with a non-polynomial, solves over non-polynomials or
   Laurent entries, and ``evaluate`` and ``step_texts`` of a placeholder
   (which compile and print the tree, so an error names the node it
   always named).  It is the tree ``_canon`` gives, the expanded sum (a
   monomial denominator is atomic).  Printing, ``evaluate`` and
-  ``step_texts`` read the ring element's terms and give the text, the
+  ``step_texts`` read the polynomial's terms and give the text, the
   compiled source and the Python text that tree gives; a radical
   compiles as the ``_root`` of its radicand's terms.
-  Ring and tree stay inside this module: no other module of the package
-  reads them or imports sympy.
+  Polynomial and tree stay inside this module: no other module of the
+  package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
   It and the constructor refuse text, floats and bools.
 * Canonical form of a tree: an expression whose denominator is a
@@ -95,13 +83,13 @@ Conventions
   reduced to a normal form p/q with ``together``/``cancel`` (expanded
   numerator, no common factors); when the denominator is a product of
   atomic factors the fraction is distributed over the numerator's terms,
-  which for a monomial denominator is the Laurent element's tree, so a
-  ring-backed value never reaches this path.
+  which for a monomial denominator is the Laurent polynomial's tree, so
+  a polynomial never reaches this path.
   Function applications and fractional powers are opaque atoms — no
   radical or trig identities are applied beyond ``x^(1/2) == sqrt(x)``.
   The constructor is its one door; it is memoized, so an atom built from
   canonical children is canonicalized once.
-* ``==`` and ``hash`` compare canonical forms (ring elements, or trees)
+* ``==`` and ``hash`` compare canonical forms (polynomials, or trees)
   and nothing else, so two forms of one radical expression
   (``1/(sqrt(x) + 1)`` and ``(sqrt(x) - 1)/(x - 1)``) are unequal;
   ``(a - b).is_zero`` is the semantic test.
@@ -111,9 +99,9 @@ Conventions
   last) and ``parse(print(e)) == e`` for every expression the parser
   accepts.  The printer renders the canonical tree as it stands, without
   canonicalizing sub-trees again, and renders each sub-tree once: a
-  sum's text is both its sort key and its output.  A ring-backed
-  expression is rendered from its terms, each term's sort key built from
-  its exponents and each generator's key and text computed once per ring.
+  sum's text is both its sort key and its output.  A polynomial is
+  rendered from its terms, each term's sort key built from its exponents
+  and each generator's key and text computed once.
   ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
   a radical of a sum, product or power prints its base in parentheses.
 * ``evaluate`` compiles an expression into straight-line Python the first
@@ -121,20 +109,21 @@ Conventions
   compiled form keeps the summation and multiplication order of a
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
-  walk would.  A ring-backed expression is compiled from its terms, put
-  in the order that walk takes, into the same source.
+  walk would.  A polynomial is compiled from its terms, put in the
+  order that walk takes, into the same source.
 * The parser builds every value with Expression arithmetic, so values
   enter canonical and ``parse(text)`` equals what that arithmetic builds
   from the text's atoms.  It bounds the number of terms an expansion may
   produce (``TERM_LIMIT``) before it expands or multiplies anything.
 * ``solve_linear`` and ``determinant`` are the package's exact linear
-  algebra, over the entries' polynomial ring when every entry is a
-  polynomial (no negative exponent, no radical), else over the domain
-  sympy picks for their trees; ``determinant`` also takes ring-backed
-  Laurent and radical entries over their polynomial ring, each row
-  cleared of its monomial denominator first; and ``step_texts`` and
-  ``row_evaluator`` write the Python source of generated numeric code,
-  a ring element's from its terms.
+  algebra, on sympy's ``DomainMatrix`` over the polynomial ring of the
+  entries' generators (a ``_Ring``, built only here) when every entry is
+  a polynomial (no negative exponent, no radical), else over the domain
+  sympy picks for their trees; ``determinant`` also takes Laurent and
+  radical polynomial entries over their ring, each row cleared of its
+  monomial denominator first.  ``step_texts`` and ``row_evaluator``
+  write the Python source of generated numeric code, a polynomial's from
+  its terms.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
@@ -154,6 +143,7 @@ import math
 import operator
 import random
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple
@@ -303,7 +293,7 @@ class Coordinate:
         return self.name
 
 
-_SYMBOLS = {}  # name -> its one sympy Symbol: rings find it by identity
+_SYMBOLS = {}  # name -> its one sympy Symbol
 
 
 def _symbol(name: str) -> sp.Symbol:
@@ -357,42 +347,18 @@ class Constant:
 
 
 class SymbolTable:
-    """The coordinate universe + declared constants a parse is resolved in.
-
-    ``parse`` builds every polynomial in one ring: the ring over this
-    table's names, or, for a table made by ``restricted_to``, the ring of
-    the table it was made from.  The ring is built by the first parse.
-    """
+    """The coordinate universe + declared constants a parse is resolved in:
+    ``parse`` refuses every other name."""
 
     def __init__(self, coordinates: Iterable[Coordinate], constants: Iterable[str] = ()):
         self.coordinates = frozenset(coordinates)
         self.constants = frozenset(constants)
         for c in self.constants:
             Constant(c)  # validates name and non-collision
-        self._owner = self  # the table whose ring parse builds into
-        self._ring = None  # built by the first parse
-
-    def restricted_to(self, coordinates: Iterable[Coordinate]) -> "SymbolTable":
-        """The table of some of these coordinates, with the same constants,
-        whose parses build into this table's ring."""
-        table = SymbolTable(coordinates, self.constants)
-        if not table.coordinates <= self.coordinates:
-            raise ExprError("a restricted table takes only coordinates of its own table")
-        table._owner = self._owner
-        return table
 
     @property
     def has_momenta(self) -> bool:
         return any(c.kind == "momentum" for c in self.coordinates)
-
-    def _parse_ring(self) -> PolyRing:
-        """The ring parse builds into, over the owner table's names: their home."""
-        owner = self._owner
-        if owner._ring is None:
-            R = owner._ring = _ring([c.symbol for c in owner.coordinates]
-                                    + [_symbol(c) for c in owner.constants])
-            _HOMES.update(dict.fromkeys(R.symbols, R))
-        return owner._ring
 
 
 # ---------------------------------------------------------------------------
@@ -444,39 +410,412 @@ def _canon(sym):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial rings
+# Sparse Laurent polynomials
 # ---------------------------------------------------------------------------
 
-class _Generators:
-    """What the module keeps for each of its rings: each generator's
-    position and text (a symbol's name), for the printer each
-    generator's sort key (``_atom``'s), whether it is a coordinate, and
-    the positions in the order of those keys; for the placeholders and
-    then the radicals, which come after the symbols, the first one's
-    position, the symbols each generator depends on (a placeholder's
-    arguments, a radicand's names) and the generators depending on each
-    symbol; and each radical's radicand, an element of the ring."""
 
-    __slots__ = ("index", "names", "keys", "is_coordinate", "printed", "first_placeholder",
-                 "first_radical", "free", "dependents", "widened", "radicands")
+class _Poly(dict):
+    """A Laurent polynomial over QQ: each monomial, a tuple of (generator
+    id, exponent) pairs sorted by id with no zero exponent, maps to its
+    nonzero coefficient.  A polynomial is never changed once built."""
 
-    def __init__(self, symbols):
-        self.index = {s: i for i, s in enumerate(symbols)}
-        atoms = [_radical_atom(s) if s.is_Pow else _atom(s) for s in symbols]
-        self.names = [text for _, text in atoms]
-        self.keys = [key for key, _ in atoms]
-        self.is_coordinate = [key[0] >= 2 for key in self.keys]
-        self.printed = sorted(range(len(symbols)), key=self.keys.__getitem__)
-        self.first_placeholder = sum(s.is_Symbol for s in symbols)
-        self.first_radical = len(symbols) - sum(s.is_Pow for s in symbols)
-        self.free = [(s,) if s.is_Symbol else _RADICANDS[s][1] if s.is_Pow
-                     else _function_of(s).args for s in symbols]
-        self.dependents = {}
-        for j in range(self.first_placeholder, len(symbols)):
-            for x in self.free[j]:
-                self.dependents.setdefault(x, []).append(j)
-        self.widened = {}  # placeholder -> this ring with its first partials
-        self.radicands = {}  # radical's position -> its radicand in this ring
+    __slots__ = ("_gens",)
+
+    def gens(self) -> frozenset:
+        """The ids of the generators that occur, found once."""
+        try:
+            return self._gens
+        except AttributeError:
+            gens = self._gens = frozenset({g for m in self for g, _ in m})
+            return gens
+
+    def as_expr(self):
+        """The tree sympy's ``PolyElement.as_expr()`` gives: the sum of
+        each term's ``Mul`` of its coefficient and powers."""
+        to_sympy = QQ.to_sympy
+        return sp.Add(*[sp.Mul(to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m])
+                        for m, c in self.items()])
+
+
+class _Gen:
+    """What the module records once for each generator: its tree (a
+    symbol, a placeholder, or a radical ``u^(1/2)``), its kind (0, 1 and
+    2 for these), its ``order`` (symbols by name, then placeholders by
+    name, arguments and differentiations, then radicals by their
+    radicands' ``default_sort_key``), the printer's sort key and text
+    (``_atom``'s, or for a radical the tree printer's for the fractional
+    power of a sum) and ``printed``, the key and then
+    the order, the symbols it depends on (itself, a placeholder's
+    arguments, a radicand's names), a radical's radicand, its partial
+    derivative by each symbol taken so far (a placeholder's as the id of
+    its partial's generator, a radical's as a polynomial), and its
+    polynomial."""
+
+    __slots__ = ("sym", "kind", "order", "key", "text", "printed", "is_coordinate", "free",
+                 "radicand", "partials", "poly")
+
+    def __init__(self, g, i, radicand):
+        self.sym, self.radicand, self.partials = g, None, {}
+        if g.is_Symbol:
+            self.kind, self.order, self.free = 0, (0, g.name), frozenset((g,))
+            self.key, self.text = _atom(g)
+        elif g.is_Pow:
+            self.radicand, self.free, sort_key = radicand
+            self.kind, self.order, text = 2, (2, sort_key), _tree_text(g.base)
+            self.key, self.text = (6, text), "sqrt(%s)" % text
+        else:
+            f = _function_of(g)
+            self.kind, self.free = 1, frozenset(f.args)
+            self.order = (1, f.func.__name__, tuple(a.name for a in f.args),
+                          () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
+            self.key, self.text = _atom(g)
+        self.printed = self.key, self.order
+        self.is_coordinate = self.key[0] >= 2
+        self.poly = _Poly({((i, 1),): QQ.one})
+
+
+_GEN = []  # generator id -> its _Gen
+_IDS = {}  # generator tree -> its id
+_RADICAL_IDS = set()  # the ids of the radicals, which _reduce visits
+_RECORDING = threading.RLock()  # threads that meet a new generator agree on its id
+# a radicand's terms -> its radical or None
+_RADICALS = {}
+
+
+def _gen(g, radicand=None) -> int:
+    """The id of the generator g, recorded on its first use; ``_radical``
+    records a radical with its radicand, (U, its names, its sort key)."""
+    with _RECORDING:
+        if g not in _IDS:
+            _GEN.append(_Gen(g, len(_GEN), radicand))
+            _IDS[g] = len(_GEN) - 1
+            if _GEN[-1].kind == 2:
+                _RADICAL_IDS.add(_IDS[g])
+        return _IDS[g]
+
+
+_ZERO = _Poly()
+_ONE = _Poly({(): QQ.one})
+_HALF = QQ(1, 2)
+
+
+def _number(q) -> _Poly:
+    """The constant polynomial of a QQ element."""
+    return _Poly({(): q}) if q else _ZERO
+
+
+def _mono_mul(a, b):
+    """The product of two monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for g, e in b:
+        e += exps.get(g, 0)
+        if e:
+            exps[g] = e
+        else:
+            del exps[g]
+    return tuple(sorted(exps.items()))
+
+
+def _add(P, Q, sign=1):
+    """P + sign·Q."""
+    if not Q:
+        return P
+    if not P and sign == 1:
+        return Q
+    out = _Poly(P)
+    for m, c in Q.items():
+        c = out.get(m, 0) + (c if sign == 1 else -c)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _mul(P, Q):
+    """P · Q."""
+    if len(P) < len(Q):
+        P, Q = Q, P
+    if len(Q) == 1:
+        (n, d), = Q.items()
+        return _mul_term(P, n, d)
+    out = _Poly()
+    get = out.get
+    for n, d in Q.items():
+        for m, c in P.items():
+            k = _mono_mul(m, n)
+            out[k] = get(k, 0) + c * d
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
+def _mul_term(P, n, d):
+    """P times the term d·n (d nonzero)."""
+    if not n:
+        return P if d == 1 else _Poly({m: c * d for m, c in P.items()})
+    return _Poly({_mono_mul(m, n): c * d for m, c in P.items()})
+
+
+_OPS = {operator.add: _add, operator.sub: lambda P, Q: _add(P, Q, -1), operator.mul: _mul}
+
+
+def _power(P, n):
+    """P ** n, for a single-term P when n is negative."""
+    if not n:
+        return _ONE  # 0^0 = 1
+    if len(P) == 1:
+        (m, c), = P.items()
+        return _Poly({tuple((g, n * e) for g, e in m): c ** n})
+    result = P
+    for _ in range(n - 1):
+        result = _mul(result, P)
+    return result
+
+
+def _is_laurent(P):
+    """Whether some exponent of P is negative."""
+    return any(e < 0 for m in P for _, e in m)
+
+
+def _holds(P, kind):
+    """Whether a generator of this kind occurs in P."""
+    return any(_GEN[g].kind == kind for g in P.gens())
+
+
+def _free(P) -> set:
+    """The symbols P depends on: a placeholder's arguments and a
+    radicand's names too."""
+    return set().union(*[_GEN[g].free for g in P.gens()])
+
+
+def _is_placeholder(node):
+    """Whether a tree is a generator that is not a symbol: an unknown
+    function applied to distinct coordinate symbols, or a partial
+    derivative of one."""
+    f = _function_of(node)
+    return (isinstance(f, AppliedUndef) and len(set(f.args)) == len(f.args)
+            and all(a.is_Symbol and _COORD_RE.match(a.name) for a in f.args))
+
+
+def _function_of(g):
+    """The applied function of a placeholder generator (itself, or what a
+    partial differentiates)."""
+    return g.expr if isinstance(g, sp.Derivative) else g
+
+
+def _as_poly(sym, radicals=False):
+    """The polynomial of a sympy tree that is a Laurent polynomial over
+    QQ in its symbols and placeholders (expanded or not; a negative power
+    only of a symbol or a placeholder), or None.
+
+    With ``radicals``, for a canonical tree: the powers of ``_radical``s
+    are generators too, and the polynomial is returned when it is in the
+    form ``_reduce`` gives, which is then the form of the tree."""
+    roots, stack = {}, [sym]
+    while stack:
+        node = stack.pop()
+        if node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer and (
+                node.exp.is_positive or node.base.is_Symbol or _is_placeholder(node.base)):
+            stack.append(node.base)
+        elif node.is_Symbol or node.is_Rational or _is_placeholder(node):
+            pass
+        elif radicals and node.is_Pow and node.exp.is_Rational and node.exp.q == 2 and (
+                node.base.is_Add):
+            roots[node.base] = t = _radical(_as_poly(node.base), node.base)
+            if t is None:
+                return None
+        else:
+            return None
+
+    def build(node):
+        if node.is_Add or node.is_Mul:
+            op, start = (_add, _ZERO) if node.is_Add else (_mul, _ONE)
+            return functools.reduce(op, map(build, node.args), start)
+        if node.is_Pow and node.exp.is_Integer:
+            return _power(build(node.base), int(node.exp))
+        if node.is_Pow:
+            return _power(_GEN[_gen(roots[node.base])].poly, int(node.exp.p))
+        if node.is_Rational:
+            return _number(QQ(int(node.p), int(node.q)))
+        return _GEN[_gen(node)].poly
+
+    P = build(sym)
+    return P if not radicals or _reduce(P) is P else None
+
+
+def _partial(g, x):
+    """The id of ∂g/∂x of a placeholder generator g that takes x, built
+    once.  A first partial is the tree ``sp.diff`` gives, put together
+    without its checks; a partial of a partial is ``sp.diff``'s."""
+    partials = _GEN[g].partials
+    if x not in partials:
+        f = _GEN[g].sym
+        partials[x] = _gen(Basic.__new__(sp.Derivative, f, sp.Tuple(x, sp.S.One))
+                           if isinstance(f, AppliedUndef) else sp.diff(f, x))
+    return partials[x]
+
+
+def _pdiff(P, x):
+    """∂P/∂x, before ``_reduce``.  A placeholder that takes x
+    differentiates to the generator of its partial, and a radical
+    t = u^(1/2) to (∂u/∂x)/2 · t⁻¹."""
+    out = _Poly()
+    for m, c in P.items():
+        for k, (g, e) in enumerate(m):
+            G = _GEN[g]
+            if x not in G.free:
+                continue
+            rest = m[:k] + ((g, e - 1),) + m[k + 1:] if e != 1 else m[:k] + m[k + 1:]
+            if G.kind == 0:
+                terms = ((rest, c * e),)
+            elif G.kind == 1:
+                terms = ((_mono_mul(rest, ((_partial(g, x), 1),)), c * e),)
+            else:
+                if x not in G.partials:
+                    G.partials[x] = _mul_term(_pdiff(G.radicand, x), ((g, -1),), _HALF)
+                terms = ((_mono_mul(rest, n), c * e * d) for n, d in G.partials[x].items())
+            for n, d in terms:
+                out[n] = out.get(n, 0) + d
+    for n in [n for n, d in out.items() if not d]:
+        del out[n]
+    return out
+
+
+def _compose(P, values):
+    """P with the generators of ``values`` replaced by their polynomials,
+    or None where one of them has a negative exponent in P."""
+    out, powers = _ZERO, {}
+    for m, c in P.items():
+        rest, term = [], _ONE
+        for g, e in m:
+            if g not in values:
+                rest.append((g, e))
+            elif e < 0:
+                return None
+            else:
+                if (g, e) not in powers:
+                    powers[g, e] = _power(values[g], e)
+                term = _mul(term, powers[g, e])
+        out = _add(out, _mul_term(term, tuple(rest), c))
+    return out
+
+
+def _is_radicand(U):
+    """Whether the tree path keeps ``sqrt(U)`` as it stands: U is a
+    polynomial in symbols of more than one term that sympy's term
+    factoring leaves alone, with integer coefficients without a common
+    factor, not all negative, and no generator dividing every term."""
+    if len(U) < 2 or _is_laurent(U) or any(_GEN[g].kind for g in U.gens()):
+        return False
+    coeffs = U.values()
+    return (all(c.denominator == 1 for c in coeffs) and math.gcd(*map(int, coeffs)) == 1
+            and any(c > 0 for c in coeffs)
+            and not frozenset.intersection(*[frozenset(g for g, _ in m) for m in U]))
+
+
+def _radicand_tree(U):
+    """``U.as_expr()`` for a polynomial U in symbols of two or more terms,
+    built without an evaluated sum: each term is the ``Mul`` of its coefficient and
+    powers, and ``_unevaluated_Add`` puts the number first and sorts the
+    rest with ``_addsort``, as ``Add.flatten`` does.  The first evaluated
+    sum of a process imports sympy's tensor and combinatorics packages."""
+    return _unevaluated_Add(*[
+        sp.Mul(QQ.to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m]) for m, c in U.items()])
+
+
+def _radical(U, base=None):
+    """The generator ``sqrt(U)`` of a polynomial U, or None where U is
+    None or not a radicand the tree path keeps whole (``_is_radicand``).
+    It is built once for U's terms from ``base``, U's canonical tree; a
+    caller that holds no tree passes none, and ``_radicand_tree`` builds
+    it from U's terms."""
+    if U is None:
+        return None
+    key = frozenset(U.items())
+    if key not in _RADICALS:
+        g = None
+        if _is_radicand(U):
+            base = _radicand_tree(U) if base is None else base
+            g = sp.Pow(base, sp.S.Half)
+            _gen(g, (U, frozenset(_free(U)), sp.default_sort_key(base)))
+        _RADICALS[key] = g
+    return _RADICALS[key]
+
+
+def _radicals_in(P):
+    """The radicals that occur in P, in their order."""
+    radicals = P.gens() & _RADICAL_IDS
+    return sorted(radicals, key=lambda g: _GEN[g].order) if radicals else ()
+
+
+def _is_multiple(P, U):
+    """Whether P is a one-term multiple of U: P is its leading term over
+    U's times U, leading in the lex order of the generators' ids."""
+    if len(P) != len(U):
+        return False
+    gens = sorted(P.gens() | U.gens())
+
+    def leading(F):
+        return max(F.items(), key=lambda t: [dict(t[0]).get(g, 0) for g in gens])
+
+    (m, c), (n, d) = leading(P), leading(U)
+    return P == _mul_term(U, _mono_mul(m, tuple((g, -e) for g, e in n)), c / d)
+
+
+def _reduce(P):
+    """P in the form of the tree path, or None where that form leaves the
+    polynomials.  For each radical t = u^(1/2) of P, t^(2k+r) becomes u^k·t^r,
+    so P is A·t⁻¹ + B + C·t; a t part beside a t⁻¹ part folds into it,
+    (A + C·u)·t⁻¹ + B, as the tree's common denominator t does.  None
+    for a power t⁻² or lower, whose denominator u is not a monomial, and
+    for A·t⁻¹ alone with A a one-term multiple of u, which the tree may
+    or may not turn into that term times t.  P itself when it is in
+    that form already."""
+    for j in _radicals_in(P):
+        parts = {}
+        for m, c in P.items():
+            e = dict(m).get(j, 0)
+            parts.setdefault(e, _Poly())[tuple(f for f in m if f[0] != j)] = c
+        low, high = min(parts), max(parts)
+        U = _GEN[j].radicand
+        if low < -1:
+            return None
+        if high <= 1 and not (low == -1 and high == 1):
+            if low == -1 and high == -1 and _is_multiple(parts[-1], U):
+                return None
+            continue
+        A, B, C = parts.get(-1, _ZERO), _ZERO, _ZERO
+        for e, part in parts.items():
+            if e >= 0:
+                part = _mul(part, _power(U, e // 2))
+                B, C = (B, _add(C, part)) if e % 2 else (_add(B, part), C)
+        if A:
+            A, C = _add(A, _mul(C, U)), _ZERO
+            if not B and _is_multiple(A, U):
+                return None
+        P = _add(_add(_mul_term(A, ((j, -1),), 1), B), _mul_term(C, ((j, 1),), 1))
+    return P
+
+
+def _meets_radicand(*factors):
+    """Whether a product of these factors may let the tree cancel a
+    radicand against its radical: one factor is a one-term multiple of a
+    radicand u and another holds 1/u^(1/2).  The tree path decides
+    those."""
+    inverted = {g for F in factors for m in F for g, e in m if e < 0 and _GEN[g].kind == 2}
+    return any(_is_multiple(F, _GEN[j].radicand) for j in inverted for F in factors)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial rings, for linear algebra
+# ---------------------------------------------------------------------------
 
 
 def _monomial_div(a, b):
@@ -525,344 +864,32 @@ class _Ring(PolyRing):
         return obj
 
 
-_RINGS = {}  # sorted generators -> _Ring
-_GENS = {}  # ring -> its _Generators
-# a name's symbol -> the ring of the table that last built one over it, and
-_HOMES = {}  # a placeholder -> the ring of the last ``placeholders`` call that declared it
-_PARTIALS = {}  # (placeholder generator, symbol) -> its partial derivative
-# radical generator -> (its radicand over the radicand's names, those names,
-# its place among radicals); and a radicand's terms -> its radical or None
-_RADICANDS = {}
-_RADICALS = {}
+_RINGS = {}  # generator ids in their order -> _Ring
 
 
-def _order(g):
-    """A generator's place in its ring: symbols by name, then the
-    placeholders by name, arguments and differentiations, then the
-    radicals by their radicands."""
-    if g.is_Symbol:
-        return 0, g.name
-    if g.is_Pow:
-        return 2, _RADICANDS[g][2]
-    f = _function_of(g)
-    return (1, f.func.__name__, tuple(a.name for a in f.args),
-            () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
+def _ring(polys):
+    """``(R, to_ring, from_ring)``: the ring over QQ of the generators
+    that occur in ``polys``, in their order, built once; the map of a
+    polynomial into it, and of an element of it back."""
+    gens = tuple(sorted(set().union(*[P.gens() for P in polys]), key=lambda g: _GEN[g].order))
+    if gens not in _RINGS:
+        _RINGS[gens] = _Ring([_GEN[g].sym for g in gens])
+    R, index = _RINGS[gens], {g: i for i, g in enumerate(gens)}
 
-
-def _ring(symbols) -> PolyRing:
-    """The one ring over QQ whose generators are ``symbols`` in ``_order``,
-    with the names of each radical's radicand."""
-    gens = set(symbols)
-    for g in [g for g in gens if g.is_Pow]:
-        gens.update(_RADICANDS[g][1])
-    gens = tuple(sorted(gens, key=_order))
-    if gens not in _RINGS:  # described first: a published ring always is
-        R = _Ring(gens)
-        gens_info = _GENS[R] = _Generators(gens)
-        for j in range(gens_info.first_radical, len(gens)):
-            gens_info.radicands[j] = _into(_RADICANDS[gens[j]][0], R)
-        _RINGS[gens] = R
-    return _RINGS[gens]
-
-
-def _into(P, R):
-    """P as an element of R, whose generators include those that occur
-    in P."""
-    index, symbols = _GENS[R].index, P.ring.symbols
-    out = R.zero
-    for monom, coeff in P.items():
-        m = [0] * R.ngens
-        for s, e in zip(symbols, monom):
-            if e:  # looked up only where it occurs: P's ring may be a model's
-                m[index[s]] = e
-        out[tuple(m)] = coeff
-    return out
-
-
-@functools.cache  # a model's rings, its placeholders' home among them, meet again and again
-def _union(R, S):
-    """The ring of the union of two rings' generators: one of them if it holds the other's."""
-    r, s = _GENS[R].index.keys(), _GENS[S].index.keys()
-    return R if r >= s else S if s >= r else _ring(R.symbols + S.symbols)
-
-
-def _unify(*polys):
-    """The elements over the ring of the union of their generators; a
-    zero or a number becomes that ring's constant without a copy."""
-    R = polys[0].ring
-    for P in polys[1:]:
-        R = R if P.ring is R else _union(R, P.ring)
-    return [P if P.ring is R else R.zero if not P else _into(P, R) if P.ring.ngens
-            else R.ground_new(P[()]) for P in polys]
-
-
-def _is_placeholder(node):
-    """Whether a tree is a ring generator that is not a symbol: an
-    unknown function applied to distinct coordinate symbols, or a
-    partial derivative of one."""
-    f = _function_of(node)
-    return (isinstance(f, AppliedUndef) and len(set(f.args)) == len(f.args)
-            and all(a.is_Symbol and _COORD_RE.match(a.name) for a in f.args))
-
-
-def _function_of(g):
-    """The applied function of a placeholder generator (itself, or what a
-    partial differentiates)."""
-    return g.expr if isinstance(g, sp.Derivative) else g
-
-
-def _as_poly(sym, radicals=False):
-    """The ring element of a sympy tree that is a Laurent polynomial over
-    QQ in its symbols and placeholders (expanded or not; a negative power
-    only of a symbol or a placeholder), or None.  It is built with ring
-    arithmetic: sympy's ``from_expr`` refuses negative powers.
-
-    With ``radicals``, for a canonical tree: the powers of ``_radical``s
-    are generators too, and the element is returned when it is in the
-    form ``_reduce`` gives, which is then the form of the tree."""
-    symbols, roots, stack = set(), {}, [sym]
-    while stack:
-        node = stack.pop()
-        if node.is_Symbol:
-            symbols.add(node)
-        elif node.is_Add or node.is_Mul:
-            stack.extend(node.args)
-        elif node.is_Pow and node.exp.is_Integer and (
-                node.exp.is_positive or node.base.is_Symbol or _is_placeholder(node.base)):
-            stack.append(node.base)
-        elif node.is_Rational:
-            pass
-        elif _is_placeholder(node):
-            symbols.add(node)
-        elif radicals and node.is_Pow and node.exp.is_Rational and node.exp.q == 2 and (
-                node.base.is_Add):
-            roots[node.base] = t = _radical(_as_poly(node.base), node.base)
-            if t is None:
-                return None
-            symbols.add(t)
-        else:
-            return None
-    R = _ring(symbols)
-    gens = dict(zip(R.symbols, R.gens))
-
-    def build(node):
-        if node.is_Add or node.is_Mul:
-            args = [build(a) for a in node.args]
-            return sum(args, R.zero) if node.is_Add else math.prod(args, start=R.one)
-        if node.is_Pow and node.exp.is_Integer:
-            return _power(build(node.base), int(node.exp))
-        if node.is_Pow:
-            return _power(gens[roots[node.base]], int(node.exp.p))
-        if node.is_Rational:
-            return R.ground_new(QQ(int(node.p), int(node.q)))
-        return gens[node]
-
-    P = build(sym)
-    return P if not radicals or _reduce(P) is P else None
-
-
-def _power(P, n):
-    """P ** n, for a single-term P when n is negative."""
-    if n >= 0:
-        return P ** n if n else P.ring.one  # 0^0 = 1
-    (monom, coeff), = P.items()
-    return P.ring.from_dict({tuple(n * e for e in monom): coeff ** n})
-
-
-def _is_laurent(P):
-    """Whether some exponent of P is negative."""
-    return any(e < 0 for monom in P.itermonoms() for e in monom)
-
-
-def _holds_atoms(P):
-    """Whether a generator that is not a symbol (a placeholder or a
-    radical) occurs in P."""
-    first = _GENS[P.ring].first_placeholder
-    return first < P.ring.ngens and any(any(m[first:]) for m in P.itermonoms())
-
-
-def _present(P, positions):
-    """The positions among ``positions`` of generators that occur in P."""
-    if not positions:
-        return []
-    monoms = list(P.itermonoms())
-    return [j for j in positions if any(m[j] for m in monoms)]
-
-
-def _partial(g, x):
-    """sympy's ∂g/∂x of a placeholder generator g that takes x, built
-    once.  A first partial is the tree ``sp.diff`` gives, put together
-    without its checks; a partial of a partial is ``sp.diff``'s."""
-    if (g, x) not in _PARTIALS:
-        _PARTIALS[g, x] = (Basic.__new__(sp.Derivative, g, sp.Tuple(x, sp.S.One))
-                           if isinstance(g, AppliedUndef) else sp.diff(g, x))
-    return _PARTIALS[g, x]
-
-
-def _widened(R, g):
-    """R with the first partials of its placeholder generator g."""
-    wider = _GENS[R].widened
-    if g not in wider:
-        wider[g] = _ring(R.symbols + tuple(_partial(g, x) for x in _function_of(g).args))
-    return wider[g]
-
-
-def _pdiff(P, x):
-    """∂P/∂x, before ``_reduce``.  A radical t = u^(1/2) differentiates
-    to (∂u/∂x)/2 · t⁻¹.  A placeholder generator that takes x
-    differentiates to the generator of its partial, which joins the
-    ring, with the placeholder's other first partials, when it is not in
-    it yet."""
-    R = P.ring
-    gens = _GENS[R]
-    i = gens.index.get(x)
-    d = R.zero if i is None else P.diff(i)
-    moved = _present(P, gens.dependents.get(x, ()))
-    for j in [j for j in moved if j >= gens.first_radical]:
-        du = _pdiff(gens.radicands[j], x).mul_monom(_unit(R, j, -1))
-        d += P.diff(j) * du * QQ(1, 2)
-    moved = [j for j in moved if j < gens.first_radical]
-    if not moved:
-        return d
-    S = R
-    for j in moved:
-        if _partial(R.symbols[j], x) not in _GENS[S].index:
-            S = _widened(S, R.symbols[j])
-    if S is not R:
-        P, d = _into(P, S), _into(d, S)
-    index = _GENS[S].index
-    for j in moved:
-        g = R.symbols[j]
-        d = d + P.diff(index[g]) * S.gens[index[_partial(g, x)]]
-    return d
-
-
-def _terms(P):
-    """P's terms, each monomial as its (symbol, exponent) pairs: equal for
-    equal elements of any two rings."""
-    symbols = P.ring.symbols
-    return frozenset((tuple((s, e) for s, e in zip(symbols, m) if e), c) for m, c in P.items())
-
-
-def _is_radicand(U):
-    """Whether the tree path keeps ``sqrt(U)`` as it stands: U is a
-    polynomial in symbols of more than one term that sympy's term
-    factoring leaves alone, with integer coefficients without a common
-    factor, not all negative, and no generator dividing every term."""
-    if len(U) < 2 or _is_laurent(U) or _holds_atoms(U):
-        return False
-    coeffs = U.values()
-    return (all(c.denominator == 1 for c in coeffs) and math.gcd(*map(int, coeffs)) == 1
-            and any(c > 0 for c in coeffs) and not any(map(min, zip(*U.itermonoms()))))
-
-
-def _radicand_tree(U):
-    """``U.as_expr()`` for a polynomial U in symbols of two or more terms,
-    built without an evaluated sum: each term is the ``Mul`` of its coefficient and
-    powers, and ``_unevaluated_Add`` puts the number first and sorts the
-    rest with ``_addsort``, as ``Add.flatten`` does.  The first evaluated
-    sum of a process imports sympy's tensor and combinatorics packages."""
-    symbols, to_sympy = U.ring.symbols, U.ring.domain.to_sympy
-    return _unevaluated_Add(*[
-        sp.Mul(to_sympy(c), *[sp.Pow(s, e) for s, e in zip(symbols, m) if e])
-        for m, c in U.iterterms()])
-
-
-def _radical(U, base=None):
-    """The generator ``sqrt(U)`` of a ring element U, or None where U is
-    None or not a radicand the tree path keeps whole (``_is_radicand``).
-    It is built once for U's terms, whatever ring holds them, from
-    ``base``, U's canonical tree; a caller that holds no tree passes
-    none, and ``_radicand_tree`` builds it from U's terms."""
-    if U is None:
-        return None
-    key = _terms(U)
-    if key not in _RADICALS:
-        g = None
-        if _is_radicand(U):
-            base = _radicand_tree(U) if base is None else base
-            g = sp.Pow(base, sp.S.Half)
-            names = tuple(U.ring.symbols[i] for i in _present(U, range(U.ring.ngens)))
-            _RADICANDS[g] = U, names, sp.default_sort_key(base)
-        _RADICALS[key] = g
-    return _RADICALS[key]
-
-
-def _radical_atom(g):
-    """(sort key, text) of a radical generator: the tree printer's, for
-    the fractional power of a sum."""
-    text = _tree_text(g.base)
-    return (6, text), "sqrt(%s)" % text
-
-
-def _unit(R, j, e):
-    """The monomial of R's generator j to the power e."""
-    return tuple(e if k == j else 0 for k in range(R.ngens))
-
-
-def _radicals_in(P):
-    """The positions of the radicals that occur in P."""
-    gens = _GENS[P.ring]
-    return _present(P, range(gens.first_radical, P.ring.ngens))
-
-
-def _is_multiple(P, U):
-    """Whether P is a one-term multiple of U."""
-    if len(P) != len(U):
-        return False
-    (m, c), (n, d) = P.LT, U.LT
-    return P == U.mul_term((tuple(a - b for a, b in zip(m, n)), c / d))
-
-
-def _reduce(P):
-    """P in the form of the tree path, or None where that form leaves the
-    ring.  For each radical t = u^(1/2) of P, t^(2k+r) becomes u^k·t^r,
-    so P is A·t⁻¹ + B + C·t; a t part beside a t⁻¹ part folds into it,
-    (A + C·u)·t⁻¹ + B, as the tree's common denominator t does.  None
-    for a power t⁻² or lower, whose denominator u is not a monomial, and
-    for A·t⁻¹ alone with A a one-term multiple of u, which the tree may
-    or may not turn into that term times t.  P itself when it is in
-    that form already."""
-    R = P.ring
-    if _GENS[R].first_radical == R.ngens:
-        return P
-    for j in _radicals_in(P):
-        parts = {}
+    def to_ring(P):
+        out = R.zero
         for m, c in P.items():
-            parts.setdefault(m[j], {})[m[:j] + (0,) + m[j + 1:]] = c
-        low, high = min(parts), max(parts)
-        U = _GENS[R].radicands[j]
-        if low < -1:
-            return None
-        if high <= 1 and not (low == -1 and high == 1):
-            if low == -1 and high == -1 and _is_multiple(R.from_dict(parts[-1]), U):
-                return None
-            continue
-        A, B, C = R.from_dict(parts.get(-1, {})), R.zero, R.zero
-        for e, terms in parts.items():
-            if e >= 0:
-                part = R.from_dict(terms) * U ** (e // 2)
-                B, C = (B, C + part) if e % 2 else (B + part, C)
-        if A:
-            A, C = A + C * U, R.zero
-            if not B and _is_multiple(A, U):
-                return None
-        P = A.mul_monom(_unit(R, j, -1)) + B + C.mul_monom(_unit(R, j, 1))
-    return P
+            exps = [0] * len(gens)
+            for g, e in m:
+                exps[index[g]] = e
+            out[tuple(exps)] = c
+        return out
 
+    def from_ring(P):
+        return _Poly({tuple(sorted((gens[i], e) for i, e in enumerate(m) if e)): c
+                      for m, c in P.items()})
 
-def _meets_radicand(*factors):
-    """Whether a product of these factors (over one ring) may let the tree
-    cancel a radicand against its radical: one factor is a one-term
-    multiple of a radicand u and another holds 1/u^(1/2).  The tree path
-    decides those."""
-    R = factors[0].ring
-    gens = _GENS[R]
-    for j in range(gens.first_radical, R.ngens):
-        if any(m[j] < 0 for F in factors for m in F.itermonoms()) and any(
-                _is_multiple(F, gens.radicands[j]) for F in factors):
-            return True
-    return False
+    return R, to_ring, from_ring
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +900,7 @@ def _meets_radicand(*factors):
 class Expression(Immutable):
     """An immutable expression in canonical form.
 
-    A Laurent polynomial is held as a ring element (``_poly``) and its
+    A Laurent polynomial is held as a ``_Poly`` (``_poly``) and its
     sympy tree is built on first use; anything else is held as its
     canonical sympy tree (``_poly`` is None).  The wrapper is the public
     contract; the tree (``.sym``) is for this module and for tests.
@@ -902,7 +929,7 @@ class Expression(Immutable):
 
     @classmethod
     def from_poly(cls, poly) -> "Expression":
-        """The expression of an element of one of this module's rings."""
+        """The expression of a ``_Poly``."""
         return object.__new__(cls)._set(poly, None)
 
     def __reduce__(self):
@@ -922,7 +949,7 @@ class Expression(Immutable):
             raise ExprError("a number is an int or a Fraction, not %r; parse text "
                             "with parse()" % (value,))
         value = Fraction(value)
-        return cls.from_poly(_ring(()).ground_new(QQ(value.numerator, value.denominator)))
+        return cls.from_poly(_number(QQ(value.numerator, value.denominator)))
 
     @classmethod
     def constant(cls, name: str) -> "Expression":
@@ -938,7 +965,7 @@ class Expression(Immutable):
     @property
     def sym(self):
         """The canonical sympy tree; for a polynomial, the tree ``sp.expand``
-        gives, built from the ring element once."""
+        gives, built from the polynomial once."""
         if self._sym is None:
             object.__setattr__(self, "_sym", self._poly.as_expr())
         return self._sym
@@ -957,7 +984,7 @@ class Expression(Immutable):
         """Whether there are no function atoms (placeholders are) and no
         fractional powers."""
         if self._poly is not None:
-            return not _holds_atoms(self._poly)
+            return not any(_GEN[g].kind for g in self._poly.gens())
         return not self._sym.atoms(sp.Function) and all(
             p.exp.is_Integer for p in self._sym.atoms(sp.Pow))
 
@@ -966,17 +993,12 @@ class Expression(Immutable):
         P = self._poly
         if P is None:
             return bool(self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
-        gens = _GENS[P.ring]
-        return bool(_present(P, range(gens.first_placeholder, gens.first_radical)))
+        return _holds(P, 1)
 
     def _free_symbols(self):
         """The symbols the value depends on: a placeholder's arguments too."""
         P = self._poly
-        if P is None:
-            return self._sym.free_symbols
-        free = _GENS[P.ring].free
-        return {s for i, exponents in enumerate(zip(*P.itermonoms())) if any(exponents)
-                for s in free[i]}
+        return self._sym.free_symbols if P is None else _free(P)
 
     def free_names(self) -> set:
         return {s.name for s in self._free_symbols()}
@@ -1000,7 +1022,7 @@ class Expression(Immutable):
         return NotImplemented
 
     def _apply(self, other, op, swap=False):
-        """``op`` in the ring when both sides are ring elements (and a
+        """``op`` on the polynomials when both sides are polynomials (and a
         divisor is a single term: ``/`` multiplies by its inverse), else on
         the trees."""
         o = self._coerce(other)
@@ -1009,12 +1031,11 @@ class Expression(Immutable):
         a, b = (o, self) if swap else (self, o)
         P, Q = a._poly, b._poly
         if P is not None and Q is not None and (op is not operator.truediv or len(Q) == 1):
-            ring_op = op
+            poly_op = op
             if op is operator.truediv:
-                ring_op, Q = operator.mul, _power(Q, -1)
-            P, Q = _unify(P, Q)
-            if ring_op is not operator.mul or not _meets_radicand(P, Q):
-                result = _reduce(ring_op(P, Q))
+                poly_op, Q = operator.mul, _power(Q, -1)
+            if poly_op is not operator.mul or not _meets_radicand(P, Q):
+                result = _reduce(_OPS[poly_op](P, Q))
                 if result is not None:
                     return Expression.from_poly(result)
         return Expression(op(a.sym, b.sym))
@@ -1057,15 +1078,14 @@ class Expression(Immutable):
         elif P is not None and other.q == 2:
             t = _radical(P, self._sym)
             if t is not None:
-                R = _ring(P.ring.symbols + (t,))
-                result = _reduce(_power(R.gens[_GENS[R].index[t]], int(other.p)))
+                result = _reduce(_power(_GEN[_gen(t)].poly, int(other.p)))
         if result is not None:
             return Expression.from_poly(result)
         return Expression(sp.Pow(self.sym, other))
 
     def __neg__(self):
         if self._poly is not None:
-            return Expression.from_poly(-self._poly)
+            return Expression.from_poly(_mul_term(self._poly, (), -1))
         return Expression(-self._sym)
 
     # -- equality ----------------------------------------------------------
@@ -1078,12 +1098,13 @@ class Expression(Immutable):
         P, Q = self._poly, other._poly
         if P is None or Q is None:
             return P is Q and self._sym == other._sym
-        return operator.eq(*_unify(P, Q))
+        return P == Q
 
     def __hash__(self):
-        if self._hash is None:  # a polynomial's hash does not depend on its ring
+        if self._hash is None:
             P = self._poly
-            object.__setattr__(self, "_hash", hash(self._sym) if P is None else hash(_terms(P)))
+            object.__setattr__(self, "_hash", hash(self._sym) if P is None
+                               else hash(frozenset(P.items())))
         return self._hash
 
     # -- operations --------------------------------------------------------
@@ -1108,47 +1129,29 @@ ZERO = Expression(0)
 ONE = Expression(1)
 
 
-def _generator(symbol, R=None) -> Expression:
-    """A name or placeholder as a generator of R, by default of its home,
-    else of a ring of its own."""
-    R = R or _HOMES.get(symbol) or _ring((symbol,))
-    return Expression.from_poly(R.gens[_GENS[R].index[symbol]])
+def _generator(symbol) -> Expression:
+    """A name or a placeholder as a generator."""
+    return Expression.from_poly(_GEN[_gen(symbol)].poly)
 
 
-def placeholders(names: Sequence[str], args: Sequence[Coordinate],
-                 table: SymbolTable = None) -> List[Expression]:
+def placeholders(names: Sequence[str], args: Sequence[Coordinate]) -> List[Expression]:
     """Opaque unknown functions of the given distinct coordinates, one
-    per name, declared together.
-
-    They are generators of their *home*, which this builds: the ring
-    over the table's names, every placeholder of this call and their
-    first partials.  So a model's unknowns share one ring, and their
-    first partials are in it.  A later declaration of the same unknown
-    gives it the later home.  The model reader declares a model's
-    unknowns when a command first reads a candidate that holds one.
-    """
+    per name.  The model reader declares a model's unknowns when a
+    command first reads a candidate that holds one."""
     symbols = [c.symbol for c in args]
     if len(set(symbols)) != len(symbols):
         raise ExprError("a placeholder takes distinct coordinates")
-    functions = [sp.Function(name)(*symbols) for name in names]
-    own = table._parse_ring().symbols if table is not None else ()
-    home = _ring(own + tuple(functions) + tuple(
-        _partial(f, x) for f in functions for x in symbols))
-    _HOMES.update(dict.fromkeys(functions, home))
-    return [_generator(f, home) for f in functions]
+    return [_generator(sp.Function(name)(*symbols)) for name in names]
 
 
 def placeholder(name: str, args: Sequence[Coordinate]) -> Expression:
-    """An opaque unknown function of the given distinct coordinates, in
-    the home it was declared in (see ``placeholders``), else declared
-    alone.
+    """An opaque unknown function of the given distinct coordinates.
 
     Used by the residual reports when a candidate's components are left
     symbolic (the "?" components of a model file); prints as the bare name,
     with partial derivatives printed as d(name)/d(coord).
     """
-    f = sp.Function(name)(*[c.symbol for c in args])
-    return _generator(f) if f in _HOMES else placeholders([name], args)[0]
+    return placeholders([name], args)[0]
 
 
 def placeholder_derivative(name: str, args: Iterable[Coordinate], wrt: Coordinate) -> Expression:
@@ -1181,20 +1184,19 @@ def diff(e: Expression, v) -> Expression:
 def derivation(e: Expression, pairs) -> Expression:
     """Σ c·∂e/∂u over the (u, c) pairs, u a coordinate and c an Expression.
 
-    In the ring when ``e`` and the ``c`` of its symbols (a placeholder's
-    arguments and a radicand's names too) are ring elements; otherwise
-    the sympy sum is built from the raw partials and canonicalized once.
-    With radicals, the ring sum is reduced once, as the tree is, and the
-    tree path is taken where a partial or a product may take another
-    form there (see ``_reduce`` and ``_meets_radicand``).
+    On the polynomials when ``e`` and the ``c`` of the symbols it depends
+    on (a placeholder's arguments and a radicand's names too) are
+    polynomials; otherwise the sympy sum is built from the raw partials
+    and canonicalized once.  With radicals, the sum is reduced once, as
+    the tree is, and the tree path is taken where a partial or a product
+    may take another form there (see ``_reduce`` and ``_meets_radicand``).
     """
     pairs = [(_as_symbol(u), c) for u, c in pairs]
     P = e._poly
-    gens = None if P is None else _GENS[P.ring]
-    hits = [] if P is None else [(x, c) for x, c in pairs
-                                 if x in gens.index or x in gens.dependents]
+    free = () if P is None else _free(P)
+    hits = [(x, c) for x, c in pairs if x in free]
     if P is not None and all(c._poly is not None for _, c in hits):
-        total = _ring_derivation(P, hits)
+        total = _poly_derivation(P, hits)
         if total is not None:
             return Expression.from_poly(total)
     total = sp.S.Zero
@@ -1203,56 +1205,50 @@ def derivation(e: Expression, pairs) -> Expression:
     return Expression(total)
 
 
-def _ring_derivation(P, hits):
-    """Σ c·∂P/∂x over the hits in the ring, or None where the tree path
-    decides: a partial or a product that ``_reduce`` or
-    ``_meets_radicand`` sends there, or a t⁻² in a product."""
-    total = P.ring.zero
+def _poly_derivation(P, hits):
+    """Σ c·∂P/∂x over the hits, or None where the tree path decides: a
+    partial or a product that ``_reduce`` or ``_meets_radicand`` sends
+    there, or a t⁻² in a product."""
+    total = _ZERO
     for x, c in hits:
         d = _pdiff(P, x)
         if not d:
             continue
         if _reduce(d) is None:
             return None
-        d, c = _unify(d, c._poly)
-        term = c * d
+        c = c._poly
+        term = _mul(c, d)
         radicals = _radicals_in(term)
-        if _meets_radicand(c, d) or any(m[j] < -1 for m in term.itermonoms() for j in radicals):
+        if _meets_radicand(c, d) or any(g in radicals and e < -1 for m in term for g, e in m):
             return None
-        total, term = _unify(total, term)
-        total += term
+        total = _add(total, term)
     return _reduce(total)
 
 
 def substitute(e: Expression, rules: Mapping) -> Expression:
     """Simultaneous substitution; right-hand sides are not re-substituted.
 
-    In the ring when ``e`` and the right-hand sides of its symbols are
-    ring elements, no substituted symbol has a negative exponent in ``e``
-    (``compose`` raises on one), none is an argument of a placeholder or
-    a name of a radicand of ``e``, and the result over radicals is in
-    the form the tree takes (``_reduce``, ``_meets_radicand``); on the
-    tree otherwise.  A rule that maps a variable of a placeholder's
-    partial derivative to anything but a symbol raises ExprError naming
-    that partial: the derivative of an unknown function by an
-    expression is not defined."""
+    On the polynomials when ``e`` and the right-hand sides of the
+    symbols that occur in it are polynomials, no substituted symbol has
+    a negative exponent in ``e``, none is an argument of a placeholder or
+    a name of a radicand of ``e``, and the result over radicals is in the
+    form the tree takes (``_reduce``, ``_meets_radicand``); on the tree
+    otherwise.  A rule that maps a variable of a placeholder's partial
+    derivative to anything but a symbol raises ExprError naming that
+    partial: the derivative of an unknown function by an expression is
+    not defined."""
     table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
-    gens = None if P is None else _GENS[P.ring]
-    hits = [] if P is None else [(x, v) for x, v in table.items() if x in gens.index]
-    if P is not None and all(v._poly is not None for _, v in hits) and not _present(
-            P, [j for x in table for j in gens.dependents.get(x, ())]):
+    if P is not None and not any(_GEN[g].kind and not _GEN[g].free.isdisjoint(table)
+                                 for g in P.gens()):
+        hits = {_IDS[x]: v._poly for x, v in table.items() if _IDS.get(x) in P.gens()}
         if not hits:
             return e
-        P, *values = _unify(P, *(v._poly for _, v in hits))
-        gens = [P.ring.gens[_GENS[P.ring].index[x]] for x, _ in hits]
-        try:
-            result = None if _meets_radicand(P, *values) else _reduce(
-                P.compose(list(zip(gens, values))))
-        except ValueError:  # a negative power of a substituted generator
-            result = None
-        if result is not None:
-            return Expression.from_poly(result)
+        if None not in hits.values():
+            result = None if _meets_radicand(P, *hits.values()) else _compose(P, hits)
+            result = None if result is None else _reduce(result)
+            if result is not None:
+                return Expression.from_poly(result)
     tree = e.sym
     for d in tree.atoms(sp.Derivative):
         for x in d.variables:
@@ -1264,17 +1260,19 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
 
 
 def _domain_matrix(rows: Sequence[Sequence[Expression]]):
-    """``(M, back)``: the rows as a DomainMatrix ``M`` over the entries'
-    polynomial ring, or over the domain ``from_list_sympy`` picks for their
-    trees, and ``back``, the map from its domain to Expressions."""
+    """``(M, back)``: the rows as a DomainMatrix ``M`` over the polynomial
+    ring of their entries' generators, or over the domain
+    ``from_list_sympy`` picks for their trees, and ``back``, the map from
+    its domain to Expressions."""
     shape = (len(rows), len(rows[0]) if rows else 0)
     polys = [e._poly for row in rows for e in row]
-    if polys and all(P is not None and not _is_laurent(P) and not _radicals_in(P)
+    if polys and all(P is not None and not _is_laurent(P) and not _holds(P, 2)
                      for P in polys):
-        polys, m = _unify(*polys), shape[1]
-        domain = polys[0].ring.to_domain()
-        return DomainMatrix([polys[i:i + m] for i in range(0, len(polys), m)],
-                            shape, domain), Expression.from_poly
+        R, to_ring, from_ring = _ring(polys)
+        entries, m = [to_ring(P) for P in polys], shape[1]
+        return (DomainMatrix([entries[i:i + m] for i in range(0, len(entries), m)],
+                             shape, R.to_domain()),
+                lambda x: Expression.from_poly(from_ring(x)))
     M = DomainMatrix.from_list_sympy(*shape, [[e.sym for e in row] for row in rows])
     return M, lambda x: Expression(M.domain.to_sympy(x))
 
@@ -1304,35 +1302,37 @@ def solve_linear(rows: Sequence[Sequence[Expression]],
 def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
     """The exact determinant of a square matrix of Expressions.
 
-    When every entry is a ring element, over their polynomial ring: each
-    row is first multiplied by the monomial that clears its negative
-    exponents (radicals' included), and the determinant divided by their
-    product, then reduced by ``_reduce``, which maps t² to u as the
-    quotient ring QQ[…, t]/(t² − u) does, so the result is exact.  The
-    entries' trees are taken where the result would leave the ring or a
-    radicand may cancel against its radical (``_meets_radicand``)."""
+    When every entry is a polynomial, over the polynomial ring of their
+    generators: each row is first multiplied by the monomial that clears
+    its negative exponents (radicals' included), and the determinant
+    divided by their product, then reduced by ``_reduce``, which maps t²
+    to u as the quotient ring QQ[…, t]/(t² − u) does, so the result is
+    exact.  The entries' trees are taken where the result would leave
+    the polynomials or a radicand may cancel against its radical
+    (``_meets_radicand``)."""
     polys = [e._poly for row in rows for e in row]
-    if polys and all(P is not None for P in polys):
-        polys = _unify(*polys)
-        if not _meets_radicand(*polys):
-            R, entries, cleared = polys[0].ring, iter(polys), []
-            scale = [0] * R.ngens
-            for row in [[next(entries) for _ in row] for row in rows]:
-                low = [min([0] + [m[k] for P in row for m in P.itermonoms()])
-                       for k in range(R.ngens)]
-                scale = [a + b for a, b in zip(scale, low)]
-                cleared.append([P.mul_monom(tuple(-e for e in low)) for P in row])
-            shape = (len(rows), len(rows[0]))
-            det = DomainMatrix(cleared, shape, R.to_domain()).det()
-            result = _reduce(det.mul_monom(tuple(scale)))
-            if result is not None:
-                return Expression.from_poly(result)
+    if polys and all(P is not None for P in polys) and not _meets_radicand(*polys):
+        cleared, scale, entries = [], {}, iter(polys)
+        for row in [[next(entries) for _ in row] for row in rows]:
+            low = {}
+            for g, e in (f for P in row for m in P for f in m if f[1] < 0):
+                low[g] = min(low.get(g, 0), e)
+            for g, e in low.items():
+                scale[g] = scale.get(g, 0) + e
+            clear = tuple(sorted((g, -e) for g, e in low.items()))
+            cleared.append([_mul_term(P, clear, 1) for P in row])
+        R, to_ring, from_ring = _ring([P for row in cleared for P in row])
+        det = DomainMatrix([list(map(to_ring, row)) for row in cleared],
+                           (len(rows), len(rows[0])), R.to_domain()).det()
+        result = _reduce(_mul_term(from_ring(det), tuple(sorted(scale.items())), 1))
+        if result is not None:
+            return Expression.from_poly(result)
     M, back = _domain_matrix(rows)
     return back(M.det())
 
 
 def _subtext(sym):
-    if isinstance(sym, str):  # compiled from a ring element: the text itself
+    if isinstance(sym, str):  # compiled from a polynomial: the text itself
         return sym
     try:
         return _tree_text(sym)
@@ -1407,7 +1407,7 @@ class _Compiler:
     and sort keys are computed leaves first, each from its children's
     cached keys, so no depth of nesting reaches the recursion limit; no
     statement nests parentheses.  ``terms`` writes the same statements
-    for a ring element without building its tree.  Compilers that share a
+    for a polynomial without building its tree.  Compilers that share a
     namespace, each with its own ``prefix`` for its variables, write
     statements that can be spliced into one function.
     """
@@ -1423,10 +1423,10 @@ class _Compiler:
 
     def value(self, e) -> str:
         """Emit the statements that evaluate the Expression e, from its
-        terms if it is a ring element without placeholders, else from its
+        terms if it is a polynomial without placeholders, else from its
         tree; return its value."""
-        ring = e._poly is not None and not e.has_placeholders
-        return self.terms(e._poly) if ring else self.walk(e.sym)
+        terms = e._poly is not None and not e.has_placeholders
+        return self.terms(e._poly) if terms else self.walk(e.sym)
 
     def walk(self, sym) -> str:
         """Emit the statements that evaluate ``sym``; return its value."""
@@ -1465,18 +1465,16 @@ class _Compiler:
         its factors by name, radicals last.  A negative power is one
         ``_int_power`` node, named ``1/x^n`` as the tree's is; a radical's
         power is one ``_root`` node of its radicand, written from the
-        radicand's terms in the same ring, named ``sqrt(u)`` or
-        ``1/sqrt(u)``.  A ring's symbols come first, sorted by name,
-        then its radicals by their radicands, so positions order as the
-        tree's factors do (a placeholder is compiled from the tree).
+        radicand's terms, named ``sqrt(u)`` or ``1/sqrt(u)``.  In the
+        generators' order symbols come first, sorted by name, then
+        radicals by their radicands, as the tree's factors order (a
+        placeholder is compiled from the tree).
         Each number, load and power is emitted once, the first time the
         walk reaches it, inside a radicand or outside it: the tree's
         walk computes one inside again outside, which changes no bit and
         no error, since the first computation raises where the second
         would.
         """
-        gens = _GENS[P.ring]
-        names, first_radical = gens.names, gens.first_radical
         values = self.values
 
         def number(c):
@@ -1484,34 +1482,35 @@ class _Compiler:
                 values["n", c] = self.number(int(c.numerator), int(c.denominator))
             return values["n", c]
 
-        def power(i, e):
-            if ("p", i, e) not in values:
-                if i >= first_radical:
-                    if ("u", i) not in values:
-                        values["u", i] = self.terms(gens.radicands[i])
-                    values["p", i, e] = self.assign("_root(%s, %d, 2, %s)" % (
-                        values["u", i], e, self.ref(names[i] if e == 1 else "1/" + names[i])))
+        def power(g, e):
+            if ("p", g, e) not in values:
+                G = _GEN[g]
+                if G.kind == 2:
+                    if ("u", g) not in values:
+                        values["u", g] = self.terms(G.radicand)
+                    values["p", g, e] = self.assign("_root(%s, %d, 2, %s)" % (
+                        values["u", g], e, self.ref(G.text if e == 1 else "1/" + G.text)))
                 elif e == 1:
-                    values["p", i, e] = self.assign("_load(env, %r)" % names[i])
+                    values["p", g, e] = self.assign("_load(env, %r)" % G.text)
                 else:
-                    text = _power_text(names[i], abs(e))
-                    values["p", i, e] = self.assign("_int_power(%s, %d, %s)" % (
-                        power(i, 1), e, self.ref(text if e > 0 else "1/" + text)))
-            return values["p", i, e]
+                    text = _power_text(G.text, abs(e))
+                    values["p", g, e] = self.assign("_int_power(%s, %d, %s)" % (
+                        power(g, 1), e, self.ref(text if e > 0 else "1/" + text)))
+            return values["p", g, e]
 
         def kind(f):  # the constant, a power of a symbol, a product, a radical
-            return min(len(f), 2) if len(f) != 1 else 3 if f[0][0] >= first_radical else 1
+            return min(len(f), 2) if len(f) != 1 else 3 if _GEN[f[0][2]].kind == 2 else 1
 
         terms = sorted((kind(f), len(f), f, c) for f, c in (
-            (tuple((i, e) for i, e in enumerate(m) if e), c) for m, c in P.terms()))
+            (tuple(sorted((_GEN[g].order, e, g) for g, e in m)), c) for m, c in P.items()))
         operands = []
         for _, count, factors, c in terms:
             if count == 0:
                 operands.append(number(c))
             elif count == 1 and c == 1:
-                operands.append(power(*factors[0]))
+                operands.append(power(factors[0][2], factors[0][1]))
             else:
-                args = ([] if c == 1 else [number(c)]) + [power(i, e) for i, e in factors]
+                args = ([] if c == 1 else [number(c)]) + [power(g, e) for _, e, g in factors]
                 operands.append(self.chain("1.0", "*", args))
                 values["m", len(values)] = operands[-1]  # the next variable is new
         if not operands:  # the zero polynomial
@@ -1588,8 +1587,8 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     """Pointwise IEEE-double evaluation; same bindings give the same bits.
 
     The first call on an expression compiles its canonical tree (for a
-    polynomial without placeholders, the terms of its ring element, into
-    the source its tree gives) into one straight-line Python function and caches it on the
+    polynomial without placeholders, its terms, into the source its tree
+    gives) into one straight-line Python function and caches it on the
     instance; later calls only run it.  The compiled form keeps the
     summation and multiplication order of a recursive walk (each sum
     starts from 0.0 and each product from 1.0, operands in
@@ -1888,20 +1887,20 @@ class _Parser:
         if _COORD_RE.match(name):
             coord = Coordinate.from_name(name)
             if coord in self.table.coordinates:
-                return _generator(coord.symbol, self.table._parse_ring())
+                return _generator(coord.symbol)
             if coord.kind == "momentum" and not self.table.has_momenta:
                 raise UnknownSymbolError(
                     "momentum coordinate %r is not available in this jet-only context" % name
                 )
             raise UnknownSymbolError("coordinate %r is outside the declared universe" % name)
         if name in self.table.constants:
-            return _generator(_symbol(name), self.table._parse_ring())
+            return _generator(_symbol(name))
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
 def _require_real_root(base, pos):
-    P = base._poly  # a ring element is read without building its tree
-    negative = (P.is_ground and P.LC < 0) if P is not None else (
+    P = base._poly  # a polynomial is read without building its tree
+    negative = (len(P) == 1 and P.get((), 0) < 0) if P is not None else (
         base.sym.is_number and base.sym.is_negative)
     if negative:
         raise ExprSyntaxError("root of a negative number", pos)
@@ -1916,7 +1915,7 @@ def parse(text: str, table: SymbolTable) -> Expression:
     q<i>_<A> / p<i>_<A>, operators + - * / ^ (with ^ binding tighter than *),
     functions sqrt sin cos exp ln, parentheses, unary minus.  Each value
     is built with Expression arithmetic as it is parsed, so it enters
-    canonical (polynomials in the table's ring).  Division by a divisor whose
+    canonical.  Division by a divisor whose
     canonical form is 0, ln of a number that is not positive, sqrt or a
     fractional power of a negative number, a power or product whose
     expansion would pass TERM_LIMIT terms (counted by the parser before
@@ -1928,15 +1927,10 @@ def parse(text: str, table: SymbolTable) -> Expression:
     tokens = _tokenize(text)
     parser = _Parser(tokens, table)
     try:
-        e = parser.parse()
+        return parser.parse()
     except RecursionError:
         pos = tokens[min(parser.i, len(tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", pos) from None
-    R = table._parse_ring()
-    if e._poly is None or e._poly.ring is R:
-        return e
-    # a number, a tree that reduced, or the table's ring with a radical
-    return Expression.from_poly(_unify(e._poly, R.zero)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -2081,21 +2075,18 @@ def _power_text(name, e) -> str:
     return name if e == 1 else "%s^%d" % (name, e)
 
 
-def _ring_text(P) -> str:
+def _poly_text(P) -> str:
     """``_tree_text(P.as_expr())``, rendered from the terms of P: each
     term's ``_term`` key and text, built from its exponents (a negative
     one goes to the denominator)."""
     if not P:
         return "0"
-    gens = _GENS[P.ring]
     terms = []
-    for monom, coeff in P.terms():
+    for monom, coeff in P.items():
         nonconst, const, num, den = [], [], [], []
-        for i in gens.printed:
-            e = monom[i]
-            if e:
-                (nonconst if gens.is_coordinate[i] else const).append((gens.keys[i], -e))
-                (num if e > 0 else den).append(_power_text(gens.names[i], abs(e)))
+        for G, e in sorted(((_GEN[g], e) for g, e in monom), key=lambda f: f[0].printed):
+            (nonconst if G.is_coordinate else const).append((G.key, -e))
+            (num if e > 0 else den).append(_power_text(G.text, abs(e)))
         key = (1 if not nonconst else 0, tuple(nonconst), tuple(const), coeff)
         text = _product_text(abs(int(coeff.numerator)), int(coeff.denominator), num, den)
         terms.append((key, coeff < 0, text))
@@ -2105,7 +2096,7 @@ def _ring_text(P) -> str:
 def to_text(e) -> str:
     """Deterministic canonical rendering in the module grammar."""
     e = Expression.of(e)
-    return _tree_text(e._sym) if e._poly is None else _ring_text(e._poly)
+    return _tree_text(e._sym) if e._poly is None else _poly_text(e._poly)
 
 
 # ---------------------------------------------------------------------------
@@ -2123,22 +2114,16 @@ class _StepPrinter(PythonCodePrinter):
         return "_math." + name if fqn.startswith("math.") else name
 
 
-def _python_names(R, renames):
-    """The order in which ``_StepPrinter`` sorts R's generators (symbols by
-    printed name, so a renamed keyword first; placeholders; radicals by
-    their renamed radicands' ``default_sort_key``) and each one's text: a
-    symbol's printed name, a radical's ``_math.sqrt`` of its radicand."""
-    gens = _GENS[R]
-    texts = [renames.get(s, s).name if s.is_Symbol else None for s in R.symbols]
-    order = list(range(R.ngens))
-    if any(s in renames for s in R.symbols):
-        keys = {j: sp.default_sort_key(R.symbols[j].base.xreplace(renames))
-                for j in range(gens.first_radical, R.ngens)}
-        order.sort(key=lambda i: (0, texts[i]) if i < gens.first_placeholder else
-                   (1, i) if i < gens.first_radical else (2, keys[i]))
-    for j in range(gens.first_radical, R.ngens):
-        texts[j] = "_math.sqrt(%s)" % _python_text(gens.radicands[j], order, texts)
-    return order, texts
+def _python_key(g, renames):
+    """Where ``_StepPrinter`` sorts the generator g: symbols by printed
+    name, so a renamed keyword first, then placeholders, then radicals by
+    their renamed radicands' ``default_sort_key``."""
+    G = _GEN[g]
+    if G.kind == 0:
+        return 0, renames.get(G.sym, G.sym).name
+    if G.kind == 2 and not G.free.isdisjoint(renames):
+        return 2, sp.default_sort_key(G.sym.base.xreplace(renames))
+    return G.order
 
 
 def _rational_python(c) -> str:
@@ -2146,46 +2131,58 @@ def _rational_python(c) -> str:
     return str(p) if q == 1 else "%d/%d" % (p, q)
 
 
-def _python_text(P, order, texts) -> str:
+def _python_text(P, renames, texts) -> str:
     """``_StepPrinter().doprint(P.as_expr())`` written from the terms of P,
-    whose generators print as ``texts`` and sort as ``order``.
+    its symbols renamed by ``renames``; ``texts`` holds the text of each
+    generator printed so far: a symbol's printed name, a radical's
+    ``_math.sqrt`` of its radicand.
 
-    The printer orders a sum's terms by their exponents over the sorted
-    generators, largest first (lex order), except a positive number
-    beside one negative multiple of one power, which goes first.  A term
-    is its number, a lone power (``x``, ``x**2``, ``1/x``, ``x**(-2)``),
-    or a product: the sign, the coefficient unless it is 1 (a fraction
-    in parentheses unless the sign precedes it and other factors follow
-    it), the positive powers, then ``/`` and the negative ones, in
-    parentheses when there are several."""
-    def power(i, e):
-        return texts[i] if e == 1 else "%s**%d" % (texts[i], e)
+    The printer orders a sum's terms by their exponents over the
+    generators in ``_python_key`` order, largest first (lex order),
+    except a positive number beside one negative multiple of one power,
+    which goes first.  A term is its number, a lone power (``x``,
+    ``x**2``, ``1/x``, ``x**(-2)``), or a product: the sign, the
+    coefficient unless it is 1 (a fraction in parentheses unless the
+    sign precedes it and other factors follow it), the positive powers,
+    then ``/`` and the negative ones, in parentheses when there are
+    several."""
+    def text(g):
+        if g not in texts:
+            G = _GEN[g]
+            texts[g] = (renames.get(G.sym, G.sym).name if G.kind == 0 else
+                        "_math.sqrt(%s)" % _python_text(G.radicand, renames, texts))
+        return texts[g]
+
+    def power(g, e):
+        return text(g) if e == 1 else "%s**%d" % (text(g), e)
 
     if not P:
         return "0"
-    terms = sorted(((tuple(m[i] for i in order), c) for m, c in P.terms()), reverse=True)
+    order = sorted(P.gens(), key=lambda g: _python_key(g, renames))
+    terms = sorted(((tuple(dict(m).get(g, 0) for g in order), c) for m, c in P.items()),
+                   reverse=True)
     if (len(terms) == 2 and not any(terms[1][0]) and terms[1][1] > 0 and terms[0][1] < 0
             and sum(map(bool, terms[0][0])) == 1):
         terms.reverse()
     pieces = []
     for monom, c in terms:
-        factors = [(i, e) for i, e in zip(order, monom) if e]
+        factors = [(g, e) for g, e in zip(order, monom) if e]
         if not factors:
-            text = _rational_python(c)
+            text_ = _rational_python(c)
         elif c == 1 and len(factors) == 1:
-            (i, e), = factors
-            text = (power(i, e) if e > 0 else "1/" + texts[i] if e == -1
-                    else "%s**(%d)" % (texts[i], e))
+            (g, e), = factors
+            text_ = (power(g, e) if e > 0 else "1/" + text(g) if e == -1
+                     else "%s**(%d)" % (text(g), e))
         else:
             sign = "-" if c < 0 else ""
-            num = [power(i, e) for i, e in factors if e > 0]
-            den = [power(i, -e) for i, e in factors if e < 0]
+            num = [power(g, e) for g, e in factors if e > 0]
+            den = [power(g, -e) for g, e in factors if e < 0]
             if abs(c) != 1:
                 coeff = _rational_python(abs(c))
                 num.insert(0, coeff if "/" not in coeff or sign and num else "(%s)" % coeff)
-            text = sign + "*".join(num or ["1"]) + (
+            text_ = sign + "*".join(num or ["1"]) + (
                 "" if not den else "/" + den[0] if len(den) == 1 else "/(%s)" % "*".join(den))
-        pieces += ["-", text[1:]] if text.startswith("-") else ["+", text]
+        pieces += ["-", text_[1:]] if text_.startswith("-") else ["+", text_]
     return ("-" if pieces[0] == "-" else "") + " ".join(pieces[1:])
 
 
@@ -2198,20 +2195,18 @@ def step_texts(exprs: Sequence[Expression],
     A text is what sympy prints for a math-module function
     (``PythonCodePrinter`` with ``fully_qualified_modules=False``,
     ``inline=True``, ``allow_unknown_functions=True``), with each math
-    function as ``_math.<name>``.  A ring-backed expression without
+    function as ``_math.<name>``.  A polynomial without
     placeholders is written from its terms (``_python_text``) without
     building its tree; the printer prints the rest.  A constant whose
     name is a keyword is renamed ``_<name>``, a symbol that sorts before
     every other name, in the text and in ``params``.
     """
     renames = {_symbol(n): sp.Symbol("_" + n) for n in constant_names if keyword.iskeyword(n)}
-    printer, texts, names = _StepPrinter(), [], {}
+    printer, texts, generators = _StepPrinter(), [], {}
     for e in exprs:
         P = e._poly
         if P is None or e.has_placeholders:
             texts.append(printer.doprint(e.sym.xreplace(renames)))
         else:
-            if P.ring not in names:
-                names[P.ring] = _python_names(P.ring, renames)
-            texts.append(_python_text(P, *names[P.ring]))
+            texts.append(_python_text(P, renames, generators))
     return texts, ["_" + n if keyword.iskeyword(n) else n for n in constant_names]

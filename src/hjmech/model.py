@@ -87,8 +87,8 @@ _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)[ \t]*=[ \t]*(.*)$")
 _COMPONENT_KEY_RE = re.compile(r"^([sa])([0-9]+)_([0-9]+)$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
-# the largest k*n a model may declare: the reader builds (4k+1)*n names,
-# and a check of "?" components a ring of about (k*n)^2 generators
+# the largest k*n a model may declare: a check of "?" components takes
+# about (k*n)^2 first partials of its k*n placeholders
 MAX_KN = 24
 
 
@@ -286,27 +286,22 @@ def loads(text: str) -> ModelFile:
 
     const_names = tuple(constants)
     base = JetSpace(n, k - 1)
-    # one polynomial ring for every name the model's objects can carry:
-    # jets of orders 0..2k, momenta of orders 0..k-1 and the constants
-    names = SymbolTable(JetSpace(n, 2 * k).coordinates + PhaseSpace(n, k).coordinates,
-                        const_names)
-    base_table = names.restricted_to(base.coordinates)
-    lag_table = names.restricted_to(JetSpace(n, k).coordinates)
-    phase_table = names.restricted_to(PhaseSpace(n, k).coordinates)
+    base_table = SymbolTable(base.coordinates, const_names)
+    lag_table = SymbolTable(JetSpace(n, k).coordinates, const_names)
+    phase_table = SymbolTable(PhaseSpace(n, k).coordinates, const_names)
 
     # every "?" component's placeholder, named by the component's
     # canonical key (s02_1 = ? declares s2_1), and the W a check pairs a
     # "?" section with, are declared in one call, when a command first
-    # reads a candidate that holds one: they share one ring over the
-    # model's names and their first partials, and a command that reads
-    # none (simulate, derive) declares none.  Until then a "?" component
+    # reads a candidate that holds one, and a command that reads none
+    # (simulate, derive) declares none.  Until then a "?" component
     # stands as 0 in the candidate that checks the block's keys.
     keys = {"W"}
 
     @functools.cache
     def unknown():
         names = sorted(keys)
-        return dict(zip(names, placeholders(names, base.coordinates, base_table)))
+        return dict(zip(names, placeholders(names, base.coordinates)))
 
     model = ModelFile(name, k, n, constants, sections=_Candidates(),
                       oneforms=_Candidates(), genfuncs=_Candidates())

@@ -8,7 +8,7 @@ component is spliced in as straight-line code.
 
 Bit identity: a component's text is ``expr.step_texts``, the text
 sympy prints for a math-module function, with each math function as
-``_math.<name>``; a ring-backed component's text is written from its
+``_math.<name>``; a polynomial component's text is written from its
 terms, byte for byte what sympy prints for its tree, which is not
 built.  The stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z +
 (h/6)*(k1 + 2*k2 + 2*k3 + k4)``, so every float operation is the one a

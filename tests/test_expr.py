@@ -9,8 +9,9 @@ import os
 import pickle
 import random
 import struct
+import sys
+import threading
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy as sp
@@ -910,21 +911,6 @@ def test_ring_printer_and_compiler_match_the_tree_on_the_derive_transcripts(
             _same_as_tree(e, {name: rng.uniform(-2.0, 2.0) for name in names})
 
 
-@settings(max_examples=100, deadline=None)
-@given(polynomials())
-def test_moving_into_a_larger_ring_changes_nothing(e):
-    P = e._poly
-    # generators that sort between, before and after the element's own
-    extra = tuple(sp.Symbol(name) for name in ("aa", "q0_15", "p3_4"))
-    R = E._ring(P.ring.symbols + extra)
-    moved = Expression.from_poly(E._into(P, R))
-    assert moved._poly.ring is R is not P.ring
-    assert moved == e and hash(moved) == hash(e)
-    assert to_text(moved) == to_text(e)
-    assert _ring_source(moved._poly) == _ring_source(P)
-    assert sp.srepr(moved.sym) == sp.srepr(e.sym)
-
-
 def test_printing_and_evaluating_a_polynomial_build_no_tree():
     e = Expression.from_poly(p("3/2*q0_1^2*a - q1_2 + 7")._poly)
     assert to_text(e) == "3/2*a*q0_1^2 - q1_2 + 7"
@@ -948,35 +934,6 @@ def test_quotients_by_a_term_stay_in_the_ring():
     assert to_text(diff(t, "a")) == "2*q1_2/a^2"
     assert a._sym is None and t._sym is None
     assert (t / a)._poly is None and a._sym is not None
-
-
-def test_a_table_parses_into_one_ring():
-    table = JetSpace(2, 2).table(("c",))
-    texts = ("q0_1", "c*q2_2 - 1", "7", "sqrt(q1_1)^2", "(q0_1^2 - 1)/(q0_1 - 1)")
-    rings = {parse(text, table)._poly.ring for text in texts}
-    assert len(rings) == 1 and len(rings.pop().symbols) == 7
-    # a restricted table parses into the ring of the table it came from
-    small = table.restricted_to(JetSpace(2, 0).coordinates)
-    assert parse("q0_2 + c", small)._poly.ring is parse("q0_1", table)._poly.ring
-    with pytest.raises(UnknownSymbolError):
-        parse("q1_1", small)
-    with pytest.raises(ExprError, match="restricted"):
-        small.restricted_to(JetSpace(2, 1).coordinates)
-
-
-def test_a_name_starts_in_the_ring_of_the_table_that_last_built_one_over_it():
-    with mock.patch.dict(E._HOMES):
-        assert Expression.constant("zz9")._poly.ring.ngens == 1  # no table has built one
-        table = JetSpace(1, 3).table(("k",))
-        R = table._parse_ring()
-        assert Expression.coordinate(jet(3, 1))._poly.ring is R
-        assert Expression.constant("k")._poly.ring is R
-        # a later table moves the homes of its own names only, and parse
-        # builds into its table's ring whatever the homes
-        S = JetSpace(1, 1).table(("k",))._parse_ring()
-        assert Expression.coordinate(jet(0, 1))._poly.ring is S is not R
-        assert Expression.coordinate(jet(3, 1))._poly.ring is R
-        assert parse("q0_1", table)._poly.ring is R
 
 
 HOME_NAMES = ("a", "b") + COORD_NAMES
@@ -1015,16 +972,13 @@ def _build(recipe):
 @settings(max_examples=60, deadline=None)
 @given(recipes(), bindings())
 def test_a_value_does_not_depend_on_the_home_of_its_names(recipe, bindings):
-    # a home is process-global; the same polynomial built before any
-    # table declares its names (one-name rings), after a table declares
-    # some of them, and after one declares all of them is one value
-    with mock.patch.dict(E._HOMES):
-        for name in HOME_NAMES:
-            E._HOMES.pop(E._symbol(name), None)
-        values = [_build(recipe)]
-        for table in (JetSpace(2, 0).table(("b",)), JetSpace(2, 1).table(("a", "b"))):
-            table._parse_ring()
-            values.append(_build(recipe))
+    # the same polynomial built before any table declares its names, after
+    # a table declares some of them, and after one declares all of them
+    # is one value
+    values = [_build(recipe)]
+    for table in (JetSpace(2, 0).table(("b",)), JetSpace(2, 1).table(("a", "b"))):
+        parse("b", table)
+        values.append(_build(recipe))
     first = values[0]
     for e in values[1:]:
         assert e == first and hash(e) == hash(first) and to_text(e) == to_text(first)
@@ -1256,11 +1210,7 @@ def test_laurent_elements_match_the_tree_path(raw, raw2, raw_term, n, data):
     if not e2.is_zero:
         _matches_tree(substitute(e, {name: e2, other: t}),
                       raw.xreplace({x: raw2, y: raw_term}))
-    # equality and hash do not depend on the ring that holds an element
-    extra = tuple(sp.Symbol(s) for s in ("aa", "q0_15", "p3_4"))
-    moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
-    assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
-    assert moved.free_names() == e.free_names() == {s.name for s in E._canon(raw).free_symbols}
+    assert e.free_names() == {s.name for s in E._canon(raw).free_symbols}
 
 
 # -- placeholders as ring generators against the tree path -------------------
@@ -1336,38 +1286,196 @@ def test_placeholder_elements_match_the_tree_path(raw, raw2, raw_term, data):
                                        Expression.constant("b"))))
     _matches_placeholder_tree(substitute(e, {"q0_1": value}),
                               E._canon(raw).xreplace({Q0_1: value.sym}))
-    # equality and hash do not depend on the path or the ring
+    # equality and hash do not depend on the path
     built = sum((Expression(term) for term in sp.Add.make_args(raw)), Expression(0))
     assert built == e and hash(built) == hash(e)
-    extra = (sp.Symbol("aa"), sp.diff(sp.Function("h")(Q0_1), Q0_1))
-    moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
-    assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
 
 
 def test_declared_placeholders_share_one_ring_built_at_declaration():
-    # the declaration builds the table's ring and the home: the table's
-    # names, both placeholders and their first partials (a ring of one
-    # generator for each placeholder, which joined its home on first use,
-    # while _HOMES held a closure that built the home's generators)
+    # placeholders declared together are generators of the polynomials,
+    # and so are their partials, first and second
     table = JetSpace(2, 3).table(("c",))
     base = JetSpace(2, 1)
-    before = set(E._RINGS)
-    s, w = E.placeholders(["s9_1", "W9"], base.coordinates, table.restricted_to(base.coordinates))
-    home = s._poly.ring
-    assert w._poly.ring is home and home.ngens == len(table.coordinates) + 1 + 2 + 2 * 4 == 19
-    built = {len(g) for g in E._RINGS if g not in before}
-    assert 19 in built and built <= {9, 19}, built
-    assert all(isinstance(R, E._Ring) for R in E._HOMES.values())
+    s, w = E.placeholders(["s9_1", "W9"], base.coordinates)
+    assert s._poly is not None and w._poly is not None
     assert s == placeholder("s9_1", base.coordinates) and s.has_placeholders
     assert s.free_names() == {"q0_1", "q0_2", "q1_1", "q1_2"} and not s.is_rational_function
     d = diff(s, "q0_2") * w + parse("c*q3_2", table)
-    assert d._poly.ring is home and (diff(w, "q1_1") - s)._poly.ring is home
+    assert d._poly is not None and (diff(w, "q1_1") - s)._poly is not None
     assert str(d) == "c*q3_2 + W9*d(s9_1)/d(q0_2)"
     assert diff(s, "q3_2").is_zero and diff(s, "c").is_zero
-    second = diff(diff(s, "q0_2"), "q1_1")  # joins with d(s9_1)/d(q0_2)'s other partials
-    assert str(second) == "d2(s9_1)/(d(q0_2)*d(q1_1))" and second._poly.ring.ngens == home.ngens + 4
+    second = diff(diff(s, "q0_2"), "q1_1")
+    assert str(second) == "d2(s9_1)/(d(q0_2)*d(q1_1))" and second._poly is not None
     with pytest.raises(ExprError, match="distinct"):
         E.placeholders(["s9_2"], (jet(0, 1), jet(0, 1)))
+
+
+# -- sparse polynomials against the ring path they replaced -------------------
+#
+# The reference is the arithmetic the package did before its polynomials
+# were sparse: elements of sympy's PolyRing over QQ, whose generators are
+# sorted symbols by name, then placeholders by name, arguments and
+# differentiations; two elements meet in the ring of their generators'
+# union, and a placeholder's partial joins the ring when it is taken.
+
+ORACLE_GENERATORS = tuple(map(sp.Symbol, LAURENT_NAMES)) + PLACEHOLDER_ATOMS
+
+
+def _ref_order(g):
+    if g.is_Symbol:
+        return 0, g.name
+    f = g.expr if isinstance(g, sp.Derivative) else g
+    return (1, f.func.__name__, tuple(a.name for a in f.args),
+            () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
+
+
+def _ref_ring(symbols):
+    return PolyRing(tuple(sorted(set(symbols), key=_ref_order)), QQ)
+
+
+def _ref_into(P, R):
+    out = R.zero
+    for monom, coeff in P.items():
+        m = [0] * R.ngens
+        for s, e in zip(P.ring.symbols, monom):
+            if e:
+                m[R.symbols.index(s)] = e
+        out[tuple(m)] = coeff
+    return out
+
+
+def _ref_unify(*polys):
+    R = _ref_ring([s for P in polys for s in P.ring.symbols])
+    return [_ref_into(P, R) for P in polys]
+
+
+def _ref_power(P, n):
+    if n >= 0:
+        return P ** n if n else P.ring.one
+    (monom, coeff), = P.items()
+    return P.ring.from_dict({tuple(n * e for e in monom): coeff ** n})
+
+
+def _ref_pdiff(P, x):
+    R = P.ring
+    d = P.diff(R.symbols.index(x)) if x in R.symbols else R.zero
+    moved = [g for j, g in enumerate(R.symbols) if not g.is_Symbol
+             and x in (g.expr if isinstance(g, sp.Derivative) else g).args
+             and any(m[j] for m in P.itermonoms())]
+    if not moved:
+        return d
+    S = _ref_ring(R.symbols + tuple(sp.diff(g, x) for g in moved))
+    P, d = _ref_into(P, S), _ref_into(d, S)
+    for g in moved:
+        d += P.diff(S.symbols.index(g)) * S.gens[S.symbols.index(sp.diff(g, x))]
+    return d
+
+
+def _ref_compose(P, rules):
+    """P with each rule's symbol replaced by its value, or None where
+    sympy's compose refuses a negative power of a replaced symbol."""
+    # the ring holds the replaced symbols, whether or not P holds them
+    P, *values = _ref_unify(P, *(_ref_ring([x]).gens[0] for x, _ in rules),
+                            *(v for _, v in rules))
+    R, values = P.ring, values[len(rules):]
+    try:
+        return P.compose([(R.gens[R.symbols.index(x)], v) for (x, _), v in zip(rules, values)])
+    except ValueError:
+        return None
+
+
+@st.composite
+def oracle_terms(draw):
+    """A nonzero rational times powers -2..3 of names, placeholders and
+    their partials."""
+    coeff = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+    gens = draw(st.lists(st.sampled_from(ORACLE_GENERATORS), max_size=3, unique=True))
+    return coeff, {g: draw(st.integers(-2, 3).filter(bool)) for g in gens}
+
+
+def oracle_polys(min_size=0):
+    return st.lists(oracle_terms(), min_size=min_size, max_size=4)
+
+
+def _built(terms):
+    """The sparse polynomial and the ring element of a list of terms."""
+    P = E._ZERO
+    R = _ref_ring([g for _, powers in terms for g in powers])
+    A = R.zero
+    for coeff, powers in terms:
+        c = QQ(coeff.numerator, coeff.denominator)
+        P = E._add(P, E._Poly({tuple(sorted((E._gen(g), e) for g, e in powers.items())): c}))
+        A += R.from_dict({tuple(powers.get(s, 0) for s in R.symbols): c})
+    return P, A
+
+
+def _same_polynomial(P, A):
+    """The sparse P is the ring element A: the same terms over the same
+    generator trees, the tree ``as_expr`` gives, and a well-formed dict
+    (monomials sorted by id, no zero exponent or coefficient)."""
+    sparse = {frozenset((E._GEN[g].sym, e) for g, e in m): c for m, c in P.items()}
+    ring = {frozenset((s, e) for s, e in zip(A.ring.symbols, m) if e): c for m, c in A.items()}
+    assert sparse == ring
+    assert all(c for c in P.values()) and all(
+        e and list(m) == sorted(m) and len({g for g, _ in m}) == len(m) for m in P for _, e in m)
+    assert P.gens() == {g for m in P for g, _ in m}
+    assert sp.srepr(P.as_expr()) == sp.srepr(A.as_expr())
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_polys(), oracle_polys(), oracle_terms(), st.integers(0, 3), st.integers(1, 3),
+       st.sampled_from(COORD_NAMES + ("a",)), st.data())
+def test_sparse_polynomials_match_the_ring_path(a, b, term, n, k, name, data):
+    (P, A), (Q, B), (T, TA) = _built(a), _built(b), _built([term])
+    for sparse, ring in ((P, A), (Q, B), (T, TA)):
+        _same_polynomial(sparse, ring)
+    A, B = _ref_unify(A, B)
+    _same_polynomial(E._add(P, Q), A + B)
+    _same_polynomial(E._add(P, Q, -1), A - B)
+    _same_polynomial(E._mul(P, Q), A * B)
+    _same_polynomial(E._mul_term(P, (), -1), -A)
+    _same_polynomial(E._power(P, n), _ref_power(A, n))
+    _same_polynomial(E._power(T, -k), _ref_power(TA, -k))
+    x = sp.Symbol(name)
+    _same_polynomial(E._pdiff(P, x), _ref_pdiff(A, x))
+    _same_polynomial(E._pdiff(E._pdiff(P, x), Q0_2), _ref_pdiff(_ref_pdiff(A, x), Q0_2))
+    # equal polynomials, however built, are equal dicts with one hash
+    _same_polynomial(E._add(E._add(P, Q), Q, -1), A)
+    assert E._add(E._add(P, Q), Q, -1) == P and hash(frozenset(E._mul(P, Q).items())) == hash(
+        frozenset(E._mul(Q, P).items()))
+    # replacing one or two names by polynomials, refused on a negative power
+    names = data.draw(st.lists(st.sampled_from(LAURENT_NAMES), min_size=1, max_size=2,
+                               unique=True))
+    values = [_built(data.draw(oracle_polys())) for _ in names]
+    got = E._compose(P, {E._gen(sp.Symbol(x)): v for x, (v, _) in zip(names, values)})
+    want = _ref_compose(A, [(sp.Symbol(x), ring) for x, (_, ring) in zip(names, values)])
+    assert (got is None) == (want is None)
+    if got is not None:
+        _same_polynomial(got, want)
+
+
+def test_generators_recorded_from_many_threads_get_one_id_each():
+    # generators are recorded in module state on first use; threads that
+    # meet the same new names at once must agree on each one's id
+    names = ["zz_thread_%d" % i for i in range(300)]
+    ids = [[] for _ in range(8)]
+
+    def record(out):
+        out.extend(E._gen(sp.Symbol(name)) for name in names)
+
+    threads = [threading.Thread(target=record, args=(out,)) for out in ids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == ids[0] for out in ids) and len(set(ids[0])) == len(names)
+    assert [E._GEN[i].sym.name for i in ids[0]] == names
 
 
 # -- square roots as ring generators against the tree path -------------------
@@ -1456,13 +1564,9 @@ def test_radical_elements_match_the_tree_path(roots, data):
                           E._canon(a.xreplace({sp.Symbol("q0_1"): p0_1.sym})))
     rows = [[t, e2], [Expression.constant("b"), t]]
     _matches_radical_tree(E.determinant(rows), _tree_determinant(rows))
-    # equality and hash do not depend on the path or the ring
+    # equality and hash do not depend on the path
     built = sum((Expression(term) for term in sp.Add.make_args(a)), Expression(0))
     assert built == e and hash(built) == hash(e)
-    if e._poly is not None:
-        extra = (sp.Symbol("aa"), sp.Symbol("q0_15"))
-        moved = Expression.from_poly(E._into(e._poly, E._ring(e._poly.ring.symbols + extra)))
-        assert moved == e and hash(moved) == hash(e) and to_text(moved) == to_text(e)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1493,8 +1597,7 @@ def test_a_multiple_of_the_radicand_over_its_root_takes_the_trees_form(left, rig
 def test_square_roots_are_ring_generators():
     table = JetSpace(2, 1).table(("c1", "c2"))
     t = parse("(2*c2*q1_1 - q1_1^2 - 2*c1)^(1/2)", table)
-    model_ring = table._parse_ring()
-    assert t._poly is not None and t._poly.ring.ngens == model_ring.ngens + 1
+    assert t._poly is not None
     assert t._sym is None  # nothing built the tree
     u = parse("2*c2*q1_1 - q1_1^2 - 2*c1", table)
     assert t * t == u and t ** 3 == u * t and (t ** -1)._poly is not None
@@ -1569,7 +1672,9 @@ def test_a_radicand_tree_is_the_rings_expression(polynomial):
     # as_expr tree: the same structure, equality and hash
     names, terms = polynomial
     U = E._Ring(sp.symbols(names)).from_dict(terms)
-    tree, want = E._radicand_tree(U), U.as_expr()
+    ids = [E._gen(s) for s in U.ring.symbols]
+    sparse = E._Poly({tuple(sorted((i, e) for i, e in zip(ids, m) if e)): c for m, c in U.items()})
+    tree, want = E._radicand_tree(sparse), U.as_expr()
     assert sp.srepr(tree) == sp.srepr(want)
     assert tree == want and hash(tree) == hash(want)
 

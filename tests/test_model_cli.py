@@ -422,6 +422,19 @@ def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
 
 
+@pytest.mark.parametrize("argv, golden, code", [
+    # a concrete generating function: the Hamiltonian side appends the
+    # Hamilton-Jacobi equation h(q, dW) = E, which W does not solve
+    (("check", fixture_path("beam_w.hjm"), "w"), "beam_w_check_w.txt", 1),
+    # a Legendre map without an explicit inverse: the Hamiltonian side is
+    # skipped
+    (("check", fixture_path("relativistic_rest.hjm"), "rest"),
+     "relativistic_rest_check_rest.txt", 0),
+])
+def test_every_branch_of_check_prints_byte_for_byte(capsys, argv, golden, code):
+    assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
+
+
 def _javelin_with_s02_1(tmp_path):
     """javelin.hjm with its "?" component s2_1 keyed s02_1."""
     with open(model_path("javelin.hjm")) as fh:

@@ -126,75 +126,6 @@ def test_canonical_form_has_one_door():
     assert callers == {"Expression.__init__", "_normalize_atoms"}
 
 
-def test_a_models_polynomial_residuals_lie_in_its_one_ring(monkeypatch):
-    # the model reader gives its tables one ring over every name the
-    # model's objects can carry, and the residuals stay in it; an exact
-    # zero may be the shared ZERO, which has no generators
-    residuals = []
-    report = hj._residual_report
-    monkeypatch.setattr(hj, "_residual_report", lambda raw, *args, **kwargs: (
-        residuals.extend(r for _, _, r in raw) or report(raw, *args, **kwargs)))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["check", model_path("javelin.hjm"), "rest"]) == 0
-    rings = {r._poly.ring for r in residuals if r._poly is not None and r is not E.ZERO}
-    assert len(rings) == 1
-    # jets of orders 0..4 and momenta of orders 0..1 on three axes
-    assert len(rings.pop().symbols) == 21 and sum(not r.is_zero for r in residuals) >= 10
-
-
-RING_COUNT = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-import workloads
-from hjmech import expr
-from hjmech.cli import main
-argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
-                            if op.key == "javelin_r03/check-cand")
-before = set(expr._RINGS)
-copies = []
-into = expr._into
-expr._into = lambda P, R: copies.append(R) or into(P, R)
-with contextlib.redirect_stdout(io.StringIO()):
-    main(list(argv))
-print(json.dumps([[len(g) for g in expr._RINGS if g not in before], len(copies)]))
-"""
-
-
-def _fresh_rings(tmp_path, *argv):
-    """The generator count of each ring a fresh process builds running
-    the CLI on ``argv`` (by default one op of the verdicts benchmark),
-    and how many elements it copies from one ring into another."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", RING_COUNT, str(ROOT / "bench"), str(tmp_path),
-                          *argv], capture_output=True, text=True, env=env, timeout=300, check=True)
-    return json.loads(out.stdout)
-
-
-def _fresh_ring_counts(tmp_path, *argv):
-    """The distinct generator counts of the rings ``_fresh_rings`` sees."""
-    return sorted(set(_fresh_rings(tmp_path, *argv)[0]))
-
-
-def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
-    # a fresh process running one op of the verdicts benchmark builds
-    # rings of the model's generator count and of numbers only (18 counts
-    # while every operation built the ring of its operands' union, 3
-    # while Expression.coordinate built one-name rings)
-    counts = _fresh_ring_counts(tmp_path)
-    assert set(counts) <= {0, 21}, counts
-
-
-def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
-    # the coordinates library code builds start in their model's ring,
-    # and a number meets a ring as that ring's constant, so one check
-    # builds no one- or two-name ring and copies no element between
-    # rings (21 one-name and 3 two-name rings, and 567 copies, while
-    # Expression.coordinate built one-name rings; 86 copies, nearly all
-    # of numbers, while numbers were copied)
-    sizes, copies = _fresh_rings(tmp_path)
-    assert not {1, 2} & set(sizes) and copies == 0, (sizes, copies)
-
-
 LIFT_COUNT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -385,31 +316,6 @@ def test_a_placeholder_check_stays_in_the_ring(monkeypatch, path):
     assert calls == []
 
 
-def test_a_placeholder_check_builds_rings_of_few_generator_counts(tmp_path):
-    # the model's "?" components and the W they are checked with are
-    # declared together in their home, built then: the model's names,
-    # the placeholders and their first partials (70 generators for
-    # javelin: 21 names, 7 placeholders, 42 partials), so a check builds
-    # the model's ring and the home and nothing else ({1, 2, 21} while
-    # placeholders were sympy trees; seven one-generator rings beside
-    # these two, and 587 copies between rings, while each placeholder
-    # started in a ring of its own and joined its home on first use)
-    sizes, copies = _fresh_rings(tmp_path, "check", model_path("javelin.hjm"), "unknown")
-    assert sorted(sizes) == [21, 70] and copies <= 260, (sizes, copies)
-    sizes, _ = _fresh_rings(tmp_path, "check", model_path("beam.hjm"), "unknown")
-    assert sorted(sizes) == [9, 18], sizes
-
-
-def test_a_ring_is_built_from_its_generators_alone():
-    # a placeholder starts in its home, so _ring widens no generator set
-    # by one (it read _HOMES while a placeholder started in a ring of its
-    # own and joined its home the first time it met another ring)
-    tree = ast.parse((SRC / "expr.py").read_text())
-    ring = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_ring")
-    assert not any(isinstance(node, ast.Name) and node.id == "_HOMES" for node in ast.walk(ring))
-
-
 RADICAL_OPS = [
     ("check", model_path("javelin1d.hjm"), "walpha"),
     ("check", str(ROOT / "tests" / "models" / "javelin1d_scaled.hjm"), "wscaled"),
@@ -435,13 +341,75 @@ def test_a_radical_family_stays_in_the_ring(monkeypatch, tmp_path, argv):
     assert calls == []
 
 
-@pytest.mark.parametrize("argv", RADICAL_OPS, ids=lambda argv: "%s-%s" % (argv[0], argv[2]))
-def test_a_radical_family_builds_rings_of_few_generator_counts(tmp_path, argv):
-    # the radical joins the model's ring as one more generator, and its
-    # radicand stays in the ring it was built in ({1, 2, 3, 4, 9} for
-    # the checks while a radical was a sympy tree, 4 counts while
-    # Expression.coordinate built one-name rings)
-    if argv[0] == "simulate":
+RING_BUILDS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from sympy.polys.rings import PolyRing
+from hjmech import expr
+from hjmech.cli import main
+inside, outside = [], []
+
+def counted(new):
+    def build(cls, *args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        (inside if names & {"determinant", "solve_linear"} else outside).append(cls.__name__)
+        return new(cls, *args, **kwargs)
+    return staticmethod(build)
+
+expr._Ring.__new__ = counted(expr._Ring.__new__)
+PolyRing.__new__ = counted(PolyRing.__new__)
+argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
+                            if op.key == "javelin_r03/check-cand")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(list(argv))
+print(json.dumps([code, len(inside), outside]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    (),  # one op of the verdicts benchmark: javelin_r03/check-cand
+    ("check", model_path("javelin.hjm"), "unknown"),
+    ("check", model_path("beam.hjm"), "unknown"),
+    *RADICAL_OPS,
+], ids=lambda argv: "-".join(os.path.basename(a) for a in argv[:3]).replace(":", "-")
+    or "check-cand")
+def test_no_ring_is_built_outside_linear_algebra(tmp_path, argv):
+    # polynomials are sparse, so a fresh process running a command builds
+    # sympy's polynomial rings only for the matrices of determinant and
+    # solve_linear (rings of 21 and 70 generators and 257 copies between
+    # rings for check javelin unknown while every polynomial was an
+    # element of a ring)
+    if argv and argv[0] == "simulate":
         argv += ("--out", str(tmp_path / "lift.csv"))
-    counts = _fresh_ring_counts(tmp_path, *argv)
-    assert len(counts) <= 3 and 10 in counts, counts
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", RING_BUILDS, str(ROOT / "bench"), str(tmp_path),
+                          *argv], capture_output=True, text=True, env=env, timeout=300,
+                         check=True)
+    code, inside, outside = json.loads(out.stdout)
+    assert code in (0, 1) and outside == [], outside
+    assert inside > 0  # the count sees the rings the linear algebra builds
+
+
+def test_only_the_linear_algebra_builds_rings():
+    # _ring, the one door to a _Ring, is called by the matrix helpers of
+    # determinant and solve_linear, and by nothing else
+    tree = ast.parse((SRC / "expr.py").read_text())
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                        child.func.id in ("_ring", "_Ring")):
+                    callers.add((".".join(scope), child.func.id))
+                visit(child, scope)
+
+    visit(tree, ())
+    assert callers == {("determinant", "_ring"), ("_domain_matrix", "_ring"),
+                       ("_ring", "_Ring")}, callers
