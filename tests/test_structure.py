@@ -345,10 +345,10 @@ RING_BUILDS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 from hjmech import expr
 from hjmech.cli import main
-inside, outside = [], []
+inside, outside, copies = [], [], []
 
 def counted(new):
     def build(cls, *args, **kwargs):
@@ -362,12 +362,50 @@ def counted(new):
 
 expr._Ring.__new__ = counted(expr._Ring.__new__)
 PolyRing.__new__ = counted(PolyRing.__new__)
+set_ring = PolyElement.set_ring
+PolyElement.set_ring = lambda P, R: copies.append(R) or set_ring(P, R)
 argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
                             if op.key == "javelin_r03/check-cand")
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(list(argv))
-print(json.dumps([code, len(inside), outside]))
+print(json.dumps([code, len(inside), outside, [len(g) for g in expr._RINGS], len(copies),
+                  len(expr._GEN)]))
 """
+
+
+def _fresh_rings(tmp_path, *argv):
+    """What a fresh process running the CLI on ``argv`` (by default one
+    op of the verdicts benchmark) reports: its exit code, how many rings
+    it builds inside and which outside the linear algebra, the generator
+    count of each ring ``_ring`` builds, how many elements it moves from
+    one ring into another, and how many generators it records."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", RING_BUILDS, str(ROOT / "bench"), str(tmp_path),
+                          *argv], capture_output=True, text=True, env=env, timeout=300,
+                         check=True)
+    return json.loads(out.stdout)
+
+
+def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
+    # a fresh process running one op of the verdicts benchmark builds
+    # rings only for the matrices of its linear algebra, each over the
+    # generators of those entries alone ({0, 21} while every polynomial
+    # was an element of the model's ring; 18 counts while every
+    # operation built the ring of its operands' union)
+    sizes = _fresh_rings(tmp_path)[3]
+    assert set(sizes) <= {0, 3, 6}, sizes
+
+
+def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
+    # the check records each of the model's 21 names (jets of orders
+    # 0..4 and momenta of orders 0..1 on three axes) once as a generator
+    # and nothing else, builds no one- or two-name ring and moves no
+    # element from one ring into another (21 one-name and 3 two-name
+    # rings, and 567 copies, while Expression.coordinate built one-name
+    # rings)
+    _, _, _, sizes, copies, generators = _fresh_rings(tmp_path)
+    assert not {1, 2} & set(sizes) and copies == 0 and generators == 21, (
+        sizes, copies, generators)
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,11 +423,7 @@ def test_no_ring_is_built_outside_linear_algebra(tmp_path, argv):
     # element of a ring)
     if argv and argv[0] == "simulate":
         argv += ("--out", str(tmp_path / "lift.csv"))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", RING_BUILDS, str(ROOT / "bench"), str(tmp_path),
-                          *argv], capture_output=True, text=True, env=env, timeout=300,
-                         check=True)
-    code, inside, outside = json.loads(out.stdout)
+    code, inside, outside = _fresh_rings(tmp_path, *argv)[:3]
     assert code in (0, 1) and outside == [], outside
     assert inside > 0  # the count sees the rings the linear algebra builds
 
