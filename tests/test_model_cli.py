@@ -435,6 +435,37 @@ def test_every_branch_of_check_prints_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
 
 
+def test_a_generating_functions_flow_is_bit_for_bit(capsys, tmp_path, monkeypatch):
+    # simulate's genfunc branch: the associated field of dW through the
+    # Legendre inverse, from a state off the origin
+    monkeypatch.chdir(tmp_path)
+    out_csv = "beam_w_simulate_w.csv"
+    assert run_cli(capsys, "simulate", fixture_path("beam_w.hjm"), "associated:w", "1,0.5",
+                   "0", "0.5", "0.01", "--out", out_csv) == (
+        0, _golden_text("beam_w_simulate_w.txt"), "")
+    with open(os.path.join(os.path.dirname(__file__), "goldens", out_csv), "rb") as fh:
+        assert (tmp_path / out_csv).read_bytes() == fh.read()
+
+
+def test_simulate_refuses_a_family(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "simulate", model_path("javelin1d.hjm"), "associated:wfam", "base",
+                   "0", "0.5", "0.01") == (2, "", _golden_text("javelin1d_simulate_wfam.txt"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family, code", [
+    ("wflat", 3),  # det ∂α/∂λ = z/sqrt(u) with z = 0: vanishes at sampled points
+    ("wdark", 0),  # a radicand negative everywhere: det cannot be sampled
+    ("wnull", 3),  # components that depend on c1 + c2 alone: det is identically zero
+])
+def test_every_branch_of_the_family_jacobian_prints_byte_for_byte(capsys, family, code):
+    # the determinant of each family's Jacobian holds a square root
+    want = _golden_text("javelin1d_families_involution_%s.txt" % family)
+    assert run_cli(capsys, "involution", fixture_path("javelin1d_families.hjm"), family) == (
+        code, want if code == 0 else "", "" if code == 0 else want)
+
+
 def _javelin_with_s02_1(tmp_path):
     """javelin.hjm with its "?" component s2_1 keyed s02_1."""
     with open(model_path("javelin.hjm")) as fh:
