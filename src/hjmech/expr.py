@@ -17,28 +17,29 @@ Conventions
   (a polynomial divided by a monomial, such as ``p1_1/mu``, times powers
   of those roots) is held sparse, as a ``_Poly``: a dict from each
   monomial, the sorted (generator id, exponent) pairs of its nonzero
-  exponents, to its coefficient in QQ.  A generator is a symbol, a
+  exponents, to its coefficient in QQ.  A generator is a name, a
   placeholder (an unknown function ``s2_1(q0_1, …)`` of distinct
   coordinates, or sympy's ``Derivative`` of one) or a radical
-  ``t = u^(1/2)``.  What the module needs to know of one (its print key
-  and text, its place among generators, the symbols it depends on, a
-  radical's radicand) is recorded once, in its ``_Gen``, the first time
-  it is used, so no polynomial needs a ring to hold it and any two meet
-  as they are.  ``+ - *``, ``/`` by a single term (a product with its
-  inverse), integer ``^`` (negative only of a single term), ``diff``,
-  ``substitute`` with polynomial right-hand sides, ``==``, ``hash`` and
-  the queries (free names, ``has_placeholders``,
-  ``is_rational_function``) stay polynomials.  A placeholder
-  differentiates to the generator of its partial, or to 0 for a
-  coordinate it does not take, and contributes its arguments to the free
-  names.
+  ``t = u^(1/2)``.  What the module needs of one (its print key and
+  text, its place among generators, the names it depends on) is
+  recorded once, in its ``_Gen``: a name by its name, a radical by its
+  radicand's terms, a placeholder by its sympy tree.  So no polynomial
+  needs a ring and any two meet as they are.  ``+ - *``, ``/`` by a
+  single term (a product with its inverse), integer ``^`` (negative only
+  of a single term), ``diff``, ``substitute`` with polynomial right-hand
+  sides, ``==``, ``hash`` and the queries stay polynomials.  A
+  placeholder differentiates to the generator of its partial, or to 0
+  for a coordinate it does not take, and contributes its arguments to
+  the free names.
 * Radicals: ``u^(k/2)`` of a polynomial u is a power of the generator
-  ``t = u^(1/2)``, built once for u's terms (with u's canonical tree,
-  its sympy symbol), when u is a polynomial in symbols of more than one
-  term that sympy's term factoring leaves as it stands, which u's terms
-  tell: integer coefficients without a common factor, not all
-  negative, and no generator dividing every term.  t contributes u's
-  names to the free names.  After every
+  ``t = u^(1/2)``, recorded once for u's terms, when u is a polynomial
+  in names of more than one term that sympy's term factoring leaves as
+  it stands, which u's terms tell: integer coefficients without a
+  common factor, not all negative, and no generator dividing every
+  term.  t's text is the printer's of u's terms, and its place among
+  radicals, which orders printed terms and compiled factors, is
+  ``default_sort_key`` of u's tree, computed from u's terms
+  (``_sort_key``).  t contributes u's names to the free names.  After every
   operation t^(2k+r) becomes u^k·t^r, so a value is A·t⁻¹ + B + C·t,
   and a t part beside a t⁻¹ part folds into it, (A + C·u)·t⁻¹ + B:
   that is (A' + B·t)/t^e with e in {0, 1}, the form the tree path's
@@ -65,15 +66,16 @@ Conventions
   (``sin cos exp ln``, denominators that are not monomials,
   placeholders of other arguments, the radical fallbacks above) is its
   canonical sympy tree.
-* A polynomial builds its tree (``.sym``) only on demand:
-  for arithmetic with a non-polynomial, solves over non-polynomials or
-  Laurent entries, and ``evaluate`` and ``step_texts`` of a placeholder
-  (which compile and print the tree, so an error names the node it
-  always named).  It is the tree ``_canon`` gives, the expanded sum (a
-  monomial denominator is atomic).  Printing, ``evaluate`` and
+* A polynomial builds its tree (``.sym``), and a generator its own,
+  only on demand: for arithmetic with a non-polynomial, solves over
+  radicals or Laurent entries, and ``evaluate`` and ``step_texts`` of a
+  placeholder (which compile and print the tree, so an error names the
+  node it always named).  It is the tree ``_canon`` gives, the expanded
+  sum (a monomial denominator is atomic).  Printing, ``evaluate`` and
   ``step_texts`` read the polynomial's terms and give the text, the
   compiled source and the Python text that tree gives; a radical
-  compiles as the ``_root`` of its radicand's terms.
+  compiles as the ``_root`` of its radicand's terms.  So the polynomial
+  path calls nothing of sympy's but QQ's coefficient arithmetic.
   Polynomial and tree stay inside this module: no other module of the
   package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
@@ -105,7 +107,8 @@ Conventions
   ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
   a radical of a sum, product or power prints its base in parentheses.
 * ``evaluate`` compiles an expression into straight-line Python the first
-  time it is called on it and caches the function on the instance.  The
+  time it is called on it, shares the function among equal expressions
+  through a bounded memo and caches it on the instance.  The
   compiled form keeps the summation and multiplication order of a
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
@@ -116,20 +119,19 @@ Conventions
   from the text's atoms.  It bounds the number of terms an expansion may
   produce (``TERM_LIMIT``) before it expands or multiplies anything.
 * ``solve_linear`` and ``determinant`` are the package's exact linear
-  algebra, on sympy's ``DomainMatrix`` over the polynomial ring of the
-  entries' generators (a ``_Ring``, built only here) when every entry is
-  a polynomial (no negative exponent, no radical), else over the domain
-  sympy picks for their trees; ``determinant`` also takes Laurent and
-  radical polynomial entries over their ring, each row cleared of its
-  monomial denominator first.  ``step_texts`` and ``row_evaluator``
-  write the Python source of generated numeric code, a polynomial's from
-  its terms.
+  algebra: Bareiss's fraction-free elimination (``_eliminate``) over the
+  polynomials when every entry is one without a negative exponent or a
+  radical (``determinant`` also takes those, each row cleared of its
+  monomial denominator, radicals as free generators), else sympy's
+  ``DomainMatrix`` over the domain it picks for the trees.
+  ``step_texts`` and ``row_evaluator`` write the Python source of
+  generated numeric code, a polynomial's from its terms.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
-construction (the tree, the hash and ``evaluate``'s function) are
-idempotent stores of pure functions of the value.  ``Immutable`` is the
-base of every immutable class of the package: it refuses attribute
+construction (the tree, the hash, ``evaluate``'s function, a generator's
+tree) are idempotent stores of pure functions of the value.
+``Immutable`` is the base of every immutable class of the package: it refuses attribute
 assignment and deletion, and constructors store their fields through
 ``_init`` (``Expression``, built far more often than the rest, stores its
 four directly).
@@ -138,6 +140,7 @@ four directly).
 from __future__ import annotations
 
 import functools
+import itertools
 import keyword
 import math
 import operator
@@ -156,8 +159,6 @@ from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, PolyRing
 from sympy.printing.pycode import PythonCodePrinter
 
 __all__ = [
@@ -287,20 +288,10 @@ class Coordinate:
 
     @property
     def symbol(self) -> sp.Symbol:
-        return _symbol(self.name)
+        return sp.Symbol(self.name)
 
     def __str__(self):
         return self.name
-
-
-_SYMBOLS = {}  # name -> its one sympy Symbol
-
-
-def _symbol(name: str) -> sp.Symbol:
-    s = _SYMBOLS.get(name)
-    if s is None:
-        s = _SYMBOLS[name] = sp.Symbol(name)
-    return s
 
 
 def jet(order: int, axis: int) -> Coordinate:
@@ -311,13 +302,9 @@ def momentum(order: int, axis: int) -> Coordinate:
     return Coordinate("momentum", order, axis)
 
 
-def coordinate_of(symbol: sp.Symbol):
-    """The Coordinate a sympy symbol names, or None for a named constant."""
-    m = _COORD_RE.match(symbol.name)
-    if not m:
-        return None
-    kind = "jet" if m.group(1) == "q" else "momentum"
-    return Coordinate(kind, int(m.group(2)), int(m.group(3)))
+def coordinate_of(name: str):
+    """The Coordinate a name names, or None for a named constant."""
+    return Coordinate.from_name(name) if _COORD_RE.match(name) else None
 
 
 @dataclass(frozen=True)
@@ -430,68 +417,85 @@ class _Poly(dict):
             return gens
 
     def as_expr(self):
-        """The tree sympy's ``PolyElement.as_expr()`` gives: the sum of
-        each term's ``Mul`` of its coefficient and powers."""
+        """The tree sympy's ``PolyElement.as_expr()`` over the generators'
+        trees gives: the sum of each term's ``Mul`` of its coefficient and
+        powers."""
         to_sympy = QQ.to_sympy
         return sp.Add(*[sp.Mul(to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m])
                         for m, c in self.items()])
 
 
 class _Gen:
-    """What the module records once for each generator: its tree (a
-    symbol, a placeholder, or a radical ``u^(1/2)``), its kind (0, 1 and
-    2 for these), its ``order`` (symbols by name, then placeholders by
-    name, arguments and differentiations, then radicals by their
-    radicands' ``default_sort_key``), the printer's sort key and text
-    (``_atom``'s, or for a radical the tree printer's for the fractional
-    power of a sum) and ``printed``, the key and then
-    the order, the symbols it depends on (itself, a placeholder's
-    arguments, a radicand's names), a radical's radicand, its partial
-    derivative by each symbol taken so far (a placeholder's as the id of
-    its partial's generator, a radical's as a polynomial), and its
-    polynomial."""
+    """What the module records once for each generator: its kind (0 for
+    a name, 1 for a placeholder, 2 for a radical ``u^(1/2)``), a name's
+    ``name``, a radical's radicand, its ``order`` (names by name, then
+    placeholders by name, arguments and differentiations, then radicals
+    by ``_sort_key``), the printer's sort key and text and ``printed``,
+    the key and then the order, the names it depends on, its partial by
+    each name taken so far (a placeholder's as its generator's id, a
+    radical's as a polynomial), and its polynomial.  Its tree (``sym``)
+    is a placeholder's own, and built on first read for the others."""
 
-    __slots__ = ("sym", "kind", "order", "key", "text", "printed", "is_coordinate", "free",
-                 "radicand", "partials", "poly")
+    __slots__ = ("_sym", "kind", "name", "order", "key", "text", "printed", "is_coordinate",
+                 "free", "radicand", "partials", "poly")
 
-    def __init__(self, g, i, radicand):
-        self.sym, self.radicand, self.partials = g, None, {}
-        if g.is_Symbol:
-            self.kind, self.order, self.free = 0, (0, g.name), frozenset((g,))
-            self.key, self.text = _atom(g)
-        elif g.is_Pow:
-            self.radicand, self.free, sort_key = radicand
-            self.kind, self.order, text = 2, (2, sort_key), _tree_text(g.base)
+    def __init__(self, i, name=None, tree=None, radicand=None):
+        self._sym, self.name, self.radicand, self.partials = tree, name, radicand, {}
+        if name is not None:
+            self.kind, self.order, self.free = 0, (0, name), frozenset((name,))
+            self.key, self.text = _name_atom(name)
+        elif radicand is not None:
+            self.kind, self.order, self.free = 2, (2, _sort_key(radicand)), frozenset(
+                _free(radicand))
+            text = _poly_text(radicand)
             self.key, self.text = (6, text), "sqrt(%s)" % text
         else:
-            f = _function_of(g)
-            self.kind, self.free = 1, frozenset(f.args)
-            self.order = (1, f.func.__name__, tuple(a.name for a in f.args),
-                          () if f is g else tuple((v.name, int(c)) for v, c in g.variable_count))
-            self.key, self.text = _atom(g)
+            f = _function_of(tree)
+            self.kind, self.free = 1, frozenset(a.name for a in f.args)
+            self.order = (1, f.func.__name__, tuple(a.name for a in f.args), () if f is tree
+                          else tuple((v.name, int(c)) for v, c in tree.variable_count))
+            self.key, self.text = _atom(tree)
         self.printed = self.key, self.order
         self.is_coordinate = self.key[0] >= 2
         self.poly = _Poly({((i, 1),): QQ.one})
 
+    @property
+    def sym(self):
+        if self._sym is None:  # a symbol, or u^(1/2) of u's tree
+            self._sym = (sp.Symbol(self.name) if self.kind == 0
+                         else sp.Pow(_radicand_tree(self.radicand), sp.S.Half))
+        return self._sym
+
 
 _GEN = []  # generator id -> its _Gen
-_IDS = {}  # generator tree -> its id
+_IDS = {}  # a name, a placeholder's tree, or a radicand's terms -> its id
 _RADICAL_IDS = set()  # the ids of the radicals, which _reduce visits
 _RECORDING = threading.RLock()  # threads that meet a new generator agree on its id
-# a radicand's terms -> its radical or None
-_RADICALS = {}
 
 
-def _gen(g, radicand=None) -> int:
-    """The id of the generator g, recorded on its first use; ``_radical``
-    records a radical with its radicand, (U, its names, its sort key)."""
+def _record(key, **fields) -> int:
+    """The id of the generator recorded under ``key``, recorded with
+    these ``_Gen`` fields on its first use."""
     with _RECORDING:
-        if g not in _IDS:
-            _GEN.append(_Gen(g, len(_GEN), radicand))
-            _IDS[g] = len(_GEN) - 1
+        if key not in _IDS:
+            _GEN.append(_Gen(len(_GEN), **fields))
+            _IDS[key] = len(_GEN) - 1
             if _GEN[-1].kind == 2:
-                _RADICAL_IDS.add(_IDS[g])
-        return _IDS[g]
+                _RADICAL_IDS.add(_IDS[key])
+        return _IDS[key]
+
+
+def _gen(g) -> int:
+    """The id of the generator g: a name, or the tree of a symbol or a
+    placeholder."""
+    i = _IDS.get(g)
+    if i is not None:
+        return i
+    if isinstance(g, str):
+        return _record(g, name=g)
+    if g.is_Symbol:
+        return _gen(g.name)
+    return _record(g, tree=g)
 
 
 _ZERO = _Poly()
@@ -588,7 +592,7 @@ def _holds(P, kind):
 
 
 def _free(P) -> set:
-    """The symbols P depends on: a placeholder's arguments and a
+    """The names P depends on: a placeholder's arguments and a
     radicand's names too."""
     return set().union(*[_GEN[g].free for g in P.gens()])
 
@@ -628,7 +632,7 @@ def _as_poly(sym, radicals=False):
             pass
         elif radicals and node.is_Pow and node.exp.is_Rational and node.exp.q == 2 and (
                 node.base.is_Add):
-            roots[node.base] = t = _radical(_as_poly(node.base), node.base)
+            roots[node.base] = t = _radical(_as_poly(node.base))
             if t is None:
                 return None
         else:
@@ -641,7 +645,7 @@ def _as_poly(sym, radicals=False):
         if node.is_Pow and node.exp.is_Integer:
             return _power(build(node.base), int(node.exp))
         if node.is_Pow:
-            return _power(_GEN[_gen(roots[node.base])].poly, int(node.exp.p))
+            return _power(_GEN[roots[node.base]].poly, int(node.exp.p))
         if node.is_Rational:
             return _number(QQ(int(node.p), int(node.q)))
         return _GEN[_gen(node)].poly
@@ -651,19 +655,19 @@ def _as_poly(sym, radicals=False):
 
 
 def _partial(g, x):
-    """The id of ∂g/∂x of a placeholder generator g that takes x, built
-    once.  A first partial is the tree ``sp.diff`` gives, put together
-    without its checks; a partial of a partial is ``sp.diff``'s."""
+    """The id of ∂g/∂x of a placeholder generator g that takes the name
+    x, built once.  A first partial is the tree ``sp.diff`` gives, put
+    together without its checks; a partial of a partial is ``sp.diff``'s."""
     partials = _GEN[g].partials
     if x not in partials:
-        f = _GEN[g].sym
-        partials[x] = _gen(Basic.__new__(sp.Derivative, f, sp.Tuple(x, sp.S.One))
-                           if isinstance(f, AppliedUndef) else sp.diff(f, x))
+        f, x_ = _GEN[g].sym, sp.Symbol(x)
+        partials[x] = _gen(Basic.__new__(sp.Derivative, f, sp.Tuple(x_, sp.S.One))
+                           if isinstance(f, AppliedUndef) else sp.diff(f, x_))
     return partials[x]
 
 
 def _pdiff(P, x):
-    """∂P/∂x, before ``_reduce``.  A placeholder that takes x
+    """∂P/∂x by the name x, before ``_reduce``.  A placeholder that takes x
     differentiates to the generator of its partial, and a radical
     t = u^(1/2) to (∂u/∂x)/2 · t⁻¹."""
     out = _Poly()
@@ -730,23 +734,46 @@ def _radicand_tree(U):
         sp.Mul(QQ.to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m]) for m, c in U.items()])
 
 
-def _radical(U, base=None):
-    """The generator ``sqrt(U)`` of a polynomial U, or None where U is
-    None or not a radicand the tree path keeps whole (``_is_radicand``).
-    It is built once for U's terms from ``base``, U's canonical tree; a
-    caller that holds no tree passes none, and ``_radicand_tree`` builds
-    it from U's terms."""
+def _radical(U):
+    """The id of the generator ``sqrt(U)`` of a polynomial U, or None
+    where U is None or not a radicand the tree path keeps whole
+    (``_is_radicand``), recorded once for U's terms."""
     if U is None:
         return None
     key = frozenset(U.items())
-    if key not in _RADICALS:
-        g = None
-        if _is_radicand(U):
-            base = _radicand_tree(U) if base is None else base
-            g = sp.Pow(base, sp.S.Half)
-            _gen(g, (U, frozenset(_free(U)), sp.default_sort_key(base)))
-        _RADICALS[key] = g
-    return _RADICALS[key]
+    i = _IDS.get(key)
+    return i if i is not None or not _is_radicand(U) else _record(key, radicand=U)
+
+
+_NUMBER = (1, 0, "Number")  # sympy's class key of a number
+
+
+def _sort_key(U, renames=None):
+    """``sp.default_sort_key`` of the tree of a radicand U
+    (``_radicand_tree``), its names renamed by ``renames``, from U's
+    terms, with ``Fraction``s for sympy's numbers: (class key, (number of
+    args, their keys), the exponent's key, the coefficient).  A sum's
+    args are its terms in ``as_ordered_terms`` order, their exponents
+    over the sorted names largest first (lex order), except a positive
+    number beside one negative multiple of one power, which goes first;
+    a power is keyed by its base's class, a product by its factors."""
+    renames = renames or {}
+
+    def power(name, e, c=1):
+        return (2, 0, "Symbol"), (1, (name,)), (_NUMBER, (0, ()), (), e), c
+
+    terms = [(tuple(sorted((renames.get(_GEN[g].name, _GEN[g].name), e) for g, e in m)),
+              Fraction(int(c.numerator), int(c.denominator))) for m, c in U.items()]
+    names = sorted({name for factors, _ in terms for name, _ in factors})
+    terms.sort(key=lambda t: [dict(t[0]).get(name, 0) for name in names], reverse=True)
+    if (len(terms) == 2 and not terms[1][0] and terms[1][1] > 0 and terms[0][1] < 0
+            and len(terms[0][0]) == 1):
+        terms.reverse()
+    one = power(None, 1)[2]
+    keys = tuple((_NUMBER, (0, ()), (), c) if not factors else power(*factors[0], c)
+                 if len(factors) == 1 else ((3, 0, "Mul"), (len(factors), tuple(
+                     power(*f) for f in factors)), one, c) for factors, c in terms)
+    return (3, 1, "Add"), (len(keys), keys), one, 1
 
 
 def _radicals_in(P):
@@ -814,82 +841,48 @@ def _meets_radicand(*factors):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial rings, for linear algebra
+# Fraction-free elimination, for linear algebra
 # ---------------------------------------------------------------------------
 
 
-def _monomial_div(a, b):
-    quotient = tuple(map(operator.sub, a, b))
-    return None if any(e < 0 for e in quotient) else quotient
+def _divide(P, D):
+    """P / D for a nonzero D that divides the polynomial P exactly, by
+    taking off leading terms, in the lex order of the generators' ids."""
+    def lex(m):
+        return [(-g, e) for g, e in m]
+
+    lead = max(D, key=lex)
+    inverse, c, quotient = tuple((g, -e) for g, e in lead), D[lead], _Poly()
+    while P:
+        m = max(P, key=lex)
+        q, qc = _mono_mul(m, inverse), P[m] / c
+        quotient[q] = qc
+        P = _add(P, _mul_term(D, q, qc), -1)
+    return quotient
 
 
-# sympy's seven monomial functions, for monomials of any length
-_MONOMIAL_OPS = {
-    "monomial_mul": lambda a, b: tuple(map(operator.add, a, b)),
-    "monomial_pow": lambda a, k: tuple([e * k for e in a]),
-    "monomial_mulpow": lambda a, b, k: tuple([e + f * k for e, f in zip(a, b)]),
-    "monomial_ldiv": lambda a, b: tuple(map(operator.sub, a, b)),
-    "monomial_div": _monomial_div,
-    "monomial_lcm": lambda a, b: tuple(map(max, a, b)),
-    "monomial_gcd": lambda a, b: tuple(map(min, a, b)),
-}
-
-
-class _Ring(PolyRing):
-    """sympy's ``PolyRing`` over QQ in lex order, equal to it and hashing
-    the same, whose monomial functions are generic: sympy's constructor
-    generates and compiles seven of them for each ring's generator
-    count, which costs a cold ring several times what the rest of it
-    costs.  Any other domain or order (sympy's own code may ask for one
-    through ``clone``) is sympy's ``PolyRing``."""
-
-    def __new__(cls, symbols, domain=QQ, order=lex):
-        if domain is not QQ or order is not lex:
-            return PolyRing(symbols, domain, order)
-        obj = object.__new__(cls)
-        obj.symbols = symbols = tuple(symbols)
-        obj.ngens, obj.domain, obj.order = len(symbols), QQ, lex
-        obj._hash_tuple = ("PolyRing", symbols, len(symbols), QQ, lex)  # as sympy's ring's
-        obj._hash = hash(obj._hash_tuple)
-        obj.dtype = PolyElement(obj, ()).new
-        obj.zero_monom = (0,) * len(symbols)
-        obj.gens = obj._gens()
-        obj._gens_set = set(obj.gens)
-        obj._one = [(obj.zero_monom, QQ.one)]
-        obj.__dict__.update(_MONOMIAL_OPS)
-        obj.leading_expv = max
-        for symbol, generator in zip(symbols, obj.gens):
-            if isinstance(symbol, sp.Symbol) and not hasattr(obj, symbol.name):
-                setattr(obj, symbol.name, generator)
-        return obj
-
-
-_RINGS = {}  # generator ids in their order -> _Ring
-
-
-def _ring(polys):
-    """``(R, to_ring, from_ring)``: the ring over QQ of the generators
-    that occur in ``polys``, in their order, built once; the map of a
-    polynomial into it, and of an element of it back."""
-    gens = tuple(sorted(set().union(*[P.gens() for P in polys]), key=lambda g: _GEN[g].order))
-    if gens not in _RINGS:
-        _RINGS[gens] = _Ring([_GEN[g].sym for g in gens])
-    R, index = _RINGS[gens], {g: i for i, g in enumerate(gens)}
-
-    def to_ring(P):
-        out = R.zero
-        for m, c in P.items():
-            exps = [0] * len(gens)
-            for g, e in m:
-                exps[index[g]] = e
-            out[tuple(exps)] = c
-        return out
-
-    def from_ring(P):
-        return _Poly({tuple(sorted((gens[i], e) for i, e in enumerate(m) if e)): c
-                      for m, c in P.items()})
-
-    return R, to_ring, from_ring
+def _eliminate(rows, n):
+    """Bareiss's fraction-free Gaussian elimination of the first n
+    columns of ``rows`` (lists of polynomials), in place: below each
+    pivot, row i becomes (pivot·row i − its entry·pivot row) / the
+    previous pivot, an exact division, so the last pivot is the
+    determinant of the rows in their final order.  A zero pivot is
+    swapped with the first nonzero one below it.  Returns the sign of
+    the swaps, or 0 where a column has none (a singular matrix)."""
+    sign, previous = 1, _ONE
+    for k in range(n):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i], sign = rows[i], rows[k], -sign
+        pivot = rows[k]
+        for row in rows[k + 1:n]:
+            for j in range(k + 1, len(row)):
+                row[j] = _divide(_add(_mul(pivot[k], row[j]), _mul(row[k], pivot[j]), -1),
+                                 previous)
+        previous = pivot[k]
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +934,11 @@ class Expression(Immutable):
     def of(cls, value) -> "Expression":
         """``value`` if it is an Expression, else the Expression of an int,
         a Fraction or a sympy tree; text, floats and bools raise ExprError."""
-        return value if isinstance(value, Expression) else cls(value)
+        if isinstance(value, Expression):
+            return value
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return cls.number(value)
+        return cls(value)
 
     @classmethod
     def number(cls, value) -> "Expression":
@@ -954,11 +951,11 @@ class Expression(Immutable):
     @classmethod
     def constant(cls, name: str) -> "Expression":
         Constant(name)
-        return _generator(_symbol(name))
+        return _generator(name)
 
     @classmethod
     def coordinate(cls, c: Coordinate) -> "Expression":
-        return _generator(c.symbol)
+        return _generator(c.name)
 
     # -- introspection -----------------------------------------------------
 
@@ -995,19 +992,16 @@ class Expression(Immutable):
             return bool(self._sym.atoms(AppliedUndef) or self._sym.atoms(sp.Derivative))
         return _holds(P, 1)
 
-    def _free_symbols(self):
-        """The symbols the value depends on: a placeholder's arguments too."""
-        P = self._poly
-        return self._sym.free_symbols if P is None else _free(P)
-
     def free_names(self) -> set:
-        return {s.name for s in self._free_symbols()}
+        """The names the value depends on: a placeholder's arguments too."""
+        P = self._poly
+        return {s.name for s in self._sym.free_symbols} if P is None else _free(P)
 
     def free_coordinates(self) -> set:
-        return {c for c in map(coordinate_of, self._free_symbols()) if c is not None}
+        return {c for c in map(coordinate_of, self.free_names()) if c is not None}
 
     def free_constants(self) -> set:
-        return {s.name for s in self._free_symbols() if coordinate_of(s) is None}
+        return {name for name in self.free_names() if coordinate_of(name) is None}
 
     # -- algebra -----------------------------------------------------------
 
@@ -1064,24 +1058,24 @@ class Expression(Immutable):
 
     def __pow__(self, other):
         if isinstance(other, Expression):
-            other = other.sym
-            if not other.is_Rational:
+            other = _rational(other._poly)
+            if other is None:
                 raise ExprError("exponent must be rational")
         elif isinstance(other, (int, Fraction)):
-            other = sp.Rational(other)
+            other = Fraction(other)
         else:
             return NotImplemented
-        P = self._poly
+        P, (p, q) = self._poly, (other.numerator, other.denominator)
         result = None
-        if P is not None and other.is_Integer and (other >= 0 or len(P) == 1):
-            result = _reduce(_power(P, int(other)))
-        elif P is not None and other.q == 2:
-            t = _radical(P, self._sym)
+        if P is not None and q == 1 and (p >= 0 or len(P) == 1):
+            result = _reduce(_power(P, p))
+        elif P is not None and q == 2:
+            t = _radical(P)
             if t is not None:
-                result = _reduce(_power(_GEN[_gen(t)].poly, int(other.p)))
+                result = _reduce(_power(_GEN[t].poly, p))
         if result is not None:
             return Expression.from_poly(result)
-        return Expression(sp.Pow(self.sym, other))
+        return Expression(sp.Pow(self.sym, sp.Rational(p, q)))
 
     def __neg__(self):
         if self._poly is not None:
@@ -1129,9 +1123,16 @@ ZERO = Expression(0)
 ONE = Expression(1)
 
 
-def _generator(symbol) -> Expression:
-    """A name or a placeholder as a generator."""
-    return Expression.from_poly(_GEN[_gen(symbol)].poly)
+def _generator(g) -> Expression:
+    """A name or a placeholder's tree as a generator."""
+    return Expression.from_poly(_GEN[_gen(g)].poly)
+
+
+def _rational(P):
+    """The Fraction a constant polynomial is, or None."""
+    if P is not None and set(P) <= {()}:
+        c = P.get((), QQ.zero)
+        return Fraction(int(c.numerator), int(c.denominator))
 
 
 def placeholders(names: Sequence[str], args: Sequence[Coordinate]) -> List[Expression]:
@@ -1164,21 +1165,20 @@ def placeholder_derivative(name: str, args: Iterable[Coordinate], wrt: Coordinat
 # ---------------------------------------------------------------------------
 
 
-def _as_symbol(v) -> sp.Symbol:
-    if isinstance(v, Coordinate):
-        return v.symbol
-    if isinstance(v, sp.Symbol):
-        return v
+def _as_name(v) -> str:
+    """The name of a Coordinate, a name, or a sympy symbol."""
     if isinstance(v, str):
-        return _symbol(v)
+        return v
+    if isinstance(v, (Coordinate, sp.Symbol)):
+        return v.name
     raise ExprError("cannot differentiate/bind with respect to %r" % (v,))
 
 
 def diff(e: Expression, v) -> Expression:
     """Exact partial derivative; distinct coordinates are independent."""
-    x = _as_symbol(v)
+    x = _as_name(v)
     d = None if e._poly is None else _reduce(_pdiff(e._poly, x))
-    return Expression(sp.diff(e.sym, x)) if d is None else Expression.from_poly(d)
+    return Expression(sp.diff(e.sym, sp.Symbol(x))) if d is None else Expression.from_poly(d)
 
 
 def derivation(e: Expression, pairs) -> Expression:
@@ -1191,7 +1191,7 @@ def derivation(e: Expression, pairs) -> Expression:
     the tree is, and the tree path is taken where a partial or a product
     may take another form there (see ``_reduce`` and ``_meets_radicand``).
     """
-    pairs = [(_as_symbol(u), c) for u, c in pairs]
+    pairs = [(_as_name(u), c) for u, c in pairs]
     P = e._poly
     free = () if P is None else _free(P)
     hits = [(x, c) for x, c in pairs if x in free]
@@ -1201,7 +1201,7 @@ def derivation(e: Expression, pairs) -> Expression:
             return Expression.from_poly(total)
     total = sp.S.Zero
     for x, c in pairs:
-        total += c.sym * sp.diff(e.sym, x)
+        total += c.sym * sp.diff(e.sym, sp.Symbol(x))
     return Expression(total)
 
 
@@ -1237,7 +1237,7 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     derivative to anything but a symbol raises ExprError naming that
     partial: the derivative of an unknown function by an expression is
     not defined."""
-    table = {_as_symbol(key): Expression.of(value) for key, value in rules.items()}
+    table = {_as_name(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     if P is not None and not any(_GEN[g].kind and not _GEN[g].free.isdisjoint(table)
                                  for g in P.gens()):
@@ -1252,28 +1252,19 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     tree = e.sym
     for d in tree.atoms(sp.Derivative):
         for x in d.variables:
-            if x in table and not table[x].sym.is_Symbol:
+            if x.name in table and not table[x.name].sym.is_Symbol:
                 raise ExprError("cannot substitute %s for %s in %s: a partial derivative is "
-                                "taken by a coordinate" % (to_text(table[x]), x.name,
+                                "taken by a coordinate" % (to_text(table[x.name]), x.name,
                                                            _derivative_text(d)))
-    return Expression(tree.xreplace({x: v.sym for x, v in table.items()}))
+    return Expression(tree.xreplace({sp.Symbol(x): v.sym for x, v in table.items()}))
 
 
 def _domain_matrix(rows: Sequence[Sequence[Expression]]):
-    """``(M, back)``: the rows as a DomainMatrix ``M`` over the polynomial
-    ring of their entries' generators, or over the domain
-    ``from_list_sympy`` picks for their trees, and ``back``, the map from
+    """``(M, back)``: the rows' trees as a DomainMatrix ``M`` over the
+    domain ``from_list_sympy`` picks for them, and ``back``, the map from
     its domain to Expressions."""
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    polys = [e._poly for row in rows for e in row]
-    if polys and all(P is not None and not _is_laurent(P) and not _holds(P, 2)
-                     for P in polys):
-        R, to_ring, from_ring = _ring(polys)
-        entries, m = [to_ring(P) for P in polys], shape[1]
-        return (DomainMatrix([entries[i:i + m] for i in range(0, len(entries), m)],
-                             shape, R.to_domain()),
-                lambda x: Expression.from_poly(from_ring(x)))
-    M = DomainMatrix.from_list_sympy(*shape, [[e.sym for e in row] for row in rows])
+    M = DomainMatrix.from_list_sympy(len(rows), len(rows[0]) if rows else 0,
+                                     [[e.sym for e in row] for row in rows])
     return M, lambda x: Expression(M.domain.to_sympy(x))
 
 
@@ -1282,7 +1273,9 @@ def solve_linear(rows: Sequence[Sequence[Expression]],
     """The exact solution x of rows · x = rhs.
 
     The augmented matrix [rows | rhs] is solved fraction-free, and each
-    x_i is its numerator over the common denominator.  A nonsingular
+    x_i is its numerator over the common denominator: over polynomials
+    by ``_eliminate``, the last pivot, and back substitution, each
+    numerator an exact quotient by its row's pivot.  A nonsingular
     system has one solution, so the result does not depend on the
     elimination order.  Raises SingularMatrixError when the matrix is
     singular.
@@ -1290,26 +1283,40 @@ def solve_linear(rows: Sequence[Sequence[Expression]],
     n = len(rows)
     if len(rhs) != n or any(len(row) != n for row in rows):
         raise ExprError("solve_linear needs a square system")
-    aug, back = _domain_matrix([list(row) + [r] for row, r in zip(rows, rhs)])
-    try:
-        num, den = aug[:, :n].solve_den(aug[:, n:])
-    except DMNonInvertibleMatrixError:
-        raise SingularMatrixError("singular coefficient matrix in exact solve") from None
-    den = back(den)
-    return tuple(back(x) / den for x in num.to_list_flat())
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
+    polys = [[e._poly for e in row] for row in aug]
+    if all(P is not None and not _is_laurent(P) and not _holds(P, 2)
+           for row in polys for P in row):
+        if n and not _eliminate(polys, n):
+            raise SingularMatrixError("singular coefficient matrix in exact solve")
+        den, num = polys[-1][n - 1] if n else _ONE, [None] * n
+        for i in reversed(range(n)):
+            total = _mul(den, polys[i][n])
+            for j in range(i + 1, n):
+                total = _add(total, _mul(polys[i][j], num[j]), -1)
+            num[i] = _divide(total, polys[i][i])
+        num, den = [Expression.from_poly(x) for x in num], Expression.from_poly(den)
+    else:
+        M, back = _domain_matrix(aug)
+        try:
+            num, den = M[:, :n].solve_den(M[:, n:])
+        except DMNonInvertibleMatrixError:
+            raise SingularMatrixError("singular coefficient matrix in exact solve") from None
+        num, den = map(back, num.to_list_flat()), back(den)
+    return tuple(x / den for x in num)
 
 
 def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
     """The exact determinant of a square matrix of Expressions.
 
-    When every entry is a polynomial, over the polynomial ring of their
-    generators: each row is first multiplied by the monomial that clears
-    its negative exponents (radicals' included), and the determinant
-    divided by their product, then reduced by ``_reduce``, which maps t²
-    to u as the quotient ring QQ[…, t]/(t² − u) does, so the result is
-    exact.  The entries' trees are taken where the result would leave
-    the polynomials or a radicand may cancel against its radical
-    (``_meets_radicand``)."""
+    When every entry is a polynomial, over the polynomials, radicals
+    free generators: each row is multiplied by the monomial that clears
+    its negative exponents, and the last pivot of ``_eliminate``, with
+    the sign of its swaps, divided by those monomials, is reduced by
+    ``_reduce``, which maps t² to u as the quotient ring QQ[…, t]/(t² − u)
+    does, so the result is exact.  The entries' trees are taken where
+    the result would leave the polynomials or a radicand may cancel
+    against its radical (``_meets_radicand``)."""
     polys = [e._poly for row in rows for e in row]
     if polys and all(P is not None for P in polys) and not _meets_radicand(*polys):
         cleared, scale, entries = [], {}, iter(polys)
@@ -1321,10 +1328,9 @@ def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
                 scale[g] = scale.get(g, 0) + e
             clear = tuple(sorted((g, -e) for g, e in low.items()))
             cleared.append([_mul_term(P, clear, 1) for P in row])
-        R, to_ring, from_ring = _ring([P for row in cleared for P in row])
-        det = DomainMatrix([list(map(to_ring, row)) for row in cleared],
-                           (len(rows), len(rows[0])), R.to_domain()).det()
-        result = _reduce(_mul_term(from_ring(det), tuple(sorted(scale.items())), 1))
+        sign = _eliminate(cleared, len(rows))
+        det = _mul_term(cleared[-1][-1], tuple(sorted(scale.items())), sign) if sign else _ZERO
+        result = _reduce(det)
         if result is not None:
             return Expression.from_poly(result)
     M, back = _domain_matrix(rows)
@@ -1588,8 +1594,9 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
 
     The first call on an expression compiles its canonical tree (for a
     polynomial without placeholders, its terms, into the source its tree
-    gives) into one straight-line Python function and caches it on the
-    instance; later calls only run it.  The compiled form keeps the
+    gives) into one straight-line Python function, shared by equal
+    expressions through a bounded memo, and caches it on the instance;
+    later calls only run it.  The compiled form keeps the
     summation and multiplication order of a recursive walk (each sum
     starts from 0.0 and each product from 1.0, operands in
     ``default_sort_key`` order), so the bits do not depend on
@@ -1605,16 +1612,22 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     """
     fn = e._fn
     if fn is None:
-        c = _Compiler()
-        fn = c.function(c.source(c.value(e)))
+        fn = _evaluator(e)
         object.__setattr__(e, "_fn", fn)
     return fn(_env(bindings))
 
 
+@functools.lru_cache(maxsize=1024)
+def _evaluator(e: Expression):
+    """The compiled function of e; equal expressions compile to the same
+    source, so they share one."""
+    c = _Compiler()
+    return c.function(c.source(c.value(e)))
+
+
 def _env(bindings) -> dict:
     """Bindings by name, as floats."""
-    return {key if isinstance(key, str) else _as_symbol(key).name: float(value)
-            for key, value in bindings.items()}
+    return {_as_name(key): float(value) for key, value in bindings.items()}
 
 
 def row_evaluator(exprs: Sequence[Expression], names: Sequence[str]):
@@ -1659,7 +1672,8 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
     one depends on its order.  An infinity is a value.  Every other
     ExprError, an unbound symbol first of all, is raised.  Stops after
     ``samples`` points or ``200 * samples`` attempts, whichever comes
-    first.
+    first.  With no name to draw every attempt is the same point, which
+    is evaluated once.
     """
     fixed = fixed or {}
     names = sorted(set().union(*(e.free_names() for e in exprs)) - set(fixed))
@@ -1671,15 +1685,20 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
         try:
             values = tuple(evaluate(e, env) for e in exprs)
         except DomainEvalError:
-            continue
+            values = None
         except ExprError:
             raise
         except (ValueError, OverflowError):
-            continue
-        if any(v != v for v in values):  # NaN
+            values = None
+        if values is None or any(v != v for v in values):  # NaN
+            if not names:
+                return
             continue
         got += 1
         yield values
+        if not names:
+            yield from itertools.repeat(values, samples - 1)
+            return
 
 
 def probably_equal(a: Expression, b: Expression, samples: int = 20,
@@ -1852,9 +1871,10 @@ class _Parser:
             self.next()
             inner, _ = self.expr()
             self.expect_op(")")
-            if not inner.sym.is_Rational:
+            value = _rational(inner._poly)
+            if value is None:
                 raise ExprSyntaxError("exponent must be a rational number", pos)
-            return sign * _frac(inner.sym)
+            return sign * value
         raise ExprSyntaxError("expected an exponent", pos)
 
     def atom(self):
@@ -1887,14 +1907,14 @@ class _Parser:
         if _COORD_RE.match(name):
             coord = Coordinate.from_name(name)
             if coord in self.table.coordinates:
-                return _generator(coord.symbol)
+                return _generator(name)
             if coord.kind == "momentum" and not self.table.has_momenta:
                 raise UnknownSymbolError(
                     "momentum coordinate %r is not available in this jet-only context" % name
                 )
             raise UnknownSymbolError("coordinate %r is outside the declared universe" % name)
         if name in self.table.constants:
-            return _generator(_symbol(name))
+            return _generator(name)
         raise UnknownSymbolError("unknown identifier %r" % name)
 
 
@@ -1948,13 +1968,19 @@ def _atom_label(f):
     return _FUNC_LABEL.get(f.func, getattr(f.func, "__name__", "?"))
 
 
+def _name_atom(name):
+    """(sort key, text) of a name: constants first by name, then jet
+    coordinates, then momenta, by (order, axis)."""
+    c = coordinate_of(name)
+    if c is None:
+        return (1, name), name
+    return (2 if c.kind == "jet" else 3, (c.order, c.axis)), name
+
+
 def _atom(base):
     """(sort key, text) of a base that is not a number, sum, product or power."""
     if base.is_Symbol:
-        c = coordinate_of(base)
-        if c is None:
-            return (1, base.name), base.name
-        return (2 if c.kind == "jet" else 3, (c.order, c.axis)), base.name
+        return _name_atom(base.name)
     if isinstance(base, sp.Derivative):
         key = (5, _atom_label(base.expr), tuple(map(_name, base.variables)))
         return key, _derivative_text(base)
@@ -2115,14 +2141,14 @@ class _StepPrinter(PythonCodePrinter):
 
 
 def _python_key(g, renames):
-    """Where ``_StepPrinter`` sorts the generator g: symbols by printed
-    name, so a renamed keyword first, then placeholders, then radicals by
+    """Where ``_StepPrinter`` sorts the generator g: names as printed,
+    so a renamed keyword first, then placeholders, then radicals by
     their renamed radicands' ``default_sort_key``."""
     G = _GEN[g]
     if G.kind == 0:
-        return 0, renames.get(G.sym, G.sym).name
+        return 0, renames.get(G.name, G.name)
     if G.kind == 2 and not G.free.isdisjoint(renames):
-        return 2, sp.default_sort_key(G.sym.base.xreplace(renames))
+        return 2, _sort_key(G.radicand, renames)
     return G.order
 
 
@@ -2133,8 +2159,8 @@ def _rational_python(c) -> str:
 
 def _python_text(P, renames, texts) -> str:
     """``_StepPrinter().doprint(P.as_expr())`` written from the terms of P,
-    its symbols renamed by ``renames``; ``texts`` holds the text of each
-    generator printed so far: a symbol's printed name, a radical's
+    its names renamed by ``renames``; ``texts`` holds the text of each
+    generator printed so far: a name as printed, a radical's
     ``_math.sqrt`` of its radicand.
 
     The printer orders a sum's terms by their exponents over the
@@ -2149,7 +2175,7 @@ def _python_text(P, renames, texts) -> str:
     def text(g):
         if g not in texts:
             G = _GEN[g]
-            texts[g] = (renames.get(G.sym, G.sym).name if G.kind == 0 else
+            texts[g] = (renames.get(G.name, G.name) if G.kind == 0 else
                         "_math.sqrt(%s)" % _python_text(G.radicand, renames, texts))
         return texts[g]
 
@@ -2197,16 +2223,19 @@ def step_texts(exprs: Sequence[Expression],
     ``inline=True``, ``allow_unknown_functions=True``), with each math
     function as ``_math.<name>``.  A polynomial without
     placeholders is written from its terms (``_python_text``) without
-    building its tree; the printer prints the rest.  A constant whose
-    name is a keyword is renamed ``_<name>``, a symbol that sorts before
-    every other name, in the text and in ``params``.
+    building its tree; the printer, built only for them, prints the
+    rest.  A constant whose name is a keyword is renamed ``_<name>``, a
+    name that sorts before every other name, in the text and in
+    ``params``.
     """
-    renames = {_symbol(n): sp.Symbol("_" + n) for n in constant_names if keyword.iskeyword(n)}
-    printer, texts, generators = _StepPrinter(), [], {}
+    renames = {n: "_" + n for n in constant_names if keyword.iskeyword(n)}
+    printer, texts, generators = None, [], {}
     for e in exprs:
         P = e._poly
         if P is None or e.has_placeholders:
-            texts.append(printer.doprint(e.sym.xreplace(renames)))
+            printer = printer or _StepPrinter()
+            texts.append(printer.doprint(e.sym.xreplace(
+                {sp.Symbol(n): sp.Symbol(new) for n, new in renames.items()})))
         else:
             texts.append(_python_text(P, renames, generators))
-    return texts, ["_" + n if keyword.iskeyword(n) else n for n in constant_names]
+    return texts, [renames.get(n, n) for n in constant_names]

@@ -31,6 +31,7 @@ the fallback is recorded in the report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -390,9 +391,15 @@ def _sample(e: Expression, constant_values: Mapping[str, object],
             samples: int, seed: int, reduce=max) -> Optional[float]:
     """Seeded ``reduce`` (max or min) of |e| over ``sample_values``'s
     points, with the named constants fixed; None if fewer than
-    ``samples`` points avoid domain errors."""
+    ``samples`` points avoid domain errors.  A pure function of its
+    arguments, so a repeat is answered by ``_sampled``'s memo."""
+    return _sampled(e, tuple(sorted(constant_values.items())), samples, seed, reduce)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sampled(e, constants, samples, seed, reduce):
     best, got = None, 0
-    for (v,) in sample_values((e,), samples, seed, constant_values):
+    for (v,) in sample_values((e,), samples, seed, dict(constants)):
         best, got = abs(v) if best is None else reduce(best, abs(v)), got + 1
     return best if got == samples else None
 

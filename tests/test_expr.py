@@ -12,13 +12,13 @@ import struct
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
-from sympy import QQ, ZZ
+from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.monomials import MonomialOps
-from sympy.polys.orderings import grlex
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.rings import PolyRing
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -692,7 +692,7 @@ def _reference_eval_num(sym, env, whole):
 
 
 def _reference_evaluate(e, bindings):
-    env = {E._as_symbol(key).name: float(value) for key, value in bindings.items()}
+    env = {E._as_name(key): float(value) for key, value in bindings.items()}
     return _reference_eval_num(e.sym, env, e)
 
 
@@ -1437,8 +1437,8 @@ def test_sparse_polynomials_match_the_ring_path(a, b, term, n, k, name, data):
     _same_polynomial(E._power(P, n), _ref_power(A, n))
     _same_polynomial(E._power(T, -k), _ref_power(TA, -k))
     x = sp.Symbol(name)
-    _same_polynomial(E._pdiff(P, x), _ref_pdiff(A, x))
-    _same_polynomial(E._pdiff(E._pdiff(P, x), Q0_2), _ref_pdiff(_ref_pdiff(A, x), Q0_2))
+    _same_polynomial(E._pdiff(P, name), _ref_pdiff(A, x))
+    _same_polynomial(E._pdiff(E._pdiff(P, name), "q0_2"), _ref_pdiff(_ref_pdiff(A, x), Q0_2))
     # equal polynomials, however built, are equal dicts with one hash
     _same_polynomial(E._add(E._add(P, Q), Q, -1), A)
     assert E._add(E._add(P, Q), Q, -1) == P and hash(frozenset(E._mul(P, Q).items())) == hash(
@@ -1671,7 +1671,7 @@ def test_a_radicand_tree_is_the_rings_expression(polynomial):
     # the tree built from the terms with an unevaluated sum is sympy's
     # as_expr tree: the same structure, equality and hash
     names, terms = polynomial
-    U = E._Ring(sp.symbols(names)).from_dict(terms)
+    U = PolyRing(sp.symbols(names), QQ).from_dict(terms)
     ids = [E._gen(s) for s in U.ring.symbols]
     sparse = E._Poly({tuple(sorted((i, e) for i, e in zip(ids, m) if e)): c for m, c in U.items()})
     tree, want = E._radicand_tree(sparse), U.as_expr()
@@ -1679,59 +1679,214 @@ def test_a_radicand_tree_is_the_rings_expression(polynomial):
     assert tree == want and hash(tree) == hash(want)
 
 
-# -- rings without generated monomial code ------------------------------------
+# -- elimination and radical order against the sympy they replaced -----------
+#
+# The reference for determinant and solve_linear is the linear algebra
+# the package did before it eliminated over sparse polynomials: sympy's
+# DomainMatrix over the PolyRing of the entries' generators, in their
+# order, where every entry is a polynomial (every entry of a determinant,
+# each row cleared of its negative exponents first), else over the
+# domain sympy picks for the trees.  That tree branch is
+# ``expr._domain_matrix`` then as now; the oracles stop both sides where
+# they reach it, since it is the same code and costs up to a minute for
+# a 3×3 determinant over radicals.
+
+
+def _old_ring(polys):
+    gens = tuple(sorted(set().union(*[P.gens() for P in polys]), key=lambda g: E._GEN[g].order))
+    R, index = PolyRing([E._GEN[g].sym for g in gens], QQ), {g: i for i, g in enumerate(gens)}
+
+    def to_ring(P):
+        out = R.zero
+        for m, c in P.items():
+            exps = [0] * len(gens)
+            for g, e in m:
+                exps[index[g]] = e
+            out[tuple(exps)] = c
+        return out
+
+    def from_ring(P):
+        return E._Poly({tuple(sorted((gens[i], e) for i, e in enumerate(m) if e)): c
+                        for m, c in P.items()})
+
+    return R, to_ring, from_ring
+
+
+def _old_domain_matrix(rows):
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    polys = [e._poly for row in rows for e in row]
+    if polys and all(P is not None and not E._is_laurent(P) and not E._holds(P, 2)
+                     for P in polys):
+        R, to_ring, from_ring = _old_ring(polys)
+        entries, m = [to_ring(P) for P in polys], shape[1]
+        return (DomainMatrix([entries[i:i + m] for i in range(0, len(entries), m)],
+                             shape, R.to_domain()),
+                lambda x: Expression.from_poly(from_ring(x)))
+    return E._domain_matrix(rows)
+
+
+def _old_solve_linear(rows, rhs):
+    n = len(rows)
+    aug, back = _old_domain_matrix([list(row) + [r] for row, r in zip(rows, rhs)])
+    try:
+        num, den = aug[:, :n].solve_den(aug[:, n:])
+    except DMNonInvertibleMatrixError:
+        raise E.SingularMatrixError("singular coefficient matrix in exact solve") from None
+    den = back(den)
+    return tuple(back(x) / den for x in num.to_list_flat())
+
+
+def _old_determinant(rows):
+    polys = [e._poly for row in rows for e in row]
+    if polys and all(P is not None for P in polys) and not E._meets_radicand(*polys):
+        cleared, scale, entries = [], {}, iter(polys)
+        for row in [[next(entries) for _ in row] for row in rows]:
+            low = {}
+            for g, e in (f for P in row for m in P for f in m if f[1] < 0):
+                low[g] = min(low.get(g, 0), e)
+            for g, e in low.items():
+                scale[g] = scale.get(g, 0) + e
+            clear = tuple(sorted((g, -e) for g, e in low.items()))
+            cleared.append([E._mul_term(P, clear, 1) for P in row])
+        R, to_ring, from_ring = _old_ring([P for row in cleared for P in row])
+        det = DomainMatrix([list(map(to_ring, row)) for row in cleared],
+                           (len(rows), len(rows[0])), R.to_domain()).det()
+        result = E._reduce(E._mul_term(from_ring(det), tuple(sorted(scale.items())), 1))
+        if result is not None:
+            return Expression.from_poly(result)
+    M, back = _old_domain_matrix(rows)
+    return back(M.det())
+
+
+LINEAR_NAMES = ("a", "b", "q0_1", "q1_1")
+LINEAR_ROOTS = tuple(p(text) ** Fraction(1, 2) for text in (
+    "1 - q1_1^2", "2*a*q1_1 - q1_1^2 - 2*q0_1"))
 
 
 @st.composite
-def monomial_arguments(draw):
-    """A generator count 0..30, two monomials of that length whose
-    exponents may be negative, and an integer power."""
-    n = draw(st.integers(0, 30))
-    monomial = st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple)
-    return n, draw(monomial), draw(monomial), draw(st.integers(-3, 3))
+def linear_entries(draw, kind):
+    """One to three terms: a small nonzero integer times powers 0..2 of
+    names (-1..2 for a Laurent entry), and for a radical entry times a
+    power -1..1 of a square root."""
+    total = Expression.number(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = Expression.number(draw(st.integers(-3, 3).filter(bool)))
+        for name in draw(st.lists(st.sampled_from(LINEAR_NAMES), max_size=2, unique=True)):
+            term = term * p(name) ** draw(st.integers(-1 if kind == "laurent" else 0, 2))
+        if kind == "radical":
+            term = term * draw(st.sampled_from(LINEAR_ROOTS)) ** draw(st.integers(-1, 1))
+        total = total + term
+    return total
 
 
-@settings(max_examples=200, deadline=None)
-@given(monomial_arguments())
-def test_generic_monomial_functions_match_sympys_generated_ones(arguments):
-    # sympy's PolyRing calls the functions MonomialOps(n) generates and
-    # compiles, and with no generators functions that give ()
-    n, a, b, k = arguments
-    ops = MonomialOps(n)
-    reference = vars(PolyRing((), QQ)) if n == 0 else {
-        "monomial_" + name: getattr(ops, name)()
-        for name in ("mul", "pow", "mulpow", "ldiv", "div", "lcm", "gcd")}
-    assert len(E._MONOMIAL_OPS) == 7
-    for name, fn in E._MONOMIAL_OPS.items():
-        args = (a, k) if name == "monomial_pow" else (a, b, k) if name == "monomial_mulpow" \
-            else (a, b)
-        assert fn(*args) == reference[name](*args), name
+@st.composite
+def linear_systems(draw, kinds, sizes):
+    """An n×n matrix of one kind of entries and a right-hand side; in
+    about a third of them the last row is a multiple of the first (a
+    zero multiple too), so the matrix is singular."""
+    kind, n = draw(st.sampled_from(kinds)), draw(sizes)
+    rows = [[draw(linear_entries(kind)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        factor = draw(st.just(Expression.number(0)) | linear_entries("poly"))
+        rows[-1] = [e * factor for e in rows[0]]
+    return rows, [draw(linear_entries(kind)) for _ in range(n)]
 
 
-@pytest.mark.parametrize("symbols", [
-    (),
-    (sp.Symbol("q0_1"),),
-    tuple(sp.symbols("c1 c2 q0_1 q1_1 p0_1")),
-    # names of a ring's own attributes, which sympy does not overwrite
-    tuple(sp.symbols("gens order zero")),
-    (sp.Symbol("q0_1"), sp.Function("s1_1")(sp.Symbol("q0_1")),
-     sp.Derivative(sp.Function("W")(sp.Symbol("q0_1")), sp.Symbol("q0_1")),
-     sp.sqrt(1 - sp.Symbol("q0_1") ** 2)),
-])
-def test_a_ring_is_sympys_ring_without_its_generated_code(symbols):
-    # guards pyproject's sympy>=1.12: a sympy whose PolyRing sets an
-    # attribute _Ring does not set, or hashes otherwise, fails here
-    ours, sympys = E._Ring(symbols), PolyRing(symbols, QQ)
-    assert ours.__dict__.keys() == sympys.__dict__.keys()
-    assert ours == sympys and sympys == ours and hash(ours) == hash(sympys)
-    assert ours._hash_tuple == sympys._hash_tuple
-    same = [key for key in ours.__dict__ if key != "dtype" and not key.startswith("monomial_")]
-    assert [getattr(ours, key) for key in same] == [getattr(sympys, key) for key in same]
-    x = ours.gens[0] if symbols else ours.one
-    assert (x * x + 2 * x) ** 2 == sympys.from_dict(dict((x * x + 2 * x) ** 2))
-    # any other domain or order is sympy's ring, and so is a clone over one
-    for other in (E._Ring(symbols, ZZ), E._Ring(symbols, QQ, grlex), ours.clone(domain=ZZ)):
-        assert type(other) is PolyRing
+class _TreeBranch(Exception):
+    """Raised where a solve or a determinant reaches ``_domain_matrix``."""
+
+
+def _tree_branch(rows):
+    raise _TreeBranch
+
+
+def _outcome_of(fn, *args):
+    with mock.patch.object(E, "_domain_matrix", _tree_branch):
+        try:
+            return fn(*args)
+        except E.SingularMatrixError:
+            return "singular"
+        except _TreeBranch:
+            return "tree"
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems(("poly", "laurent", "radical"), st.sampled_from((1, 2, 3, 4))))
+def test_fraction_free_determinants_match_sympys_matrices(system):
+    rows = system[0]
+    got, want = _outcome_of(E.determinant, rows), _outcome_of(_old_determinant, rows)
+    assert got == want
+    if want != "tree":
+        assert to_text(got) == to_text(want) and got._poly is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_systems(("poly",), st.sampled_from((1, 2, 3, 4))),
+                 linear_systems(("laurent", "radical"), st.sampled_from((1, 2)))))
+def test_fraction_free_solves_match_sympys_matrices(system):
+    rows, rhs = system
+    got, want = _outcome_of(E.solve_linear, rows, rhs), _outcome_of(_old_solve_linear, rows, rhs)
+    assert got == want
+    if want not in ("singular", "tree"):
+        assert [to_text(x) for x in got] == [to_text(x) for x in want]
+
+
+def test_a_solve_divides_by_the_determinant_exactly():
+    # back substitution divides exactly by each pivot, and the common
+    # denominator is the last one: det = a*b - 1 here
+    rows = [[p("a"), p("1")], [p("1"), p("b")]]
+    assert E.solve_linear(rows, [p("1"), p("0")]) == (p("b") / p("a*b - 1"), p("-1/(a*b - 1)"))
+    assert E.determinant(rows) == p("a*b - 1")
+    # a zero pivot swaps rows, which turns the sign of the determinant
+    assert E.determinant([[p("0"), p("a")], [p("b"), p("q0_1")]]) == p("-a*b")
+    with pytest.raises(E.SingularMatrixError):
+        E.solve_linear([[p("a"), p("b")], [p("2*a"), p("2*b")]], [p("1"), p("1")])
+
+
+SORT_NAMES = ("a", "c2", "lambda", "if", "p0_1", "q0_1", "q1_1")
+SORT_RENAMES = {"lambda": "_lambda", "if": "_if"}
+
+
+@st.composite
+def sortable_radicands(draw):
+    """A polynomial of two to five terms in names, constants named like
+    Python keywords among them, with rational coefficients of either
+    sign."""
+    terms = draw(st.lists(st.tuples(st.fractions(-9, 9, max_denominator=4).filter(bool),
+                                    st.lists(st.sampled_from(SORT_NAMES), max_size=3)),
+                          min_size=2, max_size=5))
+    U = E._as_poly(sp.Add(*(sp.Mul(sp.Rational(c.numerator, c.denominator),
+                                   *map(sp.Symbol, names)) for c, names in terms)))
+    assume(len(U) >= 2)
+    return U
+
+
+def _fractions(key):
+    """A sympy sort key with its numbers as Fractions."""
+    if isinstance(key, tuple):
+        return tuple(map(_fractions, key))
+    return Fraction(int(key.p), int(key.q)) if isinstance(key, sp.Rational) else key
+
+
+@settings(max_examples=300, deadline=None)
+@given(sortable_radicands())
+@example(E._as_poly(sp.sympify("1 - q1_1**2")))  # a positive number first
+@example(E._as_poly(sp.sympify("3/2 - 2*q0_1*q1_1")))  # not beside a product
+def test_a_radicands_order_is_sympys_sort_key(U):
+    # the order of a radical, which sets the order of printed terms and
+    # of compiled factors, is default_sort_key of its radicand's tree,
+    # renamed or not, and its text is the tree printer's
+    tree = E._radicand_tree(U)
+    assert E._sort_key(U) == _fractions(sp.default_sort_key(tree))
+    renamed = tree.xreplace({sp.Symbol(n): sp.Symbol(new) for n, new in SORT_RENAMES.items()})
+    assert E._sort_key(U, SORT_RENAMES) == _fractions(sp.default_sort_key(renamed))
+    assert E._poly_text(U) == E._tree_text(tree)
+    g = E._radical(U)
+    if g is not None:
+        assert E._GEN[g].order == (2, E._sort_key(U))
+        assert E._python_key(g, SORT_RENAMES) == (
+            2, _fractions(sp.default_sort_key(E._GEN[g].sym.base.xreplace(
+                {sp.Symbol(n): sp.Symbol(new) for n, new in SORT_RENAMES.items()}))))
 
 
 # -- step texts written from the ring ------------------------------------------

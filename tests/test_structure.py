@@ -345,40 +345,39 @@ RING_BUILDS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.rings import PolyElement
 from hjmech import expr
 from hjmech.cli import main
-inside, outside, copies = [], [], []
+inside, outside, copies = {}, {}, []
+init = PolyElement.__init__
 
-def counted(new):
-    def build(cls, *args, **kwargs):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        (inside if names & {"determinant", "solve_linear"} else outside).append(cls.__name__)
-        return new(cls, *args, **kwargs)
-    return staticmethod(build)
+def counted(P, ring, *args):
+    # a ring is seen by the elements built over it, its generators first
+    frame, names = sys._getframe(1), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    seen = inside if names & {"determinant", "solve_linear"} else outside
+    seen[id(ring)] = type(ring).__name__
+    init(P, ring, *args)
 
-expr._Ring.__new__ = counted(expr._Ring.__new__)
-PolyRing.__new__ = counted(PolyRing.__new__)
+PolyElement.__init__ = counted
 set_ring = PolyElement.set_ring
 PolyElement.set_ring = lambda P, R: copies.append(R) or set_ring(P, R)
 argv = sys.argv[3:] or next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
                             if op.key == "javelin_r03/check-cand")
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(list(argv))
-print(json.dumps([code, len(inside), outside, [len(g) for g in expr._RINGS], len(copies),
-                  len(expr._GEN)]))
+print(json.dumps([code, len(inside), sorted(outside.values()), len(copies), len(expr._GEN)]))
 """
 
 
 def _fresh_rings(tmp_path, *argv):
     """What a fresh process running the CLI on ``argv`` (by default one
-    op of the verdicts benchmark) reports: its exit code, how many rings
-    it builds inside and which outside the linear algebra, the generator
-    count of each ring ``_ring`` builds, how many elements it moves from
-    one ring into another, and how many generators it records."""
+    op of the verdicts benchmark) reports: its exit code, how many of
+    sympy's polynomial rings it builds elements of inside and which
+    outside the linear algebra, how many elements it moves from one ring
+    into another, and how many generators it records."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", RING_BUILDS, str(ROOT / "bench"), str(tmp_path),
                           *argv], capture_output=True, text=True, env=env, timeout=300,
@@ -387,25 +386,24 @@ def _fresh_rings(tmp_path, *argv):
 
 
 def test_one_check_builds_rings_of_few_generator_counts(tmp_path):
-    # a fresh process running one op of the verdicts benchmark builds
-    # rings only for the matrices of its linear algebra, each over the
-    # generators of those entries alone ({0, 21} while every polynomial
-    # was an element of the model's ring; 18 counts while every
-    # operation built the ring of its operands' union)
-    sizes = _fresh_rings(tmp_path)[3]
-    assert set(sizes) <= {0, 3, 6}, sizes
+    # a fresh process running one op of the verdicts benchmark builds no
+    # ring at all: its determinant and solves eliminate over sparse
+    # polynomials (rings of {0, 3, 6} generators while they ran on
+    # sympy's DomainMatrix; {0, 21} while every polynomial was an element
+    # of the model's ring; 18 counts while every operation built the ring
+    # of its operands' union)
+    code, inside, outside = _fresh_rings(tmp_path)[:3]
+    assert code == 1 and inside == 0 and outside == [], (inside, outside)
 
 
 def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
     # the check records each of the model's 21 names (jets of orders
     # 0..4 and momenta of orders 0..1 on three axes) once as a generator
-    # and nothing else, builds no one- or two-name ring and moves no
-    # element from one ring into another (21 one-name and 3 two-name
-    # rings, and 567 copies, while Expression.coordinate built one-name
-    # rings)
-    _, _, _, sizes, copies, generators = _fresh_rings(tmp_path)
-    assert not {1, 2} & set(sizes) and copies == 0 and generators == 21, (
-        sizes, copies, generators)
+    # and nothing else, and moves no element from one ring into another
+    # (21 one-name and 3 two-name rings, and 567 copies, while
+    # Expression.coordinate built one-name rings)
+    _, _, _, copies, generators = _fresh_rings(tmp_path)
+    assert copies == 0 and generators == 21, (copies, generators)
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,33 +415,127 @@ def test_one_check_starts_every_name_in_the_models_ring(tmp_path):
     or "check-cand")
 def test_no_ring_is_built_outside_linear_algebra(tmp_path, argv):
     # polynomials are sparse, so a fresh process running a command builds
-    # sympy's polynomial rings only for the matrices of determinant and
+    # none of sympy's polynomial rings outside determinant and
     # solve_linear (rings of 21 and 70 generators and 257 copies between
     # rings for check javelin unknown while every polynomial was an
-    # element of a ring)
+    # element of a ring), and none inside them either, where their
+    # entries are polynomials (which sympy's DomainMatrix held over a
+    # ring of their generators)
     if argv and argv[0] == "simulate":
         argv += ("--out", str(tmp_path / "lift.csv"))
     code, inside, outside = _fresh_rings(tmp_path, *argv)[:3]
-    assert code in (0, 1) and outside == [], outside
-    assert inside > 0  # the count sees the rings the linear algebra builds
+    assert code in (0, 1) and inside == 0 and outside == [], (inside, outside)
 
 
 def test_only_the_linear_algebra_builds_rings():
-    # _ring, the one door to a _Ring, is called by the matrix helpers of
-    # determinant and solve_linear, and by nothing else
+    # sympy's matrices, which build polynomial rings over their entries'
+    # generators, are referenced only by _domain_matrix, the tree branch
+    # of determinant and solve_linear, and expr names no ring of its own
     tree = ast.parse((SRC / "expr.py").read_text())
-    callers = set()
+    users = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
             else:
-                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
-                        child.func.id in ("_ring", "_Ring")):
-                    callers.add((".".join(scope), child.func.id))
+                name = getattr(child, "id", getattr(child, "attr", None))
+                if name in ("DomainMatrix", "PolyRing", "PolyElement", "ring"):
+                    users.add((".".join(scope), name))
                 visit(child, scope)
 
     visit(tree, ())
-    assert callers == {("determinant", "_ring"), ("_domain_matrix", "_ring"),
-                       ("_ring", "_Ring")}, callers
+    assert users == {("_domain_matrix", "DomainMatrix")}, users
+
+
+SYMPY_FRAMES = """
+import collections, contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import sympy
+import workloads
+from hjmech.cli import main
+SYMPY = os.path.dirname(sympy.__file__) + os.sep
+# QQ's coefficients: its domain and the pure-Python rational it holds
+ALLOWED = (os.path.join(SYMPY, "external", "pythonmpq.py"),
+           os.path.join(SYMPY, "polys", "domains") + os.sep)
+workload, *argv = sys.argv[3:]
+if workload != "cli":
+    argv = next(op.argv for op in workloads.build(workload, 1, sys.argv[2]) if op.key == argv[0])
+frames = collections.Counter()
+
+def profile(frame, event, arg):
+    name = frame.f_code.co_filename
+    if event == "call" and name.startswith(SYMPY) and not name.startswith(ALLOWED):
+        frames[name[len(SYMPY):] + ":" + frame.f_code.co_name] += 1
+
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.setprofile(profile)
+    try:
+        code = main(list(argv))
+    finally:
+        sys.setprofile(None)
+print(json.dumps([code, frames.most_common(5)]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verdicts", "javelin_r03/check-cand"),
+    ("verdicts", "beam_r00/check-cand"),
+    ("verdicts", "walpha_m00/check-walpha"),
+    ("verdicts", "walpha_m00/involution-wfam"),
+    ("flows", "lift_m00/walpha"),
+    ("flows", "flow_k2_n2/s0"),
+    *(("cli", "derive", model_path("javelin.hjm"), topic)
+      for topic in ("cartan", "legendre", "hamfield")),
+], ids=lambda argv: argv[1] if argv[0] != "cli" else "derive-javelin-" + argv[-1])
+def test_the_ring_path_enters_no_sympy_module(tmp_path, argv):
+    # a fresh process running one benchmark op, or one derive, calls no
+    # function of sympy's but QQ's coefficient arithmetic: names and
+    # radicals are generators without trees, a radical's order comes
+    # from its radicand's terms, exponents are Fractions, and
+    # determinant and solve_linear eliminate over sparse polynomials
+    # (675 to 4,147 calls into other sympy modules per op while symbols,
+    # radical trees and sympy's rings and matrices did this work)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", SYMPY_FRAMES, str(ROOT / "bench"), str(tmp_path),
+                          *argv], capture_output=True, text=True, env=env, timeout=300,
+                         check=True, cwd=tmp_path)
+    code, frames = json.loads(out.stdout)
+    assert code in (0, 1) and frames == [], frames
+
+
+REPEATS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from hjmech import expr, hj
+from hjmech.cli import main
+compiled, sampled = [], []
+value = expr._Compiler.value
+expr._Compiler.value = lambda c, e: compiled.append(e) or value(c, e)
+sample_values = hj.sample_values
+
+def sampling(exprs, samples, seed, fixed=None):
+    sampled.append((tuple(exprs), samples, seed, tuple(sorted((fixed or {}).items()))))
+    return sample_values(exprs, samples, seed, fixed)
+
+hj.sample_values = sampling
+argv = next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
+            if op.key == "javelin_r03/check-cand")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(list(argv))
+print(json.dumps([code, len(compiled), len(set(compiled)), len(sampled), len(set(sampled))]))
+"""
+
+
+def test_one_check_compiles_and_samples_each_expression_once(tmp_path):
+    # equal expressions share one compiled evaluator, and a repeated
+    # sampling is answered from hj's memo (in this op 17 of 38 compiles
+    # and 13 of 38 samplings repeated an earlier one while the evaluator
+    # was cached on the instance and every sampling ran)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", REPEATS, str(ROOT / "bench"), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    code, compiles, distinct_compiles, runs, distinct_runs = json.loads(out.stdout)
+    assert code == 1 and compiles == distinct_compiles > 0 and runs == distinct_runs > 0, (
+        compiles, distinct_compiles, runs, distinct_runs)
