@@ -1765,11 +1765,12 @@ LINEAR_ROOTS = tuple(p(text) ** Fraction(1, 2) for text in (
 
 @st.composite
 def linear_entries(draw, kind):
-    """One to three terms: a small nonzero integer times powers 0..2 of
-    names (-1..2 for a Laurent entry), and for a radical entry times a
-    power -1..1 of a square root."""
+    """Zero to three terms (a quarter of the entries zero, so pivots can
+    be): a small nonzero integer times powers 0..2 of names (-1..2 for a
+    Laurent entry), and for a radical entry times a power -1..1 of a
+    square root."""
     total = Expression.number(0)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.sampled_from((1, 2, 3, 0)))):
         term = Expression.number(draw(st.integers(-3, 3).filter(bool)))
         for name in draw(st.lists(st.sampled_from(LINEAR_NAMES), max_size=2, unique=True)):
             term = term * p(name) ** draw(st.integers(-1 if kind == "laurent" else 0, 2))
