@@ -130,11 +130,11 @@ Conventions
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
 construction (the tree, the hash, ``evaluate``'s function, a generator's
-tree) are idempotent stores of pure functions of the value.
-``Immutable`` is the base of every immutable class of the package: it refuses attribute
-assignment and deletion, and constructors store their fields through
-``_init`` (``Expression``, built far more often than the rest, stores its
-four directly).
+tree) are idempotent stores of pure functions of the value.  ``Immutable``
+is the base of every immutable class of the package: it refuses
+attribute assignment and deletion, and constructors store their fields
+through ``_init`` (``Expression``, built far more often than the rest,
+stores its four directly).
 """
 
 from __future__ import annotations
