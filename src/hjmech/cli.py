@@ -1,11 +1,24 @@
-"""Command-line interface.
+from __future__ import annotations
 
-Four subcommands operate on model files::
+# the module docstring, and what -h prints; a constant, so that it is
+# there under python -OO too
+_USAGE = """\
+Usage::
 
     hjmech derive MODEL {cartan|energy|field|legendre|hamiltonian|hamfield}
     hjmech check MODEL CANDIDATE [--tol T] [--samples N] [--seed S]
     hjmech simulate MODEL FIELD INITIAL T0 T1 DT [--out F] [--lift NAME] [--tol T]
     hjmech involution MODEL FAMILY [--tol T] [--samples N] [--seed S]
+    hjmech -h | --help
+
+An option is ``--name value`` or ``--name=value``, anywhere after the
+command; a repeated option takes its last value, and names are not
+abbreviated.  Only a token starting with ``--`` is an option, so an
+INITIAL of ``-1,0.5`` is a positional.  FIELD is lagrangian, hamiltonian
+or associated:CANDIDATE, INITIAL a [state] of the model or comma-separated
+numbers; ``--lift NAME`` also verifies that the candidate NAME lifts the
+flow, within the tolerance ``--tol``.  ``-h`` or ``--help`` prints this
+text and exits 0; without a command it goes to standard error, exit 2.
 
 Reports go to standard output: human-readable text plus a tab-separated
 machine block (see hjmech.report).  Exit codes: 0 when every requested
@@ -20,13 +33,12 @@ Legendre map is invertible, transporting the candidate across it
 automatically; machine-block equation ids carry a ``lag:``/``ham:``
 prefix naming the side they were computed on.
 """
+__doc__ = "Command-line interface.\n\n" + _USAGE
 
-from __future__ import annotations
-
-import argparse
 import functools
 import math
 import sys
+import types
 from typing import List, Optional, Tuple
 
 from . import model as model_io
@@ -67,54 +79,6 @@ from .numeric import NumericError, integrate, verify_lifting
 from .report import Report, format_float, format_setting
 
 DEFAULT_LIFT_TOL = 1e-6
-
-
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="hjmech",
-        description="Derive, check, and integrate higher-order mechanical "
-                    "systems described by model files.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("derive", help="print derived geometric objects")
-    d.add_argument("model")
-    d.add_argument("what", choices=["cartan", "energy", "field", "legendre",
-                                    "hamiltonian", "hamfield"])
-    d.set_defaults(func=cmd_derive)
-
-    c = sub.add_parser("check", help="run the residual battery on a candidate")
-    c.add_argument("model")
-    c.add_argument("candidate")
-    c.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    c.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c.set_defaults(func=cmd_check)
-
-    s = sub.add_parser("simulate", help="integrate a field and export CSV")
-    s.add_argument("model")
-    s.add_argument("field",
-                   help="lagrangian | hamiltonian | associated:CANDIDATE")
-    s.add_argument("initial",
-                   help="a [state NAME] from the model, or comma-separated numbers")
-    s.add_argument("t0", type=float)
-    s.add_argument("t1", type=float)
-    s.add_argument("dt", type=float)
-    s.add_argument("--out", default="trajectory.csv")
-    s.add_argument("--lift", metavar="NAME", default=None,
-                   help="also verify that the candidate NAME lifts the flow")
-    s.add_argument("--tol", type=float, default=DEFAULT_LIFT_TOL,
-                   help="lifting tolerance")
-    s.set_defaults(func=cmd_simulate)
-
-    i = sub.add_parser("involution", help="pairwise brackets of a family")
-    i.add_argument("model")
-    i.add_argument("family")
-    i.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    i.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    i.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    i.set_defaults(func=cmd_involution)
-    return p
 
 
 class _Context:
@@ -171,7 +135,12 @@ def _matrix_text(matrix) -> str:
 # -- derive -----------------------------------------------------------------
 
 
+_TOPICS = ("cartan", "energy", "field", "legendre", "hamiltonian", "hamfield")
+
+
 def cmd_derive(args) -> Tuple[Report, bool]:
+    if args.what not in _TOPICS:
+        raise ValueError("derive's topic is one of %s, not %r" % (", ".join(_TOPICS), args.what))
     ctx = _Context(args.model)
     m, sys_ = ctx.model, ctx.system
     rep = Report()
@@ -409,11 +378,65 @@ def cmd_involution(args) -> Tuple[Report, bool]:
 
 # -- entry point --------------------------------------------------------------
 
+_SAMPLING = {"tol": (float, DEFAULT_TOL), "samples": (int, DEFAULT_SAMPLES),
+             "seed": (int, DEFAULT_SEED)}
+# each command's handler, its positionals with their types, and its
+# options with their types and defaults
+_COMMANDS = {
+    "derive": (cmd_derive, (("model", str), ("what", str)), {}),
+    "check": (cmd_check, (("model", str), ("candidate", str)), _SAMPLING),
+    "simulate": (cmd_simulate, (("model", str), ("field", str), ("initial", str),
+                                ("t0", float), ("t1", float), ("dt", float)),
+                 {"out": (str, "trajectory.csv"), "lift": (str, None),
+                  "tol": (float, DEFAULT_LIFT_TOL)}),
+    "involution": (cmd_involution, (("model", str), ("family", str)), _SAMPLING),
+}
+
+
+def _convert(kind, text: str, label: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError("%s: invalid %s value %r" % (label, kind.__name__, text)) from None
+
+
+def _arguments(argv: List[str]):
+    """The handler and the arguments of the command line ``argv``, read by
+    the usage in the module docstring; a usage error raises ValueError."""
+    if argv[0] not in _COMMANDS:
+        raise ValueError("unknown command %r; the commands are %s" % (argv[0], ", ".join(_COMMANDS)))
+    handler, positionals, options = _COMMANDS[argv[0]]
+    values = {name: default for name, (_, default) in options.items()}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("--"):
+            given.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        if name not in options:
+            raise ValueError("%s has no option --%s" % (argv[0], name))
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError("option --%s needs a value" % name)
+        values[name] = _convert(options[name][0], value, "--" + name)
+    if len(given) != len(positionals):
+        raise ValueError("%s takes %d arguments (%s), got %d" % (
+            argv[0], len(positionals), " ".join(n.upper() for n, _ in positionals), len(given)))
+    for (name, kind), token in zip(positionals, given):
+        values[name] = _convert(kind, token, name.upper())
+    return handler, types.SimpleNamespace(**values)
+
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or "-h" in argv or "--help" in argv:
+        (sys.stdout if argv else sys.stderr).write(_USAGE)
+        return 0 if argv else 2
     try:
-        rep, failed = args.func(args)
+        handler, args = _arguments(argv)
+        rep, failed = handler(args)
     except (DegenerateFamilyError, LagrangianError, HamiltonianError) as err:
         print("hjmech: error: %s" % err, file=sys.stderr)
         return 3

@@ -1236,7 +1236,8 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     otherwise.  A rule that maps a variable of a placeholder's partial
     derivative to anything but a symbol raises ExprError naming that
     partial: the derivative of an unknown function by an expression is
-    not defined."""
+    not defined.  A substitution that makes a denominator zero (or takes
+    ln(0)) raises ExprError, as the parser does."""
     table = {_as_name(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     if P is not None and not any(_GEN[g].kind and not _GEN[g].free.isdisjoint(table)
@@ -1256,7 +1257,11 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
                 raise ExprError("cannot substitute %s for %s in %s: a partial derivative is "
                                 "taken by a coordinate" % (to_text(table[x.name]), x.name,
                                                            _derivative_text(d)))
-    return Expression(tree.xreplace({sp.Symbol(x): v.sym for x, v in table.items()}))
+    out = Expression(tree.xreplace({sp.Symbol(x): v.sym for x, v in table.items()}))
+    # sympy evaluates a zero denominator to zoo (and 0*zoo to nan) without raising
+    if out._poly is None and out._sym.has(sp.zoo, sp.nan):
+        raise ExprError("division by zero (or ln(0)) substituting into %s" % to_text(e))
+    return out
 
 
 def _domain_matrix(rows: Sequence[Sequence[Expression]]):

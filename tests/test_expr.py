@@ -259,7 +259,20 @@ def test_substitute_rejects_floats():
     assert substitute(p("q0_1"), {jet(0, 1): Fraction(1, 2)}) == Expression.number(Fraction(1, 2))
 
 
-@pytest.mark.parametrize("value", ["q0_1^2", "1/2", 0.25, float("nan"), True, False])
+@pytest.mark.parametrize("text, name, value", [
+    ("1/b", "b", 0),
+    ("sin(q0_1)/b", "b", 0),
+    ("q0_1/(b + q0_1)", "b", "-q0_1"),
+])
+def test_substituting_a_zero_denominator_is_an_expr_error(text, name, value):
+    # the tree path returned an Expression holding sympy's zoo, which even
+    # repr could not print ("cannot print zoo")
+    value = p(value) if isinstance(value, str) else value
+    with pytest.raises(ExprError, match="division by zero"):
+        substitute(p(text), {name: value})
+
+
+@pytest.mark.parametrize("value",["q0_1^2", "1/2", 0.25, float("nan"), True, False])
 def test_values_enter_exactly_or_not_at_all(value):
     # text once went to sympy's own parser (no symbol table, no term budget)
     # and floats were stored as sympy Floats that no printer accepts
@@ -1280,8 +1293,12 @@ def test_placeholder_elements_match_the_tree_path(raw, raw2, raw_term, data):
                               raw2 * sp.diff(raw, x) + raw_term * sp.diff(raw, y))
     # a rule on a name no placeholder takes stays in the ring; one on a
     # placeholder's argument renames it, or makes it a tree (a constant)
-    _matches_placeholder_tree(substitute(e, {"a": t, "b": e2}),
-                              raw.xreplace({sp.Symbol("a"): raw_term, sp.Symbol("b"): raw2}))
+    want = raw.xreplace({sp.Symbol("a"): raw_term, sp.Symbol("b"): raw2})
+    if want.has(sp.zoo, sp.nan):  # a zero e2 in a denominator
+        with pytest.raises(ExprError, match="division by zero"):
+            substitute(e, {"a": t, "b": e2})
+    else:
+        _matches_placeholder_tree(substitute(e, {"a": t, "b": e2}), want)
     value = data.draw(st.sampled_from((Expression.coordinate(momentum(0, 1)),
                                        Expression.constant("b"))))
     _matches_placeholder_tree(substitute(e, {"q0_1": value}),

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
-from hjmech import numeric
+from hjmech import cli, numeric
 from hjmech.cli import main
-from hjmech.hj import MAX_SAMPLES
+from hjmech.hj import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, MAX_SAMPLES
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
 
 from conftest import fixture_path, model_path
@@ -1291,16 +1291,171 @@ def test_model_reader_loads_or_raises_model_error(text):
 
 
 def test_python_dash_m_runs_the_cli(capsys):
-    # "No module named hjmech.__main__" before there was one
+    # "No module named hjmech.__main__" before there was one; with no
+    # arguments, main(None) reads the script's own (empty) argv; -OO strips
+    # docstrings, and the usage is still printed
     import subprocess
     import sys
 
-    argv = ("derive", model_path("free_particle.hjm"), "energy")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    ran = subprocess.run([sys.executable, "-m", "hjmech", *argv], capture_output=True,
-                         env=env, timeout=120)
+    for flags, argv, want in (((), ("derive", model_path("free_particle.hjm"), "energy"), 0),
+                              ((), ("--help",), 0), (("-OO",), ("--help",), 0), ((), (), 2)):
+        ran = subprocess.run([sys.executable, *flags, "-m", "hjmech", *argv],
+                             capture_output=True, env=env, timeout=120)
+        code, out, err = run_cli(capsys, *argv)
+        assert (ran.returncode, ran.stdout, ran.stderr) == (code, out.encode(), err.encode())
+        assert code == want and (out or err), argv
+
+
+# -- reading the command line -----------------------------------------------------
+
+
+def _reference_parser():
+    """The argparse parser the command line was read with before the table
+    ``cli._COMMANDS``; the reference the table's reader must agree with."""
+    import argparse
+
+    p = argparse.ArgumentParser(
+        prog="hjmech",
+        description="Derive, check, and integrate higher-order mechanical "
+                    "systems described by model files.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    d = sub.add_parser("derive", help="print derived geometric objects")
+    d.add_argument("model")
+    d.add_argument("what", choices=["cartan", "energy", "field", "legendre",
+                                    "hamiltonian", "hamfield"])
+    d.set_defaults(func=cli.cmd_derive)
+
+    c = sub.add_parser("check", help="run the residual battery on a candidate")
+    c.add_argument("model")
+    c.add_argument("candidate")
+    c.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    c.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    c.set_defaults(func=cli.cmd_check)
+
+    s = sub.add_parser("simulate", help="integrate a field and export CSV")
+    s.add_argument("model")
+    s.add_argument("field",
+                   help="lagrangian | hamiltonian | associated:CANDIDATE")
+    s.add_argument("initial",
+                   help="a [state NAME] from the model, or comma-separated numbers")
+    s.add_argument("t0", type=float)
+    s.add_argument("t1", type=float)
+    s.add_argument("dt", type=float)
+    s.add_argument("--out", default="trajectory.csv")
+    s.add_argument("--lift", metavar="NAME", default=None,
+                   help="also verify that the candidate NAME lifts the flow")
+    s.add_argument("--tol", type=float, default=cli.DEFAULT_LIFT_TOL,
+                   help="lifting tolerance")
+    s.set_defaults(func=cli.cmd_simulate)
+
+    i = sub.add_parser("involution", help="pairwise brackets of a family")
+    i.add_argument("model")
+    i.add_argument("family")
+    i.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    i.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    i.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    i.set_defaults(func=cli.cmd_involution)
+    return p
+
+
+ARG_NAMES = st.from_regex(r"[a-z][a-z0-9_./:]{0,8}", fullmatch=True)
+# negative numbers among them, in the forms argparse reads as values
+ARG_NUMBERS = st.integers(-999, 999).map(lambda i: repr(i / 8))
+ARG_INTEGERS = st.integers(-9, 500).map(str)
+SAMPLING_OPTIONS = {"tol": ARG_NUMBERS, "samples": ARG_INTEGERS, "seed": ARG_INTEGERS}
+GRAMMAR = {
+    "derive": ([ARG_NAMES, st.sampled_from(cli._TOPICS)], {}),
+    "check": ([ARG_NAMES, ARG_NAMES], SAMPLING_OPTIONS),
+    "simulate": ([ARG_NAMES, ARG_NAMES, ARG_NAMES | ARG_NUMBERS] + [ARG_NUMBERS] * 3,
+                 {"out": ARG_NAMES, "lift": ARG_NAMES, "tol": ARG_NUMBERS}),
+    "involution": ([ARG_NAMES, ARG_NAMES], SAMPLING_OPTIONS),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the documented grammar: the positionals in order,
+    with options in either form, some repeated, inserted anywhere after the
+    command."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    positionals, options = GRAMMAR[command]
+    chunks = [[draw(text)] for text in positionals]
+    if options:
+        for _ in range(draw(st.integers(0, 6))):
+            name = draw(st.sampled_from(sorted(options)))
+            value = draw(options[name])
+            chunk = (["--%s=%s" % (name, value)] if draw(st.booleans())
+                     else ["--" + name, value])
+            chunks.insert(draw(st.integers(0, len(chunks))), chunk)
+    return [command] + [token for chunk in chunks for token in chunk]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_the_table_reads_what_argparse_read(argv):
+    want = vars(_reference_parser().parse_args(argv))
+    handler, args = cli._arguments(argv)
+    assert handler is want.pop("func") and want.pop("command") == argv[0]
+    assert vars(args) == want
+
+
+JAVELIN1D = model_path("javelin1d.hjm")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", JAVELIN1D),
+    ("check", JAVELIN1D, "walpha", "wscaled"),
+    ("simulate", JAVELIN1D, "lagrangian", "base", "0", "1"),
+    ("check", JAVELIN1D, "walpha", "--frob", "1"),
+    ("involution", JAVELIN1D, "wfam", "--seed"),
+    ("check", JAVELIN1D, "walpha", "--tol", "--seed", "1"),
+    ("check", JAVELIN1D, "walpha", "--samples", "x"),
+    ("involution", JAVELIN1D, "wfam", "--samples=2.5"),
+    ("check", JAVELIN1D, "walpha", "--tol", "x"),
+    ("simulate", JAVELIN1D, "lagrangian", "base", "0", "x", "0.1"),
+    ("derive", JAVELIN1D, "lagrangian"),
+    ("derive", JAVELIN1D, "energy", "--tol", "1"),
+    ("verify", JAVELIN1D, "walpha"),
+], ids=["missing-positional", "extra-positional", "missing-number", "unknown-option",
+        "option-without-value", "option-before-option", "samples-not-int", "samples-float",
+        "tol-not-float", "t1-not-float", "bad-topic", "derive-has-no-options",
+        "unknown-command"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit):
+        _reference_parser().parse_args(argv)
+    capsys.readouterr()
     code, out, err = run_cli(capsys, *argv)
-    assert (ran.returncode, ran.stdout, ran.stderr) == (code, out.encode(), err.encode())
-    assert code == 0 and out
+    assert (code, out) == (2, "")
+    assert err.startswith("hjmech: error: ") and err.count("\n") == 1
+
+
+def test_option_names_are_not_abbreviated(capsys):
+    # argparse took --samp for --samples
+    argv = ("check", JAVELIN1D, "walpha", "--samp", "3")
+    assert _reference_parser().parse_args(argv).samples == 3
+    assert run_cli(capsys, *argv) == (2, "", "hjmech: error: check has no option --samp\n")
+
+
+def test_a_negative_initial_state_is_a_positional():
+    # argparse took "-1,0.5" for an option and refused it
+    handler, args = cli._arguments(["simulate", "m", "lagrangian", "-1,0.5", "0", "1", "0.5"])
+    assert handler is cli.cmd_simulate and args.initial == "-1,0.5"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("check", "--help"),
+                                  ("simulate", JAVELIN1D, "-h", "--tol", "x")])
+def test_help_prints_the_usage(capsys, argv):
+    usage = cli._USAGE
+    assert usage.startswith("Usage::") and all(
+        "hjmech %s MODEL" % command in usage for command in cli._COMMANDS)
+    assert run_cli(capsys, *argv) == (0, usage, "")
+
+
+def test_no_arguments_print_the_usage_to_stderr(capsys):
+    assert run_cli(capsys) == (2, "", cli._USAGE)
