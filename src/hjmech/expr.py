@@ -37,7 +37,7 @@ Conventions
   it stands, which u's terms tell: integer coefficients without a
   common factor, not all negative, and no generator dividing every
   term.  t's text is the printer's of u's terms, and its place among
-  radicals, which orders printed terms and compiled factors, is
+  radicals, which orders printed terms and evaluated factors, is
   ``default_sort_key`` of u's tree, computed from u's terms
   (``_sort_key``).  t contributes u's names to the free names.  After every
   operation t^(2k+r) becomes u^k·t^r, so a value is A·t⁻¹ + B + C·t,
@@ -73,9 +73,9 @@ Conventions
   node it always named).  It is the tree ``_canon`` gives, the expanded
   sum (a monomial denominator is atomic).  Printing, ``evaluate`` and
   ``step_texts`` read the polynomial's terms and give the text, the
-  compiled source and the Python text that tree gives; a radical
-  compiles as the ``_root`` of its radicand's terms.  So the polynomial
-  path calls nothing of sympy's but QQ's coefficient arithmetic.
+  values and errors, and the Python text that tree gives; a radical is
+  the ``_root`` of its radicand's terms.  So the polynomial path calls
+  nothing of sympy's but QQ's coefficient arithmetic.
   Polynomial and tree stay inside this module: no other module of the
   package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
@@ -106,14 +106,16 @@ Conventions
   and each generator's key and text computed once.
   ``exp(x)`` is a function atom, sympy's ``E`` prints as ``exp(1)``, and
   a radical of a sum, product or power prints its base in parentheses.
-* ``evaluate`` compiles an expression into straight-line Python the first
-  time it is called on it, shares the function among equal expressions
-  through a bounded memo and caches it on the instance.  The
-  compiled form keeps the summation and multiplication order of a
+* ``evaluate`` keeps the summation and multiplication order of a
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
-  walk would.  A polynomial is compiled from its terms, put in the
-  order that walk takes, into the same source.
+  walk would.  A polynomial without placeholders is evaluated from its
+  terms, put in the order that walk takes, one operation at a time over
+  columns of floats, so ``sample_values`` and ``row_evaluator`` evaluate
+  all their points at once and compile nothing.  Any other expression's
+  tree is compiled into straight-line Python the first time it is
+  evaluated, shared among equal expressions through a bounded memo and
+  cached on the instance; it runs once per point.
 * The parser builds every value with Expression arithmetic, so values
   enter canonical and ``parse(text)`` equals what that arithmetic builds
   from the text's atoms.  It bounds the number of terms an expansion may
@@ -124,17 +126,18 @@ Conventions
   radical (``determinant`` also takes those, each row cleared of its
   monomial denominator, radicals as free generators), else sympy's
   ``DomainMatrix`` over the domain it picks for the trees.
-  ``step_texts`` and ``row_evaluator`` write the Python source of
-  generated numeric code, a polynomial's from its terms.
+  ``step_texts`` writes the Python source of the generated RK4 code, a
+  polynomial's from its terms.
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
-construction (the tree, the hash, ``evaluate``'s function, a generator's
-tree) are idempotent stores of pure functions of the value.  ``Immutable``
-is the base of every immutable class of the package: it refuses
-attribute assignment and deletion, and constructors store their fields
-through ``_init`` (``Expression``, built far more often than the rest,
-stores its four directly).
+construction (the tree, the hash, ``evaluate``'s function of a tree, a
+polynomial's terms in walk order, a generator's tree) are idempotent
+stores of pure functions of the value.  ``Immutable`` is the base of
+every immutable class of the package: it refuses attribute assignment
+and deletion, and constructors store their fields through ``_init``
+(``Expression``, built far more often than the rest, stores its four
+directly).
 """
 
 from __future__ import annotations
@@ -406,7 +409,7 @@ class _Poly(dict):
     id, exponent) pairs sorted by id with no zero exponent, maps to its
     nonzero coefficient.  A polynomial is never changed once built."""
 
-    __slots__ = ("_gens",)
+    __slots__ = ("_gens", "_walk")
 
     def gens(self) -> frozenset:
         """The ids of the generators that occur, found once."""
@@ -415,6 +418,34 @@ class _Poly(dict):
         except AttributeError:
             gens = self._gens = frozenset({g for m in self for g, _ in m})
             return gens
+
+    def walk_order(self) -> list:
+        """The terms as (coefficient, factors) pairs in the order a
+        recursive walk over ``as_expr()`` visits them, found once: each
+        factor a (generator id, exponent) pair, the coefficient None when
+        it is 1 and the term has factors (then it is no operand).
+
+        The tree's ``default_sort_key`` order of a Laurent polynomial's
+        terms is the constant term, then the one-symbol terms by (name,
+        exponent), then the products by their number of factors and
+        their (name, exponent) pairs, a negative exponent ordering as the
+        number it is, then a radical alone, by its radicand and exponent;
+        a product's operands are its coefficient, unless it is 1, then
+        its factors.  In the generators' order symbols come first, sorted
+        by name, then radicals by their radicands, as the tree's factors
+        order (a placeholder is evaluated from the tree).
+        """
+        try:
+            return self._walk
+        except AttributeError:
+            def kind(f):  # the constant, a power of a symbol, a product, a radical
+                return min(len(f), 2) if len(f) != 1 else 3 if _GEN[f[0][2]].kind == 2 else 1
+
+            terms = sorted((kind(f), len(f), f, c) for f, c in (
+                (tuple(sorted((_GEN[g].order, e, g) for g, e in m)), c) for m, c in self.items()))
+            walk = self._walk = [(c if c != 1 or not f else None, [(g, e) for _, e, g in f])
+                                 for _, _, f, c in terms]
+            return walk
 
     def as_expr(self):
         """The tree sympy's ``PolyElement.as_expr()`` over the generators'
@@ -917,7 +948,7 @@ class Expression(Immutable):
         object.__setattr__(self, "_poly", poly)
         object.__setattr__(self, "_sym", sym)  # for a polynomial, None until .sym
         object.__setattr__(self, "_hash", None)  # filled by hash()
-        object.__setattr__(self, "_fn", None)  # compiled by evaluate()
+        object.__setattr__(self, "_fn", None)  # a tree's function, compiled by evaluate()
         return self
 
     @classmethod
@@ -1237,7 +1268,8 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
     derivative to anything but a symbol raises ExprError naming that
     partial: the derivative of an unknown function by an expression is
     not defined.  A substitution that makes a denominator zero (or takes
-    ln(0)) raises ExprError, as the parser does."""
+    ln(0)), or takes a root or ln of a negative number, raises ExprError,
+    as the parser does."""
     table = {_as_name(key): Expression.of(value) for key, value in rules.items()}
     P = e._poly
     if P is not None and not any(_GEN[g].kind and not _GEN[g].free.isdisjoint(table)
@@ -1258,9 +1290,12 @@ def substitute(e: Expression, rules: Mapping) -> Expression:
                                 "taken by a coordinate" % (to_text(table[x.name]), x.name,
                                                            _derivative_text(d)))
     out = Expression(tree.xreplace({sp.Symbol(x): v.sym for x, v in table.items()}))
-    # sympy evaluates a zero denominator to zoo (and 0*zoo to nan) without raising
+    # sympy evaluates a zero denominator to zoo (and 0*zoo to nan), and the
+    # root or ln of a negative number to a multiple of I, without raising
     if out._poly is None and out._sym.has(sp.zoo, sp.nan):
         raise ExprError("division by zero (or ln(0)) substituting into %s" % to_text(e))
+    if out._poly is None and out._sym.has(sp.I):
+        raise ExprError("substituting into %s leaves the real numbers" % to_text(e))
     return out
 
 
@@ -1343,7 +1378,7 @@ def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
 
 
 def _subtext(sym):
-    if isinstance(sym, str):  # compiled from a polynomial: the text itself
+    if isinstance(sym, str):  # evaluated from a polynomial: the text itself
         return sym
     try:
         return _tree_text(sym)
@@ -1351,9 +1386,10 @@ def _subtext(sym):
         return sp.srepr(sym)
 
 
-# The checked steps of evaluation.  Compiled code calls them in the order
-# a recursive walk over the tree reaches its nodes; ``sym`` is the node,
-# or its text, named in the error.
+# The checked steps of evaluation.  A tree's compiled code, and a
+# polynomial's evaluation from its terms, call them in the order a
+# recursive walk over the tree reaches its nodes; ``sym`` is the node, or
+# its text, named in the error.
 
 def _load(env, name):
     try:
@@ -1417,27 +1453,16 @@ class _Compiler:
     repeated sub-tree is computed once.  The walks keep their own stacks
     and sort keys are computed leaves first, each from its children's
     cached keys, so no depth of nesting reaches the recursion limit; no
-    statement nests parentheses.  ``terms`` writes the same statements
-    for a polynomial without building its tree.  Compilers that share a
-    namespace, each with its own ``prefix`` for its variables, write
-    statements that can be spliced into one function.
+    statement nests parentheses.
     """
 
-    def __init__(self, namespace=None, prefix="t"):
+    def __init__(self):
         self.lines = []
-        self.values = {}  # sub-tree (or its key in ``terms``) -> source of its value
-        self.prefix = prefix
-        self.namespace = namespace if namespace is not None else {
+        self.values = {}  # sub-tree -> source of its value
+        self.namespace = {
             "sin": math.sin, "cos": math.cos, "_load": _load, "_int_power": _int_power,
             "_root": _root, "_exp": _exp, "_log": _log, "_fail": _fail,
         }
-
-    def value(self, e) -> str:
-        """Emit the statements that evaluate the Expression e, from its
-        terms if it is a polynomial without placeholders, else from its
-        tree; return its value."""
-        terms = e._poly is not None and not e.has_placeholders
-        return self.terms(e._poly) if terms else self.walk(e.sym)
 
     def walk(self, sym) -> str:
         """Emit the statements that evaluate ``sym``; return its value."""
@@ -1463,71 +1488,6 @@ class _Compiler:
                 self.values[node] = self.emit(node, [self.values[c] for c in children])
         return self.values[sym]
 
-    def terms(self, P) -> str:
-        """``walk(P.as_expr())``, written from the terms of P, in the order
-        of operations and checks that tree has.
-
-        The tree's ``default_sort_key`` order of a Laurent polynomial's
-        terms is the constant term, then the one-symbol terms by (name,
-        exponent), then the products by their number of factors and
-        their (name, exponent) pairs, a negative exponent ordering as the
-        number it is, then a radical alone, by its radicand and exponent;
-        a product's operands are its coefficient, unless it is 1, then
-        its factors by name, radicals last.  A negative power is one
-        ``_int_power`` node, named ``1/x^n`` as the tree's is; a radical's
-        power is one ``_root`` node of its radicand, written from the
-        radicand's terms, named ``sqrt(u)`` or ``1/sqrt(u)``.  In the
-        generators' order symbols come first, sorted by name, then
-        radicals by their radicands, as the tree's factors order (a
-        placeholder is compiled from the tree).
-        Each number, load and power is emitted once, the first time the
-        walk reaches it, inside a radicand or outside it: the tree's
-        walk computes one inside again outside, which changes no bit and
-        no error, since the first computation raises where the second
-        would.
-        """
-        values = self.values
-
-        def number(c):
-            if ("n", c) not in values:
-                values["n", c] = self.number(int(c.numerator), int(c.denominator))
-            return values["n", c]
-
-        def power(g, e):
-            if ("p", g, e) not in values:
-                G = _GEN[g]
-                if G.kind == 2:
-                    if ("u", g) not in values:
-                        values["u", g] = self.terms(G.radicand)
-                    values["p", g, e] = self.assign("_root(%s, %d, 2, %s)" % (
-                        values["u", g], e, self.ref(G.text if e == 1 else "1/" + G.text)))
-                elif e == 1:
-                    values["p", g, e] = self.assign("_load(env, %r)" % G.text)
-                else:
-                    text = _power_text(G.text, abs(e))
-                    values["p", g, e] = self.assign("_int_power(%s, %d, %s)" % (
-                        power(g, 1), e, self.ref(text if e > 0 else "1/" + text)))
-            return values["p", g, e]
-
-        def kind(f):  # the constant, a power of a symbol, a product, a radical
-            return min(len(f), 2) if len(f) != 1 else 3 if _GEN[f[0][2]].kind == 2 else 1
-
-        terms = sorted((kind(f), len(f), f, c) for f, c in (
-            (tuple(sorted((_GEN[g].order, e, g) for g, e in m)), c) for m, c in P.items()))
-        operands = []
-        for _, count, factors, c in terms:
-            if count == 0:
-                operands.append(number(c))
-            elif count == 1 and c == 1:
-                operands.append(power(factors[0][2], factors[0][1]))
-            else:
-                args = ([] if c == 1 else [number(c)]) + [power(g, e) for _, e, g in factors]
-                operands.append(self.chain("1.0", "*", args))
-                values["m", len(values)] = operands[-1]  # the next variable is new
-        if not operands:  # the zero polynomial
-            operands.append(number(QQ(0)))
-        return operands[0] if len(operands) == 1 else self.chain("0.0", "+", operands)
-
     def source(self, value) -> str:
         body = "".join("    %s\n" % line for line in self.lines)
         return "def _evaluate(env):\n%s    return %s\n" % (body, value)
@@ -1544,12 +1504,12 @@ class _Compiler:
         return name
 
     def assign(self, source):
-        var = "%s%d" % (self.prefix, len(self.values))
+        var = "t%d" % len(self.values)
         self.lines.append("%s = %s" % (var, source))
         return var
 
     def chain(self, start, op, terms):
-        var = "%s%d" % (self.prefix, len(self.values))
+        var = "t%d" % len(self.values)
         for i in range(0, len(terms), _CHAIN):
             self.lines.append("%s = %s" % (var, (" %s " % op).join(
                 [var if i else start] + terms[i:i + _CHAIN])))
@@ -1597,17 +1557,16 @@ class _Compiler:
 def evaluate(e: Expression, bindings: Mapping) -> float:
     """Pointwise IEEE-double evaluation; same bindings give the same bits.
 
-    The first call on an expression compiles its canonical tree (for a
-    polynomial without placeholders, its terms, into the source its tree
-    gives) into one straight-line Python function, shared by equal
-    expressions through a bounded memo, and caches it on the instance;
-    later calls only run it.  The compiled form keeps the
-    summation and multiplication order of a recursive walk (each sum
-    starts from 0.0 and each product from 1.0, operands in
-    ``default_sort_key`` order), so the bits do not depend on
-    compilation.  The cache write is an
-    idempotent store of a pure function, so an expression stays safe to
-    share between threads.
+    A polynomial without placeholders is evaluated from its terms, as
+    the one-point case of ``_poly_values``.  Any other expression's
+    canonical tree is compiled, on the first call, into one straight-line
+    Python function, shared by equal expressions through a bounded memo
+    and cached on the instance; later calls only run it.  Both keep the
+    summation and multiplication order of a recursive walk over the tree
+    (each sum starts from 0.0 and each product from 1.0, operands in
+    ``default_sort_key`` order), so the bits do not depend on the path.
+    The cache write is an idempotent store of a pure function, so an
+    expression stays safe to share between threads.
 
     Raises UnboundSymbolError for a missing binding (the first one the
     walk reaches) and DomainEvalError (carrying the offending
@@ -1615,19 +1574,30 @@ def evaluate(e: Expression, bindings: Mapping) -> float:
     by zero, overflow in a power or ``exp``, or log of a non-positive
     value.
     """
+    if e._poly is None or e.has_placeholders:
+        return _function(e)(_env(bindings))
+    failures = {}
+    value = _poly_values(e._poly, _env(bindings), 1, failures, {})
+    if failures:
+        raise failures[0]
+    return value
+
+
+def _function(e: Expression):
+    """The compiled function of e's tree, cached on the instance."""
     fn = e._fn
     if fn is None:
         fn = _evaluator(e)
         object.__setattr__(e, "_fn", fn)
-    return fn(_env(bindings))
+    return fn
 
 
 @functools.lru_cache(maxsize=1024)
 def _evaluator(e: Expression):
-    """The compiled function of e; equal expressions compile to the same
-    source, so they share one."""
+    """The compiled function of e's tree; equal expressions compile to
+    the same source, so they share one."""
     c = _Compiler()
-    return c.function(c.source(c.value(e)))
+    return c.function(c.source(c.walk(e.sym)))
 
 
 def _env(bindings) -> dict:
@@ -1635,33 +1605,169 @@ def _env(bindings) -> dict:
     return {_as_name(key): float(value) for key, value in bindings.items()}
 
 
+# Evaluation at many points at once.  A value is a float when it is the
+# same at every point, else a column: a sequence of one float per point.
+# A point where a step fails holds NaN from there on, and its first error
+# is kept in ``failures`` (point index -> exception); steps run in the
+# order the tree's walk takes them, so that error is the one evaluating
+# the point alone raises.
+
+def _fail_all(err, n, failures):
+    """A step that fails alike at every point: its value, NaN."""
+    for i in range(n):
+        failures.setdefault(i, err)
+    return math.nan
+
+
+def _each(step, base, args, n, failures):
+    """``step(b, *args)`` at every point of ``base``."""
+    if type(base) is float:
+        try:
+            return step(base, *args)
+        except (ArithmeticError, ValueError) as err:
+            return _fail_all(err, n, failures)
+    out = []
+    for i, b in enumerate(base):
+        try:
+            out.append(step(b, *args))
+        except (ArithmeticError, ValueError) as err:
+            failures.setdefault(i, err)
+            out.append(math.nan)
+    return out
+
+
+def _int_powers(base, e, text, n, failures):
+    """``_int_power(b, e, text)`` at every point of ``base``."""
+    if type(base) is not float and (e > 0 or 0.0 not in base):
+        try:  # the common case: no zero divisor and no overflow
+            return [b ** e for b in base]
+        except OverflowError:
+            pass
+    return _each(_int_power, base, (e, text), n, failures)
+
+
+def _pointwise(op, a, b):
+    """op(a, b) at every point, a on the left."""
+    if type(a) is float:
+        if type(b) is float:
+            return op(a, b)
+        a = itertools.repeat(a)
+    elif type(b) is float:
+        b = itertools.repeat(b)
+    return list(map(op, a, b))
+
+
+def _poly_values(P, env, n, failures, values):
+    """The value of P, a polynomial without placeholders, at the n points
+    of ``env``, which binds each name to a float or a column.
+
+    These are the operations, checks and errors of the function
+    ``_Compiler`` compiles from P's tree, taken one step at a time over
+    every point: the terms in ``P.walk_order()``, each product from 1.0
+    (its coefficient, then its factors), the sum of two or more terms
+    from 0.0.  A negative power is one ``_int_power`` of its name, named
+    ``1/x^n`` as the tree's node is; a radical's power is one ``_root``
+    of its radicand, computed from the radicand's terms, named
+    ``sqrt(u)`` or ``1/sqrt(u)``.  Each load and power is computed once
+    (``values``), the first time the walk reaches it, inside a radicand
+    or outside it: the tree's walk computes one inside again outside,
+    which changes no bit and no error, since the first computation fails
+    where the second would.  A number beyond the floats fails at every
+    point where the walk first reaches it, so reaching it again changes
+    nothing either.
+    """
+    def number(c):
+        try:
+            return int(c.numerator) / int(c.denominator)
+        except OverflowError as err:  # beyond the floats
+            return _fail_all(err, n, failures)
+
+    def power(g, e):
+        if ("p", g, e) not in values:
+            G = _GEN[g]
+            if G.kind == 2:
+                if ("u", g) not in values:
+                    values["u", g] = _poly_values(G.radicand, env, n, failures, values)
+                values["p", g, e] = _each(_root, values["u", g], (
+                    e, 2, G.text if e == 1 else "1/" + G.text), n, failures)
+            elif e == 1:
+                try:
+                    values["p", g, e] = _load(env, G.text)
+                except UnboundSymbolError as err:
+                    values["p", g, e] = _fail_all(err, n, failures)
+            else:
+                text = _power_text(G.text, abs(e))
+                values["p", g, e] = _int_powers(power(g, 1), e, text if e > 0 else "1/" + text,
+                                                n, failures)
+        return values["p", g, e]
+
+    operands = []
+    for c, factors in P.walk_order():
+        if not factors:
+            operands.append(number(c))
+        elif len(factors) == 1 and c is None:
+            operands.append(power(*factors[0]))
+        else:
+            value = 1.0 if c is None else 1.0 * number(c)
+            for g, e in factors:
+                value = _pointwise(operator.mul, value, power(g, e))
+            operands.append(value)
+    if len(operands) < 2:
+        return operands[0] if operands else 0.0
+    value = 0.0
+    for operand in operands:
+        value = _pointwise(operator.add, value, operand)
+    return value
+
+
+def _values(e: Expression, env, n, failures):
+    """The value of e at the n points of ``env``: from its terms if it is
+    a polynomial without placeholders, else by its compiled function at
+    each point."""
+    if e._poly is not None and not e.has_placeholders:
+        return _poly_values(e._poly, env, n, failures, {})
+    fn = _function(e)
+    columns = [(name, v) for name, v in env.items() if type(v) is not float]
+    point, out = dict(env), []
+    for i in range(n):
+        for name, v in columns:
+            point[name] = v[i]
+        try:
+            out.append(fn(point))
+        except (ArithmeticError, ValueError) as err:
+            failures.setdefault(i, err)
+            out.append(math.nan)
+    return out
+
+
+def _column(value, n):
+    """A value as a column of n floats."""
+    return [value] * n if type(value) is float else value
+
+
 def row_evaluator(exprs: Sequence[Expression], names: Sequence[str]):
-    """One generated function ``run(rows, out, bindings)`` that appends to
-    ``out``, for each row of floats in ``rows``, that row followed by the
-    values of ``exprs`` with the row bound to ``names`` and the rest to
+    """A function ``run(rows, out, bindings)`` that appends to ``out``, for
+    each row of floats in ``rows``, that row followed by the values of
+    ``exprs`` with the row bound to ``names`` and the rest to
     ``bindings``.
 
-    Each expression's statements are the ones ``evaluate`` compiles for
-    it, spliced into the loop in the order of ``exprs``, so every value
-    has ``evaluate``'s bits and every failure its error.  When one
-    raises, ``out`` holds the rows before the failing one.
+    The rows are evaluated as columns (``_values``), so every value has
+    ``evaluate``'s bits.  When some expression fails at a row, ``out``
+    holds the rows before the first such row, and ``run`` raises what
+    ``evaluate`` raises there: the error of the first expression, in the
+    order of ``exprs``, that fails at it.
     """
-    namespace = _Compiler().namespace
-    lines, values = [], []
-    for k, e in enumerate(exprs):
-        c = _Compiler(namespace, "t%d_" % k)
-        values.append(c.value(e))
-        lines += c.lines
-    source = "\n".join(
-        ["def _run(_rows, _out, env):",
-         "    _append = _out.append",
-         "    for _row in _rows:"]
-        + ["        %s, = _row" % ", ".join("env[%r]" % n for n in names)] * bool(names)
-        + ["        " + line for line in lines]
-        + ["        _append([*_row, %s])" % ", ".join(values)]) + "\n"
-    exec(compile(source, "<hjmech.expr.row_evaluator>", "exec"), namespace)
-    run = namespace["_run"]
-    return lambda rows, out, bindings: run(rows, out, _env(bindings))
+    def run(rows, out, bindings):
+        env, n, failures = _env(bindings), len(rows), {}
+        env.update(zip(names, zip(*rows)))
+        columns = [_column(_values(e, env, n, failures), n) for e in exprs]
+        good = min(failures, default=n)
+        out.extend([*row, *values] for row, values in zip(
+            rows[:good], zip(*columns) if columns else itertools.repeat(())))
+        if failures:
+            raise failures[good]
+
+    return run
 
 
 def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
@@ -1669,41 +1775,53 @@ def sample_values(exprs: Sequence[Expression], samples: int, seed: int,
     """Yield the tuple of values of ``exprs`` at seeded random points.
 
     Names free in ``exprs`` and not bound by ``fixed`` are drawn in sorted
-    order, uniform in [-2, 2].  A point where some expression raises
-    DomainEvalError, OverflowError (an exact number beyond the floats) or
-    a bare ValueError (``sin`` or ``cos`` of an infinity), or where some
-    value is NaN (``inf - inf`` after an overflow), is skipped: a NaN
-    compares false with everything, so the max or min of a list holding
-    one depends on its order.  An infinity is a value.  Every other
-    ExprError, an unbound symbol first of all, is raised.  Stops after
-    ``samples`` points or ``200 * samples`` attempts, whichever comes
-    first.  With no name to draw every attempt is the same point, which
-    is evaluated once.
+    order, uniform in [-2, 2].  The points are drawn a batch at a time,
+    as many as are still wanted, and evaluated as columns (``_values``).
+    A point where some expression raises DomainEvalError, OverflowError
+    (an exact number beyond the floats) or a bare ValueError (``sin`` or
+    ``cos`` of an infinity), or where some value is NaN (``inf - inf``
+    after an overflow), is skipped: a NaN compares false with everything,
+    so the max or min of a list holding one depends on its order.  An
+    infinity is a value.  Every other ExprError, an unbound symbol first
+    of all, is raised at the first point where it is the first error.
+    Stops after ``samples`` points or ``200 * samples`` attempts,
+    whichever comes first.  With no name to draw every attempt is the
+    same point, which is evaluated once.
     """
     fixed = fixed or {}
     names = sorted(set().union(*(e.free_names() for e in exprs)) - set(fixed))
-    rng = random.Random(seed)
+    try:
+        env = _env(fixed)
+    except ExprError:
+        raise
+    except (ValueError, OverflowError):  # no point can be evaluated
+        return
+    draw = random.Random(seed).random
     got = attempts = 0
     while got < samples and attempts < 200 * samples:
-        attempts += 1
-        env = {**fixed, **{name: rng.uniform(-2.0, 2.0) for name in names}}
-        try:
-            values = tuple(evaluate(e, env) for e in exprs)
-        except DomainEvalError:
-            values = None
-        except ExprError:
-            raise
-        except (ValueError, OverflowError):
-            values = None
-        if values is None or any(v != v for v in values):  # NaN
+        n = min(samples - got, 200 * samples - attempts) if names else 1
+        attempts += n
+        draws = [-2.0 + 4.0 * draw() for _ in range(n * len(names))]  # uniform(-2, 2)'s bits
+        env.update((name, draws[j::len(names)]) for j, name in enumerate(names))
+        failures = {}
+        columns = [_column(_values(e, env, n, failures), n) for e in exprs]
+        skipped = set(failures).union(*({i for i, v in enumerate(c) if v != v}  # NaN
+                                         for c in columns))
+        for i, values in enumerate(zip(*columns)):
+            if i in skipped:
+                err = failures.get(i)
+                if isinstance(err, ExprError) and not isinstance(err, DomainEvalError):
+                    raise err
+                if not names:
+                    return
+                continue
+            got += 1
+            yield values
             if not names:
+                yield from itertools.repeat(values, samples - 1)
                 return
-            continue
-        got += 1
-        yield values
-        if not names:
-            yield from itertools.repeat(values, samples - 1)
-            return
+            if got == samples:
+                return
 
 
 def probably_equal(a: Expression, b: Expression, samples: int = 20,

@@ -398,10 +398,8 @@ def _sample(e: Expression, constant_values: Mapping[str, object],
 
 @functools.lru_cache(maxsize=1024)
 def _sampled(e, constants, samples, seed, reduce):
-    best, got = None, 0
-    for (v,) in sample_values((e,), samples, seed, dict(constants)):
-        best, got = abs(v) if best is None else reduce(best, abs(v)), got + 1
-    return best if got == samples else None
+    values = [abs(v) for (v,) in sample_values((e,), samples, seed, dict(constants))]
+    return reduce(values) if len(values) == samples else None
 
 
 def _residual_report(raw_entries, constant_values: Mapping[str, object],

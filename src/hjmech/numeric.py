@@ -12,11 +12,13 @@ sympy prints for a math-module function, with each math function as
 terms, byte for byte what sympy prints for its tree, which is not
 built.  The stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z +
 (h/6)*(k1 + 2*k2 + 2*k3 + k4)``, so every float operation is the one a
-per-stage RK4 loop over sympy's generated function makes.  The lifting
-check lifts every base state through one function generated by
-``expr.row_evaluator``, which splices in the statements ``evaluate``
-compiles for each fiber component, so each lifted value has
-``evaluate``'s bits and each failure its error.
+per-stage RK4 loop over sympy's generated function makes.  The loop
+extends one flat float array by each new state, and the trajectory's
+states are a matrix view of it, so no Python object is kept per step.
+The lifting check lifts every base state through
+``expr.row_evaluator``, which evaluates each fiber component over the
+columns of the base states, so each lifted value has ``evaluate``'s
+bits and each failure its error.
 
 Failures: the loop stops at a step that raises or whose new state is not
 finite, which every non-finite or complex stage value makes it.  That
@@ -34,7 +36,9 @@ comparison uses the unweighted max-abs distance over all coordinates.
 from __future__ import annotations
 
 import functools
+import io
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,10 +53,10 @@ if TYPE_CHECKING:
 
 
 # The most values (times and state coordinates) one trajectory may hold:
-# about 16 MB as the float array, several times that while the rows are
-# built and written.  Every shipped model and benchmark run holds at most
-# 170,017 (10,000 steps of 16 coordinates).
+# about 16 MB as floats.  Every shipped model and benchmark run holds at
+# most 170,017 (10,000 steps of 16 coordinates).
 MAX_TRAJECTORY_VALUES = 2_000_000
+_CSV_CHUNK = 1024  # rows formatted by one format string
 
 
 class NumericError(ValueError):
@@ -96,20 +100,29 @@ class Trajectory:
     def state_at(self, index: int) -> np.ndarray:
         return self.states[index]
 
-    def to_csv(self) -> str:
-        """Rows "t,state…" with 17-significant-digit floats."""
+    def write_csv(self, f) -> None:
+        """Write rows "t,state…" with 17-significant-digit floats to the
+        text file f, each chunk of rows with one format string."""
         import numpy as np
 
-        row = ",".join(["%.17g"] * (1 + self.states.shape[1]))
-        rows = np.column_stack((self.times, self.states)).tolist()
-        return "\n".join([row % tuple(values) for values in rows]) + "\n"
+        row = ",".join(["%.17g"] * (1 + self.states.shape[1])) + "\n"
+        for start in range(0, len(self.times), _CSV_CHUNK):
+            end = start + _CSV_CHUNK
+            chunk = np.column_stack((self.times[start:end], self.states[start:end]))
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+    def to_csv(self) -> str:
+        """The text ``write_csv`` writes."""
+        f = io.StringIO()
+        self.write_csv(f)
+        return f.getvalue()
 
 
 def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
-    """Source of ``_run``, which takes RK4 steps from a state, appending
-    each new state to ``_rows``, until it has taken ``_n`` or a step raises
-    or leaves the finite floats (a complex state fails the comparison with
-    TypeError).  Every name the source adds starts with ``_``, which no
+    """Source of ``_run``, which takes RK4 steps from a state, extending
+    the flat float array ``_rows`` by each new state, until it has taken
+    ``_n`` or a step raises or leaves the finite floats (a complex state
+    fails the comparison with TypeError).  Every name the source adds starts with ``_``, which no
     constant's does.  ``_field_source`` gives the replay's function from
     the same texts."""
     n = range(len(texts))
@@ -124,13 +137,13 @@ def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
              .format(i=i) for i in n]
     body += ["if not (%s):" % " and ".join("-_inf < _z%d < _inf" % i for i in n),
              "    return",
-             "_append((%s,))" % zs]
+             "_extend((%s,))" % zs]
     return "\n".join(
         ["def _run(_rows, _n, _h, %s%s):" % (zs, params),
          "    _half = _h / 2",
          "    _sixth = _h / 6",
          "    _inf = _math.inf",
-         "    _append = _rows.append",
+         "    _extend = _rows.extend",
          "    try:",
          "        for _ in _range(_n):"]
         + ["            " + line for line in body]
@@ -267,21 +280,22 @@ def integrate(X: VectorField, z0: Sequence[float], t0: float, t1: float,
         raise NumericError("the initial state must be finite")
     constants = dict(constants or {})
     run, field, values = _compile_field(X, constants)
-    rows = [tuple(z0)]
-    while len(rows) <= steps:
-        run(rows, steps + 1 - len(rows), h, *rows[-1], *values)
-        if len(rows) <= steps:
+    dim = len(z0)
+    rows = array("d", z0)  # the states, one after another
+    while len(rows) < (steps + 1) * dim:
+        run(rows, steps + 1 - len(rows) // dim, h, *rows[-dim:], *values)
+        if len(rows) < (steps + 1) * dim:
             # the loop stopped at a step that failed or left the finite
             # floats; replaying it checked raises, or it was a finite
             # overflow of the new state, which the loop goes on from
-            m = len(rows) - 1
-            rows.append(_checked_step(X, constants, field(), values, t0 + m * h,
-                                      rows[-1], h))
+            m = len(rows) // dim - 1
+            rows.extend(_checked_step(X, constants, field(), values, t0 + m * h,
+                                      tuple(rows[-dim:]), h))
     import numpy as np
 
     times = t0 + h * np.arange(steps + 1)
     return Trajectory(
-        times, np.array(rows, dtype=float),
+        times, np.frombuffer(rows, dtype=float).reshape(steps + 1, dim),
         tuple(c.name for c in coords), provenance,
     )
 

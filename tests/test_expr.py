@@ -272,6 +272,18 @@ def test_substituting_a_zero_denominator_is_an_expr_error(text, name, value):
         substitute(p(text), {name: value})
 
 
+@pytest.mark.parametrize("text, name, value", [
+    ("sqrt(b + q0_1)", "b", "-q0_1 - 1"),
+    ("ln(b)", "b", -1),
+])
+def test_substituting_into_a_non_real_value_is_an_expr_error(text, name, value):
+    # the tree path returned Expression(I) for the root of -1, and for
+    # ln(-1) an Expression holding I*pi whose repr raised "cannot print pi"
+    value = p(value) if isinstance(value, str) else value
+    with pytest.raises(ExprError, match="leaves the real numbers"):
+        substitute(p(text), {name: value})
+
+
 @pytest.mark.parametrize("value",["q0_1^2", "1/2", 0.25, float("nan"), True, False])
 def test_values_enter_exactly_or_not_at_all(value):
     # text once went to sympy's own parser (no symbol table, no term budget)
@@ -861,7 +873,7 @@ def test_compiled_evaluate_handles_deep_nesting():
         DomainEvalError, "fractional power of a negative value in sqrt(q0_1 + 1)")
 
 
-# -- the ring printer and compiler against the tree's ----------------------
+# -- the ring printer and evaluator against the tree's ---------------------
 
 
 def _tree_function(tree):
@@ -869,24 +881,13 @@ def _tree_function(tree):
     return compiler.function(compiler.source(compiler.walk(tree)))
 
 
-def _tree_source(tree):
-    compiler = E._Compiler()
-    return compiler.source(compiler.walk(tree))
-
-
-def _ring_source(P):
-    compiler = E._Compiler()
-    return compiler.source(compiler.terms(P))
-
-
 def _same_as_tree(e, bindings):
-    """Text, compiled source and value of a ring-backed ``e`` are those of
-    its tree: the bits, or the class and message of what was raised."""
+    """Text and value of a ring-backed ``e`` are those of its tree: the
+    bits, or the class and message of what was raised."""
     P = e._poly
     assert P is not None
     tree = P.as_expr()
     assert to_text(e) == E._tree_text(tree)
-    assert _ring_source(P) == _tree_source(tree)
     env = {name: float(value) for name, value in bindings.items()}
     assert _outcome(evaluate, e, bindings) == _outcome(_tree_function(tree), env)
 
@@ -1186,14 +1187,11 @@ def laurent_trees(draw):
 
 
 def _matches_tree(e, raw):
-    """e is what canonicalizing the raw tree gives: its tree, its text, its
-    compiled source and the bits of its compiled function at seeded
-    points."""
+    """e is what canonicalizing the raw tree gives: its tree, its text and
+    the bits of the tree's compiled function at seeded points."""
     want = E._canon(raw)
     assert (e._poly is None) == (E._as_poly(want) is None)
     assert to_text(e) == E._tree_text(want)
-    if e._poly is not None:
-        assert _ring_source(e._poly) == _tree_source(want)
     assert sp.srepr(e.sym) == sp.srepr(want)
     rng, tree_function = random.Random(len(to_text(e))), _tree_function(want)
     for zero in (None, None, None) + LAURENT_NAMES:  # a zero divisor is named alike
@@ -1990,3 +1988,110 @@ def test_a_radicand_compiled_from_its_terms_keeps_the_trees_outcomes():
     for q0_1 in (0.5, -0.5):  # the radicand negative, then positive
         env = {"a": 0.0, "b": 0.6, "q0_1": q0_1, "q1_1": -1.5}
         assert _outcome(evaluate, e, env) == _outcome(tree_function, env)
+
+
+# -- evaluation over columns against the tree's compiled function ----------
+
+
+@st.composite
+def column_polynomials(draw):
+    """A polynomial without placeholders: overflowing powers and
+    coefficients beyond the floats (``polynomials``), now and then with
+    terms that make inf - inf at an infinite a, divided now and then by a
+    monomial (negative exponents, so zero divisors), and now and then
+    plus a multiple of a power of a radicand's root."""
+    e = draw(polynomials(max_depth=2))
+    if draw(st.booleans()):
+        e = e + p("a*q0_1 - a*q1_1")
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(LAURENT_NAMES), min_size=1, max_size=2,
+                              unique=True))
+        e = e / Expression(sp.Mul(*(sp.Symbol(n) ** draw(st.integers(1, 3)) for n in names)))
+    if draw(st.booleans()):
+        root = Expression(draw(radicands())) ** Fraction(draw(st.sampled_from((-1, 1, 3))), 2)
+        e = e + draw(polynomials(max_depth=1)) * root
+    assume(e._poly is not None and not e.has_placeholders)
+    return e
+
+
+def _reference_samples(fn, names, samples, seed, fixed):
+    """sample_values' points drawn and evaluated one at a time by fn: the
+    packed values, or the class and message of what was raised."""
+    rng, got, attempts, out = random.Random(seed), 0, 0, []
+    while got < samples and attempts < 200 * samples:
+        attempts += 1
+        env = {**fixed, **{name: rng.uniform(-2.0, 2.0) for name in names}}
+        try:
+            value = fn(env)
+        except DomainEvalError:
+            value = None
+        except ExprError as err:
+            return out, (type(err), str(err))
+        except (ValueError, OverflowError):
+            value = None
+        if value is None or value != value:
+            if not names:
+                break
+            continue
+        got += 1
+        out.append(struct.pack("<d", value))
+        if not names:
+            out *= samples
+            break
+    return out, None
+
+
+def _samples(e, samples, seed, fixed):
+    out = []
+    try:
+        for (value,) in E.sample_values([e], samples, seed, fixed):
+            out.append(struct.pack("<d", value))
+    except ExprError as err:
+        return out, (type(err), str(err))
+    return out, None
+
+
+def _reference_lift(fns, rows, constants):
+    """The rows row_evaluator appends, evaluated one at a time by fns, up
+    to the first that raises, and the class and message of its error."""
+    out = []
+    for row in rows:
+        env = dict(constants, **dict(zip(COORD_NAMES, row)))
+        try:
+            values = [fn(env) for fn in fns]
+        except Exception as err:  # noqa: BLE001 - any difference must show
+            return out, (type(err), str(err))
+        out.append(struct.pack("<6d", *row, *values))
+    return out, None
+
+
+def _lift(exprs, rows, constants):
+    out = []
+    try:
+        E.row_evaluator(exprs, COORD_NAMES)(rows, out, constants)
+    except Exception as err:  # noqa: BLE001 - any difference must show
+        return [struct.pack("<6d", *row) for row in out], (type(err), str(err))
+    return [struct.pack("<6d", *row) for row in out], None
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_polynomials(), column_polynomials(), st.lists(bindings(), min_size=1, max_size=4),
+       st.lists(st.tuples(*[BINDING_VALUES] * 4), min_size=1, max_size=6),
+       st.sampled_from((None, 0.0, -1.5, 1e160, math.inf)), st.integers(0, 2 ** 32))
+def test_column_evaluation_matches_the_trees_function(e, e2, points, rows, fixed, seed):
+    tree_function = _tree_function(e._poly.as_expr())
+    # at one point: the bits, or the class and message of the first error
+    for point in points:
+        assert _outcome(evaluate, e, point) == _outcome(tree_function, point)
+    # on a batch: the same points skipped (a fixed infinity makes NaNs),
+    # and the same values
+    fixed = {} if fixed is None else {"a": fixed}
+    names = sorted(e.free_names() - set(fixed))
+    assert _samples(e, 8, seed, fixed) == _reference_samples(
+        tree_function, names, 8, seed, fixed)
+    # lifting rows: the same rows before the first failure, and its error,
+    # the first expression's where both fail at that row
+    constants = points[0]
+    constants = {name: constants[name] for name in ("a", "b") if name in constants}
+    assert _lift([e, e2], rows, constants) == _reference_lift(
+        [tree_function, _tree_function(e2._poly.as_expr())], rows, constants)

@@ -505,38 +505,46 @@ def test_the_ring_path_enters_no_sympy_module(tmp_path, argv):
     assert code in (0, 1) and frames == [], frames
 
 
-REPEATS = """
+COMPILES = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-from hjmech import expr, hj
+from hjmech import hj
 from hjmech.cli import main
-compiled, sampled = [], []
-value = expr._Compiler.value
-expr._Compiler.value = lambda c, e: compiled.append(e) or value(c, e)
+compiles, sampled = [], []
 sample_values = hj.sample_values
 
 def sampling(exprs, samples, seed, fixed=None):
     sampled.append((tuple(exprs), samples, seed, tuple(sorted((fixed or {}).items()))))
     return sample_values(exprs, samples, seed, fixed)
 
+def audit(event, args):  # an expression's function is compiled as <hjmech.expr...>
+    if event == "compile" and str(args[1]).startswith("<hjmech"):
+        compiles.append(str(args[1]))
+
 hj.sample_values = sampling
-argv = next(op.argv for op in workloads.build("verdicts", 1, sys.argv[2])
-            if op.key == "javelin_r03/check-cand")
+workload, key = sys.argv[3:]
+argv = next(op.argv for op in workloads.build(workload, 1, sys.argv[2]) if op.key == key)
+sys.addaudithook(audit)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(list(argv))
-print(json.dumps([code, len(compiled), len(set(compiled)), len(sampled), len(set(sampled))]))
+print(json.dumps([code, compiles, len(sampled), len(set(sampled))]))
 """
 
 
 def test_one_check_compiles_and_samples_each_expression_once(tmp_path):
-    # equal expressions share one compiled evaluator, and a repeated
-    # sampling is answered from hj's memo (in this op 17 of 38 compiles
-    # and 13 of 38 samplings repeated an earlier one while the evaluator
-    # was cached on the instance and every sampling ran)
+    # a polynomial is evaluated from its terms, so no expression of these
+    # ops is compiled (javelin_r03/check-cand compiled 21 distinct ones,
+    # and the lift one, while each polynomial got its own function), and
+    # a repeated sampling is answered from hj's memo (13 of 38 samplings
+    # repeated an earlier one while every sampling ran)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", REPEATS, str(ROOT / "bench"), str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=300, check=True)
-    code, compiles, distinct_compiles, runs, distinct_runs = json.loads(out.stdout)
-    assert code == 1 and compiles == distinct_compiles > 0 and runs == distinct_runs > 0, (
-        compiles, distinct_compiles, runs, distinct_runs)
+    for workload, key in (("verdicts", "javelin_r03/check-cand"),
+                          ("flows", "lift_m00/walpha")):
+        out = subprocess.run([sys.executable, "-c", COMPILES, str(ROOT / "bench"),
+                              str(tmp_path), workload, key],
+                             capture_output=True, text=True, env=env, timeout=300, check=True)
+        code, compiles, runs, distinct_runs = json.loads(out.stdout)
+        assert code in (0, 1) and compiles == [] and runs == distinct_runs, (
+            key, code, compiles, runs, distinct_runs)
+        assert runs > 0 or workload == "flows", (key, runs)
