@@ -325,7 +325,7 @@ def cmd_simulate(args) -> Tuple[Report, bool]:
     traj = integrate(X, z0, args.t0, args.t1, args.dt,
                      constants=constants, provenance=args.field)
     with open(args.out, "w", encoding="utf-8") as f:
-        traj.write_csv(f)
+        f.write(traj.to_csv())
     rep.text("wrote %s (%d points, %d columns)"
              % (args.out, traj.times.size, 1 + traj.states.shape[1]))
     final = [traj.times[-1]] + list(traj.states[-1])

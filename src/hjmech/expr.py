@@ -69,7 +69,7 @@ Conventions
 * A polynomial builds its tree (``.sym``), and a generator its own,
   only on demand: for arithmetic with a non-polynomial, solves over
   radicals or Laurent entries, and ``evaluate`` and ``step_texts`` of a
-  placeholder (which compile and print the tree, so an error names the
+  placeholder (which walk and print the tree, so an error names the
   node it always named).  It is the tree ``_canon`` gives, the expanded
   sum (a monomial denominator is atomic).  Printing, ``evaluate`` and
   ``step_texts`` read the polynomial's terms and give the text, the
@@ -110,12 +110,11 @@ Conventions
   recursive walk over the tree (operands in ``default_sort_key`` order),
   so its bits are the walk's bits, and it checks and raises where the
   walk would.  A polynomial without placeholders is evaluated from its
-  terms, put in the order that walk takes, one operation at a time over
-  columns of floats, so ``sample_values`` and ``row_evaluator`` evaluate
-  all their points at once and compile nothing.  Any other expression's
-  tree is compiled into straight-line Python the first time it is
-  evaluated, shared among equal expressions through a bounded memo and
-  cached on the instance; it runs once per point.
+  terms, put in the order that walk takes, and any other expression
+  from its tree by that walk, one operation at a time over columns of
+  floats, so ``sample_values`` and ``row_evaluator`` evaluate all their
+  points at once and nothing is compiled.  ``evaluate`` is the
+  one-point case.
 * The parser builds every value with Expression arithmetic, so values
   enter canonical and ``parse(text)`` equals what that arithmetic builds
   from the text's atoms.  It bounds the number of terms an expansion may
@@ -131,12 +130,12 @@ Conventions
 
 Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
-construction (the tree, the hash, ``evaluate``'s function of a tree, a
-polynomial's terms in walk order, a generator's tree) are idempotent
-stores of pure functions of the value.  ``Immutable`` is the base of
+construction (the tree, the hash, a polynomial's terms in walk order,
+a generator's tree) are idempotent stores of pure functions of the
+value.  ``Immutable`` is the base of
 every immutable class of the package: it refuses attribute assignment
 and deletion, and constructors store their fields through ``_init``
-(``Expression``, built far more often than the rest, stores its four
+(``Expression``, built far more often than the rest, stores its three
 directly).
 """
 
@@ -930,7 +929,7 @@ class Expression(Immutable):
     contract; the tree (``.sym``) is for this module and for tests.
     """
 
-    __slots__ = ("_poly", "_sym", "_hash", "_fn")
+    __slots__ = ("_poly", "_sym", "_hash")
 
     def __init__(self, sym):
         if isinstance(sym, (str, float, bool)):
@@ -948,7 +947,6 @@ class Expression(Immutable):
         object.__setattr__(self, "_poly", poly)
         object.__setattr__(self, "_sym", sym)  # for a polynomial, None until .sym
         object.__setattr__(self, "_hash", None)  # filled by hash()
-        object.__setattr__(self, "_fn", None)  # a tree's function, compiled by evaluate()
         return self
 
     @classmethod
@@ -1386,17 +1384,13 @@ def _subtext(sym):
         return sp.srepr(sym)
 
 
-# The checked steps of evaluation.  A tree's compiled code, and a
-# polynomial's evaluation from its terms, call them in the order a
-# recursive walk over the tree reaches its nodes; ``sym`` is the node, or
-# its text, named in the error.
-
-def _load(env, name):
-    try:
-        return env[name]
-    except KeyError:
-        raise UnboundSymbolError("unbound symbol %r" % name) from None
-
+# Evaluation, at one point or at many at once.  A value is a float when
+# it is the same at every point, else a column: a sequence of one float
+# per point.  A point where a checked step fails holds NaN from there on,
+# and its first error is kept in ``failures`` (point index -> exception);
+# steps run in the order a recursive walk over the tree takes them, so
+# that error is the one evaluating the point alone raises.  ``sym`` names
+# the node, or its text, an error is raised in.
 
 def _int_power(b, n, sym):
     if b == 0.0 and n < 0:
@@ -1428,195 +1422,28 @@ def _log(x, sym):
     return math.log(x)
 
 
-def _fail(template, sym):
-    raise ExprError(template % _subtext(sym))
-
-
-def _children(sym, sort_key):
-    """The sub-trees evaluating ``sym`` visits, in the order it visits them."""
-    if sym.is_Add or sym.is_Mul:
-        return sorted(sym.args, key=sort_key)
-    if sym.is_Pow or sym.func in (sp.sin, sp.cos, sp.exp, sp.log):
-        return sym.args[:1]
-    return ()
-
-
-_CHAIN = 32  # operands per statement of a long sum or product
-
-
-class _Compiler:
-    """Straight-line Python for one canonical tree.
-
-    Each distinct sub-tree becomes one statement, emitted the first time
-    a depth-first walk over ``_children`` reaches it, so every operation,
-    check and raise happens in the order a recursive walk does it, and a
-    repeated sub-tree is computed once.  The walks keep their own stacks
-    and sort keys are computed leaves first, each from its children's
-    cached keys, so no depth of nesting reaches the recursion limit; no
-    statement nests parentheses.
-    """
-
-    def __init__(self):
-        self.lines = []
-        self.values = {}  # sub-tree -> source of its value
-        self.namespace = {
-            "sin": math.sin, "cos": math.cos, "_load": _load, "_int_power": _int_power,
-            "_root": _root, "_exp": _exp, "_log": _log, "_fail": _fail,
-        }
-
-    def walk(self, sym) -> str:
-        """Emit the statements that evaluate ``sym``; return its value."""
-        keys = {}
-        stack = [(sym, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                keys[node] = sp.default_sort_key(node)
-            elif node not in keys:
-                stack.append((node, True))
-                stack.extend((a, False) for a in node.args)
-        stack = [(sym, None)]
-        while stack:
-            node, children = stack.pop()
-            if node in self.values:
-                continue
-            if children is None:
-                children = _children(node, keys.__getitem__)
-                stack.append((node, children))
-                stack.extend((c, None) for c in reversed(children))
-            else:
-                self.values[node] = self.emit(node, [self.values[c] for c in children])
-        return self.values[sym]
-
-    def source(self, value) -> str:
-        body = "".join("    %s\n" % line for line in self.lines)
-        return "def _evaluate(env):\n%s    return %s\n" % (body, value)
-
-    def function(self, source):
-        """The compiled function of ``source``, with this compiler's globals."""
-        exec(compile(source, "<hjmech.expr.evaluate>", "exec"), self.namespace)
-        return self.namespace["_evaluate"]
-
-    def ref(self, value):
-        """A global of the compiled function bound to ``value``."""
-        name = "g%d" % len(self.namespace)
-        self.namespace[name] = value
-        return name
-
-    def assign(self, source):
-        var = "t%d" % len(self.values)
-        self.lines.append("%s = %s" % (var, source))
-        return var
-
-    def chain(self, start, op, terms):
-        var = "t%d" % len(self.values)
-        for i in range(0, len(terms), _CHAIN):
-            self.lines.append("%s = %s" % (var, (" %s " % op).join(
-                [var if i else start] + terms[i:i + _CHAIN])))
-        return var
-
-    def number(self, p, q):
-        try:
-            return "(%r)" % (p / q)
-        except OverflowError:  # raised where evaluation reaches it
-            return self.assign("%d / %d" % (p, q))
-
-    def fail(self, template, node):
-        self.lines.append("_fail(%r, %s)" % (template, self.ref(node)))
-        return "None"  # never reached
-
-    def emit(self, node, args):
-        if node.is_Rational:
-            return self.number(node.p, node.q)
-        if node.is_Symbol:
-            return self.assign("_load(env, %r)" % node.name)
-        if node.is_Add:
-            return self.chain("0.0", "+", args)
-        if node.is_Mul:
-            return self.chain("1.0", "*", args)
-        if node.is_Pow:
-            exp = node.args[1]
-            if not exp.is_Rational:
-                return self.fail("non-rational exponent in %s", node)
-            if exp.is_Integer:
-                return self.assign("_int_power(%s, %d, %s)" % (args[0], exp.p, self.ref(node)))
-            return self.assign("_root(%s, %d, %d, %s)" % (args[0], exp.p, exp.q, self.ref(node)))
-        if isinstance(node, (AppliedUndef, sp.Derivative)):
-            return self.fail("placeholder %s cannot be evaluated numerically", node)
-        if node.func in (sp.sin, sp.cos):
-            return self.assign("%s(%s)" % (node.func.__name__, args[0]))
-        if node.func is sp.exp:
-            return self.assign("_exp(%s, %s)" % (args[0], self.ref(node)))
-        if node.func is sp.log:
-            return self.assign("_log(%s, %s)" % (args[0], self.ref(node)))
-        if node is sp.E:
-            return "(%r)" % math.e
-        return self.fail("cannot evaluate %s", node)
-
-
-def evaluate(e: Expression, bindings: Mapping) -> float:
-    """Pointwise IEEE-double evaluation; same bindings give the same bits.
-
-    A polynomial without placeholders is evaluated from its terms, as
-    the one-point case of ``_poly_values``.  Any other expression's
-    canonical tree is compiled, on the first call, into one straight-line
-    Python function, shared by equal expressions through a bounded memo
-    and cached on the instance; later calls only run it.  Both keep the
-    summation and multiplication order of a recursive walk over the tree
-    (each sum starts from 0.0 and each product from 1.0, operands in
-    ``default_sort_key`` order), so the bits do not depend on the path.
-    The cache write is an idempotent store of a pure function, so an
-    expression stays safe to share between threads.
-
-    Raises UnboundSymbolError for a missing binding (the first one the
-    walk reaches) and DomainEvalError (carrying the offending
-    subexpression) for a fractional power of a negative value, division
-    by zero, overflow in a power or ``exp``, or log of a non-positive
-    value.
-    """
-    if e._poly is None or e.has_placeholders:
-        return _function(e)(_env(bindings))
-    failures = {}
-    value = _poly_values(e._poly, _env(bindings), 1, failures, {})
-    if failures:
-        raise failures[0]
-    return value
-
-
-def _function(e: Expression):
-    """The compiled function of e's tree, cached on the instance."""
-    fn = e._fn
-    if fn is None:
-        fn = _evaluator(e)
-        object.__setattr__(e, "_fn", fn)
-    return fn
-
-
-@functools.lru_cache(maxsize=1024)
-def _evaluator(e: Expression):
-    """The compiled function of e's tree; equal expressions compile to
-    the same source, so they share one."""
-    c = _Compiler()
-    return c.function(c.source(c.walk(e.sym)))
-
-
-def _env(bindings) -> dict:
-    """Bindings by name, as floats."""
-    return {_as_name(key): float(value) for key, value in bindings.items()}
-
-
-# Evaluation at many points at once.  A value is a float when it is the
-# same at every point, else a column: a sequence of one float per point.
-# A point where a step fails holds NaN from there on, and its first error
-# is kept in ``failures`` (point index -> exception); steps run in the
-# order the tree's walk takes them, so that error is the one evaluating
-# the point alone raises.
-
 def _fail_all(err, n, failures):
     """A step that fails alike at every point: its value, NaN."""
     for i in range(n):
         failures.setdefault(i, err)
     return math.nan
+
+
+def _load(env, name, n, failures):
+    """The value ``env`` binds to ``name``; an unbound name fails at every
+    point."""
+    try:
+        return env[name]
+    except KeyError:
+        return _fail_all(UnboundSymbolError("unbound symbol %r" % name), n, failures)
+
+
+def _ratio(p, q, n, failures):
+    """p/q as a float; a number beyond the floats fails at every point."""
+    try:
+        return p / q
+    except OverflowError as err:
+        return _fail_all(err, n, failures)
 
 
 def _each(step, base, args, n, failures):
@@ -1636,14 +1463,14 @@ def _each(step, base, args, n, failures):
     return out
 
 
-def _int_powers(base, e, text, n, failures):
-    """``_int_power(b, e, text)`` at every point of ``base``."""
+def _int_powers(base, e, sym, n, failures):
+    """``_int_power(b, e, sym)`` at every point of ``base``."""
     if type(base) is not float and (e > 0 or 0.0 not in base):
         try:  # the common case: no zero divisor and no overflow
             return [b ** e for b in base]
         except OverflowError:
             pass
-    return _each(_int_power, base, (e, text), n, failures)
+    return _each(_int_power, base, (e, sym), n, failures)
 
 
 def _pointwise(op, a, b):
@@ -1657,13 +1484,103 @@ def _pointwise(op, a, b):
     return list(map(op, a, b))
 
 
+def _children(sym, sort_key):
+    """The sub-trees evaluating ``sym`` visits, in the order it visits them."""
+    if sym.is_Add or sym.is_Mul:
+        return sorted(sym.args, key=sort_key)
+    if sym.is_Pow or sym.func in (sp.sin, sp.cos, sp.exp, sp.log):
+        return sym.args[:1]
+    return ()
+
+
+@functools.lru_cache(maxsize=1024)
+def _tree_walk(sym) -> list:
+    """The distinct sub-trees of ``sym``, ``sym`` last, in the order a
+    depth-first walk over ``_children`` first finishes them, each with
+    the positions of its children in that list.
+
+    So every operation, check and error comes in the order a recursive
+    walk has them, and a repeated sub-tree is computed once.  The walks
+    keep their own stacks and sort keys are computed leaves first, each
+    from its children's cached keys, so no depth of nesting reaches the
+    recursion limit.  Equal trees share one walk through a bounded memo.
+    """
+    keys = {}
+    stack = [(sym, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            keys[node] = sp.default_sort_key(node)
+        elif node not in keys:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+    walk, position = [], {}
+    stack = [(sym, None)]
+    while stack:
+        node, children = stack.pop()
+        if node in position:
+            continue
+        if children is None:
+            children = _children(node, keys.__getitem__)
+            stack.append((node, children))
+            stack.extend((c, None) for c in reversed(children))
+        else:
+            position[node] = len(walk)
+            walk.append((node, [position[c] for c in children]))
+    return walk
+
+
+def _tree_values(sym, env, n, failures):
+    """The value of the canonical tree ``sym`` at the n points of ``env``,
+    which binds each name to a float or a column: its sub-trees in
+    ``_tree_walk`` order, each computed from its children's values."""
+    values = []
+    for node, children in _tree_walk(sym):
+        values.append(_node_values(node, [values[i] for i in children], env, n, failures))
+    return values[-1]
+
+
+def _node_values(node, args, env, n, failures):
+    """The value of one node, its children's values being ``args``: each
+    sum from 0.0 and each product from 1.0, operands in order."""
+    if node.is_Rational:
+        return _ratio(node.p, node.q, n, failures)
+    if node.is_Symbol:
+        return _load(env, node.name, n, failures)
+    if node.is_Add or node.is_Mul:
+        op, value = (operator.add, 0.0) if node.is_Add else (operator.mul, 1.0)
+        for arg in args:
+            value = _pointwise(op, value, arg)
+        return value
+    if node.is_Pow:
+        exp = node.args[1]
+        if not exp.is_Rational:
+            template = "non-rational exponent in %s"
+        elif exp.is_Integer:
+            return _int_powers(args[0], exp.p, node, n, failures)
+        else:
+            return _each(_root, args[0], (exp.p, exp.q, node), n, failures)
+    elif isinstance(node, (AppliedUndef, sp.Derivative)):
+        template = "placeholder %s cannot be evaluated numerically"
+    elif node.func in (sp.sin, sp.cos):
+        return _each(getattr(math, node.func.__name__), args[0], (), n, failures)
+    elif node.func is sp.exp:
+        return _each(_exp, args[0], (node,), n, failures)
+    elif node.func is sp.log:
+        return _each(_log, args[0], (node,), n, failures)
+    elif node is sp.E:
+        return math.e
+    else:
+        template = "cannot evaluate %s"
+    return _fail_all(ExprError(template % _subtext(node)), n, failures)
+
+
 def _poly_values(P, env, n, failures, values):
     """The value of P, a polynomial without placeholders, at the n points
     of ``env``, which binds each name to a float or a column.
 
-    These are the operations, checks and errors of the function
-    ``_Compiler`` compiles from P's tree, taken one step at a time over
-    every point: the terms in ``P.walk_order()``, each product from 1.0
+    These are the operations, checks and errors ``_tree_values`` takes
+    over P's tree: the terms in ``P.walk_order()``, each product from 1.0
     (its coefficient, then its factors), the sum of two or more terms
     from 0.0.  A negative power is one ``_int_power`` of its name, named
     ``1/x^n`` as the tree's node is; a radical's power is one ``_root``
@@ -1677,10 +1594,7 @@ def _poly_values(P, env, n, failures, values):
     nothing either.
     """
     def number(c):
-        try:
-            return int(c.numerator) / int(c.denominator)
-        except OverflowError as err:  # beyond the floats
-            return _fail_all(err, n, failures)
+        return _ratio(int(c.numerator), int(c.denominator), n, failures)
 
     def power(g, e):
         if ("p", g, e) not in values:
@@ -1691,10 +1605,7 @@ def _poly_values(P, env, n, failures, values):
                 values["p", g, e] = _each(_root, values["u", g], (
                     e, 2, G.text if e == 1 else "1/" + G.text), n, failures)
             elif e == 1:
-                try:
-                    values["p", g, e] = _load(env, G.text)
-                except UnboundSymbolError as err:
-                    values["p", g, e] = _fail_all(err, n, failures)
+                values["p", g, e] = _load(env, G.text, n, failures)
             else:
                 text = _power_text(G.text, abs(e))
                 values["p", g, e] = _int_powers(power(g, 1), e, text if e > 0 else "1/" + text,
@@ -1722,22 +1633,38 @@ def _poly_values(P, env, n, failures, values):
 
 def _values(e: Expression, env, n, failures):
     """The value of e at the n points of ``env``: from its terms if it is
-    a polynomial without placeholders, else by its compiled function at
-    each point."""
+    a polynomial without placeholders, else from its tree."""
     if e._poly is not None and not e.has_placeholders:
         return _poly_values(e._poly, env, n, failures, {})
-    fn = _function(e)
-    columns = [(name, v) for name, v in env.items() if type(v) is not float]
-    point, out = dict(env), []
-    for i in range(n):
-        for name, v in columns:
-            point[name] = v[i]
-        try:
-            out.append(fn(point))
-        except (ArithmeticError, ValueError) as err:
-            failures.setdefault(i, err)
-            out.append(math.nan)
-    return out
+    return _tree_values(e.sym, env, n, failures)
+
+
+def evaluate(e: Expression, bindings: Mapping) -> float:
+    """Pointwise IEEE-double evaluation; same bindings give the same bits.
+
+    The one-point case of ``_values``: a polynomial without placeholders
+    is evaluated from its terms, any other expression from its canonical
+    tree.  Both keep the summation and multiplication order of a
+    recursive walk over the tree (each sum starts from 0.0 and each
+    product from 1.0, operands in ``default_sort_key`` order), so the bits
+    do not depend on the path.
+
+    Raises UnboundSymbolError for a missing binding (the first one the
+    walk reaches) and DomainEvalError (carrying the offending
+    subexpression) for a fractional power of a negative value, division
+    by zero, overflow in a power or ``exp``, or log of a non-positive
+    value.
+    """
+    failures = {}
+    value = _values(e, _env(bindings), 1, failures)
+    if failures:
+        raise failures[0]
+    return value
+
+
+def _env(bindings) -> dict:
+    """Bindings by name, as floats."""
+    return {_as_name(key): float(value) for key, value in bindings.items()}
 
 
 def _column(value, n):

@@ -29,6 +29,7 @@ from .expr import (
     SymbolTable,
     derivation,
     jet,
+    row_evaluator,
 )
 
 # numpy is imported by the functions that use it, so that the symbolic
@@ -248,12 +249,10 @@ def sample_curve(c: Curve, grid, constants=None) -> np.ndarray:
 
     if not c.is_symbolic:
         raise JetError("sample_curve expects a symbolic curve")
-    bindings = dict(constants or {})
+    times = [(t,) for t in np.asarray(grid, dtype=float).tolist()]
     rows = []
-    for tval in np.asarray(grid, dtype=float):
-        bindings[TIME] = float(tval)
-        rows.append([comp.evaluate(bindings) for comp in c.components])
-    return np.asarray(rows, dtype=float)
+    row_evaluator(c.components, [TIME])(times, rows, dict(constants or {}))
+    return np.asarray([row[1:] for row in rows], dtype=float)
 
 
 def central_differences(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (Constant, Coordinate, Expression, Immutable, SingularMatrixError, ZERO,
-                   determinant, jet, solve_linear)
+                   determinant, jet, row_evaluator, solve_linear)
 from .forms import OneFormField, TwoFormField, exterior_derivative
 from .jets import Curve, JetSpace, VectorField, prolong, total_derivative
 
@@ -336,14 +336,10 @@ class LagrangianSystem(System):
             return tuple(b.subs(rules) for b in exprs)
         import numpy as np
 
-        bindings = dict(constants or {})
         names = [
             jet(i, A).name for i in range(order + 1) for A in range(1, self.n + 1)
         ]
         rows = []
-        for row in lifted.values:
-            env = dict(bindings)
-            env.update(zip(names, (float(v) for v in row)))
-            rows.append([b.evaluate(env) for b in exprs])
-        return np.asarray(rows, dtype=float)
+        row_evaluator(exprs, names)(lifted.values.tolist(), rows, dict(constants or {}))
+        return np.asarray([row[len(names):] for row in rows], dtype=float)
 

@@ -36,7 +36,6 @@ comparison uses the unweighted max-abs distance over all coordinates.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -56,7 +55,6 @@ if TYPE_CHECKING:
 # about 16 MB as floats.  Every shipped model and benchmark run holds at
 # most 170,017 (10,000 steps of 16 coordinates).
 MAX_TRAJECTORY_VALUES = 2_000_000
-_CSV_CHUNK = 1024  # rows formatted by one format string
 
 
 class NumericError(ValueError):
@@ -100,22 +98,14 @@ class Trajectory:
     def state_at(self, index: int) -> np.ndarray:
         return self.states[index]
 
-    def write_csv(self, f) -> None:
-        """Write rows "t,state…" with 17-significant-digit floats to the
-        text file f, each chunk of rows with one format string."""
+    def to_csv(self) -> str:
+        """Rows "t,state…" with 17-significant-digit floats, all formatted
+        by one format string."""
         import numpy as np
 
         row = ",".join(["%.17g"] * (1 + self.states.shape[1])) + "\n"
-        for start in range(0, len(self.times), _CSV_CHUNK):
-            end = start + _CSV_CHUNK
-            chunk = np.column_stack((self.times[start:end], self.states[start:end]))
-            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-    def to_csv(self) -> str:
-        """The text ``write_csv`` writes."""
-        f = io.StringIO()
-        self.write_csv(f)
-        return f.getvalue()
+        values = np.column_stack((self.times, self.states)).ravel().tolist()
+        return (row * len(self.times)) % tuple(values)
 
 
 def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:

@@ -379,7 +379,7 @@ def test_probably_equal_skips_domain_holes():
 
 COORD_NAMES = ("q0_1", "q0_2", "q1_1", "q1_2")
 # negative and rational coefficients, and some beyond the floats: their
-# compiled literal overflows, or the float of their ratio is 0.0
+# float overflows, or the float of their ratio is 0.0
 COEFFICIENTS = st.one_of(
     st.integers(-5, 5),
     st.fractions(-5, 5, max_denominator=12),
@@ -651,11 +651,12 @@ def test_shared_sampler_keeps_the_old_draws(text, samples):
             assert _sample(e, {"a": 0.75}, samples, seed, reduce) == old
 
 
-# -- the compiled evaluator against the recursive walker --------------------
+# -- the column evaluator against the recursive walker ----------------------
 
 
-# Reference: the recursive walker ``evaluate`` compiles away.  It re-sorts
-# every node's arguments on every call.
+# Reference: a recursive walker over the tree, one point at a time.  It
+# re-sorts every node's arguments on every call and computes a repeated
+# sub-tree again.
 def _reference_eval_num(sym, env, whole):
     if sym.is_Rational:
         return sym.p / sym.q
@@ -733,7 +734,6 @@ def _outcome(fn, *args):
 def _same_as_walker(e, bindings):
     want = _outcome(_reference_evaluate, e, bindings)
     assert _outcome(evaluate, e, bindings) == want
-    assert _outcome(evaluate, e, bindings) == want  # the cached function
     return want
 
 
@@ -823,21 +823,22 @@ def test_compiled_evaluate_sums_in_sort_key_order():
     assert list(e.sym.args) != sorted(e.sym.args, key=sp.default_sort_key)
     env = {"q0_1": 1.0, "q1_1": -1e16, "b": 1e16}
     assert _same_as_walker(e, env) == struct.pack("<d", 0.0)
+    # a sum starts from 0.0, so a sum of -0.0 terms is 0.0
+    assert _same_as_walker(p("sin(q0_1) + q0_1"), {"q0_1": -0.0}) == struct.pack("<d", 0.0)
 
 
-def test_compiled_evaluate_computes_a_repeated_subtree_once():
+def test_compiled_evaluate_computes_a_repeated_subtree_once(monkeypatch):
     e = p("sin(q0_1 + 1)*q1_1 + sin(q0_1 + 1) + cos(sin(q0_1 + 1))")
     env = {"q0_1": 0.3, "q1_1": -1.5}
-    _same_as_walker(e, env)
+    want = _same_as_walker(e, env)
     calls = []
-    namespace = e._fn.__globals__
 
-    def counting_sin(x, _sin=namespace["sin"]):
+    def counting_sin(x, _sin=math.sin):
         calls.append(x)
         return _sin(x)
 
-    namespace["sin"] = counting_sin
-    assert evaluate(e, env) == _reference_evaluate(e, env)
+    monkeypatch.setattr(math, "sin", counting_sin)
+    assert _outcome(evaluate, e, env) == want
     assert len(calls) == 1
 
 
@@ -877,8 +878,8 @@ def test_compiled_evaluate_handles_deep_nesting():
 
 
 def _tree_function(tree):
-    compiler = E._Compiler()
-    return compiler.function(compiler.source(compiler.walk(tree)))
+    """The tree's value at a point, by the recursive reference walker."""
+    return lambda env: _reference_eval_num(tree, env, tree)
 
 
 def _same_as_tree(e, bindings):
@@ -1188,7 +1189,7 @@ def laurent_trees(draw):
 
 def _matches_tree(e, raw):
     """e is what canonicalizing the raw tree gives: its tree, its text and
-    the bits of the tree's compiled function at seeded points."""
+    the bits the recursive walker gives at seeded points."""
     want = E._canon(raw)
     assert (e._poly is None) == (E._as_poly(want) is None)
     assert to_text(e) == E._tree_text(want)
@@ -1890,7 +1891,7 @@ def _fractions(key):
 @example(E._as_poly(sp.sympify("3/2 - 2*q0_1*q1_1")))  # not beside a product
 def test_a_radicands_order_is_sympys_sort_key(U):
     # the order of a radical, which sets the order of printed terms and
-    # of compiled factors, is default_sort_key of its radicand's tree,
+    # of evaluated factors, is default_sort_key of its radicand's tree,
     # renamed or not, and its text is the tree printer's
     tree = E._radicand_tree(U)
     assert E._sort_key(U) == _fractions(sp.default_sort_key(tree))
@@ -1980,8 +1981,8 @@ def test_step_texts_from_the_ring(text, want):
 
 def test_a_radicand_compiled_from_its_terms_keeps_the_trees_outcomes():
     # each term of the radicand u also stands outside the root in
-    # u - b*sqrt(u); their products once shared one compiled variable,
-    # so the radicand summed its last term three times
+    # u - b*sqrt(u); their products once shared one variable of a
+    # compiled function, so the radicand summed its last term three times
     u = p("2*a*q1_1 - 2*q0_1 - q1_1^2")
     e = u - Expression.constant("b") * u ** Fraction(1, 2)
     tree_function = _tree_function(E._canon(e.sym))
@@ -1990,7 +1991,7 @@ def test_a_radicand_compiled_from_its_terms_keeps_the_trees_outcomes():
         assert _outcome(evaluate, e, env) == _outcome(tree_function, env)
 
 
-# -- evaluation over columns against the tree's compiled function ----------
+# -- evaluation over columns against the recursive walker ------------------
 
 
 @st.composite
@@ -2079,7 +2080,35 @@ def _lift(exprs, rows, constants):
        st.lists(st.tuples(*[BINDING_VALUES] * 4), min_size=1, max_size=6),
        st.sampled_from((None, 0.0, -1.5, 1e160, math.inf)), st.integers(0, 2 ** 32))
 def test_column_evaluation_matches_the_trees_function(e, e2, points, rows, fixed, seed):
-    tree_function = _tree_function(e._poly.as_expr())
+    _columns_match_the_walker(e, e2, points, rows, fixed, seed)
+
+
+@st.composite
+def column_trees(draw):
+    """An expression evaluated from its tree: a grammar text under a
+    checked operation (``ln``, ``exp``, ``sin``, a division) that gives
+    no polynomial, now and then plus a placeholder."""
+    try:
+        e = p(draw(CHECKED_TEXTS))
+    except ExprError:
+        assume(False)
+    if draw(st.integers(0, 9)) == 0:
+        e = e + placeholder("f", [jet(0, 1)])
+    assume(e._poly is None or e.has_placeholders)
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_trees(), st.one_of(column_trees(), column_polynomials()),
+       st.lists(bindings(), min_size=1, max_size=4),
+       st.lists(st.tuples(*[BINDING_VALUES] * 4), min_size=1, max_size=6),
+       st.sampled_from((None, 0.0, -1.5, 1e160, math.inf)), st.integers(0, 2 ** 32))
+def test_tree_evaluation_over_columns_matches_the_walker(e, e2, points, rows, fixed, seed):
+    _columns_match_the_walker(e, e2, points, rows, fixed, seed)
+
+
+def _columns_match_the_walker(e, e2, points, rows, fixed, seed):
+    tree_function = _tree_function(_tree(e))
     # at one point: the bits, or the class and message of the first error
     for point in points:
         assert _outcome(evaluate, e, point) == _outcome(tree_function, point)
@@ -2094,4 +2123,9 @@ def test_column_evaluation_matches_the_trees_function(e, e2, points, rows, fixed
     constants = points[0]
     constants = {name: constants[name] for name in ("a", "b") if name in constants}
     assert _lift([e, e2], rows, constants) == _reference_lift(
-        [tree_function, _tree_function(e2._poly.as_expr())], rows, constants)
+        [tree_function, _tree_function(_tree(e2))], rows, constants)
+
+
+def _tree(e):
+    """e's tree: a polynomial's as its terms give it."""
+    return e._poly.as_expr() if e._poly is not None else e.sym

@@ -15,6 +15,7 @@ from hjmech import (
     parse,
     sample_curve,
 )
+from hjmech.expr import DomainEvalError
 from hjmech.jets import (
     central_differences,
     prolong,
@@ -172,6 +173,26 @@ def test_sample_curve_evaluates_on_grid():
     with pytest.raises(JetError):
         sample_curve(Curve.sampled([0.0, 1.0], np.zeros((2, 1))), grid)
 
+
+
+def test_sample_curve_keeps_evaluates_bits_and_first_error():
+    table = T2.table(("t", "a"))
+    comps = [parse("sin(a*t) + sqrt(t)", table), parse("a*t^3 - 1/(t - a)", table)]
+    c = Curve.symbolic(comps)
+
+    def per_point(grid, constants):
+        return [[comp.evaluate(dict(constants, t=t)) for comp in comps] for t in grid]
+
+    grid = np.linspace(0.0, 1.0, 7)
+    vals = sample_curve(c, grid, constants={"a": 3.0})
+    assert vals.tobytes() == np.asarray(per_point(grid.tolist(), {"a": 3.0})).tobytes()
+    # t = 0.5 is the first failing row (its second component), t = -1 fails too
+    grid = [0.25, 0.5, -1.0]
+    with pytest.raises(DomainEvalError) as got:
+        sample_curve(c, grid, constants={"a": 0.5})
+    with pytest.raises(DomainEvalError) as want:
+        per_point(grid, {"a": 0.5})
+    assert str(got.value) == str(want.value) and "division by zero" in str(got.value)
 
 def test_prolong_sampled_needs_scheme_and_enough_points():
     grid = np.linspace(0.0, 1.0, 101)

@@ -20,8 +20,8 @@ from hjmech import (
     jet,
     parse,
 )
-from hjmech.jets import central_differences, semispray_type, total_derivative
-from hjmech.expr import SingularMatrixError, determinant, solve_linear
+from hjmech.jets import central_differences, prolong, semispray_type, total_derivative
+from hjmech.expr import SingularMatrixError, UnboundSymbolError, determinant, solve_linear
 from hjmech.lagrangian import NonAffineError, solve_affine
 
 from conftest import make_beam_symbolic, make_flight_1d
@@ -305,6 +305,20 @@ def test_sampled_residual_matches_on_the_interior(beam):
     interior = res[8:-8, 0]
     assert np.max(np.abs(interior)) < 1e-6
 
+
+
+def test_sampled_residual_keeps_evaluates_bits_and_errors(beam):
+    grid = np.linspace(0.0, 1.0, 41)
+    c = Curve.sampled(grid, np.sin(3.0 * grid).reshape(-1, 1))
+    constants = {"mu": 0.7, "rho": 24.0}
+    res = beam.euler_lagrange_residual(c, scheme=central_differences, constants=constants)
+    names = [jet(i, 1).name for i in range(5)]
+    want = [[b.evaluate(dict(constants, **dict(zip(names, row))))
+             for b in beam.euler_lagrange_expressions()]
+            for row in prolong(c, 4, central_differences).values.tolist()]
+    assert res.tobytes() == np.asarray(want, dtype=float).tobytes()
+    with pytest.raises(UnboundSymbolError, match="unbound symbol 'mu'"):
+        beam.euler_lagrange_residual(c, scheme=central_differences, constants={"rho": 24.0})
 
 def test_residual_requires_matching_base_dimension(flight):
     c = Curve.symbolic([parse("t", JetSpace(1, 1).table(("t",)))])

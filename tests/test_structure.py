@@ -509,7 +509,7 @@ COMPILES = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-from hjmech import hj
+from hjmech import expr, hj
 from hjmech.cli import main
 compiles, sampled = [], []
 sample_values = hj.sample_values
@@ -518,8 +518,8 @@ def sampling(exprs, samples, seed, fixed=None):
     sampled.append((tuple(exprs), samples, seed, tuple(sorted((fixed or {}).items()))))
     return sample_values(exprs, samples, seed, fixed)
 
-def audit(event, args):  # an expression's function is compiled as <hjmech.expr...>
-    if event == "compile" and str(args[1]).startswith("<hjmech"):
+def audit(event, args):  # compile(), or exec or eval of a string, called in expr
+    if event == "compile" and sys._getframe(1).f_code.co_filename == expr.__file__:
         compiles.append(str(args[1]))
 
 hj.sample_values = sampling
@@ -533,18 +533,20 @@ print(json.dumps([code, compiles, len(sampled), len(set(sampled))]))
 
 
 def test_one_check_compiles_and_samples_each_expression_once(tmp_path):
-    # a polynomial is evaluated from its terms, so no expression of these
-    # ops is compiled (javelin_r03/check-cand compiled 21 distinct ones,
-    # and the lift one, while each polynomial got its own function), and
-    # a repeated sampling is answered from hj's memo (13 of 38 samplings
-    # repeated an earlier one while every sampling ran)
+    # an expression is evaluated over columns from its terms or its tree,
+    # so expr compiles nothing (javelin_r03/check-cand compiled 21
+    # distinct functions, and the lift one, while each polynomial got its
+    # own), and a repeated sampling is answered from hj's memo (13 of 38
+    # samplings repeated an earlier one while every sampling ran)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for workload, key in (("verdicts", "javelin_r03/check-cand"),
-                          ("flows", "lift_m00/walpha")):
+    # each op's exit code, and whether it samples (the lift evaluates its
+    # rows without sampling)
+    for workload, key, want_code, samples in (("verdicts", "javelin_r03/check-cand", 1, True),
+                                              ("flows", "lift_m00/walpha", 0, False)):
         out = subprocess.run([sys.executable, "-c", COMPILES, str(ROOT / "bench"),
                               str(tmp_path), workload, key],
                              capture_output=True, text=True, env=env, timeout=300, check=True)
         code, compiles, runs, distinct_runs = json.loads(out.stdout)
-        assert code in (0, 1) and compiles == [] and runs == distinct_runs, (
+        assert code == want_code and compiles == [] and runs == distinct_runs, (
             key, code, compiles, runs, distinct_runs)
-        assert runs > 0 or workload == "flows", (key, runs)
+        assert (runs > 0) == samples, (key, runs)
