@@ -132,11 +132,10 @@ Expressions are immutable values; all operations are pure functions, so
 instances are safe to share between threads.  The writes after
 construction (the tree, the hash, a polynomial's terms in walk order,
 a generator's tree) are idempotent stores of pure functions of the
-value.  ``Immutable`` is the base of
-every immutable class of the package: it refuses attribute assignment
-and deletion, and constructors store their fields through ``_init``
-(``Expression``, built far more often than the rest, stores its three
-directly).
+value.  ``Immutable`` is the base of every immutable class of the
+package: it refuses attribute assignment and deletion, and constructors
+store their fields through ``_init`` (``Expression``, built far more
+often than the rest, stores its three directly).
 """
 
 from __future__ import annotations
@@ -1587,11 +1586,9 @@ def _poly_values(P, env, n, failures, values):
     of its radicand, computed from the radicand's terms, named
     ``sqrt(u)`` or ``1/sqrt(u)``.  Each load and power is computed once
     (``values``), the first time the walk reaches it, inside a radicand
-    or outside it: the tree's walk computes one inside again outside,
-    which changes no bit and no error, since the first computation fails
-    where the second would.  A number beyond the floats fails at every
-    point where the walk first reaches it, so reaching it again changes
-    nothing either.
+    or outside it, as ``_tree_walk`` computes each distinct sub-tree
+    once.  A number beyond the floats fails at every point where the
+    walk first reaches it, so reaching it again changes nothing.
     """
     def number(c):
         return _ratio(int(c.numerator), int(c.denominator), n, failures)

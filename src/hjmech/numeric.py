@@ -52,8 +52,9 @@ if TYPE_CHECKING:
 
 
 # The most values (times and state coordinates) one trajectory may hold:
-# about 16 MB as floats.  Every shipped model and benchmark run holds at
-# most 170,017 (10,000 steps of 16 coordinates).
+# about 16 MB as the float array, several times that while the CSV is
+# formatted.  Every shipped model and benchmark run holds at most
+# 170,017 (10,000 steps of 16 coordinates).
 MAX_TRAJECTORY_VALUES = 2_000_000
 
 
@@ -112,9 +113,9 @@ def _step_source(coords: List[str], consts: List[str], texts: List[str]) -> str:
     """Source of ``_run``, which takes RK4 steps from a state, extending
     the flat float array ``_rows`` by each new state, until it has taken
     ``_n`` or a step raises or leaves the finite floats (a complex state
-    fails the comparison with TypeError).  Every name the source adds starts with ``_``, which no
-    constant's does.  ``_field_source`` gives the replay's function from
-    the same texts."""
+    fails the comparison with TypeError).  Every name the source adds
+    starts with ``_``, which no constant's does.  ``_field_source`` gives
+    the replay's function from the same texts."""
     n = range(len(texts))
     zs = ", ".join("_z%d" % i for i in n)
     params = "".join(", " + c for c in consts)
