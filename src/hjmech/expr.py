@@ -148,7 +148,7 @@ import operator
 import random
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -267,25 +267,22 @@ class Coordinate:
     kind: str
     order: int
     axis: int
+    name: str = field(init=False, repr=False, compare=False)  # formatted once
 
     def __post_init__(self):
         if self.kind not in ("jet", "momentum"):
             raise ExprError("coordinate kind must be 'jet' or 'momentum'")
         if self.order < 0 or self.axis < 1:
             raise ExprError("coordinate needs order >= 0 and axis >= 1")
-
-    @property
-    def name(self) -> str:
         prefix = "q" if self.kind == "jet" else "p"
-        return "%s%d_%d" % (prefix, self.order, self.axis)
+        object.__setattr__(self, "name", "%s%d_%d" % (prefix, self.order, self.axis))
 
     @classmethod
     def from_name(cls, name: str) -> "Coordinate":
         m = _COORD_RE.match(name)
         if not m:
             raise ExprError("not a coordinate name: %r" % name)
-        kind = "jet" if m.group(1) == "q" else "momentum"
-        return cls(kind, int(m.group(2)), int(m.group(3)))
+        return (jet if m.group(1) == "q" else momentum)(int(m.group(2)), int(m.group(3)))
 
     @property
     def symbol(self) -> sp.Symbol:
@@ -295,14 +292,21 @@ class Coordinate:
         return self.name
 
 
+# jet, momentum and coordinate_of build one Coordinate per name and hand
+# out that instance on every later call
+
+
+@functools.cache
 def jet(order: int, axis: int) -> Coordinate:
     return Coordinate("jet", order, axis)
 
 
+@functools.cache
 def momentum(order: int, axis: int) -> Coordinate:
     return Coordinate("momentum", order, axis)
 
 
+@functools.cache
 def coordinate_of(name: str):
     """The Coordinate a name names, or None for a named constant."""
     return Coordinate.from_name(name) if _COORD_RE.match(name) else None
@@ -1046,7 +1050,8 @@ class Expression(Immutable):
     def _apply(self, other, op, swap=False):
         """``op`` on the polynomials when both sides are polynomials (and a
         divisor is a single term: ``/`` multiplies by its inverse), else on
-        the trees."""
+        the trees.  Without a radical on either side the result is in the
+        tree path's form already, so it needs no ``_reduce``."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -1056,6 +1061,8 @@ class Expression(Immutable):
             poly_op = op
             if op is operator.truediv:
                 poly_op, Q = operator.mul, _power(Q, -1)
+            if _RADICAL_IDS.isdisjoint(P.gens()) and _RADICAL_IDS.isdisjoint(Q.gens()):
+                return Expression.from_poly(_OPS[poly_op](P, Q))
             if poly_op is not operator.mul or not _meets_radicand(P, Q):
                 result = _reduce(_OPS[poly_op](P, Q))
                 if result is not None:
@@ -1670,26 +1677,24 @@ def _column(value, n):
 
 
 def row_evaluator(exprs: Sequence[Expression], names: Sequence[str]):
-    """A function ``run(rows, out, bindings)`` that appends to ``out``, for
-    each row of floats in ``rows``, that row followed by the values of
-    ``exprs`` with the row bound to ``names`` and the rest to
-    ``bindings``.
+    """A function ``run(columns, bindings)`` that evaluates ``exprs`` at
+    rows of points given as columns: ``columns`` holds one list of
+    floats per name of ``names`` (at least one), and ``bindings`` binds
+    the rest.
 
-    The rows are evaluated as columns (``_values``), so every value has
-    ``evaluate``'s bits.  When some expression fails at a row, ``out``
-    holds the rows before the first such row, and ``run`` raises what
-    ``evaluate`` raises there: the error of the first expression, in the
-    order of ``exprs``, that fails at it.
+    It returns ``(values, good, error)``: one list of floats per
+    expression, the number of rows before the first row at which some
+    expression fails, and what ``evaluate`` raises at that row, the error
+    of the first expression, in the order of ``exprs``, that fails there
+    (None when none fails).  The columns are evaluated at once
+    (``_values``), so every value has ``evaluate``'s bits.
     """
-    def run(rows, out, bindings):
-        env, n, failures = _env(bindings), len(rows), {}
-        env.update(zip(names, zip(*rows)))
-        columns = [_column(_values(e, env, n, failures), n) for e in exprs]
+    def run(columns, bindings):
+        env, n, failures = _env(bindings), len(columns[0]), {}
+        env.update(zip(names, columns))
+        values = [_column(_values(e, env, n, failures), n) for e in exprs]
         good = min(failures, default=n)
-        out.extend([*row, *values] for row, values in zip(
-            rows[:good], zip(*columns) if columns else itertools.repeat(())))
-        if failures:
-            raise failures[good]
+        return values, good, failures.get(good)
 
     return run
 

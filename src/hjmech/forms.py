@@ -407,20 +407,25 @@ class CoordMap(Immutable):
         return out
 
     def pull_oneform(self, theta: OneFormField) -> OneFormField:
+        """(φ*θ)_u = Σ_w (θ_w ∘ φ) ∂φ^w/∂u, the terms added in target order.
+
+        Each nonzero coefficient θ_w is pulled back once, and only its
+        image φ^w is differentiated: a target coordinate whose coefficient
+        is zero needs no Jacobian row.  So a semibasic θ, such as θ_L
+        pulled back by a section, never differentiates the fiber images.
+        """
         if theta.space.coordinates != self.target.coordinates:
             raise FormError("1-form does not live on the map's target")
-        jac = self.jacobian()
-        coeffs = []
-        for u in self.source.coordinates:
-            total = ZERO
-            for w, coeff in zip(self.target.coordinates, theta.coefficients):
-                if coeff.is_zero:
-                    continue
-                dwdu = jac[(w, u)]
-                if dwdu.is_zero:
-                    continue
-                total = total + self.pull_function(coeff) * dwdu
-            coeffs.append(total)
+        src = self.source.coordinates
+        coeffs = [ZERO] * len(src)
+        for w, coeff in zip(self.target.coordinates, theta.coefficients):
+            if coeff.is_zero:
+                continue
+            pulled, image = self.pull_function(coeff), self.images[w]
+            for i, u in enumerate(src):
+                dwdu = image.diff(u)
+                if not dwdu.is_zero:
+                    coeffs[i] = coeffs[i] + pulled * dwdu
         return OneFormField(self.source, coeffs)
 
     def pull_twoform(self, omega: TwoFormField) -> TwoFormField:

@@ -16,6 +16,7 @@ reported absent rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import sys as _sys
 import types
 from dataclasses import dataclass
@@ -57,13 +58,9 @@ class PhaseSpace:
 
     @property
     def coordinates(self) -> Tuple[Coordinate, ...]:
-        jets = tuple(
-            jet(i, A) for i in range(self.k) for A in range(1, self.n + 1)
-        )
-        momenta = tuple(
-            momentum(i, A) for i in range(self.k) for A in range(1, self.n + 1)
-        )
-        return jets + momenta
+        """The jets of the base space, then the momenta in the same
+        order; one tuple per space."""
+        return _coordinates(self.n, self.k)
 
     @property
     def base_space(self) -> JetSpace:
@@ -87,6 +84,12 @@ class PhaseSpace:
     def symplectic_form(self) -> TwoFormField:
         """ω_{k-1} = −dθ_{k-1} = Σ dq_i^A ∧ dp_A^i."""
         return -exterior_derivative(self.liouville_form())
+
+
+@functools.cache
+def _coordinates(n: int, k: int) -> Tuple[Coordinate, ...]:
+    jets = JetSpace(n, k - 1).coordinates
+    return jets + tuple(momentum(q.order, q.axis) for q in jets)
 
 
 # ---------------------------------------------------------------------------

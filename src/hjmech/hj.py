@@ -13,8 +13,9 @@ defining operator produces it —
 * tangency (Lagrangian):   X_L(q_j^A − s_j^A) restricted to Im(s),
 * tangency (Hamiltonian):  X_h(p_A^i − α_A^i) restricted to Im(α),
 * closedness:              the coefficients of the pulled-back 2-form
-                           (s*ω_L, resp. α*ω_{k-1} = −dα), indexed by
-                           base-coordinate pairs u∧v with u before v,
+                           s*ω_L = −d(s*θ_L), resp. α*ω_{k-1} = −dα,
+                           indexed by base-coordinate pairs u∧v with u
+                           before v,
 * energy:                  the coefficients of d(s*E_L), resp. d(α*h),
 * generating function:     ∂W/∂q_i^A − (s*θ_L)_i^A,
 * HJ equation:             h(q, ∂W/∂q) − E.
@@ -461,9 +462,10 @@ def _tangency(X: VectorField, sol) -> list:
     ]
 
 
-def _closedness(form, k: int, n: int) -> list:
-    """Raw coefficients of a 2-form on T^(k-1)Q over base-coordinate pairs
-    u∧v with u before v."""
+def _closedness(theta: OneFormField, k: int, n: int) -> list:
+    """Raw coefficients of −dθ, for a 1-form θ on T^(k-1)Q, over
+    base-coordinate pairs u∧v with u before v."""
+    form = -exterior_derivative(theta)
     coords = JetSpace(n, k - 1).coordinates
     return [
         ("closedness", "%s^%s" % (u.name, v.name), form.entry(u, v))
@@ -541,9 +543,13 @@ def gen_lag_residuals(sys: LagrangianSystem, s: Section,
 def lag_closedness(sys: LagrangianSystem, s: Section,
                    tol: float = DEFAULT_TOL, samples: int = DEFAULT_SAMPLES,
                    seed: int = DEFAULT_SEED) -> ResidualReport:
-    """Independent coefficients of s*ω_L over base-coordinate pairs."""
+    """Independent coefficients of s*ω_L over base-coordinate pairs.
+
+    Pullback commutes with d, so s*ω_L = s*(−dθ_L) = −d(s*θ_L): the
+    residuals are those of −d(s*θ_L) on T^(k-1)Q, and ω_L is not built.
+    """
     s._check_shape(sys.k, sys.n)
-    pulled = s.as_map().pull_twoform(sys.cartan().omega)
+    pulled = s.as_map().pull_oneform(sys.cartan().theta)
     return _residual_report(
         _closedness(pulled, sys.k, sys.n), sys.constant_values(),
         tol=tol, samples=samples, seed=seed,
@@ -598,9 +604,8 @@ def ham_closedness(alpha: OneForm,
                    seed: int = DEFAULT_SEED,
                    constant_values: Optional[Mapping[str, object]] = None) -> ResidualReport:
     """Coefficients of α*ω_{k-1} = −dα over base-coordinate pairs."""
-    minus_d = -exterior_derivative(alpha.as_oneform_field())
     return _residual_report(
-        _closedness(minus_d, alpha.k, alpha.n), dict(constant_values or {}),
+        _closedness(alpha.as_oneform_field(), alpha.k, alpha.n), dict(constant_values or {}),
         tol=tol, samples=samples, seed=seed,
     )
 

@@ -19,6 +19,7 @@ Projections between orders are coordinate truncations, so "project" and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
@@ -67,11 +68,8 @@ class JetSpace:
 
     @property
     def coordinates(self) -> Tuple[Coordinate, ...]:
-        return tuple(
-            jet(i, A)
-            for i in range(self.order + 1)
-            for A in range(1, self.n + 1)
-        )
+        """q_i^A by order i, then axis A; one tuple per space."""
+        return _coordinates(self.n, self.order)
 
     def coordinate(self, i: int, axis: int) -> Coordinate:
         if not 0 <= i <= self.order:
@@ -104,6 +102,11 @@ class JetSpace:
                 % (state.shape[-1], self.dimension)
             )
         return state[..., : (s + 1) * self.n]
+
+
+@functools.cache
+def _coordinates(n: int, order: int) -> Tuple[Coordinate, ...]:
+    return tuple(jet(i, A) for i in range(order + 1) for A in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +252,11 @@ def sample_curve(c: Curve, grid, constants=None) -> np.ndarray:
 
     if not c.is_symbolic:
         raise JetError("sample_curve expects a symbolic curve")
-    times = [(t,) for t in np.asarray(grid, dtype=float).tolist()]
-    rows = []
-    row_evaluator(c.components, [TIME])(times, rows, dict(constants or {}))
-    return np.asarray([row[1:] for row in rows], dtype=float)
+    times = np.asarray(grid, dtype=float).tolist()
+    values, _, error = row_evaluator(c.components, [TIME])([times], dict(constants or {}))
+    if error is not None:
+        raise error
+    return np.array(values, dtype=float).T
 
 
 def central_differences(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

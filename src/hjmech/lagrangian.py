@@ -93,13 +93,20 @@ class HessianResult:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Momenta, Cartan forms, and energy on T^(2k-1) Q."""
+    """Momenta, Cartan forms, and energy on T^(2k-1) Q.
+
+    ω_L = −dθ_L is built on its first read.  A check needs only θ_L:
+    a section's s*ω_L is −d(s*θ_L), since pullback commutes with d.
+    """
 
     space: JetSpace
     momenta: Mapping[Tuple[int, int], Expression]  # (i, A) -> p̂^i_A
     theta: OneFormField
-    omega: TwoFormField
     energy: Expression
+
+    @functools.cached_property
+    def omega(self) -> TwoFormField:
+        return -exterior_derivative(self.theta)
 
     def momentum(self, i: int, axis: int) -> Expression:
         try:
@@ -253,13 +260,12 @@ class LagrangianSystem(System):
             space,
             {jet(r - 1, A): momenta[(r - 1, A)] for r in range(1, k + 1) for A in range(1, n + 1)},
         )
-        omega = -exterior_derivative(theta)
         energy = -L
         for r in range(1, k + 1):
             for A in range(1, n + 1):
                 energy = energy + Expression.coordinate(jet(r, A)) * momenta[(r - 1, A)]
         return CartanData(
-            space=space, momenta=momenta, theta=theta, omega=omega, energy=energy
+            space=space, momenta=momenta, theta=theta, energy=energy
         )
 
     def _ostrogradsky(self, r: int, axis: int, p: Expression) -> Expression:
@@ -339,7 +345,9 @@ class LagrangianSystem(System):
         names = [
             jet(i, A).name for i in range(order + 1) for A in range(1, self.n + 1)
         ]
-        rows = []
-        row_evaluator(exprs, names)(lifted.values.tolist(), rows, dict(constants or {}))
-        return np.asarray([row[len(names):] for row in rows], dtype=float)
+        values, _, error = row_evaluator(exprs, names)(lifted.values.T.tolist(),
+                                                       dict(constants or {}))
+        if error is not None:
+            raise error
+        return np.array(values, dtype=float).T
 

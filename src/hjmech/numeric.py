@@ -15,10 +15,10 @@ built.  The stage arithmetic is ``z + (h/2)*k``, ``z + h*k`` and ``z +
 per-stage RK4 loop over sympy's generated function makes.  The loop
 extends one flat float array by each new state, and the trajectory's
 states are a matrix view of it, so no Python object is kept per step.
-The lifting check lifts every base state through
-``expr.row_evaluator``, which evaluates each fiber component over the
-columns of the base states, so each lifted value has ``evaluate``'s
-bits and each failure its error.
+The lifting check hands the columns of the base states to
+``expr.row_evaluator``, which evaluates each fiber component over them,
+so each lifted value has ``evaluate``'s bits and each failure its
+error, and stacks the value columns beside the base states.
 
 Failures: the loop stops at a step that raises or whose new state is not
 finite, which every non-finite or complex stage value makes it.  That
@@ -346,26 +346,25 @@ def verify_lifting(system, sol, z0_base: Sequence[float], t0: float,
     )
     if base_traj.labels != tuple(c.name for c in base_coords):
         raise NumericError("the base trajectory is not on the base space")
-    rows = base_traj.states.tolist()
-    if rows[0] != z0_base:
+    states = base_traj.states
+    if states[0].tolist() != z0_base:
         raise NumericError("the base trajectory does not start at the base state")
-    lifted_rows = []
-    try:
-        row_evaluator(fiber, [c.name for c in base_coords])(rows, lifted_rows, values)
-    except (ValueError, OverflowError) as err:
-        t, z = base_traj.times[len(lifted_rows)], tuple(rows[len(lifted_rows)])
+    lifts, good, error = row_evaluator(fiber, [c.name for c in base_coords])(
+        states.T.tolist(), values)
+    if error is not None:
+        t, z = base_traj.times[good], tuple(states[good].tolist())
         raise NumericError(
-            "lifting the base state failed at t = %.6g, state = %s: %s" % (t, z, err),
+            "lifting the base state failed at t = %.6g, state = %s: %s" % (t, z, error),
             time=t, state=z)
     import numpy as np
 
     lifted = Trajectory(
-        base_traj.times, np.array(lifted_rows),
+        base_traj.times, np.column_stack((states, *lifts)),
         tuple(c.name for c in full_field.space.coordinates),
         "lifted " + base_traj.provenance,
     )
     direct = integrate(
-        full_field, lifted_rows[0], t0, t1, h, values,
+        full_field, lifted.states[0].tolist(), t0, t1, h, values,
         provenance="full field",
     )
     deviation = float(np.max(np.abs(lifted.states - direct.states)))

@@ -2053,8 +2053,8 @@ def _samples(e, samples, seed, fixed):
 
 
 def _reference_lift(fns, rows, constants):
-    """The rows row_evaluator appends, evaluated one at a time by fns, up
-    to the first that raises, and the class and message of its error."""
+    """Each row followed by its values, evaluated one at a time by fns, up
+    to the first row that raises, and the class and message of its error."""
     out = []
     for row in rows:
         env = dict(constants, **dict(zip(COORD_NAMES, row)))
@@ -2067,12 +2067,11 @@ def _reference_lift(fns, rows, constants):
 
 
 def _lift(exprs, rows, constants):
-    out = []
-    try:
-        E.row_evaluator(exprs, COORD_NAMES)(rows, out, constants)
-    except Exception as err:  # noqa: BLE001 - any difference must show
-        return [struct.pack("<6d", *row) for row in out], (type(err), str(err))
-    return [struct.pack("<6d", *row) for row in out], None
+    columns = [list(column) for column in zip(*rows)]
+    values, good, err = E.row_evaluator(exprs, COORD_NAMES)(columns, constants)
+    out = [struct.pack("<6d", *row, *row_values)
+           for row, row_values in zip(rows[:good], zip(*values))]
+    return out, None if err is None else (type(err), str(err))
 
 
 @settings(max_examples=200, deadline=None)

@@ -296,3 +296,15 @@ def test_d_squared_property(texts):
     th = OneFormField(T2, tuple(e(t, T2) for t in texts))
     triples = three_form_coefficients(exterior_derivative(th))
     assert all(v.is_zero for v in triples.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(poly_coefficients(), poly_coefficients(), poly_coefficients()),
+       st.tuples(poly_coefficients(), poly_coefficients(), poly_coefficients()))
+def test_pullback_commutes_with_d(images, texts):
+    # a map T^2 Q -> T^2 Q whose images are polynomials, so every
+    # Jacobian entry of pull_oneform can be a polynomial too
+    chart = CoordMap(T2, T2, dict(zip(T2.coordinates, (e(t, T2) for t in images))))
+    th = OneFormField(T2, tuple(e(t, T2) for t in texts))
+    assert exterior_derivative(chart.pull_oneform(th)) == chart.pull_twoform(
+        exterior_derivative(th))

@@ -5,6 +5,8 @@ their residual reports, Legendre transport, classification, and involution.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjmech import (
     CompleteSolutionFamily,
@@ -23,6 +25,7 @@ from hjmech import (
     associated_field,
     classify,
     combine,
+    exterior_derivative,
     gen_ham_residuals,
     gen_lag_residuals,
     ham_closedness,
@@ -348,6 +351,54 @@ def test_hj_equation_strict_needs_an_energy(flight_1d_pair):
     gf = GeneratingFunction.generic(2, 1, energy=Expression.number(0))
     rep = hj_equation(hs, gf, strict=True)
     assert rep.entries[0].verdict == "symbolic"
+
+
+@st.composite
+def sections_of_regular_lagrangians(draw):
+    """A regular Lagrangian on T^k Q, (k, n) up to (3, 3), and a section
+    of it.  L is a diagonal quadratic in the top velocities plus products
+    of lower coordinates; each section component is a random polynomial
+    or a ``?`` placeholder.  Now and then a nonzero constant ``mu``
+    stands in a denominator, of L's top term and of the polynomials, as
+    beam's 1/mu does in its dynamics."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    over_mu = draw(st.booleans())
+    constants = ("mu",) if over_mu else ()
+    lower = ["q%d_%d" % (i, A) for i in range(k) for A in range(1, n + 1)]
+
+    def products(names, count):
+        terms = []
+        for _ in range(count):
+            factors = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+            terms.append("*".join(["%d" % draw(st.integers(-3, 3))] + factors))
+        text = " + ".join(terms)
+        return "(%s)/mu" % text if over_mu and draw(st.booleans()) else text
+
+    top = " + ".join("%d/2*q%d_%d^2%s" % (draw(st.sampled_from((1, 2, -1, -3))), k, A,
+                                          "/mu" if over_mu else "")
+                     for A in range(1, n + 1))
+    L = parse(top + " + " + products(lower, draw(st.integers(1, 3))),
+              JetSpace(n, k).table(constants))
+    system = LagrangianSystem(k, n, L, constants)
+    generic = Section.generic(k, n).components
+    table = JetSpace(n, k - 1).table(constants)
+    components = {key: generic[key] if draw(st.booleans())
+                  else parse(products(lower, draw(st.integers(1, 3))), table)
+                  for key in generic}
+    return system, Section(k, n, components)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections_of_regular_lagrangians())
+def test_closedness_of_a_pulled_back_theta_is_the_pulled_back_omega(drawn):
+    # s*ω_L = −d(s*θ_L), since pullback commutes with d: lag_closedness
+    # reads the left side, and pull_twoform of ω_L is the reference
+    system, s = drawn
+    cartan, chart = system.cartan(), s.as_map()
+    minus_d = -exterior_derivative(chart.pull_oneform(cartan.theta))
+    reference = chart.pull_twoform(cartan.omega)
+    assert minus_d == reference
+    assert str(minus_d) == str(reference)
 
 
 # -- generating functions on the beam ---------------------------------------------------

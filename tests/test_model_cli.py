@@ -430,6 +430,10 @@ def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
     # skipped
     (("check", fixture_path("relativistic_rest.hjm"), "rest"),
      "relativistic_rest_check_rest.txt", 0),
+    # a generating function that solves the Hamilton-Jacobi equation: beam
+    # without its load and W = 3*q1_1, so h(q, dW) = 9/(2*mu) and both sides
+    # are strict solutions
+    (("check", fixture_path("beam_free.hjm"), "w"), "beam_free_check_w.txt", 0),
 ])
 def test_every_branch_of_check_prints_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")

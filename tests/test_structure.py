@@ -18,6 +18,7 @@ import pytest
 from sympy.core.cache import clear_cache
 
 from hjmech import (
+    CartanData,
     CompleteSolutionFamily,
     CoordMap,
     Curve,
@@ -25,6 +26,7 @@ from hjmech import (
     JetSpace,
     OneForm,
     OneFormField,
+    PhaseSpace,
     Section,
     TwoFormField,
     VectorField,
@@ -550,3 +552,47 @@ def test_one_check_compiles_and_samples_each_expression_once(tmp_path):
         assert code == want_code and compiles == [] and runs == distinct_runs, (
             key, code, compiles, runs, distinct_runs)
         assert (runs > 0) == samples, (key, runs)
+
+
+JAVELIN_POLYNOMIAL_SECTION = """
+[section poly]
+s2_1 = "q0_1*q1_2 - 2*q1_1"
+s2_2 = "q1_3^2 + 1"
+s2_3 = "-q0_2"
+s3_1 = "3*q0_3*q1_1"
+s3_2 = "q1_2 - q0_1^2"
+s3_3 = "2"
+"""
+
+
+@pytest.mark.parametrize("section, code", [("poly", 1), ("unknown", 0)])
+def test_a_check_pulls_back_no_two_form_and_builds_no_omega(monkeypatch, tmp_path, section,
+                                                            code):
+    # closedness is checked as s*ω_L = −d(s*θ_L), so a check pulls back
+    # only θ_L and never builds ω_L; derive cartan, which prints ω_L,
+    # shows that the counting is live
+    path = tmp_path / "javelin.hjm"
+    path.write_text(pathlib.Path(model_path("javelin.hjm")).read_text()
+                    + JAVELIN_POLYNOMIAL_SECTION)
+    calls = []
+    pull_twoform, omega = CoordMap.pull_twoform, CartanData.omega.func
+    monkeypatch.setattr(CoordMap, "pull_twoform",
+                        lambda *args: calls.append("pull_twoform") or pull_twoform(*args))
+    monkeypatch.setattr(CartanData.omega, "func", lambda cd: calls.append("omega") or omega(cd))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(path), section]) == code
+        assert calls == []
+        assert main(["derive", str(path), "cartan"]) == 0
+    assert calls == ["omega"]
+
+
+def test_coordinates_are_built_once():
+    assert E.jet(2, 3) is E.jet(2, 3)
+    assert E.momentum(1, 2) is E.momentum(1, 2)
+    assert E.coordinate_of("q2_3") is E.jet(2, 3)
+    assert E.coordinate_of("p1_2") is E.momentum(1, 2)
+    space = JetSpace(3, 2)
+    assert space.coordinates is space.coordinates
+    assert JetSpace(3, 2).coordinates is space.coordinates
+    phase = PhaseSpace(3, 2)
+    assert phase.coordinates is phase.coordinates
