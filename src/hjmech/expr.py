@@ -12,14 +12,16 @@ Conventions
   then by ``(i, A)``.
 * Coefficient arithmetic is exact rational.  Irrational values only enter
   through named constants and the unary functions ``sqrt sin cos exp ln``.
-* Representation: a Laurent polynomial over QQ in the coordinates, the
-  named constants, the placeholders and the square roots of polynomials
-  (a polynomial divided by a monomial, such as ``p1_1/mu``, times powers
-  of those roots) is held sparse, as a ``_Poly``: a dict from each
-  monomial, the sorted (generator id, exponent) pairs of its nonzero
-  exponents, to its coefficient in QQ.  A generator is a name, a
-  placeholder (an unknown function ``s2_1(q0_1, …)`` of distinct
-  coordinates, or sympy's ``Derivative`` of one) or a radical
+* Representation: a Laurent polynomial over the rationals in the
+  coordinates, the named constants, the placeholders and the square
+  roots of polynomials (a polynomial divided by a monomial, such as
+  ``p1_1/mu``, times powers of those roots) is held sparse, as a
+  ``_Poly``: a dict from each monomial, the sorted (generator id,
+  exponent) pairs of its nonzero exponents, to its coefficient, an
+  ``int`` when it is integral and else a ``Fraction``, so equal values
+  are equal dicts with one hash whatever built them.  A generator is a
+  name, a placeholder (an unknown function ``s2_1(q0_1, …)`` of
+  distinct coordinates, or sympy's ``Derivative`` of one) or a radical
   ``t = u^(1/2)``.  What the module needs of one (its print key and
   text, its place among generators, the names it depends on) is
   recorded once, in its ``_Gen``: a name by its name, a radical by its
@@ -75,7 +77,7 @@ Conventions
   ``step_texts`` read the polynomial's terms and give the text, the
   values and errors, and the Python text that tree gives; a radical is
   the ``_root`` of its radicand's terms.  So the polynomial path calls
-  nothing of sympy's but QQ's coefficient arithmetic.
+  nothing of sympy's.
   Polynomial and tree stay inside this module: no other module of the
   package reads them or imports sympy.
 * ``Expression.of`` is the one way in for a value that is not parsed.
@@ -153,7 +155,6 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import sympy as sp
-from sympy import QQ
 from sympy.core.add import _unevaluated_Add
 from sympy.core.basic import Basic
 from sympy.core.cache import cacheit
@@ -407,9 +408,11 @@ def _canon(sym):
 
 
 class _Poly(dict):
-    """A Laurent polynomial over QQ: each monomial, a tuple of (generator
-    id, exponent) pairs sorted by id with no zero exponent, maps to its
-    nonzero coefficient.  A polynomial is never changed once built."""
+    """A Laurent polynomial over the rationals: each monomial, a tuple of
+    (generator id, exponent) pairs sorted by id with no zero exponent,
+    maps to its nonzero coefficient, an ``int`` or a non-integral
+    ``Fraction`` (``_coefficient``).  A polynomial is never changed once
+    built."""
 
     __slots__ = ("_gens", "_walk")
 
@@ -453,9 +456,26 @@ class _Poly(dict):
         """The tree sympy's ``PolyElement.as_expr()`` over the generators'
         trees gives: the sum of each term's ``Mul`` of its coefficient and
         powers."""
-        to_sympy = QQ.to_sympy
-        return sp.Add(*[sp.Mul(to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m])
+        return sp.Add(*[sp.Mul(_sympy_number(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m])
                         for m, c in self.items()])
+
+
+def _coefficient(c):
+    """A coefficient in normal form: an integral ``Fraction`` as its
+    ``int``, anything else as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b of two coefficients, exact (``/`` of two ints is a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _coefficient(Fraction(a, b))
+
+
+def _sympy_number(c):
+    """sympy's number of a coefficient."""
+    return sp.Integer(c) if type(c) is int else sp.Rational(c.numerator, c.denominator)
 
 
 class _Gen:
@@ -490,7 +510,7 @@ class _Gen:
             self.key, self.text = _atom(tree)
         self.printed = self.key, self.order
         self.is_coordinate = self.key[0] >= 2
-        self.poly = _Poly({((i, 1),): QQ.one})
+        self.poly = _Poly({((i, 1),): 1})
 
     @property
     def sym(self):
@@ -532,13 +552,12 @@ def _gen(g) -> int:
 
 
 _ZERO = _Poly()
-_ONE = _Poly({(): QQ.one})
-_HALF = QQ(1, 2)
+_ONE = _Poly({(): 1})
 
 
 def _number(q) -> _Poly:
-    """The constant polynomial of a QQ element."""
-    return _Poly({(): q}) if q else _ZERO
+    """The constant polynomial of an int or a Fraction."""
+    return _Poly({(): _coefficient(q)}) if q else _ZERO
 
 
 def _mono_mul(a, b):
@@ -567,7 +586,7 @@ def _add(P, Q, sign=1):
     for m, c in Q.items():
         c = out.get(m, 0) + (c if sign == 1 else -c)
         if c:
-            out[m] = c
+            out[m] = c if type(c) is int else _coefficient(c)
         else:
             del out[m]
     return out
@@ -586,16 +605,28 @@ def _mul(P, Q):
         for m, c in P.items():
             k = _mono_mul(m, n)
             out[k] = get(k, 0) + c * d
-    for k in [k for k, c in out.items() if not c]:
-        del out[k]
+    return _normalized(out)
+
+
+def _normalized(out):
+    """``out`` without its zero coefficients, each in normal form."""
+    for k, c in [(k, c) for k, c in out.items() if not c or type(c) is not int]:
+        if c:
+            out[k] = _coefficient(c)
+        else:
+            del out[k]
     return out
 
 
 def _mul_term(P, n, d):
     """P times the term d·n (d nonzero)."""
     if not n:
-        return P if d == 1 else _Poly({m: c * d for m, c in P.items()})
-    return _Poly({_mono_mul(m, n): c * d for m, c in P.items()})
+        if d == 1:
+            return P
+        out = _Poly({m: c * d for m, c in P.items()})
+    else:
+        out = _Poly({_mono_mul(m, n): c * d for m, c in P.items()})
+    return out if d == 1 or d == -1 else _normalized(out)
 
 
 _OPS = {operator.add: _add, operator.sub: lambda P, Q: _add(P, Q, -1), operator.mul: _mul}
@@ -607,7 +638,8 @@ def _power(P, n):
         return _ONE  # 0^0 = 1
     if len(P) == 1:
         (m, c), = P.items()
-        return _Poly({tuple((g, n * e) for g, e in m): c ** n})
+        return _Poly({tuple((g, n * e) for g, e in m): c ** n if n > 0 and type(c) is int
+                      else _coefficient(Fraction(c) ** n)})
     result = P
     for _ in range(n - 1):
         result = _mul(result, P)
@@ -647,8 +679,8 @@ def _function_of(g):
 
 def _as_poly(sym, radicals=False):
     """The polynomial of a sympy tree that is a Laurent polynomial over
-    QQ in its symbols and placeholders (expanded or not; a negative power
-    only of a symbol or a placeholder), or None.
+    the rationals in its symbols and placeholders (expanded or not; a
+    negative power only of a symbol or a placeholder), or None.
 
     With ``radicals``, for a canonical tree: the powers of ``_radical``s
     are generators too, and the polynomial is returned when it is in the
@@ -680,7 +712,7 @@ def _as_poly(sym, radicals=False):
         if node.is_Pow:
             return _power(_GEN[roots[node.base]].poly, int(node.exp.p))
         if node.is_Rational:
-            return _number(QQ(int(node.p), int(node.q)))
+            return _number(int(node.p) if node.q == 1 else Fraction(int(node.p), int(node.q)))
         return _GEN[_gen(node)].poly
 
     P = build(sym)
@@ -716,13 +748,12 @@ def _pdiff(P, x):
                 terms = ((_mono_mul(rest, ((_partial(g, x), 1),)), c * e),)
             else:
                 if x not in G.partials:
-                    G.partials[x] = _mul_term(_pdiff(G.radicand, x), ((g, -1),), _HALF)
+                    G.partials[x] = _mul_term(_pdiff(G.radicand, x), ((g, -1),),
+                                              Fraction(1, 2))
                 terms = ((_mono_mul(rest, n), c * e * d) for n, d in G.partials[x].items())
             for n, d in terms:
                 out[n] = out.get(n, 0) + d
-    for n in [n for n, d in out.items() if not d]:
-        del out[n]
-    return out
+    return _normalized(out)
 
 
 def _compose(P, values):
@@ -752,7 +783,7 @@ def _is_radicand(U):
     if len(U) < 2 or _is_laurent(U) or any(_GEN[g].kind for g in U.gens()):
         return False
     coeffs = U.values()
-    return (all(c.denominator == 1 for c in coeffs) and math.gcd(*map(int, coeffs)) == 1
+    return (all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
             and any(c > 0 for c in coeffs)
             and not frozenset.intersection(*[frozenset(g for g, _ in m) for m in U]))
 
@@ -764,7 +795,7 @@ def _radicand_tree(U):
     rest with ``_addsort``, as ``Add.flatten`` does.  The first evaluated
     sum of a process imports sympy's tensor and combinatorics packages."""
     return _unevaluated_Add(*[
-        sp.Mul(QQ.to_sympy(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m]) for m, c in U.items()])
+        sp.Mul(_sympy_number(c), *[sp.Pow(_GEN[g].sym, e) for g, e in m]) for m, c in U.items()])
 
 
 def _radical(U):
@@ -784,8 +815,8 @@ _NUMBER = (1, 0, "Number")  # sympy's class key of a number
 def _sort_key(U, renames=None):
     """``sp.default_sort_key`` of the tree of a radicand U
     (``_radicand_tree``), its names renamed by ``renames``, from U's
-    terms, with ``Fraction``s for sympy's numbers: (class key, (number of
-    args, their keys), the exponent's key, the coefficient).  A sum's
+    terms, with its coefficients for sympy's numbers: (class key, (number
+    of args, their keys), the exponent's key, the coefficient).  A sum's
     args are its terms in ``as_ordered_terms`` order, their exponents
     over the sorted names largest first (lex order), except a positive
     number beside one negative multiple of one power, which goes first;
@@ -795,8 +826,8 @@ def _sort_key(U, renames=None):
     def power(name, e, c=1):
         return (2, 0, "Symbol"), (1, (name,)), (_NUMBER, (0, ()), (), e), c
 
-    terms = [(tuple(sorted((renames.get(_GEN[g].name, _GEN[g].name), e) for g, e in m)),
-              Fraction(int(c.numerator), int(c.denominator))) for m, c in U.items()]
+    terms = [(tuple(sorted((renames.get(_GEN[g].name, _GEN[g].name), e) for g, e in m)), c)
+             for m, c in U.items()]
     names = sorted({name for factors, _ in terms for name, _ in factors})
     terms.sort(key=lambda t: [dict(t[0]).get(name, 0) for name in names], reverse=True)
     if (len(terms) == 2 and not terms[1][0] and terms[1][1] > 0 and terms[0][1] < 0
@@ -826,7 +857,7 @@ def _is_multiple(P, U):
         return max(F.items(), key=lambda t: [dict(t[0]).get(g, 0) for g in gens])
 
     (m, c), (n, d) = leading(P), leading(U)
-    return P == _mul_term(U, _mono_mul(m, tuple((g, -e) for g, e in n)), c / d)
+    return P == _mul_term(U, _mono_mul(m, tuple((g, -e) for g, e in n)), _quotient(c, d))
 
 
 def _reduce(P):
@@ -888,7 +919,7 @@ def _divide(P, D):
     inverse, c, quotient = tuple((g, -e) for g, e in lead), D[lead], _Poly()
     while P:
         m = max(P, key=lex)
-        q, qc = _mono_mul(m, inverse), P[m] / c
+        q, qc = _mono_mul(m, inverse), _quotient(P[m], c)
         quotient[q] = qc
         P = _add(P, _mul_term(D, q, qc), -1)
     return quotient
@@ -977,8 +1008,7 @@ class Expression(Immutable):
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ExprError("a number is an int or a Fraction, not %r; parse text "
                             "with parse()" % (value,))
-        value = Fraction(value)
-        return cls.from_poly(_number(QQ(value.numerator, value.denominator)))
+        return cls.from_poly(_number(value))
 
     @classmethod
     def constant(cls, name: str) -> "Expression":
@@ -1096,9 +1126,7 @@ class Expression(Immutable):
             other = _rational(other._poly)
             if other is None:
                 raise ExprError("exponent must be rational")
-        elif isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-        else:
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
         P, (p, q) = self._poly, (other.numerator, other.denominator)
         result = None
@@ -1120,10 +1148,10 @@ class Expression(Immutable):
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Expression.number(other)
         if not isinstance(other, Expression):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Expression.number(other)
         P, Q = self._poly, other._poly
         if P is None or Q is None:
             return P is Q and self._sym == other._sym
@@ -1164,10 +1192,9 @@ def _generator(g) -> Expression:
 
 
 def _rational(P):
-    """The Fraction a constant polynomial is, or None."""
+    """The number, an int or a Fraction, a constant polynomial is, or None."""
     if P is not None and set(P) <= {()}:
-        c = P.get((), QQ.zero)
-        return Fraction(int(c.numerator), int(c.denominator))
+        return P.get((), 0)
 
 
 def placeholders(names: Sequence[str], args: Sequence[Coordinate]) -> List[Expression]:
@@ -1598,7 +1625,7 @@ def _poly_values(P, env, n, failures, values):
     walk first reaches it, so reaching it again changes nothing.
     """
     def number(c):
-        return _ratio(int(c.numerator), int(c.denominator), n, failures)
+        return _ratio(c.numerator, c.denominator, n, failures)
 
     def power(g, e):
         if ("p", g, e) not in values:
@@ -1918,7 +1945,7 @@ class _Parser:
             kind, value, pos = self.peek()
         if kind == "num":
             self.next()
-            return sign * Fraction(value)
+            return sign * _literal(value)
         if kind == "op" and value == "(":
             self.next()
             inner, _ = self.expr()
@@ -1932,7 +1959,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return Expression.number(Fraction(value)), 1
+            return Expression.number(_literal(value)), 1
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -1968,6 +1995,11 @@ class _Parser:
         if name in self.table.constants:
             return _generator(name)
         raise UnknownSymbolError("unknown identifier %r" % name)
+
+
+def _literal(text):
+    """The number a numeric token is: an int, or a decimal's Fraction."""
+    return int(text) if "." not in text else _coefficient(Fraction(text))
 
 
 def _require_real_root(base, pos):
@@ -2166,7 +2198,7 @@ def _poly_text(P) -> str:
             (nonconst if G.is_coordinate else const).append((G.key, -e))
             (num if e > 0 else den).append(_power_text(G.text, abs(e)))
         key = (1 if not nonconst else 0, tuple(nonconst), tuple(const), coeff)
-        text = _product_text(abs(int(coeff.numerator)), int(coeff.denominator), num, den)
+        text = _product_text(abs(coeff.numerator), coeff.denominator, num, den)
         terms.append((key, coeff < 0, text))
     return _sum_text(terms)
 
@@ -2202,11 +2234,6 @@ def _python_key(g, renames):
     if G.kind == 2 and not G.free.isdisjoint(renames):
         return 2, _sort_key(G.radicand, renames)
     return G.order
-
-
-def _rational_python(c) -> str:
-    p, q = int(c.numerator), int(c.denominator)
-    return str(p) if q == 1 else "%d/%d" % (p, q)
 
 
 def _python_text(P, renames, texts) -> str:
@@ -2246,7 +2273,7 @@ def _python_text(P, renames, texts) -> str:
     for monom, c in terms:
         factors = [(g, e) for g, e in zip(order, monom) if e]
         if not factors:
-            text_ = _rational_python(c)
+            text_ = str(c)
         elif c == 1 and len(factors) == 1:
             (g, e), = factors
             text_ = (power(g, e) if e > 0 else "1/" + text(g) if e == -1
@@ -2256,7 +2283,7 @@ def _python_text(P, renames, texts) -> str:
             num = [power(g, e) for g, e in factors if e > 0]
             den = [power(g, -e) for g, e in factors if e < 0]
             if abs(c) != 1:
-                coeff = _rational_python(abs(c))
+                coeff = str(abs(c))
                 num.insert(0, coeff if "/" not in coeff or sign and num else "(%s)" % coeff)
             text_ = sign + "*".join(num or ["1"]) + (
                 "" if not den else "/" + den[0] if len(den) == 1 else "/(%s)" % "*".join(den))

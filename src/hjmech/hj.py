@@ -94,10 +94,12 @@ class _FiberCandidate(Immutable):
 
     Subclasses fix what differs between the two sides: the component
     orders, the key prefix, the noun used in messages, the coordinate
-    kind the components replace, and the target space.
+    kind the components replace, and the target space.  The chart
+    (``as_map``) and the last 1-form pulled back by it
+    (``pull_oneform``) are built on first use.
     """
 
-    __slots__ = ("k", "n", "components")
+    __slots__ = ("k", "n", "components", "_map", "_pulled")
     _prefix: str
     _noun: str
 
@@ -116,7 +118,7 @@ class _FiberCandidate(Immutable):
         extra = set(components) - set(comps)
         if extra:
             raise HJError("unexpected %s components: %s" % (self._noun, sorted(extra)))
-        self._init(k=k, n=n, components=comps)
+        self._init(k=k, n=n, components=comps, _map=None, _pulled=None)
 
     @classmethod
     def _key(cls, j: int, axis: int) -> str:
@@ -144,11 +146,22 @@ class _FiberCandidate(Immutable):
         return {self._coordinate(j, A): e for (j, A), e in self.components.items()}
 
     def as_map(self) -> CoordMap:
-        """The map T^(k-1)Q → target, identity on the base coordinates."""
-        base = JetSpace(self.n, self.k - 1)
-        images = {c: Expression.coordinate(c) for c in base.coordinates}
-        images.update(self.substitution())
-        return CoordMap(base, self._target(self.n, self.k), images)
+        """The map T^(k-1)Q → target, identity on the base coordinates,
+        built once."""
+        if self._map is None:
+            base = JetSpace(self.n, self.k - 1)
+            images = {c: Expression.coordinate(c) for c in base.coordinates}
+            images.update(self.substitution())
+            object.__setattr__(self, "_map", CoordMap(base, self._target(self.n, self.k), images))
+        return self._map
+
+    def pull_oneform(self, theta: OneFormField) -> OneFormField:
+        """θ pulled back by ``as_map()``.  The last form pulled back is
+        kept with its pullback, so the residuals that read s*θ_L of one
+        section (closedness, the generating function's) pull it back once."""
+        if self._pulled is None or self._pulled[0] is not theta:
+            object.__setattr__(self, "_pulled", (theta, self.as_map().pull_oneform(theta)))
+        return self._pulled[1]
 
     def _check_shape(self, k: int, n: int):
         if (self.k, self.n) != (k, n):
@@ -549,7 +562,7 @@ def lag_closedness(sys: LagrangianSystem, s: Section,
     residuals are those of −d(s*θ_L) on T^(k-1)Q, and ω_L is not built.
     """
     s._check_shape(sys.k, sys.n)
-    pulled = s.as_map().pull_oneform(sys.cartan().theta)
+    pulled = s.pull_oneform(sys.cartan().theta)
     return _residual_report(
         _closedness(pulled, sys.k, sys.n), sys.constant_values(),
         tol=tol, samples=samples, seed=seed,
@@ -576,7 +589,7 @@ def lag_genfunc_residuals(sys: LagrangianSystem, s: Section,
     if (gf.k, gf.n) != (sys.k, sys.n):
         raise HJError("generating function shape does not match the system")
     base = JetSpace(sys.n, sys.k - 1)
-    pulled = s.as_map().pull_oneform(sys.cartan().theta)
+    pulled = s.pull_oneform(sys.cartan().theta)
     raw = []
     for c, coeff in zip(base.coordinates, pulled.coefficients):
         raw.append(("genfunc", c.name, gf.w.diff(c) - coeff))

@@ -160,16 +160,12 @@ class ModelFile:
 
 
 def _strip(line: str) -> str:
-    # a # starts a comment unless inside a quoted expression
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+    # a # starts a comment unless inside a quoted expression: after an
+    # even number of quotes
+    i = line.find("#")
+    while i >= 0 and line.count('"', 0, i) % 2:
+        i = line.find("#", i + 1)
+    return (line if i < 0 else line[:i]).strip()
 
 
 class _Block:
@@ -296,12 +292,13 @@ def loads(text: str) -> ModelFile:
     # reads a candidate that holds one, and a command that reads none
     # (simulate, derive) declares none.  Until then a "?" component
     # stands as 0 in the candidate that checks the block's keys.
-    keys = {"W"}
+    keys, declared = {"W"}, {}
 
-    @functools.cache
     def unknown():
-        names = sorted(keys)
-        return dict(zip(names, placeholders(names, base.coordinates)))
+        if not declared:
+            names = sorted(keys)
+            declared.update(zip(names, placeholders(names, base.coordinates)))
+        return declared
 
     model = ModelFile(name, k, n, constants, sections=_Candidates(),
                       oneforms=_Candidates(), genfuncs=_Candidates())
@@ -459,8 +456,10 @@ def _filled(candidate, holes, unknown):
 
 
 def load(path: str) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
+    """Read a model file, UTF-8, decoded in one call; ``loads`` splits
+    its lines, so ``\\r\\n`` endings read as ``\\n`` ones."""
+    with open(path, "rb") as f:
+        return loads(f.read().decode("utf-8"))
 
 
 def _format_value(v: float) -> str:

@@ -73,10 +73,10 @@ class Report:
                 line += "  (max |r| = %s over %d samples)" % (
                     format_brief(e.numeric_max), rr.samples)
             self.text(line)
+            residual = str(e.residual)  # printed once, for both lines
             if e.verdict != "exact-zero":
-                self.text("%s  residual = %s" % (INDENT, e.residual))
-            self.row(e.tag, id_prefix + e.eq_id, str(e.residual),
-                     e.numeric_max, e.verdict)
+                self.text("%s  residual = %s" % (INDENT, residual))
+            self.row(e.tag, id_prefix + e.eq_id, residual, e.numeric_max, e.verdict)
 
     def add_context(self, rr: ResidualReport):
         """Assumptions and notes carried by a residual report."""

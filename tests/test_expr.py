@@ -1090,6 +1090,54 @@ def test_equal_polynomials_hash_equal_whatever_ring_holds_them(first, second):
     assert a != b or hash(a) == hash(b)
 
 
+def _normal_coefficients(P):
+    """Every coefficient of P, and of the radicands and radical partials
+    it holds, is an int or a Fraction with a denominator above 1."""
+    polys = [P] + [part for g in P.gens() if E._GEN[g].kind == 2
+                   for part in (E._GEN[g].radicand, *E._GEN[g].partials.values())]
+    for Q in polys:
+        for c in Q.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+RADICAL_TEXTS = st.sampled_from(("sqrt(q0_1^2 + 2*q1_1 + 1)", "3/2*q0_2/sqrt(a + q0_1^2)",
+                                 "1/2*sqrt(2*q1_2 - 3*q0_1)"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_texts(), polynomial_texts(), RADICAL_TEXTS, st.integers(0, 3),
+       st.sampled_from(COORD_NAMES + ("a",)),
+       st.sampled_from((2, -3, Fraction(1, 2), Fraction(4, 6), Fraction(-6, 3))))
+def test_coefficients_are_ints_or_proper_fractions(first, second, radical, n, name, number):
+    # parse, arithmetic with expressions, ints and Fractions, diff,
+    # substitute, derivation and solve_linear keep every coefficient an
+    # int, or a Fraction that is not one: never a float, sympy's rational
+    # or Fraction(n, 1); so equal values built along different paths are
+    # equal dicts with one hash
+    (t1, s1), (t2, s2) = first, second
+    a, b, r = p(t1), p(t2), p(radical)
+    x, y = E.solve_linear([[Expression.of(2), a], [E.ZERO, Expression.of(3)]], [b, a * 6])
+    built = [a, b, r, a + b, a - b, a * b, a ** n, a * number, a / number, number - a,
+             a ** Fraction(n, 1), diff(a, name), diff(a * r, name), diff(diff(r, name), "q0_1"),
+             substitute(a, {name: b}), substitute(a, {name: number}),
+             substitute(a * r, {"q1_2": b}), E.derivation(a, [(name, b), ("q0_2", r)]), x, y,
+             Expression.number(number), Expression(s1), Expression(s1 / 4) * 4]
+    for e in built:
+        if e._poly is not None:
+            _normal_coefficients(e._poly)
+    assert y == a * 2
+    assert x == (b - a * y) / 2
+    for one, other in ((a, Expression(s1)), (a, Expression(s1 / 4) * 4),
+                       (a, a * number / number), (a, (a + b) - b), (a ** n, a ** Fraction(n, 1)),
+                       (substitute(a, {name: number}),
+                        substitute(a, {name: Expression.of(number)})),
+                       (Expression.number(Fraction(-6, 3)), Expression.number(-2))):
+        assert one == other and hash(one) == hash(other)
+        assert one._poly == other._poly
+        assert ({m: type(c) for m, c in one._poly.items()}
+                == {m: type(c) for m, c in other._poly.items()})
+
+
 @settings(max_examples=150, deadline=None)
 @given(grammar_texts())
 def test_pickle_round_trip_keeps_value_and_hash(text):
@@ -1413,15 +1461,22 @@ def oracle_polys(min_size=0):
     return st.lists(oracle_terms(), min_size=min_size, max_size=4)
 
 
+def _from_qq(c):
+    """The coefficient of ``_Poly`` that an element of QQ is."""
+    return E._coefficient(Fraction(int(c.numerator), int(c.denominator)))
+
+
 def _built(terms):
-    """The sparse polynomial and the ring element of a list of terms."""
+    """The sparse polynomial, its coefficients ints and Fractions, and the
+    ring element over QQ of a list of terms."""
     P = E._ZERO
     R = _ref_ring([g for _, powers in terms for g in powers])
     A = R.zero
     for coeff, powers in terms:
-        c = QQ(coeff.numerator, coeff.denominator)
+        c = E._coefficient(coeff)
         P = E._add(P, E._Poly({tuple(sorted((E._gen(g), e) for g, e in powers.items())): c}))
-        A += R.from_dict({tuple(powers.get(s, 0) for s in R.symbols): c})
+        A += R.from_dict({tuple(powers.get(s, 0) for s in R.symbols): QQ(coeff.numerator,
+                                                                         coeff.denominator)})
     return P, A
 
 
@@ -1432,6 +1487,7 @@ def _same_polynomial(P, A):
     sparse = {frozenset((E._GEN[g].sym, e) for g, e in m): c for m, c in P.items()}
     ring = {frozenset((s, e) for s, e in zip(A.ring.symbols, m) if e): c for m, c in A.items()}
     assert sparse == ring
+    _normal_coefficients(P)
     assert all(c for c in P.values()) and all(
         e and list(m) == sorted(m) and len({g for g, _ in m}) == len(m) for m in P for _, e in m)
     assert P.gens() == {g for m in P for g, _ in m}
@@ -1689,7 +1745,8 @@ def test_a_radicand_tree_is_the_rings_expression(polynomial):
     names, terms = polynomial
     U = PolyRing(sp.symbols(names), QQ).from_dict(terms)
     ids = [E._gen(s) for s in U.ring.symbols]
-    sparse = E._Poly({tuple(sorted((i, e) for i, e in zip(ids, m) if e)): c for m, c in U.items()})
+    sparse = E._Poly({tuple(sorted((i, e) for i, e in zip(ids, m) if e)): _from_qq(c)
+                      for m, c in U.items()})
     tree, want = E._radicand_tree(sparse), U.as_expr()
     assert sp.srepr(tree) == sp.srepr(want)
     assert tree == want and hash(tree) == hash(want)
@@ -1718,11 +1775,11 @@ def _old_ring(polys):
             exps = [0] * len(gens)
             for g, e in m:
                 exps[index[g]] = e
-            out[tuple(exps)] = c
+            out[tuple(exps)] = QQ(c.numerator, c.denominator)
         return out
 
     def from_ring(P):
-        return E._Poly({tuple(sorted((gens[i], e) for i, e in enumerate(m) if e)): c
+        return E._Poly({tuple(sorted((gens[i], e) for i, e in enumerate(m) if e)): _from_qq(c)
                         for m, c in P.items()})
 
     return R, to_ring, from_ring

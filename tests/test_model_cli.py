@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hjmech import Expression, JetSpace, OneForm, Section, parse
 from hjmech import model as M
-from hjmech import cli, numeric
+from hjmech import cli, forms, hj, numeric
 from hjmech.cli import main
 from hjmech.hj import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, MAX_SAMPLES
 from hjmech.report import MACHINE_BEGIN, MACHINE_END
@@ -140,6 +140,26 @@ def test_trailing_comments_are_stripped_outside_quotes():
     assert m.sections["rest"] == M.loads(JAVELIN).sections["rest"]
 
 
+def _strip_by_characters(line):
+    """The comment stripper as a walk over the characters: a # ends the
+    line unless an odd number of quotes precedes it."""
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out).strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=' "#a=\t', max_size=16))
+def test_comment_stripping_matches_the_character_walk(line):
+    assert M._strip(line) == _strip_by_characters(line)
+
+
 def test_shipped_models_all_load():
     import glob
 
@@ -247,6 +267,31 @@ def test_a_model_over_the_size_budget_is_refused(capsys, tmp_path):
         code, out, err = run_cli(capsys, "derive", str(path), "energy")
         assert (code, out) == (2, "") and err.startswith("hjmech: error: line 1: k*n = %d" % over)
     assert M.loads(_sized(M.MAX_KN, 1)).k == M.MAX_KN
+
+
+@pytest.mark.parametrize("name", ["javelin.hjm", "beam.hjm"])
+def test_a_model_with_crlf_line_endings_loads_as_its_lf_copy(capsys, tmp_path, name):
+    # load decodes the file's bytes in one call and loads splits the
+    # lines, so \r\n endings read as the \n ones of the same model
+    with open(model_path(name), "rb") as f:
+        text = f.read()
+    assert b"\r" not in text
+    path = tmp_path / name
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    crlf, lf = M.load(str(path)), M.load(model_path(name))
+    assert crlf == lf and M.dumps(crlf) == M.dumps(lf)
+    assert (run_cli(capsys, "derive", str(path), "cartan")
+            == run_cli(capsys, "derive", model_path(name), "cartan"))
+
+
+def test_a_model_file_that_is_not_utf8_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.hjm"
+    path.write_bytes(JAVELIN.replace("name = javelin", "name = caf\xe9").encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError):
+        M.load(str(path))
+    code, out, err = run_cli(capsys, "derive", str(path), "energy")
+    assert (code, out) == (2, "")
+    assert err.startswith("hjmech: error: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_errors_carry_line_numbers():
@@ -437,6 +482,32 @@ def test_radical_systems_print_byte_for_byte(capsys, argv, golden, code):
 ])
 def test_every_branch_of_check_prints_byte_for_byte(capsys, argv, golden, code):
     assert run_cli(capsys, *argv) == (code, _golden_text(golden), "")
+
+
+def test_a_generating_functions_check_pulls_theta_back_once(capsys, monkeypatch):
+    # closedness and the generating-function residuals share one s*θ_L,
+    # and each candidate builds its chart once (the check pulled θ_L back
+    # twice and built the section's chart three times)
+    pulls, charts = [], []
+    pull_oneform, as_map = forms.CoordMap.pull_oneform, hj._FiberCandidate.as_map
+
+    def counted_pull(chart, theta):
+        pulls.append(theta)
+        return pull_oneform(chart, theta)
+
+    def counted_map(candidate):
+        chart = as_map(candidate)
+        charts.append((candidate, chart))
+        return chart
+
+    monkeypatch.setattr(forms.CoordMap, "pull_oneform", counted_pull)
+    monkeypatch.setattr(hj._FiberCandidate, "as_map", counted_map)
+    argv = ("check", fixture_path("beam_free.hjm"), "w")
+    assert run_cli(capsys, *argv) == (0, _golden_text("beam_free_check_w.txt"), "")
+    assert len(pulls) == 1
+    candidates = {id(candidate): candidate for candidate, _ in charts}
+    assert sorted(type(c).__name__ for c in candidates.values()) == ["OneForm", "Section"]
+    assert len({(id(candidate), id(chart)) for candidate, chart in charts}) == 2
 
 
 def test_a_generating_functions_flow_is_bit_for_bit(capsys, tmp_path, monkeypatch):

@@ -458,9 +458,6 @@ import sympy
 import workloads
 from hjmech.cli import main
 SYMPY = os.path.dirname(sympy.__file__) + os.sep
-# QQ's coefficients: its domain and the pure-Python rational it holds
-ALLOWED = (os.path.join(SYMPY, "external", "pythonmpq.py"),
-           os.path.join(SYMPY, "polys", "domains") + os.sep)
 workload, *argv = sys.argv[3:]
 if workload != "cli":
     argv = next(op.argv for op in workloads.build(workload, 1, sys.argv[2]) if op.key == argv[0])
@@ -468,7 +465,7 @@ frames = collections.Counter()
 
 def profile(frame, event, arg):
     name = frame.f_code.co_filename
-    if event == "call" and name.startswith(SYMPY) and not name.startswith(ALLOWED):
+    if event == "call" and name.startswith(SYMPY):
         frames[name[len(SYMPY):] + ":" + frame.f_code.co_name] += 1
 
 with contextlib.redirect_stdout(io.StringIO()):
@@ -493,12 +490,13 @@ print(json.dumps([code, frames.most_common(5)]))
 ], ids=lambda argv: argv[1] if argv[0] != "cli" else "derive-javelin-" + argv[-1])
 def test_the_ring_path_enters_no_sympy_module(tmp_path, argv):
     # a fresh process running one benchmark op, or one derive, calls no
-    # function of sympy's but QQ's coefficient arithmetic: names and
-    # radicals are generators without trees, a radical's order comes
-    # from its radicand's terms, exponents are Fractions, and
-    # determinant and solve_linear eliminate over sparse polynomials
-    # (675 to 4,147 calls into other sympy modules per op while symbols,
-    # radical trees and sympy's rings and matrices did this work)
+    # function of sympy's: names and radicals are generators without
+    # trees, a radical's order comes from its radicand's terms,
+    # coefficients are ints and Fractions, and determinant and
+    # solve_linear eliminate over sparse polynomials (675 to 4,147 calls
+    # into sympy modules other than QQ's per op while symbols, radical
+    # trees and sympy's rings and matrices did this work, and QQ's own
+    # arithmetic on every coefficient until the coefficients left it)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", SYMPY_FRAMES, str(ROOT / "bench"), str(tmp_path),
                           *argv], capture_output=True, text=True, env=env, timeout=300,
