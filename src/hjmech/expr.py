@@ -53,6 +53,9 @@ Conventions
       into that term times t along some paths and not along others,
       and a product or substitution where such a multiple of u meets
       t⁻¹ (``_reduce``, ``_meets_radicand``);
+    - a determinant holding t⁻¹ over two denominators beside a term
+      without t⁻¹, whose common denominator the tree path rationalizes
+      (``_splits_radical``);
     - radicands that are not such polynomials: Laurent ones, one term,
       a content, common monomial or sign sympy splits out of the root,
       placeholders, or nested radicals;
@@ -895,6 +898,20 @@ def _reduce(P):
     return P
 
 
+def _splits_radical(P):
+    """Whether two terms of P hold t⁻¹ of one radical t over different
+    denominators while some term does not hold it.  sympy's common
+    denominator of such a sum multiplies the two, t·t becomes u, and
+    the tree path's determinant leaves the polynomials for a quotient
+    over that product; a t⁻¹ that every term holds is taken out first."""
+    for j in _radicals_in(P):
+        holding = [m for m in P if (j, -1) in m]
+        if len(holding) < len(P) and len({tuple(f for f in m if f[1] < 0)
+                                          for m in holding}) > 1:
+            return True
+    return False
+
+
 def _meets_radicand(*factors):
     """Whether a product of these factors may let the tree cancel a
     radicand against its radical: one factor is a one-term multiple of a
@@ -1386,8 +1403,10 @@ def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
     the sign of its swaps, divided by those monomials, is reduced by
     ``_reduce``, which maps t² to u as the quotient ring QQ[…, t]/(t² − u)
     does, so the result is exact.  The entries' trees are taken where
-    the result would leave the polynomials or a radicand may cancel
-    against its radical (``_meets_radicand``)."""
+    the result would leave the polynomials, a radicand may cancel
+    against its radical (``_meets_radicand``), or the result holds t⁻¹
+    over two denominators beside a term without it, which the tree path
+    rationalizes (``_splits_radical``)."""
     polys = [e._poly for row in rows for e in row]
     if polys and all(P is not None for P in polys) and not _meets_radicand(*polys):
         cleared, scale, entries = [], {}, iter(polys)
@@ -1402,7 +1421,7 @@ def determinant(rows: Sequence[Sequence[Expression]]) -> Expression:
         sign = _eliminate(cleared, len(rows))
         det = _mul_term(cleared[-1][-1], tuple(sorted(scale.items())), sign) if sign else _ZERO
         result = _reduce(det)
-        if result is not None:
+        if result is not None and not _splits_radical(result):
             return Expression.from_poly(result)
     M, back = _domain_matrix(rows)
     return back(M.det())

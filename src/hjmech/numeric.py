@@ -382,14 +382,7 @@ class GradientCheck:
 def fd_gradient_check(e: Expression, point: Mapping[str, float],
                       step: float = 1e-5, tol: float = 1e-6) -> Tuple[GradientCheck, ...]:
     """Symbolic gradient vs central finite differences, one check per
-    free symbol; relative tolerance against max(1, |symbolic|).
-
-    Every value comes from one ``row_evaluator`` run over the rows
-    ``point``, then ``point`` with each name moved up and down by
-    ``step``, so each has ``evaluate``'s bits.  Where some row fails,
-    the one-point evaluations are made in turn (each partial at
-    ``point``, then ``e`` up and down its name), so the error raised is
-    the first they meet."""
+    free symbol; relative tolerance against max(1, |symbolic|)."""
     if not 0 < step < math.inf:
         raise NumericError("the finite-difference step must be positive and finite")
     if not 0 < tol < math.inf:
@@ -403,24 +396,14 @@ def fd_gradient_check(e: Expression, point: Mapping[str, float],
         raise NumericError(
             "the evaluation point does not bind %s" % ", ".join(missing)
         )
-    if not names:
-        return ()
-    partials = [e.diff(name) for name in names]
-    columns = []
-    for j, name in enumerate(names):
-        column = [float(point[name])] * (2 * len(names) + 1)
-        column[2 * j + 1:2 * j + 3] = float(point[name] + step), float(point[name] - step)
-        columns.append(column)
-    (values, *slopes), _, error = row_evaluator([e, *partials], names)(columns, point)
-    if error is not None:  # raises the first error of the one-point evaluations
-        for j, name in enumerate(names):
-            partials[j].evaluate(point)
-            for r in (2 * j + 1, 2 * j + 2):
-                e.evaluate({**point, name: columns[j][r]})
     checks = []
-    for j, name in enumerate(names):
-        sym_val = slopes[j][0]
-        fd_val = (values[2 * j + 1] - values[2 * j + 2]) / (2 * step)
+    for name in names:
+        sym_val = e.diff(name).evaluate(point)
+        hi = dict(point)
+        hi[name] = point[name] + step
+        lo = dict(point)
+        lo[name] = point[name] - step
+        fd_val = (e.evaluate(hi) - e.evaluate(lo)) / (2 * step)
         ok = abs(fd_val - sym_val) <= tol * max(1.0, abs(sym_val))
         checks.append(GradientCheck(name, sym_val, fd_val, ok))
     return tuple(checks)

@@ -1602,16 +1602,6 @@ def _tree_determinant(rows):
     return E._canon(M.domain.to_sympy(M.det()))
 
 
-def _tree_determinant_2x2(rows):
-    """A 2×2 determinant by the tree path's arithmetic on its entries:
-    ``_canon`` of ps − qr.  sympy's EX-domain determinant, which
-    ``determinant`` falls back to, may rationalize the same value into
-    another tree, e.g. 1 − b·(t⁻¹ + (1 − y²)/(a·t)) with t = (1 − y²)^(1/2)
-    into a quotient over a·y² − a."""
-    (p, q), (r, s) = ([x.sym for x in row] for row in rows)
-    return E._canon(p * s - q * r)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(radicands(), min_size=1, max_size=2), st.data())
 def test_radical_elements_match_the_tree_path(roots, data):
@@ -1645,11 +1635,7 @@ def test_radical_elements_match_the_tree_path(roots, data):
     _matches_radical_tree(substitute(e, {"q0_1": p0_1}),
                           E._canon(a.xreplace({sp.Symbol("q0_1"): p0_1.sym})))
     rows = [[t, e2], [Expression.constant("b"), t]]
-    # the polynomial path is checked against the tree path's arithmetic,
-    # the fallback against the EX-domain determinant it runs
-    det = E.determinant(rows)
-    _matches_radical_tree(det, _tree_determinant_2x2(rows) if det._poly is not None
-                          else _tree_determinant(rows))
+    _matches_radical_tree(E.determinant(rows), _tree_determinant(rows))
     # equality and hash do not depend on the path
     built = sum((Expression(term) for term in sp.Add.make_args(a)), Expression(0))
     assert built == e and hash(built) == hash(e)
@@ -1678,6 +1664,24 @@ def test_a_multiple_of_the_radicand_over_its_root_takes_the_trees_form(left, rig
     want = E._canon(op(a.sym, b.sym))
     assert sp.srepr(op(a, b).sym) == sp.srepr(want)
     assert (op(a, b)._poly is None) == (E._as_poly(want, radicals=True) is None)
+
+
+@pytest.mark.parametrize("entry", [
+    "sqrt(1 - q1_1^2) + 1/(a*sqrt(1 - q1_1^2))",
+    "1/sqrt(1 - q1_1^2) + sqrt(1 - q1_1^2)/a",
+    "q1_1/sqrt(1 - q1_1^2) + 1/(a*sqrt(1 - q1_1^2))",
+    "1/(sqrt(1 - q1_1^2)*sqrt(2*a*q1_1 - q1_1^2 - 2*q0_1)) + 1/sqrt(1 - q1_1^2)",
+    "(1 + q1_1)/(a*sqrt(1 - q1_1^2))",  # one denominator: stays a polynomial
+])
+def test_a_determinant_over_two_denominators_of_a_root_takes_the_trees_form(entry):
+    # sympy's common denominator of t⁻¹ over a and over 1 multiplies the
+    # two, t·t becomes u, and the tree path's determinant is a quotient
+    rows = [[Expression.number(1), p(entry)], [p("b"), Expression.number(1)]]
+    _matches_radical_tree(E.determinant(rows), _tree_determinant(rows))
+    # a t⁻¹ that every term holds is taken out first, so the sum stays
+    rows = [[p(entry) / p("q0_2")]]
+    _matches_radical_tree(E.determinant(rows), _tree_determinant(rows))
+    assert E.determinant(rows)._poly is not None
 
 
 def test_square_roots_are_ring_generators():
@@ -1839,7 +1843,7 @@ def _old_determinant(rows):
         det = DomainMatrix([list(map(to_ring, row)) for row in cleared],
                            (len(rows), len(rows[0])), R.to_domain()).det()
         result = E._reduce(E._mul_term(from_ring(det), tuple(sorted(scale.items())), 1))
-        if result is not None:
+        if result is not None and not E._splits_radical(result):
             return Expression.from_poly(result)
     M, back = _old_domain_matrix(rows)
     return back(M.det())

@@ -7,7 +7,6 @@ import importlib
 import io
 import math
 import pathlib
-import struct
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from hjmech import numeric
 from hjmech.cli import main
 
 from conftest import make_beam, make_flight_1d
-from test_expr import CHECKED_TEXTS, p as expr_p
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -618,54 +616,6 @@ def test_fd_gradient_check_radical_point():
     e = parse("sqrt(q1_1^2 - 2*c1)", T)
     checks = fd_gradient_check(e, {"q1_1": 1.0, "c1": -1.0})
     assert all(c.ok for c in checks)
-
-
-def _one_point_gradient_check(e, point, step=1e-5, tol=1e-6):
-    """The reference for fd_gradient_check: three one-point evaluations
-    per name, in this order."""
-    checks = []
-    for name in sorted(e.free_names()):
-        sym_val = e.diff(name).evaluate(point)
-        hi = dict(point)
-        hi[name] = point[name] + step
-        lo = dict(point)
-        lo[name] = point[name] - step
-        fd_val = (e.evaluate(hi) - e.evaluate(lo)) / (2 * step)
-        ok = abs(fd_val - sym_val) <= tol * max(1.0, abs(sym_val))
-        checks.append((name, sym_val, fd_val, ok))
-    return checks
-
-
-def _gradient_outcome(fn, e, point):
-    """The names, the bits of both values and the verdicts, or the class
-    and message of what was raised."""
-    try:
-        return [(name, struct.pack("<dd", sym_val, fd_val), ok)
-                for name, sym_val, fd_val, ok in fn(e, point)]
-    except Exception as err:  # noqa: BLE001 - any difference must show
-        return type(err), str(err)
-
-
-# points on and one step beside the checked branches' edges
-GRADIENT_POINTS = st.fixed_dictionaries({name: st.one_of(
-    st.sampled_from((0.0, 1e-5, -1e-5, 2e-5, 1.0, -1.0, 710.0, 1e160)), st.floats(-3.0, 3.0))
-    for name in ("a", "b", "q0_1", "q0_2", "q1_1", "q1_2")})
-
-
-@settings(max_examples=200, deadline=None)
-@given(CHECKED_TEXTS, GRADIENT_POINTS)
-def test_fd_gradient_check_keeps_the_one_point_bits_and_errors(text, point):
-    # one row_evaluator run gives every value the bits evaluate gives it,
-    # and where a row fails, the error the one-point evaluations meet first
-    try:
-        e = expr_p(text)
-    except ExprError:
-        assume(False)
-    assume(not e.has_placeholders)
-    want = _gradient_outcome(_one_point_gradient_check, e, point)
-    assert _gradient_outcome(lambda e, point: [
-        (c.name, c.symbolic, c.numeric, c.ok) for c in fd_gradient_check(e, point)], e,
-        point) == want
 
 
 def test_fd_gradient_check_validation():
